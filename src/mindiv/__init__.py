@@ -68,7 +68,6 @@ from .measures import (
     Measure,
     contaminate,
     empirical,
-    integrate,
     quadrature_of,
     read_sample,
 )

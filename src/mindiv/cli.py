@@ -16,13 +16,11 @@ import time
 import numpy as np
 
 from .errors import ToolkitError
-from .estimators import EstimatorSpec, estimate
+from .estimators import KINDS, EstimatorSpec, estimate
 from .families import get_family
 from .influence import influence_curve
 from .measures import empirical, read_sample
 from .simulation import CONTAMINANTS, ContaminationModel, report, run_study
-
-_ESTIMATORS = ("mle", "subdivergence", "superdivergence", "power-pseudo", "renyi")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +58,7 @@ def _build_parser() -> _Parser:
 
     est = sub.add_parser("estimate", help="fit an estimator to a data file")
     est.add_argument("--family", required=True, help="normal | normal-loc | normal-scale | pareto")
-    est.add_argument("--estimator", required=True, choices=_ESTIMATORS)
+    est.add_argument("--estimator", required=True, choices=KINDS)
     est.add_argument("--alpha", type=float, default=0.0, help="divergence order (default 0)")
     est.add_argument("--data", required=True, help="text file, one observation per line")
     est.add_argument("--escort", type=_floats, help="escort parameter (subdivergence only)")
@@ -69,7 +67,7 @@ def _build_parser() -> _Parser:
 
     inf = sub.add_parser("influence", help="emit an influence curve as CSV")
     inf.add_argument("--family", required=True)
-    inf.add_argument("--estimator", required=True, choices=_ESTIMATORS)
+    inf.add_argument("--estimator", required=True, choices=KINDS)
     inf.add_argument("--alpha", type=float, default=0.0)
     inf.add_argument("--theta", type=_floats, required=True, help="evaluation parameter, comma-separated")
     inf.add_argument("--escort", type=_floats)

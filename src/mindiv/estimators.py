@@ -19,17 +19,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import DomainError, InvalidInputError
-from .families import Family
-from .kernels import BRANCH_TOL, orthogonal_constant
+from .errors import DomainError, InvalidInputError, ToolkitError
+from .families import _GRID_N, Family
+from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant
 from .measures import Measure
 from .optimize import SolveResult, _newton_polish, solve_1d, solve_2d
 
 KINDS = ("mle", "subdivergence", "superdivergence", "power-pseudo", "renyi")
-
-_GRID_N = 512
 
 
 @dataclass(frozen=True)
@@ -142,21 +139,33 @@ def sub_criterion(family: Family, theta, theta_tilde, q: Measure, alpha: float) 
     return ratio_term / (1.0 - a) + data_term / a
 
 
+def _escort_terms(family: Family, theta, tilde, q: Measure, a: float, score_at):
+    """Model and data terms of the escort estimating equations.
+
+    The model term integrates ``p_tilde^(1-a) p_theta^a`` and the data term
+    sums ``q (p_theta / p_tilde)^a``, both weighting the score at
+    ``score_at``: the escort fit ``tilde`` for the subdivergence equation,
+    the outer parameter ``theta`` for the superdivergence one.
+    """
+    x, wl = family.integration_grid([theta, tilde], _GRID_N)
+    lp = np.asarray(family.log_density(theta, x))
+    lp_tilde = np.asarray(family.log_density(tilde, x))
+    s_model = family.score(score_at, x)
+    model_term = ((wl * np.exp((1.0 - a) * lp_tilde + a * lp))[:, None] * s_model).sum(axis=0)
+    lp_q = np.asarray(family.log_density(theta, q.nodes))
+    lp_tilde_q = np.asarray(family.log_density(tilde, q.nodes))
+    with np.errstate(over="ignore"):
+        ratio = np.exp(a * (lp_q - lp_tilde_q))
+    data_term = ((q.weights * ratio)[:, None] * family.score(score_at, q.nodes)).sum(axis=0)
+    return model_term, data_term
+
+
 def sub_psi(family: Family, theta, theta_tilde, q: Measure, alpha: float) -> np.ndarray:
     """Estimating equation of the subdivergence criterion (zero at its argmin)."""
     a = _check_sub_alpha(alpha)
     theta = family.validate_param(theta)
     tilde = family.validate_param(theta_tilde)
-    x, wl = family.integration_grid([theta, tilde], _GRID_N)
-    lp = np.asarray(family.log_density(theta, x))
-    lp_tilde = np.asarray(family.log_density(tilde, x))
-    s_tilde = family.score(tilde, x)
-    model_term = ((wl * np.exp((1.0 - a) * lp_tilde + a * lp))[:, None] * s_tilde).sum(axis=0)
-    lp_q = np.asarray(family.log_density(theta, q.nodes))
-    lp_tilde_q = np.asarray(family.log_density(tilde, q.nodes))
-    with np.errstate(over="ignore"):
-        ratio = np.exp(a * (lp_q - lp_tilde_q))
-    data_term = ((q.weights * ratio)[:, None] * family.score(tilde, q.nodes)).sum(axis=0)
+    model_term, data_term = _escort_terms(family, theta, tilde, q, a, tilde)
     return model_term - data_term
 
 
@@ -176,16 +185,7 @@ def _super_psi(family: Family, theta, tilde, q: Measure, alpha: float) -> np.nda
     a = float(alpha)
     theta = family.validate_param(theta)
     tilde = family.validate_param(tilde)
-    x, wl = family.integration_grid([theta, tilde], _GRID_N)
-    lp = np.asarray(family.log_density(theta, x))
-    lp_tilde = np.asarray(family.log_density(tilde, x))
-    s_theta = family.score(theta, x)
-    model_term = ((wl * np.exp((1.0 - a) * lp_tilde + a * lp))[:, None] * s_theta).sum(axis=0)
-    lp_q = np.asarray(family.log_density(theta, q.nodes))
-    lp_tilde_q = np.asarray(family.log_density(tilde, q.nodes))
-    with np.errstate(over="ignore"):
-        ratio = np.exp(a * (lp_q - lp_tilde_q))
-    data_term = ((q.weights * ratio)[:, None] * family.score(theta, q.nodes)).sum(axis=0)
+    model_term, data_term = _escort_terms(family, theta, tilde, q, a, theta)
     return a / (1.0 - a) * model_term + data_term
 
 
@@ -213,16 +213,14 @@ def _pseudo_gradient(family: Family, theta, q: Measure, alpha: float) -> np.ndar
 def _renyi_neg_log(family: Family, theta, q: Measure, alpha: float) -> float:
     a = float(alpha)
     lp = np.asarray(family.log_density(theta, q.nodes))
-    log_qp = float(logsumexp(np.log(q.weights) + a * lp))
+    log_qp, _ = log_sum_exp(np.log(q.weights) + a * lp)
     return math.log(family.renyi_normalizer(theta, a)) - log_qp
 
 
 def _renyi_gradient(family: Family, theta, q: Measure, alpha: float) -> np.ndarray:
     a = float(alpha)
     lp = np.asarray(family.log_density(theta, q.nodes))
-    logw = np.log(q.weights) + a * lp
-    logw = logw - logw.max()
-    w = np.exp(logw)
+    _, w = log_sum_exp(np.log(q.weights) + a * lp)
     w = w / w.sum()
     tilted_mean = (w[:, None] * family.score(theta, q.nodes)).sum(axis=0)
     return family.weighted_score_mean(theta, a) - tilted_mean
@@ -253,7 +251,7 @@ def _start_point(family: Family, q: Measure, bounds) -> np.ndarray:
     hi = np.array([b[1] for b in bounds])
     try:
         start = family.mle_parameter(q.nodes, q.weights)
-    except Exception:
+    except ToolkitError:
         start = 0.5 * (lo + hi)
     return np.clip(start, lo, hi)
 
@@ -295,20 +293,33 @@ def mle(family: Family, q: Measure) -> EstimateResult:
     return EstimateResult(theta_hat=theta, criterion_value=crit, iterations=0, converged=True)
 
 
-def estimate_subdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
-    """Minimize the escort criterion M over the search box."""
-    _require_kind(spec, "subdivergence")
-    escort = family.validate_param(np.asarray(spec.escort, dtype=float))
+def _fit(
+    family: Family, spec: EstimatorSpec, q: Measure, criterion, gradient, *fixed, report=float
+) -> EstimateResult:
+    """Shared fit of the kinds that minimize one criterion directly.
+
+    ``criterion(family, *fixed, theta, q, alpha)`` is minimized over the
+    search box from the MLE start, its stationary point is polished on
+    ``gradient(...) = 0`` (same arguments), and ``report`` maps the minimum
+    to ``criterion_value``.  Every such kind is the MLE at ``alpha = 0``.
+    """
     if spec.alpha == 0.0:
         return mle(family, q)
     bounds = _resolve_bounds(family, spec, q)
     a = spec.alpha
-    objective = lambda tt: sub_criterion(family, escort, tt, q, a)
-    psi = lambda tt: sub_psi(family, escort, tt, q, a)
+    objective = lambda th: criterion(family, *fixed, th, q, a)
+    psi = lambda th: gradient(family, *fixed, th, q, a)
     sr = _minimize(family, objective, psi, bounds, spec, x0=_start_point(family, q, bounds))
     return EstimateResult(
-        theta_hat=sr.x, criterion_value=sr.fun, iterations=sr.iterations, converged=sr.converged
+        theta_hat=sr.x, criterion_value=report(sr.fun), iterations=sr.iterations, converged=sr.converged
     )
+
+
+def estimate_subdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
+    """Minimize the escort criterion M over the search box."""
+    _require_kind(spec, "subdivergence")
+    escort = family.validate_param(np.asarray(spec.escort, dtype=float))
+    return _fit(family, spec, q, sub_criterion, sub_psi, escort)
 
 
 def _inner_solve(
@@ -378,16 +389,7 @@ def estimate_superdivergence(family: Family, spec: EstimatorSpec, q: Measure) ->
 def estimate_power_pseudo(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
     """Minimize the decomposable power-pseudodistance criterion."""
     _require_kind(spec, "power-pseudo")
-    if spec.alpha == 0.0:
-        return mle(family, q)
-    bounds = _resolve_bounds(family, spec, q)
-    a = spec.alpha
-    objective = lambda th: _pseudo_criterion(family, th, q, a)
-    psi = lambda th: _pseudo_gradient(family, th, q, a)
-    sr = _minimize(family, objective, psi, bounds, spec, x0=_start_point(family, q, bounds))
-    return EstimateResult(
-        theta_hat=sr.x, criterion_value=sr.fun, iterations=sr.iterations, converged=sr.converged
-    )
+    return _fit(family, spec, q, _pseudo_criterion, _pseudo_gradient)
 
 
 def estimate_renyi(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
@@ -396,18 +398,8 @@ def estimate_renyi(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateR
     ``criterion_value`` reports the maximized criterion itself.
     """
     _require_kind(spec, "renyi")
-    if spec.alpha == 0.0:
-        return mle(family, q)
-    bounds = _resolve_bounds(family, spec, q)
-    a = spec.alpha
-    objective = lambda th: _renyi_neg_log(family, th, q, a)
-    psi = lambda th: _renyi_gradient(family, th, q, a)
-    sr = _minimize(family, objective, psi, bounds, spec, x0=_start_point(family, q, bounds))
-    return EstimateResult(
-        theta_hat=sr.x,
-        criterion_value=math.exp(-sr.fun),
-        iterations=sr.iterations,
-        converged=sr.converged,
+    return _fit(
+        family, spec, q, _renyi_neg_log, _renyi_gradient, report=lambda neg_log: math.exp(-neg_log)
     )
 
 

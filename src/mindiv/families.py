@@ -4,8 +4,9 @@ Four families are provided: the full normal location-scale model, its
 location and scale submodels, and the unit-threshold Pareto shape model.
 Each family exposes densities, scores, score derivatives, sampling, and the
 closed-form power integrals the estimators are built on.  The submodels are
-distinct kinds rather than constrained views of the full normal model
-because their influence formulas differ.
+distinct kinds with their own parameter vectors, but their scores, score
+derivatives and tilted score means are those of the full normal model
+restricted to the free coordinates of (mu, sigma).
 
 Family objects are stateless and immutable; sampling takes an explicit
 generator owned by the caller, so concurrent use is safe.
@@ -26,6 +27,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _NORMAL_WINDOW = 10.0
 # Pareto log-grid span: u in [0, 30/theta] leaves tail mass < 1e-12.
 _PARETO_LOG_SPAN = 30.0
+# Default node count of model-side quadrature grids.
+_GRID_N = 512
 
 
 @lru_cache(maxsize=32)
@@ -102,7 +105,7 @@ class Family:
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def integration_grid(self, thetas, node_count: int = 512):
+    def integration_grid(self, thetas, node_count: int = _GRID_N):
         """Nodes and base-measure weights covering the mass of every member
         in ``thetas``; ``sum(w * g(x))`` approximates the Lebesgue integral
         of ``g``."""
@@ -150,12 +153,52 @@ def _scale_bounds(nodes, weights) -> tuple[float, float]:
 
 
 class _NormalKind(Family):
-    """Shared machinery for the three normal parameterizations."""
+    """Shared machinery for the three normal parameterizations.
+
+    ``_free`` lists the coordinates of (mu, sigma) that a kind estimates;
+    the submodels fix the other one at mu = 0 or sigma = 1.
+    """
 
     support = (-math.inf, math.inf)
+    _free: tuple[int, ...] = (0, 1)
+
+    def validate_param(self, theta) -> np.ndarray:
+        arr = _as_param(theta, self.param_dim)
+        # sigma, when free, is the last coordinate
+        if self._free[-1] == 1 and arr[-1] <= 0.0:
+            raise InvalidInputError(f"scale must be positive, got {arr[-1]}")
+        return arr
 
     def _loc_scale(self, theta) -> tuple[float, float]:
-        raise NotImplementedError
+        full = [0.0, 1.0]
+        for i, value in zip(self._free, theta):
+            full[i] = float(value)
+        return full[0], full[1]
+
+    def score(self, theta, x):
+        mu, sigma = self._loc_scale(self.validate_param(theta))
+        z = (np.asarray(x, dtype=float) - mu) / sigma
+        full = np.stack([z / sigma, (z * z - 1.0) / sigma], axis=-1)
+        # np.take keeps the C layout of the stack; fancy indexing would
+        # return a Fortran-ordered copy and change the summation order.
+        return np.take(full, self._free, axis=-1)
+
+    def score_deriv(self, theta, x):
+        mu, sigma = self._loc_scale(self.validate_param(theta))
+        d = np.asarray(x, dtype=float) - mu
+        s2 = sigma * sigma
+        d_mu_mu = np.broadcast_to(-1.0 / s2, d.shape)
+        d_mu_sigma = -2.0 * d / sigma**3
+        d_sigma_sigma = -3.0 * d * d / sigma**4 + 1.0 / s2
+        row1 = np.stack([d_mu_mu, d_mu_sigma], axis=-1)
+        row2 = np.stack([d_mu_sigma, d_sigma_sigma], axis=-1)
+        full = np.stack([row1, row2], axis=-2)
+        return np.take(np.take(full, self._free, axis=-1), self._free, axis=-2)
+
+    def weighted_score_mean(self, theta, alpha: float):
+        _, sigma = self._loc_scale(self.validate_param(theta))
+        a = float(alpha)
+        return np.array([0.0, -a / (sigma * (1.0 + a))])[..., self._free]
 
     def _window(self, theta) -> tuple[float, float]:
         mu, sigma = self._loc_scale(theta)
@@ -199,7 +242,7 @@ class _NormalKind(Family):
         mu, sigma = self._loc_scale(self.validate_param(theta))
         return mu + sigma * rng.standard_normal(int(n))
 
-    def integration_grid(self, thetas, node_count: int = 512):
+    def integration_grid(self, thetas, node_count: int = _GRID_N):
         windows = [self._window(self.validate_param(t)) for t in thetas]
         lo = min(w[0] for w in windows)
         hi = max(w[1] for w in windows)
@@ -212,39 +255,6 @@ class NormalLocScale(_NormalKind):
     name = "normal"
     param_dim = 2
     param_names = ("mu", "sigma")
-
-    def validate_param(self, theta) -> np.ndarray:
-        arr = _as_param(theta, 2)
-        if arr[1] <= 0.0:
-            raise InvalidInputError(f"scale must be positive, got {arr[1]}")
-        return arr
-
-    def _loc_scale(self, theta):
-        return float(theta[0]), float(theta[1])
-
-    def score(self, theta, x):
-        mu, sigma = self._loc_scale(self.validate_param(theta))
-        xs = np.asarray(x, dtype=float)
-        z = (xs - mu) / sigma
-        out = np.stack([z / sigma, (z * z - 1.0) / sigma], axis=-1)
-        return out
-
-    def score_deriv(self, theta, x):
-        mu, sigma = self._loc_scale(self.validate_param(theta))
-        xs = np.asarray(x, dtype=float)
-        d = xs - mu
-        s2 = sigma * sigma
-        d_mu_mu = np.broadcast_to(-1.0 / s2, xs.shape)
-        d_mu_sigma = -2.0 * d / sigma**3
-        d_sigma_sigma = -3.0 * d * d / sigma**4 + 1.0 / s2
-        row1 = np.stack([d_mu_mu, d_mu_sigma], axis=-1)
-        row2 = np.stack([d_mu_sigma, d_sigma_sigma], axis=-1)
-        return np.stack([row1, row2], axis=-2)
-
-    def weighted_score_mean(self, theta, alpha: float):
-        _, sigma = self._loc_scale(self.validate_param(theta))
-        a = float(alpha)
-        return np.array([0.0, -a / (sigma * (1.0 + a))])
 
     def mle_parameter(self, nodes, weights) -> np.ndarray:
         mu = float(weights @ nodes)
@@ -263,26 +273,7 @@ class NormalLocation(_NormalKind):
     name = "normal-loc"
     param_dim = 1
     param_names = ("mu",)
-
-    def validate_param(self, theta) -> np.ndarray:
-        return _as_param(theta, 1)
-
-    def _loc_scale(self, theta):
-        return float(theta[0]), 1.0
-
-    def score(self, theta, x):
-        mu = float(self.validate_param(theta)[0])
-        xs = np.asarray(x, dtype=float)
-        return np.stack([xs - mu], axis=-1)
-
-    def score_deriv(self, theta, x):
-        self.validate_param(theta)
-        xs = np.asarray(x, dtype=float)
-        return np.broadcast_to(-1.0, xs.shape + (1, 1)).copy()
-
-    def weighted_score_mean(self, theta, alpha: float):
-        self.validate_param(theta)
-        return np.array([0.0])
+    _free = (0,)
 
     def mle_parameter(self, nodes, weights) -> np.ndarray:
         return np.array([float(weights @ nodes)])
@@ -297,32 +288,7 @@ class NormalScale(_NormalKind):
     name = "normal-scale"
     param_dim = 1
     param_names = ("sigma",)
-
-    def validate_param(self, theta) -> np.ndarray:
-        arr = _as_param(theta, 1)
-        if arr[0] <= 0.0:
-            raise InvalidInputError(f"scale must be positive, got {arr[0]}")
-        return arr
-
-    def _loc_scale(self, theta):
-        return 0.0, float(theta[0])
-
-    def score(self, theta, x):
-        sigma = float(self.validate_param(theta)[0])
-        xs = np.asarray(x, dtype=float)
-        z = xs / sigma
-        return np.stack([(z * z - 1.0) / sigma], axis=-1)
-
-    def score_deriv(self, theta, x):
-        sigma = float(self.validate_param(theta)[0])
-        xs = np.asarray(x, dtype=float)
-        out = -3.0 * xs * xs / sigma**4 + 1.0 / sigma**2
-        return out.reshape(xs.shape + (1, 1))
-
-    def weighted_score_mean(self, theta, alpha: float):
-        sigma = float(self.validate_param(theta)[0])
-        a = float(alpha)
-        return np.array([-a / (sigma * (1.0 + a))])
+    _free = (1,)
 
     def mle_parameter(self, nodes, weights) -> np.ndarray:
         m2 = float(weights @ np.asarray(nodes) ** 2)
@@ -334,8 +300,15 @@ class NormalScale(_NormalKind):
         return (_scale_bounds(nodes, weights),)
 
 
+def _pareto_support(x) -> np.ndarray:
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 1.0):
+        raise DomainError("observations must lie in the support [1, inf)")
+    return xs
+
+
 class Pareto(Family):
-    """Pareto shape model on (1, inf), theta = (shape,)."""
+    """Pareto shape model on [1, inf), theta = (shape,)."""
 
     name = "pareto"
     param_dim = 1
@@ -350,18 +323,13 @@ class Pareto(Family):
 
     def log_density(self, theta, x):
         shape = float(self.validate_param(theta)[0])
-        xs = np.asarray(x, dtype=float)
-        if np.any(xs <= 1.0):
-            raise DomainError("observations must lie in the support (1, inf)")
+        xs = _pareto_support(x)
         out = math.log(shape) - (shape + 1.0) * np.log(xs)
         return float(out) if np.ndim(x) == 0 else out
 
     def score(self, theta, x):
         shape = float(self.validate_param(theta)[0])
-        xs = np.asarray(x, dtype=float)
-        if np.any(xs <= 1.0):
-            raise DomainError("observations must lie in the support (1, inf)")
-        return np.stack([1.0 / shape - np.log(xs)], axis=-1)
+        return np.stack([1.0 / shape - np.log(_pareto_support(x))], axis=-1)
 
     def score_deriv(self, theta, x):
         shape = float(self.validate_param(theta)[0])
@@ -398,7 +366,7 @@ class Pareto(Family):
         u = 1.0 - rng.random(int(n))  # uniform on (0, 1]
         return u ** (-1.0 / sh)
 
-    def integration_grid(self, thetas, node_count: int = 512):
+    def integration_grid(self, thetas, node_count: int = _GRID_N):
         shapes = [float(self.validate_param(t)[0]) for t in thetas]
         u_max = _PARETO_LOG_SPAN / min(shapes)
         # Substitution u = ln x turns dx into e^u du on a finite window.
@@ -407,10 +375,7 @@ class Pareto(Family):
         return x, w * x
 
     def mle_parameter(self, nodes, weights) -> np.ndarray:
-        xs = np.asarray(nodes, dtype=float)
-        if np.any(xs < 1.0):
-            raise DomainError("observations must lie in the support (1, inf)")
-        mean_log = float(weights @ np.log(xs))
+        mean_log = float(weights @ np.log(_pareto_support(nodes)))
         if mean_log <= 0.0:
             raise DegenerateDataError(
                 "all observations sit on the support boundary; shape estimate degenerates"
@@ -418,8 +383,7 @@ class Pareto(Family):
         return np.array([1.0 / mean_log])
 
     def default_bounds(self, nodes, weights):
-        xs = np.asarray(nodes, dtype=float)
-        mean_log = float(weights @ np.log(np.maximum(xs, 1.0 + 1e-300)))
+        mean_log = float(weights @ np.log(_pareto_support(nodes)))
         if mean_log > 0.0:
             center = 1.0 / mean_log
             return ((center / 100.0, center * 100.0),)

@@ -16,17 +16,17 @@ from .errors import (
     EstimationError,
     InvalidInputError,
     SingularMatrixError,
+    ToolkitError,
 )
 from .estimators import EstimatorSpec, estimate
 from .families import (
+    _GRID_N,
     Family,
     NormalLocation,
     NormalScale,
     _NormalKind,
 )
 from .measures import Measure, contaminate, quadrature_of
-
-_GRID_N = 512
 
 
 class Unbounded(enum.Enum):
@@ -126,7 +126,7 @@ def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x: float, eps: f
 def _estimate_or_raise(family, spec, q, context: str):
     try:
         result = estimate(family, spec, q)
-    except Exception as exc:
+    except ToolkitError as exc:
         raise EstimationError(f"estimation failed at {context}: {exc}") from exc
     if not result.converged:
         raise EstimationError(f"estimator did not converge at {context}")
@@ -144,16 +144,7 @@ def if_mle(family: Family, theta, x, node_count: int = _GRID_N) -> np.ndarray:
     Also the influence of every superdivergence estimator at a model point.
     Vectorized: array ``x`` yields one row per point.
     """
-    theta = family.validate_param(theta)
-    grid_x, lam_w = family.integration_grid([theta], node_count)
-    dens = family.density(theta, grid_x)
-    s = family.score(theta, grid_x)
-    fisher = np.einsum("i,ij,ik->jk", lam_w * dens, s, s)
-    if not np.all(np.isfinite(fisher)) or np.linalg.cond(fisher) > 1e12:
-        raise SingularMatrixError("Fisher information is singular", matrix=fisher)
-    sx = np.asarray(family.score(theta, x), dtype=float)
-    out = np.linalg.solve(fisher, np.atleast_2d(sx).T).T
-    return out[0] if np.ndim(x) == 0 else out
+    return _tilted_score_if(family, 0.0, theta, x, centre_score=False, node_count=node_count)
 
 
 def if_sub_location(alpha: float, escort_mu: float, mu0: float, x):
@@ -209,65 +200,59 @@ def if_sub_scale(alpha: float, escort_sigma: float, sigma0: float, x):
 
 
 def _power_moments(family: Family, theta, alpha: float, node_count: int = _GRID_N):
-    """Moments of (score, score derivative) under the power-tilted density."""
+    """First and second moments of the score under ``p^(1+alpha)``."""
     grid_x, lam_w = family.integration_grid([theta], node_count)
     lp = np.asarray(family.log_density(theta, grid_x))
     tilt = lam_w * np.exp((1.0 + alpha) * lp)
     s = family.score(theta, grid_x)
-    sdot = family.score_deriv(theta, grid_x)
-    m0 = float(tilt.sum())
-    m1 = np.einsum("i,ij->j", tilt, s)
-    m2 = np.einsum("i,ij,ik->jk", tilt, s, s)
-    msdot = np.einsum("i,ijk->jk", tilt, sdot)
-    return m0, m1, m2, msdot
+    return np.einsum("i,ij->j", tilt, s), np.einsum("i,ij,ik->jk", tilt, s, s)
 
 
-def if_pseudo(family: Family, alpha: float, theta, x) -> np.ndarray:
-    """Influence of the power pseudodistance estimator at a model point."""
+def _tilted_score_if(family: Family, alpha: float, theta, x, centre_score: bool, node_count=_GRID_N):
+    """Model-point influence ``-J^{-1} psi(x)`` of a tilted-score estimator.
+
+    ``psi(x) = p^a(x) (s(x) - k) - K``, with ``c`` the tilted score mean:
+    the Renyi equation centres the score before tilting (``k = c``,
+    ``K = 0``), the power-pseudo equation centres the tilted score
+    (``k = 0``, ``K`` the integral of ``p^(1+a) s``).  Differentiating
+    ``E_theta[psi_theta] = 0`` in theta gives ``J = -E[psi s^t] =
+    k m1^t - m2`` with ``m1, m2`` from :func:`_power_moments`.  At
+    ``a = 0`` both are the likelihood score equation and ``-J`` is the
+    Fisher information.
+    """
     a = float(alpha)
     if a < 0.0:
         raise InvalidInputError(f"alpha must be nonnegative, got {alpha!r}")
     theta = family.validate_param(theta)
-    grid_x, lam_w = family.integration_grid([theta], _GRID_N)
-    lp = np.asarray(family.log_density(theta, grid_x))
-    tilt = lam_w * np.exp((1.0 + a) * lp)
-    s = family.score(theta, grid_x)
-    info = -np.einsum("i,ij,ik->jk", tilt, s, s)
+    m1, m2 = _power_moments(family, theta, a, node_count)
+    c = family.weighted_score_mean(theta, a)
+    if centre_score:
+        k, shift = c, 0.0
+    else:
+        k, shift = np.zeros_like(c), family.power_mass_integral(theta, a) * c
+    info = np.outer(k, m1) - m2
     if not np.all(np.isfinite(info)) or np.linalg.cond(info) > 1e12:
-        raise SingularMatrixError("pseudodistance sensitivity matrix is singular", matrix=info)
-    mean_term = family.power_mass_integral(theta, a) * family.weighted_score_mean(theta, a)
+        raise SingularMatrixError("sensitivity matrix is singular", matrix=info)
     lp_x = np.asarray(family.log_density(theta, x), dtype=float)
-    s_x = np.asarray(family.score(theta, x), dtype=float)
-    b = np.atleast_2d(np.exp(a * lp_x).reshape(-1, 1) * np.atleast_2d(s_x) - mean_term)
+    s_x = np.atleast_2d(np.asarray(family.score(theta, x), dtype=float))
+    b = np.exp(a * lp_x).reshape(-1, 1) * (s_x - k) - shift
     out = -np.linalg.solve(info, b.T).T
     return out[0] if np.ndim(x) == 0 else out
+
+
+def if_pseudo(family: Family, alpha: float, theta, x) -> np.ndarray:
+    """Influence of the power pseudodistance estimator at a model point."""
+    return _tilted_score_if(family, alpha, theta, x, centre_score=False)
 
 
 def if_renyi(family: Family, alpha: float, theta, x) -> np.ndarray:
     """Influence of the Renyi pseudodistance estimator at a model point.
 
     The numerator is the tilted centered score ``p^a (s - c)``; the
-    sensitivity matrix integrates ``p^(1+a) [a (s-c)(s-c)^t + sdot - cdot]``,
-    with the derivative of the tilted score mean assembled from the same
-    moments.  The centered-normal scale specialization reproduces the known
-    closed form, which the tests pin against the contamination oracle.
+    centered-normal scale specialization reproduces the known closed form,
+    which the tests pin against the contamination oracle.
     """
-    a = float(alpha)
-    if a < 0.0:
-        raise InvalidInputError(f"alpha must be nonnegative, got {alpha!r}")
-    theta = family.validate_param(theta)
-    m0, m1, m2, msdot = _power_moments(family, theta, a)
-    c = family.weighted_score_mean(theta, a)
-    c_dot = ((1.0 + a) * m2 + msdot) / m0 - (1.0 + a) * np.outer(c, c)
-    centered_sq = m2 - np.outer(c, m1) - np.outer(m1, c) + m0 * np.outer(c, c)
-    info = a * centered_sq + msdot - m0 * c_dot
-    if not np.all(np.isfinite(info)) or np.linalg.cond(info) > 1e12:
-        raise SingularMatrixError("Renyi sensitivity matrix is singular", matrix=info)
-    lp_x = np.asarray(family.log_density(theta, x), dtype=float)
-    s_x = np.atleast_2d(np.asarray(family.score(theta, x), dtype=float))
-    b = np.exp(a * lp_x).reshape(-1, 1) * (s_x - c)
-    out = -np.linalg.solve(info, b.T).T
-    return out[0] if np.ndim(x) == 0 else out
+    return _tilted_score_if(family, alpha, theta, x, centre_score=True)
 
 
 # ---------------------------------------------------------------------------

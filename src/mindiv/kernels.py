@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 
@@ -23,6 +22,20 @@ def _positive(value, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return arr
+
+
+def log_sum_exp(log_terms) -> tuple[float, np.ndarray]:
+    """``log(sum(exp(log_terms)))`` and the terms scaled by the largest one.
+
+    Shifting by the largest term keeps the sum from overflowing or
+    underflowing to zero.
+    """
+    shift = float(np.max(log_terms))
+    if not math.isfinite(shift):
+        shift = 0.0  # no finite largest term: the log-sum is +-inf, not NaN
+    scaled = np.exp(log_terms - shift)
+    total = float(scaled.sum())
+    return shift + (math.log(total) if total != 0.0 else -math.inf), scaled
 
 
 def _like(result: np.ndarray, template) -> float | np.ndarray:
@@ -179,11 +192,9 @@ def renyi_pseudodistance(family, theta, q_measure, q_density, alpha: float) -> f
     if a < BRANCH_TOL:
         return float(w @ (lq - lp))
     log_w = np.log(w)
-    log_q_pa = float(logsumexp(log_w + a * lp))
-    log_q_qa = float(logsumexp(log_w + a * lq))
     log_p_pa = math.log(family.power_mass_integral(theta, a))
     return (
         log_p_pa / (1.0 + a)
-        + log_q_qa / (a * (1.0 + a))
-        - log_q_pa / a
+        + log_sum_exp(log_w + a * lq)[0] / (a * (1.0 + a))
+        - log_sum_exp(log_w + a * lp)[0] / a
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IntegrationError, InvalidInputError, SampleParseError
-from .families import Family
+from .families import _GRID_N, Family
 
 _MASS_TOL = 1e-12
 
@@ -71,11 +71,6 @@ class Measure:
         return float(self.weights @ values)
 
 
-def integrate(q: Measure, f) -> float:
-    """Functional form of :meth:`Measure.integrate`."""
-    return q.integrate(f)
-
-
 def empirical(sample) -> Measure:
     """Empirical measure of a sample: every observation gets weight 1/n.
 
@@ -89,7 +84,7 @@ def empirical(sample) -> Measure:
     return Measure(xs, np.full(xs.size, 1.0 / xs.size))
 
 
-def quadrature_of(family: Family, theta, node_count: int = 512) -> Measure:
+def quadrature_of(family: Family, theta, node_count: int = _GRID_N) -> Measure:
     """Quadrature discretization of a family member.
 
     Normal kinds use Gauss-Legendre nodes over mu +/- 10 sigma; the Pareto

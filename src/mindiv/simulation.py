@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ToolkitError
 from .estimators import EstimatorSpec, estimate
 from .families import NORMAL_SCALE
 from .measures import empirical
@@ -120,7 +120,7 @@ def run_study(
         for k, spec in enumerate(specs):
             try:
                 result = estimate(NORMAL_SCALE, spec, q)
-            except Exception:
+            except ToolkitError:
                 failures[k] += 1
                 continue
             if not result.converged:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 from mindiv import (
     DegenerateDataError,
@@ -27,7 +28,7 @@ from mindiv import (
     sub_divergence,
     sub_psi,
 )
-from mindiv.estimators import _super_psi
+from mindiv.estimators import KINDS, _renyi_neg_log, _super_psi
 
 
 def eta(alpha, mu, x, mu_tilde):
@@ -274,6 +275,20 @@ class TestRenyiEstimator:
         spec = EstimatorSpec(kind="renyi", alpha=0.5)
         assert estimate_renyi(NORMAL_SCALE, spec, q).theta_hat[0] == pytest.approx(1.6, abs=1e-6)
 
+    @pytest.mark.parametrize("outlier", [None, 1e6])
+    @pytest.mark.parametrize(
+        "family,theta", [(NORMAL_SCALE, [1.3]), (NORMAL_SCALE, [1e-4]), (NORMAL, [0.2, 1e-4])]
+    )
+    def test_criterion_matches_logsumexp(self, family, theta, outlier):
+        # at scale 1e-4 every tilted density underflows unless the log-sum
+        # is shifted by its largest term
+        xs = np.random.default_rng(13).standard_normal(50)
+        q = empirical(xs if outlier is None else np.append(xs, outlier))
+        a = 0.5
+        lp = family.log_density(theta, q.nodes)
+        want = math.log(family.renyi_normalizer(theta, a)) - logsumexp(np.log(q.weights) + a * lp)
+        assert _renyi_neg_log(family, theta, q, a) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_single_point_separation(self):
         # one observation with alpha x^2 = 2: closed-form Renyi scale is
         # sqrt(1 + alpha) |x|, and the power-pseudo estimate must differ
@@ -302,6 +317,21 @@ class TestMLE:
     def test_degenerate_pareto(self):
         with pytest.raises(DegenerateDataError):
             mle(PARETO, empirical([1.0, 1.0]))
+
+
+class TestParetoSupportBoundary:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_observation_at_one(self, kind):
+        # x = 1 lies in the support [1, inf): every kind fits such a sample
+        xs = np.append(PARETO.sample([2.0], 19, np.random.default_rng(3)), 1.0)
+        spec = EstimatorSpec(
+            kind=kind,
+            alpha=0.0 if kind == "mle" else 0.5,
+            escort=(2.0,) if kind == "subdivergence" else None,
+        )
+        result = estimate(PARETO, spec, empirical(xs))
+        assert result.converged
+        assert 1.0 < result.theta_hat[0] < 5.0
 
 
 class TestDeterminism:

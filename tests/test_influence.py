@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import mindiv.influence
 from mindiv import (
+    EstimationError,
     EstimatorSpec,
+    EvaluationError,
     InvalidInputError,
     NORMAL,
     NORMAL_LOCATION,
     NORMAL_SCALE,
+    PARETO,
     SingularMatrixError,
     UNBOUNDED,
     if_general,
@@ -75,6 +79,24 @@ class TestIfNumeric:
         q = quadrature_of(NORMAL_LOCATION, [0.0], 512)
         got = if_numeric(NORMAL_LOCATION, EstimatorSpec(kind="mle"), q, 0.0)
         assert abs(got[0]) < 1e-4
+
+    def test_toolkit_error_is_wrapped(self, monkeypatch):
+        def fail(family, spec, q):
+            raise EvaluationError("objective returned NaN")
+
+        monkeypatch.setattr(mindiv.influence, "estimate", fail)
+        q = quadrature_of(NORMAL_LOCATION, [0.0], 64)
+        with pytest.raises(EstimationError, match="base measure"):
+            if_numeric(NORMAL_LOCATION, EstimatorSpec(kind="mle"), q, 1.0)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def fail(family, spec, q):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(mindiv.influence, "estimate", fail)
+        q = quadrature_of(NORMAL_LOCATION, [0.0], 64)
+        with pytest.raises(ZeroDivisionError):
+            if_numeric(NORMAL_LOCATION, EstimatorSpec(kind="mle"), q, 1.0)
 
     def test_eps_validation(self):
         q = quadrature_of(NORMAL_LOCATION, [0.0], 64)
@@ -198,6 +220,21 @@ class TestRenyiClosedForm:
         for x in (0.0, 1.8, 4.0):
             num = if_numeric(NORMAL_SCALE, spec, q, x)[0]
             assert num == pytest.approx(if_renyi(NORMAL_SCALE, 0.5, [1.0], x)[0], abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "family,theta,xs",
+    [
+        (NORMAL, [0.3, 1.4], np.linspace(-5.0, 5.0, 11)),
+        (NORMAL_LOCATION, [0.3], np.linspace(-5.0, 5.0, 11)),
+        (NORMAL_SCALE, [1.4], np.linspace(-5.0, 5.0, 11)),
+        (PARETO, [2.0], np.linspace(1.1, 9.0, 11)),
+    ],
+)
+def test_zero_order_is_mle(family, theta, xs):
+    mle_curve = if_mle(family, theta, xs)
+    assert np.array_equal(if_pseudo(family, 0.0, theta, xs), mle_curve)
+    assert np.array_equal(if_renyi(family, 0.0, theta, xs), mle_curve)
 
 
 class TestSensitivity:

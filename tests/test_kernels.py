@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from mindiv import (
     DomainError,
     NORMAL,
     NORMAL_LOCATION,
     NORMAL_SCALE,
+    empirical,
     orthogonal_constant,
     phi,
     phi_ring,
@@ -231,6 +233,26 @@ class TestRenyiPseudodistance:
             NORMAL_LOCATION, [1.0], quad, lambda x: NORMAL_LOCATION.density([0.0], x), 0.0
         )
         assert value == pytest.approx(0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("outlier", [None, 1e6])
+    @pytest.mark.parametrize("sigma", [1.3, 1e-4])
+    def test_matches_logsumexp(self, outlier, sigma):
+        # Cauchy comparison law: its density stays positive at the outlier.
+        # At sigma = 1e-4 every tilted model density underflows unless the
+        # log-sum is shifted by its largest term.
+        xs = np.random.default_rng(14).standard_cauchy(50)
+        q = empirical(xs if outlier is None else np.append(xs, outlier))
+        q_density = lambda x: 1.0 / (math.pi * (1.0 + x * x))
+        a = 0.5
+        log_w = np.log(q.weights)
+        lp = NORMAL_SCALE.log_density([sigma], q.nodes)
+        want = (
+            math.log(NORMAL_SCALE.power_mass_integral([sigma], a)) / (1.0 + a)
+            + logsumexp(log_w + a * np.log(q_density(q.nodes))) / (a * (1.0 + a))
+            - logsumexp(log_w + a * lp) / a
+        )
+        got = renyi_pseudodistance(NORMAL_SCALE, [sigma], q, q_density, a)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_rejects_nonpositive_density(self):
         quad = quadrature_of(NORMAL_LOCATION, [0.0], 512)

@@ -15,7 +15,6 @@ from mindiv import (
     SampleParseError,
     contaminate,
     empirical,
-    integrate,
     quadrature_of,
     read_sample,
 )
@@ -98,10 +97,6 @@ class TestIntegrate:
             with pytest.raises(IntegrationError) as err:
                 q.integrate(lambda x: 1.0 / x)
         assert err.value.node == 0.0
-
-    def test_module_level_alias(self):
-        q = empirical([1.0, 3.0])
-        assert integrate(q, lambda x: x) == pytest.approx(2.0)
 
 
 class TestQuadratureOf:

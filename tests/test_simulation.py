@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import mindiv.simulation
 from mindiv import (
     ContaminationModel,
     EstimatorSpec,
+    EvaluationError,
     InvalidInputError,
     pool_results,
     report,
@@ -101,6 +103,23 @@ class TestRunStudy:
         result = run_study(model(eps=0.05, contaminant="normal3"), 50, 10, specs, seed=21)
         mses = [row.mse for row in result.rows]
         assert mses[0] == mses[1] == mses[2]
+
+    def test_toolkit_error_is_counted(self, monkeypatch):
+        def fail(family, spec, q):
+            raise EvaluationError("objective returned NaN")
+
+        monkeypatch.setattr(mindiv.simulation, "estimate", fail)
+        result = run_study(model(), 20, 3, (EstimatorSpec(kind="mle"),), seed=1)
+        assert result.rows[0].failure_count == 3
+        assert math.isnan(result.rows[0].mse)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def fail(family, spec, q):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(mindiv.simulation, "estimate", fail)
+        with pytest.raises(ZeroDivisionError):
+            run_study(model(), 20, 3, (EstimatorSpec(kind="mle"),), seed=1)
 
     def test_chunk_pooling_matches_direct(self):
         direct = run_study(model(), 40, 6, SPECS, seed=5)
