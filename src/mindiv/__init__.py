@@ -21,10 +21,6 @@ from .estimators import (
     EstimateResult,
     EstimatorSpec,
     estimate,
-    estimate_power_pseudo,
-    estimate_renyi,
-    estimate_subdivergence,
-    estimate_superdivergence,
     mle,
     sub_criterion,
     sub_divergence,

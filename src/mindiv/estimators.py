@@ -28,26 +28,26 @@ from .optimize import SolveResult, _newton_polish, solve_1d, solve_2d
 
 KINDS = ("mle", "subdivergence", "superdivergence", "power-pseudo", "renyi")
 
+# Estimating-equation norm below which a stationary point is accepted.
+_PSI_TOL = 1e-8
+# Iteration cap of each inner subdivergence solve in a superdivergence fit.
+_INNER_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Estimator kind plus solver settings.
 
-    ``escort`` is required exactly for the subdivergence kind.  ``bounds``
-    is a per-coordinate box; when omitted, a sample-derived default is used
-    (location: data range widened by 10 IQR; scale: [1e-3, 10] times the
-    sample standard deviation, which keeps degenerate zero-scale solutions
-    out of reach).
+    ``escort`` is required exactly for the subdivergence kind.  ``tol`` and
+    ``max_iter`` steer the outer search, which runs over the family's
+    sample-derived default box (see ``Family.default_bounds``).
     """
 
     kind: str
     alpha: float = 0.0
     escort: tuple[float, ...] | None = None
-    bounds: tuple[tuple[float, float], ...] | None = None
     tol: float = 1e-6
-    criterion_tol: float = 1e-8
     max_iter: int = 500
-    inner_max_iter: int = 200
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -70,16 +70,10 @@ class EstimatorSpec:
             )
         elif self.escort is not None:
             raise InvalidInputError(f"{self.kind} does not take an escort parameter")
-        if self.bounds is not None:
-            box = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-            for lo, hi in box:
-                if not lo < hi:
-                    raise InvalidInputError(f"invalid bounds ({lo}, {hi})")
-            object.__setattr__(self, "bounds", box)
-        if self.tol <= 0.0 or self.criterion_tol <= 0.0:
-            raise InvalidInputError("tolerances must be positive")
-        if self.max_iter < 1 or self.inner_max_iter < 1:
-            raise InvalidInputError("iteration limits must be >= 1")
+        if self.tol <= 0.0:
+            raise InvalidInputError("tol must be positive")
+        if self.max_iter < 1:
+            raise InvalidInputError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -231,21 +225,6 @@ def _renyi_gradient(family: Family, theta, q: Measure, alpha: float) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _require_kind(spec: EstimatorSpec, kind: str):
-    if spec.kind != kind:
-        raise InvalidInputError(f"spec kind is {spec.kind!r}, expected {kind!r}")
-
-
-def _resolve_bounds(family: Family, spec: EstimatorSpec, q: Measure):
-    if spec.bounds is not None:
-        if len(spec.bounds) != family.param_dim:
-            raise InvalidInputError(
-                f"bounds must have {family.param_dim} coordinate(s), got {len(spec.bounds)}"
-            )
-        return spec.bounds
-    return family.default_bounds(q.nodes, q.weights)
-
-
 def _start_point(family: Family, q: Measure, bounds) -> np.ndarray:
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -256,34 +235,12 @@ def _start_point(family: Family, q: Measure, bounds) -> np.ndarray:
     return np.clip(start, lo, hi)
 
 
-def _minimize(
-    family: Family,
-    objective,
-    psi,
-    bounds,
-    spec: EstimatorSpec,
-    x0=None,
-    max_iter=None,
-) -> SolveResult:
-    iters = max_iter if max_iter is not None else spec.max_iter
+def _minimize(family: Family, objective, psi, bounds, x0, tol: float, max_iter: int) -> SolveResult:
+    """Bounded minimization (from ``x0`` in 2-d), polished on ``psi = 0``."""
+    settings = {"tol": tol, "max_iter": max_iter, "psi": psi, "psi_tol": _PSI_TOL}
     if family.param_dim == 1:
-        return solve_1d(
-            lambda t: objective(np.array([t])),
-            bounds[0],
-            tol=spec.tol,
-            max_iter=iters,
-            psi=psi,
-            psi_tol=spec.criterion_tol,
-        )
-    return solve_2d(
-        objective,
-        bounds,
-        x0,
-        tol=spec.tol,
-        max_iter=iters,
-        psi=psi,
-        psi_tol=spec.criterion_tol,
-    )
+        return solve_1d(lambda t: objective(np.array([t])), bounds[0], **settings)
+    return solve_2d(objective, bounds, x0, **settings)
 
 
 def mle(family: Family, q: Measure) -> EstimateResult:
@@ -305,21 +262,15 @@ def _fit(
     """
     if spec.alpha == 0.0:
         return mle(family, q)
-    bounds = _resolve_bounds(family, spec, q)
+    bounds = family.default_bounds(q.nodes, q.weights)
     a = spec.alpha
     objective = lambda th: criterion(family, *fixed, th, q, a)
     psi = lambda th: gradient(family, *fixed, th, q, a)
-    sr = _minimize(family, objective, psi, bounds, spec, x0=_start_point(family, q, bounds))
+    x0 = _start_point(family, q, bounds)
+    sr = _minimize(family, objective, psi, bounds, x0, spec.tol, spec.max_iter)
     return EstimateResult(
         theta_hat=sr.x, criterion_value=report(sr.fun), iterations=sr.iterations, converged=sr.converged
     )
-
-
-def estimate_subdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
-    """Minimize the escort criterion M over the search box."""
-    _require_kind(spec, "subdivergence")
-    escort = family.validate_param(np.asarray(spec.escort, dtype=float))
-    return _fit(family, spec, q, sub_criterion, sub_psi, escort)
 
 
 def _inner_solve(
@@ -340,25 +291,24 @@ def _inner_solve(
     hi = [b[1] for b in bounds]
     psi = lambda tt: sub_psi(family, escort_theta, tt, q, alpha)
     if warm is not None:
-        x, norm, evals = _newton_polish(psi, warm, lo, hi, spec.criterion_tol)
-        if norm < spec.criterion_tol:
+        x, norm, evals = _newton_polish(psi, warm, lo, hi, _PSI_TOL)
+        if norm < _PSI_TOL:
             fun = sub_criterion(family, escort_theta, x, q, alpha)
             return SolveResult(x=x, fun=fun, iterations=evals, converged=True, psi_norm=norm)
     objective = lambda tt: sub_criterion(family, escort_theta, tt, q, alpha)
     x0 = warm if warm is not None else _start_point(family, q, bounds)
-    return _minimize(family, objective, psi, bounds, spec, x0=x0, max_iter=spec.inner_max_iter)
+    return _minimize(family, objective, psi, bounds, x0, spec.tol, _INNER_MAX_ITER)
 
 
-def estimate_superdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
+def _fit_superdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
     """Nested optimization: outer maximization over the inner escort minima.
 
     The stationarity residual of the nested problem certifies convergence,
     and the final inner solution is reported alongside the estimate.
     """
-    _require_kind(spec, "superdivergence")
     if spec.alpha == 0.0:
         return mle(family, q)
-    bounds = _resolve_bounds(family, spec, q)
+    bounds = family.default_bounds(q.nodes, q.weights)
     a = spec.alpha
     state = {"warm": None, "inner_iters": 0}
 
@@ -375,7 +325,8 @@ def estimate_superdivergence(family: Family, spec: EstimatorSpec, q: Measure) ->
         inner = inner_at(theta_vec)
         return _super_psi(family, theta_vec, inner.x, q, a)
 
-    sr = _minimize(family, neg_h, outer_psi, bounds, spec, x0=_start_point(family, q, bounds))
+    x0 = _start_point(family, q, bounds)
+    sr = _minimize(family, neg_h, outer_psi, bounds, x0, spec.tol, spec.max_iter)
     final_inner = inner_at(sr.x)
     return EstimateResult(
         theta_hat=sr.x,
@@ -386,33 +337,20 @@ def estimate_superdivergence(family: Family, spec: EstimatorSpec, q: Measure) ->
     )
 
 
-def estimate_power_pseudo(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
-    """Minimize the decomposable power-pseudodistance criterion."""
-    _require_kind(spec, "power-pseudo")
-    return _fit(family, spec, q, _pseudo_criterion, _pseudo_gradient)
-
-
-def estimate_renyi(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
-    """Maximize the normalized tilted-mass criterion of the Renyi estimator.
-
-    ``criterion_value`` reports the maximized criterion itself.
-    """
-    _require_kind(spec, "renyi")
-    return _fit(
-        family, spec, q, _renyi_neg_log, _renyi_gradient, report=lambda neg_log: math.exp(-neg_log)
-    )
-
-
-_DRIVERS = {
-    "subdivergence": estimate_subdivergence,
-    "superdivergence": estimate_superdivergence,
-    "power-pseudo": estimate_power_pseudo,
-    "renyi": estimate_renyi,
-}
-
-
 def estimate(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
-    """Run the estimator described by ``spec`` on the measure ``q``."""
-    if spec.kind == "mle":
-        return mle(family, q)
-    return _DRIVERS[spec.kind](family, spec, q)
+    """Run the estimator described by ``spec`` on the measure ``q``.
+
+    A Renyi fit reports the maximized tilted-mass criterion itself.
+    """
+    if spec.kind == "subdivergence":
+        escort = family.validate_param(np.asarray(spec.escort, dtype=float))
+        return _fit(family, spec, q, sub_criterion, sub_psi, escort)
+    if spec.kind == "superdivergence":
+        return _fit_superdivergence(family, spec, q)
+    if spec.kind == "power-pseudo":
+        return _fit(family, spec, q, _pseudo_criterion, _pseudo_gradient)
+    if spec.kind == "renyi":
+        return _fit(
+            family, spec, q, _renyi_neg_log, _renyi_gradient, report=lambda neg_log: math.exp(-neg_log)
+        )
+    return mle(family, q)

@@ -5,8 +5,8 @@ location and scale submodels, and the unit-threshold Pareto shape model.
 Each family exposes densities, scores, score derivatives, sampling, and the
 closed-form power integrals the estimators are built on.  The submodels are
 distinct kinds with their own parameter vectors, but their scores, score
-derivatives and tilted score means are those of the full normal model
-restricted to the free coordinates of (mu, sigma).
+derivatives, tilted score means, MLEs and search boxes are those of the
+full normal model restricted to the free coordinates of (mu, sigma).
 
 Family objects are stateless and immutable; sampling takes an explicit
 generator owned by the caller, so concurrent use is safe.
@@ -141,14 +141,13 @@ def _location_bounds(nodes, weights) -> tuple[float, float]:
     return xmin - 10.0 * iqr, xmax + 10.0 * iqr
 
 
-def _scale_bounds(nodes, weights) -> tuple[float, float]:
-    mean = float(weights @ nodes)
-    var = float(weights @ (np.asarray(nodes) - mean) ** 2)
+def _scale_bounds(nodes, weights, centre: float) -> tuple[float, float]:
+    var = float(weights @ (np.asarray(nodes) - centre) ** 2)
     sd = math.sqrt(max(var, 0.0))
     if sd <= 0.0:
         # Single-point or constant samples: fall back to the magnitude scale
         # so the box stays nondegenerate.
-        sd = max(abs(mean), 1.0)
+        sd = max(abs(centre), 1.0)
     return 1e-3 * sd, 10.0 * sd
 
 
@@ -156,7 +155,9 @@ class _NormalKind(Family):
     """Shared machinery for the three normal parameterizations.
 
     ``_free`` lists the coordinates of (mu, sigma) that a kind estimates;
-    the submodels fix the other one at mu = 0 or sigma = 1.
+    the submodels fix the other one at mu = 0 or sigma = 1.  The model
+    centre of a sample is its mean when mu is free and 0 otherwise; the
+    MLE scale and the scale search box are both spreads about it.
     """
 
     support = (-math.inf, math.inf)
@@ -199,6 +200,26 @@ class _NormalKind(Family):
         _, sigma = self._loc_scale(self.validate_param(theta))
         a = float(alpha)
         return np.array([0.0, -a / (sigma * (1.0 + a))])[..., self._free]
+
+    def _centre(self, nodes, weights) -> float:
+        return float(weights @ nodes) if 0 in self._free else 0.0
+
+    def mle_parameter(self, nodes, weights) -> np.ndarray:
+        full = [self._centre(nodes, weights), 1.0]
+        if 1 in self._free:
+            var = float(weights @ (np.asarray(nodes) - full[0]) ** 2)
+            if var <= 0.0:
+                raise DegenerateDataError("sample has zero spread; scale estimate degenerates")
+            full[1] = math.sqrt(var)
+        return np.array([full[i] for i in self._free])
+
+    def default_bounds(self, nodes, weights):
+        box = []
+        if 0 in self._free:
+            box.append(_location_bounds(nodes, weights))
+        if 1 in self._free:
+            box.append(_scale_bounds(nodes, weights, self._centre(nodes, weights)))
+        return tuple(box)
 
     def _window(self, theta) -> tuple[float, float]:
         mu, sigma = self._loc_scale(theta)
@@ -256,16 +277,6 @@ class NormalLocScale(_NormalKind):
     param_dim = 2
     param_names = ("mu", "sigma")
 
-    def mle_parameter(self, nodes, weights) -> np.ndarray:
-        mu = float(weights @ nodes)
-        var = float(weights @ (np.asarray(nodes) - mu) ** 2)
-        if var <= 0.0:
-            raise DegenerateDataError("sample has zero spread; scale estimate degenerates")
-        return np.array([mu, math.sqrt(var)])
-
-    def default_bounds(self, nodes, weights):
-        return (_location_bounds(nodes, weights), _scale_bounds(nodes, weights))
-
 
 class NormalLocation(_NormalKind):
     """Normal location submodel with unit scale, theta = (mu,)."""
@@ -275,12 +286,6 @@ class NormalLocation(_NormalKind):
     param_names = ("mu",)
     _free = (0,)
 
-    def mle_parameter(self, nodes, weights) -> np.ndarray:
-        return np.array([float(weights @ nodes)])
-
-    def default_bounds(self, nodes, weights):
-        return (_location_bounds(nodes, weights),)
-
 
 class NormalScale(_NormalKind):
     """Normal scale submodel centered at zero, theta = (sigma,)."""
@@ -289,15 +294,6 @@ class NormalScale(_NormalKind):
     param_dim = 1
     param_names = ("sigma",)
     _free = (1,)
-
-    def mle_parameter(self, nodes, weights) -> np.ndarray:
-        m2 = float(weights @ np.asarray(nodes) ** 2)
-        if m2 <= 0.0:
-            raise DegenerateDataError("sample second moment is zero; scale estimate degenerates")
-        return np.array([math.sqrt(m2)])
-
-    def default_bounds(self, nodes, weights):
-        return (_scale_bounds(nodes, weights),)
 
 
 def _pareto_support(x) -> np.ndarray:
@@ -333,7 +329,7 @@ class Pareto(Family):
 
     def score_deriv(self, theta, x):
         shape = float(self.validate_param(theta)[0])
-        xs = np.asarray(x, dtype=float)
+        xs = _pareto_support(x)
         return np.broadcast_to(-1.0 / shape**2, xs.shape + (1, 1)).copy()
 
     def power_ratio_integral(self, theta, theta_tilde, alpha: float) -> float:

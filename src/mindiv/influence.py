@@ -20,7 +20,6 @@ from .errors import (
 )
 from .estimators import EstimatorSpec, estimate
 from .families import (
-    _GRID_N,
     Family,
     NormalLocation,
     NormalScale,
@@ -36,6 +35,9 @@ class Unbounded(enum.Enum):
 
 
 UNBOUNDED = Unbounded.POSITIVE
+
+# Contamination weight of the numeric influence oracle.
+_ORACLE_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -97,13 +99,17 @@ def if_general(psi, psi_deriv, q: Measure, t_of_q, x: float) -> np.ndarray:
     if vals.shape != (len(q), d, d):
         vals = np.stack([np.asarray(psi_deriv(xi, theta), dtype=float).reshape(d, d) for xi in q.nodes])
     info = np.einsum("i,ijk->jk", q.weights, vals)
+    return _solve_sensitivity(info, np.asarray(psi(x, theta), dtype=float).reshape(d))
+
+
+def _solve_sensitivity(info: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``-info^{-1} rhs``, refusing a non-finite or ill-conditioned ``info``."""
     if not np.all(np.isfinite(info)) or np.linalg.cond(info) > 1e12:
         raise SingularMatrixError("sensitivity matrix is singular", matrix=info)
-    b = np.asarray(psi(x, theta), dtype=float).reshape(d)
-    return -np.linalg.solve(info, b)
+    return -np.linalg.solve(info, rhs)
 
 
-def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x: float, eps: float = 1e-3) -> np.ndarray:
+def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x: float, eps: float = _ORACLE_EPS) -> np.ndarray:
     """Finite-contamination quotient ``(T(Q_eps_x) - T(Q)) / eps``.
 
     One-sided in ``eps`` (contamination weights are nonnegative), with a
@@ -113,13 +119,18 @@ def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x: float, eps: f
     if not 0.0 < e <= 0.05:
         raise InvalidInputError(f"eps must lie in (0, 0.05], got {eps!r}")
     base = _estimate_or_raise(family, spec, q, "base measure")
+    return _richardson_quotient(family, spec, q, base.theta_hat, x, e)
+
+
+def _richardson_quotient(family, spec, q, base_theta, x: float, eps: float) -> np.ndarray:
+    """Richardson-extrapolated contamination quotient against a fitted base."""
     quotients = []
-    for step in (e, e / 2.0):
+    for step in (eps, eps / 2.0):
         contaminated = contaminate(q, x, step)
         shifted = _estimate_or_raise(
             family, spec, contaminated, f"contaminated measure (x={x}, eps={step})"
         )
-        quotients.append((shifted.theta_hat - base.theta_hat) / step)
+        quotients.append((shifted.theta_hat - base_theta) / step)
     return 2.0 * quotients[1] - quotients[0]
 
 
@@ -138,13 +149,13 @@ def _estimate_or_raise(family, spec, q, context: str):
 # ---------------------------------------------------------------------------
 
 
-def if_mle(family: Family, theta, x, node_count: int = _GRID_N) -> np.ndarray:
+def if_mle(family: Family, theta, x) -> np.ndarray:
     """Maximum-likelihood influence ``I(theta)^{-1} s_theta(x)``.
 
     Also the influence of every superdivergence estimator at a model point.
     Vectorized: array ``x`` yields one row per point.
     """
-    return _tilted_score_if(family, 0.0, theta, x, centre_score=False, node_count=node_count)
+    return _tilted_score_if(family, 0.0, theta, x, centre_score=False)
 
 
 def if_sub_location(alpha: float, escort_mu: float, mu0: float, x):
@@ -199,16 +210,16 @@ def if_sub_scale(alpha: float, escort_sigma: float, sigma0: float, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _power_moments(family: Family, theta, alpha: float, node_count: int = _GRID_N):
+def _power_moments(family: Family, theta, alpha: float):
     """First and second moments of the score under ``p^(1+alpha)``."""
-    grid_x, lam_w = family.integration_grid([theta], node_count)
+    grid_x, lam_w = family.integration_grid([theta])
     lp = np.asarray(family.log_density(theta, grid_x))
     tilt = lam_w * np.exp((1.0 + alpha) * lp)
     s = family.score(theta, grid_x)
     return np.einsum("i,ij->j", tilt, s), np.einsum("i,ij,ik->jk", tilt, s, s)
 
 
-def _tilted_score_if(family: Family, alpha: float, theta, x, centre_score: bool, node_count=_GRID_N):
+def _tilted_score_if(family: Family, alpha: float, theta, x, centre_score: bool):
     """Model-point influence ``-J^{-1} psi(x)`` of a tilted-score estimator.
 
     ``psi(x) = p^a(x) (s(x) - k) - K``, with ``c`` the tilted score mean:
@@ -224,19 +235,17 @@ def _tilted_score_if(family: Family, alpha: float, theta, x, centre_score: bool,
     if a < 0.0:
         raise InvalidInputError(f"alpha must be nonnegative, got {alpha!r}")
     theta = family.validate_param(theta)
-    m1, m2 = _power_moments(family, theta, a, node_count)
+    m1, m2 = _power_moments(family, theta, a)
     c = family.weighted_score_mean(theta, a)
     if centre_score:
         k, shift = c, 0.0
     else:
         k, shift = np.zeros_like(c), family.power_mass_integral(theta, a) * c
     info = np.outer(k, m1) - m2
-    if not np.all(np.isfinite(info)) or np.linalg.cond(info) > 1e12:
-        raise SingularMatrixError("sensitivity matrix is singular", matrix=info)
     lp_x = np.asarray(family.log_density(theta, x), dtype=float)
     s_x = np.atleast_2d(np.asarray(family.score(theta, x), dtype=float))
     b = np.exp(a * lp_x).reshape(-1, 1) * (s_x - k) - shift
-    out = -np.linalg.solve(info, b.T).T
+    out = _solve_sensitivity(info, b.T).T
     return out[0] if np.ndim(x) == 0 else out
 
 
@@ -317,7 +326,6 @@ def influence_curve(
     theta,
     grid,
     numeric: bool = False,
-    node_count: int = _GRID_N,
 ) -> InfluenceCurve:
     """Sample the influence function of an estimator at a model point.
 
@@ -325,13 +333,16 @@ def influence_curve(
     likelihood influence, subdivergence has normal location/scale closed
     forms, and the two pseudodistance kinds have general model-point forms.
     ``numeric=True`` switches to the contamination oracle on a quadrature
-    evaluation measure.
+    evaluation measure, whose unchanged base fit is shared by every point.
     """
     theta = family.validate_param(theta)
     grid = np.asarray(grid, dtype=float)
     if numeric:
-        q = quadrature_of(family, theta, node_count)
-        values = np.stack([if_numeric(family, spec, q, float(x)) for x in grid])
+        q = quadrature_of(family, theta)
+        base = _estimate_or_raise(family, spec, q, "base measure")
+        values = np.stack(
+            [_richardson_quotient(family, spec, q, base.theta_hat, float(x), _ORACLE_EPS) for x in grid]
+        )
         return InfluenceCurve(estimator=spec, eval_param=theta, grid=grid, values=values)
 
     if spec.kind in ("mle", "superdivergence"):
@@ -349,8 +360,6 @@ def influence_curve(
             )
     elif spec.kind == "power-pseudo":
         values = if_pseudo(family, spec.alpha, theta, grid)
-    elif spec.kind == "renyi":
+    else:  # renyi, the last of the validated kinds
         values = if_renyi(family, spec.alpha, theta, grid)
-    else:  # pragma: no cover - spec validation precludes this
-        raise InvalidInputError(f"unknown estimator kind {spec.kind!r}")
     return InfluenceCurve(estimator=spec, eval_param=theta, grid=grid, values=values)

@@ -17,10 +17,6 @@ from mindiv import (
     PARETO,
     empirical,
     estimate,
-    estimate_power_pseudo,
-    estimate_renyi,
-    estimate_subdivergence,
-    estimate_superdivergence,
     mle,
     power_divergence,
     quadrature_of,
@@ -171,14 +167,14 @@ class TestSubdivergenceEstimator:
         q = empirical([0.2, -1.4, 2.2, 0.8])
         spec = EstimatorSpec(kind="subdivergence", alpha=0.0, escort=(5.0, 3.0))
         direct = mle(NORMAL, q)
-        via = estimate_subdivergence(NORMAL, spec, q)
+        via = estimate(NORMAL, spec, q)
         assert np.array_equal(via.theta_hat, direct.theta_hat)
         assert via.criterion_value == direct.criterion_value
 
     def test_fisher_consistent_any_escort(self):
         q = quadrature_of(NORMAL_SCALE, [1.6], 512)
         spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(2.5,))
-        result = estimate_subdivergence(NORMAL_SCALE, spec, q)
+        result = estimate(NORMAL_SCALE, spec, q)
         assert result.theta_hat[0] == pytest.approx(1.6, abs=1e-6)
         assert result.converged
 
@@ -186,7 +182,7 @@ class TestSubdivergenceEstimator:
         theta0 = np.array([0.3, 1.4])
         q = quadrature_of(NORMAL, theta0, 512)
         spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=tuple(theta0))
-        result = estimate_subdivergence(NORMAL, spec, q)
+        result = estimate(NORMAL, spec, q)
         assert np.allclose(result.theta_hat, theta0, atol=1e-8)
         assert np.all(np.abs(sub_psi(NORMAL, theta0, result.theta_hat, q, 0.5)) < 1e-8)
 
@@ -194,9 +190,9 @@ class TestSubdivergenceEstimator:
         # unit-scale location submodel fed data of scale 2: the fixed point
         # moves away from the true location when the escort is off-target
         spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(1.0,))
-        wide = estimate_subdivergence(NORMAL_LOCATION, spec, quadrature_of(NORMAL_SCALE, [2.0], 512))
+        wide = estimate(NORMAL_LOCATION, spec, quadrature_of(NORMAL_SCALE, [2.0], 512))
         assert abs(wide.theta_hat[0]) > 0.01
-        exact = estimate_subdivergence(NORMAL_LOCATION, spec, quadrature_of(NORMAL_SCALE, [1.0], 512))
+        exact = estimate(NORMAL_LOCATION, spec, quadrature_of(NORMAL_SCALE, [1.0], 512))
         assert abs(exact.theta_hat[0]) < 1e-6
 
 
@@ -205,13 +201,13 @@ class TestSuperdivergenceEstimator:
         q = empirical([1.0, 2.0, 4.0])
         spec = EstimatorSpec(kind="superdivergence", alpha=0.0)
         assert np.array_equal(
-            estimate_superdivergence(NORMAL, spec, q).theta_hat, mle(NORMAL, q).theta_hat
+            estimate(NORMAL, spec, q).theta_hat, mle(NORMAL, q).theta_hat
         )
 
     def test_fisher_consistency_with_inner(self):
         q = quadrature_of(NORMAL_SCALE, [1.6], 512)
         spec = EstimatorSpec(kind="superdivergence", alpha=0.5)
-        result = estimate_superdivergence(NORMAL_SCALE, spec, q)
+        result = estimate(NORMAL_SCALE, spec, q)
         assert result.theta_hat[0] == pytest.approx(1.6, abs=1e-5)
         assert result.inner_solution[0] == pytest.approx(1.6, abs=1e-5)
 
@@ -219,7 +215,7 @@ class TestSuperdivergenceEstimator:
         rng = np.random.default_rng(8)
         q = empirical(rng.standard_normal(40) * 1.5)
         spec = EstimatorSpec(kind="superdivergence", alpha=0.4)
-        result = estimate_superdivergence(NORMAL_SCALE, spec, q)
+        result = estimate(NORMAL_SCALE, spec, q)
         assert result.converged
         residual = _super_psi(NORMAL_SCALE, result.theta_hat, result.inner_solution, q, 0.4)
         assert np.all(np.abs(residual) < 1e-8)
@@ -229,7 +225,7 @@ class TestPowerPseudoEstimator:
     def test_fisher_consistency(self):
         q = quadrature_of(PARETO, [2.0], 512)
         spec = EstimatorSpec(kind="power-pseudo", alpha=1.0)
-        assert estimate_power_pseudo(PARETO, spec, q).theta_hat[0] == pytest.approx(2.0, abs=1e-6)
+        assert estimate(PARETO, spec, q).theta_hat[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_order_one_is_least_squares_fit(self):
         # at order one the criterion is the integrated squared-density
@@ -238,7 +234,7 @@ class TestPowerPseudoEstimator:
         xs = rng.standard_normal(60) * 1.2
         q = empirical(xs)
         spec = EstimatorSpec(kind="power-pseudo", alpha=1.0)
-        got = estimate_power_pseudo(NORMAL_SCALE, spec, q).theta_hat[0]
+        got = estimate(NORMAL_SCALE, spec, q).theta_hat[0]
 
         def l2_criterion(sigma):
             mass = 1.0 / (2.0 * math.sqrt(math.pi) * sigma)
@@ -264,8 +260,8 @@ class TestRenyiEstimator:
         rng = np.random.default_rng(11)
         q = empirical(rng.standard_normal(35) + 0.7)
         for alpha in (0.3, 1.0):
-            renyi = estimate_renyi(NORMAL_LOCATION, EstimatorSpec(kind="renyi", alpha=alpha), q)
-            pseudo = estimate_power_pseudo(
+            renyi = estimate(NORMAL_LOCATION, EstimatorSpec(kind="renyi", alpha=alpha), q)
+            pseudo = estimate(
                 NORMAL_LOCATION, EstimatorSpec(kind="power-pseudo", alpha=alpha), q
             )
             assert renyi.theta_hat[0] == pytest.approx(pseudo.theta_hat[0], abs=1e-8)
@@ -273,7 +269,7 @@ class TestRenyiEstimator:
     def test_fisher_consistency_scale(self):
         q = quadrature_of(NORMAL_SCALE, [1.6], 512)
         spec = EstimatorSpec(kind="renyi", alpha=0.5)
-        assert estimate_renyi(NORMAL_SCALE, spec, q).theta_hat[0] == pytest.approx(1.6, abs=1e-6)
+        assert estimate(NORMAL_SCALE, spec, q).theta_hat[0] == pytest.approx(1.6, abs=1e-6)
 
     @pytest.mark.parametrize("outlier", [None, 1e6])
     @pytest.mark.parametrize(
@@ -293,10 +289,26 @@ class TestRenyiEstimator:
         # one observation with alpha x^2 = 2: closed-form Renyi scale is
         # sqrt(1 + alpha) |x|, and the power-pseudo estimate must differ
         q = empirical([2.0])
-        renyi = estimate_renyi(NORMAL_SCALE, EstimatorSpec(kind="renyi", alpha=0.5), q)
-        pseudo = estimate_power_pseudo(NORMAL_SCALE, EstimatorSpec(kind="power-pseudo", alpha=0.5), q)
+        renyi = estimate(NORMAL_SCALE, EstimatorSpec(kind="renyi", alpha=0.5), q)
+        pseudo = estimate(NORMAL_SCALE, EstimatorSpec(kind="power-pseudo", alpha=0.5), q)
         assert renyi.theta_hat[0] == pytest.approx(math.sqrt(1.5) * 2.0, abs=1e-6)
         assert abs(renyi.theta_hat[0] - pseudo.theta_hat[0]) > 1e-3
+
+
+class TestNormalScaleOffsetSample:
+    @pytest.mark.parametrize("kind", ["power-pseudo", "renyi"])
+    def test_scale_box_about_zero(self, kind):
+        # the scale model is centred at 0: its search box must cover the
+        # spread about 0 (about 100 here), not the spread about the mean
+        xs = 100.0 + 0.01 * np.random.default_rng(17).standard_normal(50)
+        q = empirical(xs)
+        ((lo, hi),) = NORMAL_SCALE.default_bounds(q.nodes, q.weights)
+        result = estimate(NORMAL_SCALE, EstimatorSpec(kind=kind, alpha=0.5), q)
+        assert result.converged
+        assert lo < result.theta_hat[0] < hi
+        if kind == "renyi":
+            # closed form: sqrt(1 + alpha) times the root mean square
+            assert result.theta_hat[0] == pytest.approx(math.sqrt(1.5 * np.mean(xs**2)), rel=1e-6)
 
 
 class TestMLE:

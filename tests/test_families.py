@@ -58,9 +58,10 @@ class TestDensity:
     def test_pareto_values(self):
         assert PARETO.density([2.0], 2.0) == pytest.approx(0.25, rel=1e-14)
 
-    def test_pareto_support(self):
+    @pytest.mark.parametrize("method", ["density", "log_density", "score", "score_deriv"])
+    def test_pareto_support(self, method):
         with pytest.raises(DomainError):
-            PARETO.density([2.0], 0.5)
+            getattr(PARETO, method)([2.0], 0.5)
 
     @pytest.mark.parametrize("family,theta", ALL_FAMILIES)
     def test_log_density_consistency(self, family, theta):
@@ -269,6 +270,13 @@ class TestMLEParameter:
     def test_normal_degenerate(self):
         with pytest.raises(DegenerateDataError):
             NORMAL.mle_parameter(np.array([2.0, 2.0]), np.array([0.5, 0.5]))
+
+    def test_submodel_closed_forms(self):
+        # the scale submodel is centred at 0, the location submodel has unit scale
+        xs = np.array([1.0, 2.5, -0.5, 4.0])
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        assert NORMAL_SCALE.mle_parameter(xs, w)[0] == math.sqrt(float(w @ xs**2))
+        assert NORMAL_LOCATION.mle_parameter(xs, w)[0] == float(w @ xs)
 
 
 class TestRegistry:

@@ -292,6 +292,25 @@ class TestInfluenceCurve:
         numeric = influence_curve(NORMAL_SCALE, spec, [1.0], grid, numeric=True)
         assert np.max(np.abs(closed.values - numeric.values)) < 1e-3
 
+    def test_numeric_route_fits_base_once(self, monkeypatch):
+        # one shared base fit plus two contaminated fits per point, with the
+        # same values as the per-point oracle, which refits the base each time
+        spec = EstimatorSpec(kind="renyi", alpha=0.5)
+        grid = np.linspace(-2, 2, 5)
+        q = quadrature_of(NORMAL_SCALE, [1.0])
+        per_point = np.stack([if_numeric(NORMAL_SCALE, spec, q, float(x)) for x in grid])
+        fits = []
+        real_estimate = mindiv.influence.estimate
+
+        def counting(family, spec, q):
+            fits.append(q)
+            return real_estimate(family, spec, q)
+
+        monkeypatch.setattr(mindiv.influence, "estimate", counting)
+        curve = influence_curve(NORMAL_SCALE, spec, [1.0], grid, numeric=True)
+        assert len(fits) == 11
+        assert np.array_equal(curve.values, per_point)
+
     def test_superdivergence_uses_mle_form(self):
         spec = EstimatorSpec(kind="superdivergence", alpha=0.4)
         grid = np.linspace(-2, 2, 5)
