@@ -100,11 +100,25 @@ def _make_spec(args) -> EstimatorSpec:
     return EstimatorSpec(**kwargs)
 
 
+def _non_convergence(family, q, theta) -> str:
+    """Why a fit is not converged: it stopped on an edge of the search box,
+    or inside it with its estimating-equation residual above tolerance."""
+    box = family.default_bounds(q.nodes, q.weights)
+    edges = [
+        f"{name} = {value:.6g} on [{lo:.6g}, {hi:.6g}]"
+        for name, value, (lo, hi) in zip(family.param_names, theta, box)
+        if value <= lo or value >= hi
+    ]
+    if edges:
+        return "warning: the fit stopped on the edge of its search box (" + "; ".join(edges) + ")"
+    return "warning: the fit stopped inside its search box without solving its estimating equation"
+
+
 def _cmd_estimate(args) -> int:
     family = get_family(args.family)
     spec = _make_spec(args)
-    sample = read_sample(args.data)
-    result = estimate(family, spec, empirical(sample))
+    q = empirical(read_sample(args.data))
+    result = estimate(family, spec, q)
     payload = {
         "theta_hat": [float(v) for v in result.theta_hat],
         "criterion_value": result.criterion_value,
@@ -113,7 +127,7 @@ def _cmd_estimate(args) -> int:
     }
     print(json.dumps(payload))
     if not result.converged:
-        print("warning: estimator did not converge within the iteration budget", file=sys.stderr)
+        print(_non_convergence(family, q, result.theta_hat), file=sys.stderr)
         return 2
     return 0
 

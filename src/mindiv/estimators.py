@@ -6,6 +6,11 @@ estimator, the power pseudodistance estimator, and the Renyi
 pseudodistance estimator.  Every kind reduces to the MLE at ``alpha = 0``
 through the same code path.
 
+Normal power-pseudo and Renyi fits first solve their estimating
+equations as a weighted-moment fixed point from a median/MAD start; the
+bounded search over the family's default box is the fallback for fits the
+fixed point does not settle, and the only path of every other kind.
+
 Estimation is pure given (family, spec, measure): repeated calls return
 bit-identical results, and concurrent calls on shared immutable inputs are
 safe.  Solvers report the best local solution with diagnostics; on flat
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ToolkitError
-from .families import _GRID_N, Family
+from .families import _GRID_N, _LOG_2PI, Family, _NormalKind, _row_quantile
 from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant
 from .measures import Measure
 from .optimize import SolveResult, _newton_polish, solve_1d, solve_2d
@@ -32,6 +37,10 @@ KINDS = ("mle", "subdivergence", "superdivergence", "power-pseudo", "renyi")
 _PSI_TOL = 1e-8
 # Iteration cap of each inner subdivergence solve in a superdivergence fit.
 _INNER_MAX_ITER = 200
+# Relative step of (mu, sigma) below which the fixed point has settled.
+_FP_STEP_TOL = 1e-13
+# 1 / Phi^-1(3/4): turns the median absolute deviation into a normal scale.
+_MAD_SCALE = 1.482602218505602
 
 
 @dataclass(frozen=True)
@@ -40,7 +49,9 @@ class EstimatorSpec:
 
     ``escort`` is required exactly for the subdivergence kind.  ``tol`` and
     ``max_iter`` steer the outer search, which runs over the family's
-    sample-derived default box (see ``Family.default_bounds``).
+    sample-derived default box (see ``Family.default_bounds``);
+    ``max_iter`` also caps the weighted-moment fixed point of normal
+    power-pseudo and Renyi fits.
     """
 
     kind: str
@@ -221,6 +232,117 @@ def _renyi_gradient(family: Family, theta, q: Measure, alpha: float) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
+# weighted-moment fixed point of normal power-pseudo and Renyi fits
+# ---------------------------------------------------------------------------
+#
+# Every function below works row by row on (R, n) node and weight arrays,
+# with elementwise operations and reductions along each row only, so a
+# row's numbers do not depend on the other rows or on R.
+
+
+def _robust_start(family: _NormalKind, x: np.ndarray, w: np.ndarray):
+    """Median and scaled MAD of each row as (mu, sigma); a submodel keeps its
+    fixed coordinate (mu = 0 or sigma = 1)."""
+    mu = _row_quantile(x, w, 0.5) if 0 in family._free else np.zeros(len(x))
+    if 1 not in family._free:
+        return mu, np.ones(len(x))
+    return mu, _MAD_SCALE * _row_quantile(np.abs(x - mu[:, None]), w, 0.5)
+
+
+def _moment_step(family: _NormalKind, kind: str, a: float, x, w, mu, sigma):
+    """One fixed-point update per row.  With v proportional to w p^a,
+    mu = E_v[x] and sigma^2 = (1 + a) E_v[(x - mu)^2] (Renyi) or
+    E_v[(x - mu)^2] / (1 - a (1 + a)^-1.5 / sum(w u)) (power-pseudo), where
+    u = exp(-a z^2 / 2) is p^a up to its normalizing factor."""
+    z = (x - mu[:, None]) / sigma[:, None]
+    log_u = -0.5 * a * z * z
+    shift = log_u.max(axis=1)
+    v = w * np.exp(log_u - shift[:, None])
+    total = v.sum(axis=1)
+    v /= total[:, None]
+    if 0 in family._free:
+        mu = (v * x).sum(axis=1)
+    if 1 in family._free:
+        d = x - mu[:, None]
+        second = (v * d * d).sum(axis=1)
+        if kind == "renyi":
+            sigma = np.sqrt((1.0 + a) * second)
+        else:
+            mass_ratio = a * (1.0 + a) ** -1.5 * np.exp(-shift) / total
+            sigma = np.sqrt(second / (1.0 - mass_ratio))
+    return mu, sigma
+
+
+def _moment_terms(family: _NormalKind, kind: str, a: float, x, w, mu, sigma):
+    """Criterion and estimating equation of each row, the same equations as
+    ``_renyi_neg_log``/``_renyi_gradient`` and
+    ``_pseudo_criterion``/``_pseudo_gradient``; psi has shape (R, d)."""
+    s = sigma[:, None]
+    z = (x - mu[:, None]) / s
+    log_p = -0.5 * z * z - np.log(s) - 0.5 * _LOG_2PI
+    score = np.stack([z / s, (z * z - 1.0) / s])
+    log_mass = -0.5 * math.log1p(a) - 0.5 * a * np.log(2.0 * math.pi * sigma * sigma)
+    tilt = np.stack([np.zeros_like(sigma), -a / (sigma * (1.0 + a))])
+    if kind == "renyi":
+        terms = np.log(w) + a * log_p
+        shift = terms.max(axis=1)
+        e = np.exp(terms - shift[:, None])
+        total = e.sum(axis=1)
+        crit = a / (1.0 + a) * log_mass - (shift + np.log(total))
+        psi = tilt - (e * score).sum(axis=2) / total
+    else:
+        u = w * np.exp(a * log_p)
+        mass = np.exp(log_mass)
+        crit = mass / (1.0 + a) - u.sum(axis=1) / a
+        psi = mass * tilt - (u * score).sum(axis=2)
+    return crit, psi.T[:, list(family._free)]
+
+
+def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
+    """Normal power-pseudo or Renyi fit of every row of (R, n) ``nodes`` and
+    ``weights`` by the weighted-moment fixed point.
+
+    Each row starts from its median/MAD and iterates until its relative
+    step falls below ``_FP_STEP_TOL``, at most ``spec.max_iter`` times; a
+    settled row leaves the batch.  A row is accepted when its estimating
+    equation has max-norm below ``_PSI_TOL`` and its criterion is no higher
+    than at the start.  Returns the (R, d) parameters, the accepted mask and
+    the iterations each row took; no row is accepted for other families,
+    other kinds and ``alpha = 0``.
+    """
+    a = spec.alpha
+    x = np.asarray(nodes, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    iterations = np.zeros(len(x), dtype=int)
+    settled = np.zeros(len(x), dtype=bool)
+    if spec.kind not in ("power-pseudo", "renyi") or a == 0.0 or not isinstance(family, _NormalKind):
+        return np.full((len(x), family.param_dim), math.nan), settled, iterations
+    mu0, sigma0 = _robust_start(family, x, w)
+    mu, sigma = mu0.copy(), sigma0.copy()
+    active = np.flatnonzero(sigma0 > 0.0)
+    with np.errstate(all="ignore"):
+        for _ in range(spec.max_iter):
+            if active.size == 0:
+                break
+            m, s = _moment_step(family, spec.kind, a, x[active], w[active], mu[active], sigma[active])
+            step = np.maximum(np.abs(m - mu[active]), np.abs(s - sigma[active])) / s
+            mu[active], sigma[active] = m, s
+            iterations[active] += 1
+            valid = (s > 0.0) & np.isfinite(s) & np.isfinite(m)
+            done = valid & (step <= _FP_STEP_TOL)
+            settled[active[done]] = True
+            active = active[valid & ~done]
+        rows = np.flatnonzero(settled)
+        crit, psi = _moment_terms(family, spec.kind, a, x[rows], w[rows], mu[rows], sigma[rows])
+        crit0, _ = _moment_terms(family, spec.kind, a, x[rows], w[rows], mu0[rows], sigma0[rows])
+        good = (np.max(np.abs(psi), axis=1) < _PSI_TOL) & (crit <= crit0)
+    accepted = np.zeros(len(x), dtype=bool)
+    accepted[rows[good]] = True
+    theta = np.stack([mu, sigma], axis=1)[:, list(family._free)]
+    return theta, accepted, iterations
+
+
+# ---------------------------------------------------------------------------
 # estimation drivers
 # ---------------------------------------------------------------------------
 
@@ -258,18 +380,32 @@ def _fit(
     ``criterion(family, *fixed, theta, q, alpha)`` is minimized over the
     search box from the MLE start, its stationary point is polished on
     ``gradient(...) = 0`` (same arguments), and ``report`` maps the minimum
-    to ``criterion_value``.  Every such kind is the MLE at ``alpha = 0``.
+    to ``criterion_value``.  Normal power-pseudo and Renyi fits try the
+    weighted-moment fixed point first and search the box only when it is
+    not accepted; their iteration count includes the fixed point's.  Every
+    such kind is the MLE at ``alpha = 0``.
     """
     if spec.alpha == 0.0:
         return mle(family, q)
-    bounds = family.default_bounds(q.nodes, q.weights)
     a = spec.alpha
     objective = lambda th: criterion(family, *fixed, th, q, a)
+    theta, accepted, its = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
+    if accepted[0]:
+        return EstimateResult(
+            theta_hat=theta[0],
+            criterion_value=report(objective(theta[0])),
+            iterations=int(its[0]),
+            converged=True,
+        )
+    bounds = family.default_bounds(q.nodes, q.weights)
     psi = lambda th: gradient(family, *fixed, th, q, a)
     x0 = _start_point(family, q, bounds)
     sr = _minimize(family, objective, psi, bounds, x0, spec.tol, spec.max_iter)
     return EstimateResult(
-        theta_hat=sr.x, criterion_value=report(sr.fun), iterations=sr.iterations, converged=sr.converged
+        theta_hat=sr.x,
+        criterion_value=report(sr.fun),
+        iterations=int(its[0]) + sr.iterations,
+        converged=sr.converged,
     )
 
 

@@ -123,12 +123,17 @@ class Family:
         return f"<family {self.name}>"
 
 
+def _row_quantile(x: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """Weighted ``p``-quantile of each row of (R, n) nodes and weights: the
+    first sorted node whose cumulative weight reaches ``p`` of the row's mass."""
+    order = np.argsort(x, axis=1)
+    cw = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
+    k = np.argmax(cw >= p * cw[:, -1:], axis=1)
+    return np.take_along_axis(x, np.take_along_axis(order, k[:, None], axis=1), axis=1)[:, 0]
+
+
 def _weighted_quantile(nodes, weights, p: float) -> float:
-    order = np.argsort(nodes)
-    x = np.asarray(nodes)[order]
-    cw = np.cumsum(np.asarray(weights)[order])
-    idx = int(np.searchsorted(cw, p * cw[-1], side="left"))
-    return float(x[min(idx, len(x) - 1)])
+    return float(_row_quantile(np.asarray(nodes)[None], np.asarray(weights)[None], p)[0])
 
 
 def _location_bounds(nodes, weights) -> tuple[float, float]:

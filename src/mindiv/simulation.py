@@ -5,6 +5,8 @@ contaminants, every requested estimator is fitted per replication, and
 mean squared errors of the scale estimates are pooled.  Replications own
 independent generator streams derived from (seed, replication index), so
 results are reproducible, order-independent, and chunkable across calls.
+Power-pseudo and Renyi fits run batched over the replications, as one
+fixed point that gives each replication the numbers ``estimate`` gives.
 """
 
 from __future__ import annotations
@@ -16,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ToolkitError
-from .estimators import EstimatorSpec, estimate
+from .estimators import EstimatorSpec, _moment_fixed_point, estimate
 from .families import NORMAL_SCALE
 from .measures import empirical
 
 CONTAMINANTS = ("normal3", "normal10", "logistic", "cauchy")
+# Sample values drawn and fitted together at most: bounds the memory of a
+# batch of replications, whatever the study's size.
+_BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,27 @@ def _replication_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
 
 
+def _scale_estimates(spec: EstimatorSpec, samples: np.ndarray) -> np.ndarray:
+    """Scale estimate of ``spec`` on each row of ``samples``; NaN marks a
+    failed or non-converged fit.
+
+    Power-pseudo and Renyi rows are solved together by the weighted-moment
+    fixed point; the rows it does not accept, and every other kind, are
+    fitted one sample at a time by ``estimate``.
+    """
+    weights = np.full(samples.shape, 1.0 / samples.shape[1])
+    theta, accepted, _ = _moment_fixed_point(NORMAL_SCALE, spec, samples, weights)
+    out = np.where(accepted, theta[:, 0], math.nan)
+    for j in np.flatnonzero(~accepted):
+        try:
+            result = estimate(NORMAL_SCALE, spec, empirical(samples[j]))
+        except ToolkitError:
+            continue
+        if result.converged:
+            out[j] = result.theta_hat[0]
+    return out
+
+
 def run_study(
     model: ContaminationModel,
     n: int,
@@ -107,40 +133,38 @@ def run_study(
     non-converged fits are excluded from the MSE and counted per estimator.
     ``first_rep`` offsets the replication indices so a study can be split
     into chunks whose pooled statistics match the single-call result.
+    Each replication's estimate equals ``estimate(NORMAL_SCALE, spec,
+    empirical(sample))`` bit for bit, however the study is batched.
     """
     if reps < 1:
         raise InvalidInputError(f"reps must be >= 1, got {reps}")
     specs = tuple(specs)
-    errors: list[list[float]] = [[] for _ in specs]
-    estimates: list[list[float]] = [[] for _ in specs]
-    failures = [0] * len(specs)
-    for j in range(int(reps)):
-        rng = _replication_rng(seed, first_rep + j)
-        q = empirical(sample_contaminated(model, n, rng))
+    reps = int(reps)
+    batch = max(1, _BATCH_VALUES // max(int(n), 1))
+    parts: list[list[np.ndarray]] = [[] for _ in specs]
+    for start in range(0, reps, batch):
+        samples = np.stack(
+            [
+                sample_contaminated(model, n, _replication_rng(seed, first_rep + j))
+                for j in range(start, min(start + batch, reps))
+            ]
+        )
         for k, spec in enumerate(specs):
-            try:
-                result = estimate(NORMAL_SCALE, spec, q)
-            except ToolkitError:
-                failures[k] += 1
-                continue
-            if not result.converged:
-                failures[k] += 1
-                continue
-            sigma_hat = float(result.theta_hat[0])
-            errors[k].append((sigma_hat - model.base_sigma) ** 2)
-            estimates[k].append(sigma_hat)
+            parts[k].append(_scale_estimates(spec, samples))
     rows = []
     for k, spec in enumerate(specs):
-        if errors[k]:
-            mse = float(np.sum(np.asarray(errors[k])) / len(errors[k]))
-            mean_est = float(np.sum(np.asarray(estimates[k])) / len(estimates[k]))
+        sigma_hat = np.concatenate(parts[k])
+        ok = sigma_hat[~np.isnan(sigma_hat)]
+        if ok.size:
+            mse = float(np.sum((ok - model.base_sigma) ** 2) / ok.size)
+            mean_est = float(np.sum(ok) / ok.size)
         else:
             mse = math.nan
             mean_est = math.nan
         rows.append(
-            EstimatorRow(spec=spec, mse=mse, mean_estimate=mean_est, failure_count=failures[k])
+            EstimatorRow(spec=spec, mse=mse, mean_estimate=mean_est, failure_count=reps - ok.size)
         )
-    return StudyResult(rows=tuple(rows), replications=int(reps), seed=int(seed))
+    return StudyResult(rows=tuple(rows), replications=reps, seed=int(seed))
 
 
 def pool_results(chunks) -> StudyResult:

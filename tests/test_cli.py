@@ -104,6 +104,27 @@ class TestEstimate:
         assert abs(sigma_hat - 2.0) < 0.1
 
 
+    @pytest.mark.parametrize(
+        "family,values,message",
+        [
+            # the criterion falls without bound towards large shapes
+            ("pareto", [1.0, 1.5, 2.0, 3.0], "stopped on the edge of its search box (theta = "),
+            # the absolute residual tolerance is out of reach at this scale
+            ("normal", (1e8 + 1e-6 * np.random.default_rng(3).standard_normal(50)).tolist(), "stopped inside"),
+        ],
+    )
+    def test_non_convergence_says_why(self, capsys, tmp_path, family, values, message):
+        path = tmp_path / "xs.txt"
+        path.write_text("".join(f"{v!r}\n" for v in values), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "estimate", "--family", family, "--estimator", "power-pseudo",
+            "--alpha", "0.5", "--data", str(path),
+        )
+        assert code == 2
+        assert json.loads(out)["converged"] is False
+        assert message in err
+
+
 class TestInfluence:
     def test_mle_location_curve_is_identity(self, capsys):
         code, out, _ = run_cli(

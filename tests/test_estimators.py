@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+
+import mindiv.estimators
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
@@ -24,7 +26,18 @@ from mindiv import (
     sub_divergence,
     sub_psi,
 )
-from mindiv.estimators import KINDS, _renyi_neg_log, _super_psi
+from mindiv.estimators import (
+    _PSI_TOL,
+    KINDS,
+    _moment_fixed_point,
+    _moment_terms,
+    _pseudo_criterion,
+    _pseudo_gradient,
+    _renyi_gradient,
+    _renyi_neg_log,
+    _robust_start,
+    _super_psi,
+)
 
 
 def eta(alpha, mu, x, mu_tilde):
@@ -309,6 +322,143 @@ class TestNormalScaleOffsetSample:
         if kind == "renyi":
             # closed form: sqrt(1 + alpha) times the root mean square
             assert result.theta_hat[0] == pytest.approx(math.sqrt(1.5 * np.mean(xs**2)), rel=1e-6)
+
+
+def outlier_sample(magnitude):
+    # 95 standard normal draws plus 5 identical gross outliers
+    return np.append(np.random.default_rng(1).standard_normal(95), np.full(5, magnitude))
+
+
+def cauchy_1e4_sample():
+    # 10% of 100 draws replaced by Cauchy draws scaled by 1e4
+    rng = np.random.default_rng(2)
+    mask = rng.random(100) < 0.1
+    return np.where(mask, 1e4 * rng.standard_cauchy(100), rng.standard_normal(100))
+
+
+ROBUST_KINDS = ["power-pseudo", "renyi"]
+
+
+class TestBreakdown:
+    # The bounded search alone builds its box from the sample range and
+    # spread, so gross outliers put the clean fit outside it or far from
+    # its start; the median/MAD-started fixed point must not break down.
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    def test_normal_outliers(self, kind):
+        result = estimate(NORMAL, EstimatorSpec(kind=kind, alpha=0.5), empirical(outlier_sample(1e6)))
+        assert result.converged
+        mu, sigma = result.theta_hat
+        assert abs(mu) < 0.5 and 0.5 <= sigma <= 2.0
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    def test_location_outliers(self, kind):
+        q = empirical(outlier_sample(1e6))
+        result = estimate(NORMAL_LOCATION, EstimatorSpec(kind=kind, alpha=0.5), q)
+        assert result.converged
+        assert abs(result.theta_hat[0]) < 0.5
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    def test_scale_cauchy_1e4(self, kind):
+        q = empirical(cauchy_1e4_sample())
+        result = estimate(NORMAL_SCALE, EstimatorSpec(kind=kind, alpha=0.5), q)
+        assert result.converged
+        assert 0.5 <= result.theta_hat[0] <= 2.0
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    def test_outlier_magnitude_sweep(self, kind):
+        spec = EstimatorSpec(kind=kind, alpha=0.5)
+        for magnitude in 10.0 ** np.arange(2, 9):
+            result = estimate(NORMAL, spec, empirical(outlier_sample(magnitude)))
+            mu, sigma = result.theta_hat
+            assert result.converged, magnitude
+            assert abs(mu) < 0.5 and 0.5 <= sigma <= 2.0, magnitude
+
+
+class TestMomentFixedPoint:
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    @pytest.mark.parametrize(
+        "family,theta", [(NORMAL, [0.3, 1.7]), (NORMAL_LOCATION, [-0.4]), (NORMAL_SCALE, [0.6])]
+    )
+    def test_terms_match_scalar_equations(self, kind, family, theta):
+        xs = np.append(np.random.default_rng(5).standard_normal(40) * 1.2 + 0.2, 30.0)
+        q = empirical(xs)
+        mu, sigma = family._loc_scale(theta)
+        crit, psi = _moment_terms(
+            family, kind, 0.5, q.nodes[None], q.weights[None], np.array([mu]), np.array([sigma])
+        )
+        if kind == "renyi":
+            want_crit = _renyi_neg_log(family, theta, q, 0.5)
+            want_psi = _renyi_gradient(family, theta, q, 0.5)
+        else:
+            want_crit = _pseudo_criterion(family, theta, q, 0.5)
+            want_psi = _pseudo_gradient(family, theta, q, 0.5)
+        assert crit[0] == pytest.approx(want_crit, rel=1e-12, abs=1e-14)
+        assert np.allclose(psi[0], want_psi, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    @pytest.mark.parametrize("family", [NORMAL, NORMAL_LOCATION, NORMAL_SCALE])
+    def test_accepted_rows_pass_scalar_checks(self, kind, family):
+        # every accepted row: the scalar estimating equation is below
+        # _PSI_TOL and the scalar criterion is no higher than at the start
+        rng = np.random.default_rng(8)
+        xs = rng.standard_normal((12, 60)) + 0.5
+        xs[:, :6] = 20.0 * rng.standard_cauchy((12, 6))
+        ws = np.full(xs.shape, 1.0 / xs.shape[1])
+        spec = EstimatorSpec(kind=kind, alpha=0.5)
+        theta, accepted, iterations = _moment_fixed_point(family, spec, xs, ws)
+        assert accepted.all() and np.all(iterations >= 1)
+        mu0, sigma0 = _robust_start(family, xs, ws)
+        start = np.stack([mu0, sigma0], axis=1)[:, list(family._free)]
+        criterion, gradient = (
+            (_renyi_neg_log, _renyi_gradient) if kind == "renyi" else (_pseudo_criterion, _pseudo_gradient)
+        )
+        for row, th, th0 in zip(xs, theta, start):
+            q = empirical(row)
+            assert np.max(np.abs(gradient(family, th, q, 0.5))) < _PSI_TOL
+            assert criterion(family, th, q, 0.5) <= criterion(family, th0, q, 0.5)
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    def test_rows_independent_of_batch(self, kind):
+        rng = np.random.default_rng(6)
+        xs = rng.standard_normal((9, 50)) * 1.5 - 0.3
+        xs[::2, :5] = 1e3 * rng.standard_cauchy((5, 5))
+        ws = np.full(xs.shape, 1.0 / xs.shape[1])
+        spec = EstimatorSpec(kind=kind, alpha=0.5)
+        theta, accepted, iterations = _moment_fixed_point(NORMAL, spec, xs, ws)
+        for j in range(len(xs)):
+            one = _moment_fixed_point(NORMAL, spec, xs[j : j + 1], ws[j : j + 1])
+            assert np.array_equal(one[0][0], theta[j])
+            assert one[1][0] == accepted[j] and one[2][0] == iterations[j]
+
+    def test_iterations_reported(self):
+        q = empirical(np.random.default_rng(4).standard_normal(80) * 2.0 + 1.0)
+        spec = EstimatorSpec(kind="renyi", alpha=0.5)
+        result = estimate(NORMAL, spec, q)
+        _, _, iterations = _moment_fixed_point(NORMAL, spec, q.nodes[None], q.weights[None])
+        assert result.converged
+        assert result.iterations >= 1
+        assert result.iterations == iterations[0]
+
+    def test_zero_mad_falls_back(self, monkeypatch):
+        # more than half the sample at one value: the MAD start is zero, so
+        # the fixed point takes no step and the bounded search runs alone
+        q = empirical([0.0] * 6 + [1.0, -2.0, 3.0])
+        spec = EstimatorSpec(kind="renyi", alpha=0.5)
+        _, accepted, iterations = _moment_fixed_point(NORMAL_SCALE, spec, q.nodes[None], q.weights[None])
+        assert not accepted[0] and iterations[0] == 0
+        searches = []
+        original = mindiv.estimators.solve_1d
+
+        def solve_1d(*args, **kwargs):
+            searches.append(original(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(mindiv.estimators, "solve_1d", solve_1d)
+        result = estimate(NORMAL_SCALE, spec, q)
+        assert len(searches) == 1
+        assert result.iterations == searches[0].iterations
+        assert np.array_equal(result.theta_hat, searches[0].x)
 
 
 class TestMLE:

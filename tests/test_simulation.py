@@ -8,6 +8,7 @@ import pytest
 
 import mindiv.simulation
 from mindiv import (
+    NORMAL_SCALE,
     ContaminationModel,
     EstimatorSpec,
     EvaluationError,
@@ -15,9 +16,11 @@ from mindiv import (
     pool_results,
     report,
     run_study,
+    empirical,
+    estimate,
     sample_contaminated,
 )
-from mindiv.simulation import _replication_rng
+from mindiv.simulation import _replication_rng, _scale_estimates
 
 
 def model(eps=0.1, contaminant="cauchy", sigma=1.0):
@@ -133,6 +136,53 @@ class TestRunStudy:
             assert row_a.mse == pytest.approx(row_b.mse, rel=1e-10)
             assert row_a.mean_estimate == pytest.approx(row_b.mean_estimate, rel=1e-10)
             assert row_a.failure_count == row_b.failure_count
+
+    def test_batched_fits_equal_single_fits(self):
+        # every replication's robust estimate equals a single estimate()
+        # call on its sample, bit for bit, and the study pools exactly those
+        samples = np.stack([sample_contaminated(model(), 40, _replication_rng(5, j)) for j in range(6)])
+        for spec in SPECS[1:]:
+            single = []
+            for xs in samples:
+                result = estimate(NORMAL_SCALE, spec, empirical(xs))
+                single.append(result.theta_hat[0] if result.converged else math.nan)
+            single = np.array(single)
+            assert np.array_equal(_scale_estimates(spec, samples), single, equal_nan=True)
+            row = run_study(model(), 40, 6, (spec,), seed=5).rows[0]
+            ok = single[~np.isnan(single)]
+            assert row.failure_count == 6 - ok.size
+            assert row.mean_estimate == np.sum(ok) / ok.size
+            assert row.mse == np.sum((ok - 1.0) ** 2) / ok.size
+
+    def test_batched_rows_independent_of_chunking(self):
+        # a 6-replication batch and its 3 + 3 halves give the same
+        # per-replication estimates, so chunked studies pool the same fits
+        samples = np.stack([sample_contaminated(model(), 40, _replication_rng(5, j)) for j in range(6)])
+        # a row with zero MAD is not accepted by the fixed point and is
+        # fitted by estimate() alone
+        samples[4, :25] = 0.0
+        for spec in SPECS[1:]:
+            whole = _scale_estimates(spec, samples)
+            halves = np.concatenate([_scale_estimates(spec, samples[:3]), _scale_estimates(spec, samples[3:])])
+            assert np.array_equal(whole, halves, equal_nan=True)
+        direct = run_study(model(), 40, 6, SPECS, seed=5)
+        pooled = pool_results(
+            [run_study(model(), 40, 3, SPECS, seed=5, first_rep=r) for r in (0, 3)]
+        )
+        for row_a, row_b in zip(pooled.rows, direct.rows):
+            # pooling re-weights rounded chunk means, so it can differ from
+            # the direct mean in the last bits only
+            assert row_a.mean_estimate == pytest.approx(row_b.mean_estimate, rel=1e-15, abs=0.0)
+            assert row_a.failure_count == row_b.failure_count
+
+    @pytest.mark.parametrize("kind", ["power-pseudo", "renyi"])
+    def test_acceptance_replication_993(self, kind):
+        # the fixed point reaches the stationary points 0.945 (Renyi) and
+        # 0.973 (power-pseudo), below the scale box's lower edge 0.9926
+        spec = EstimatorSpec(kind=kind, alpha=0.5)
+        row = run_study(model(), 100, 1, (spec,), seed=20240817, first_rep=993).rows[0]
+        assert row.failure_count == 0
+        assert 0.9 < row.mean_estimate < 1.0
 
     def test_mle_mse_near_asymptotic_variance(self):
         # near-pure normal control: var(sigma_hat) ~= sigma^2 / (2n)
