@@ -1,9 +1,11 @@
 """Minimum-divergence estimation toolkit.
 
 Robust estimation of continuous parametric models by four families of
-divergence-based criteria (escort subdivergence, nested superdivergence,
-power pseudodistance, Renyi pseudodistance) plus the MLE, together with
-their influence functions and a contaminated-model simulation harness.
+divergence-based criteria (escort subdivergence, superdivergence, power
+pseudodistance, Renyi pseudodistance) plus the MLE, together with their
+influence functions and a contaminated-model simulation harness.  The
+superdivergence max-min over the escort is attained at the MLE on every
+family here, so that estimator is computed in closed form.
 """
 
 from .errors import (

@@ -1,10 +1,12 @@
 """Minimum-divergence estimators and their criterion functions.
 
 Five estimator kinds share one interface: maximum likelihood, the
-escort-anchored subdivergence estimator, the nested superdivergence
-estimator, the power pseudodistance estimator, and the Renyi
-pseudodistance estimator.  Every kind reduces to the MLE at ``alpha = 0``
-through the same code path.
+escort-anchored subdivergence estimator, the superdivergence estimator,
+the power pseudodistance estimator, and the Renyi pseudodistance
+estimator.  Every kind reduces to the MLE at ``alpha = 0`` through the
+same code path.  The superdivergence estimator's max-min over the escort
+is solved in closed form: on every family here it is the MLE (see
+``_superdivergence``).
 
 Normal power-pseudo and Renyi fits first solve their estimating
 equations as a weighted-moment fixed point from a median/MAD start; the
@@ -29,14 +31,12 @@ from .errors import DomainError, InvalidInputError, ToolkitError
 from .families import _GRID_N, _LOG_2PI, Family, _NormalKind, _row_quantile
 from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant
 from .measures import Measure
-from .optimize import SolveResult, _newton_polish, solve_1d, solve_2d
+from .optimize import SolveResult, solve_1d, solve_2d
 
 KINDS = ("mle", "subdivergence", "superdivergence", "power-pseudo", "renyi")
 
 # Estimating-equation norm below which a stationary point is accepted.
 _PSI_TOL = 1e-8
-# Iteration cap of each inner subdivergence solve in a superdivergence fit.
-_INNER_MAX_ITER = 200
 # Relative step of (mu, sigma) below which the fixed point has settled.
 _FP_STEP_TOL = 1e-13
 # 1 / Phi^-1(3/4): turns the median absolute deviation into a normal scale.
@@ -95,16 +95,11 @@ class EstimateResult:
     criterion_value: float
     iterations: int
     converged: bool
-    inner_solution: np.ndarray | None = None
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta_hat, dtype=float)).copy()
         theta.setflags(write=False)
         object.__setattr__(self, "theta_hat", theta)
-        if self.inner_solution is not None:
-            inner = np.atleast_1d(np.asarray(self.inner_solution, dtype=float)).copy()
-            inner.setflags(write=False)
-            object.__setattr__(self, "inner_solution", inner)
 
 
 # ---------------------------------------------------------------------------
@@ -144,33 +139,25 @@ def sub_criterion(family: Family, theta, theta_tilde, q: Measure, alpha: float) 
     return ratio_term / (1.0 - a) + data_term / a
 
 
-def _escort_terms(family: Family, theta, tilde, q: Measure, a: float, score_at):
-    """Model and data terms of the escort estimating equations.
+def sub_psi(family: Family, theta, theta_tilde, q: Measure, alpha: float) -> np.ndarray:
+    """Estimating equation of the subdivergence criterion (zero at its argmin).
 
     The model term integrates ``p_tilde^(1-a) p_theta^a`` and the data term
-    sums ``q (p_theta / p_tilde)^a``, both weighting the score at
-    ``score_at``: the escort fit ``tilde`` for the subdivergence equation,
-    the outer parameter ``theta`` for the superdivergence one.
+    sums ``q (p_theta / p_tilde)^a``, both weighting the escort fit's score.
     """
+    a = _check_sub_alpha(alpha)
+    theta = family.validate_param(theta)
+    tilde = family.validate_param(theta_tilde)
     x, wl = family.integration_grid([theta, tilde], _GRID_N)
     lp = np.asarray(family.log_density(theta, x))
     lp_tilde = np.asarray(family.log_density(tilde, x))
-    s_model = family.score(score_at, x)
+    s_model = family.score(tilde, x)
     model_term = ((wl * np.exp((1.0 - a) * lp_tilde + a * lp))[:, None] * s_model).sum(axis=0)
     lp_q = np.asarray(family.log_density(theta, q.nodes))
     lp_tilde_q = np.asarray(family.log_density(tilde, q.nodes))
     with np.errstate(over="ignore"):
         ratio = np.exp(a * (lp_q - lp_tilde_q))
-    data_term = ((q.weights * ratio)[:, None] * family.score(score_at, q.nodes)).sum(axis=0)
-    return model_term, data_term
-
-
-def sub_psi(family: Family, theta, theta_tilde, q: Measure, alpha: float) -> np.ndarray:
-    """Estimating equation of the subdivergence criterion (zero at its argmin)."""
-    a = _check_sub_alpha(alpha)
-    theta = family.validate_param(theta)
-    tilde = family.validate_param(theta_tilde)
-    model_term, data_term = _escort_terms(family, theta, tilde, q, a, tilde)
+    data_term = ((q.weights * ratio)[:, None] * family.score(tilde, q.nodes)).sum(axis=0)
     return model_term - data_term
 
 
@@ -183,15 +170,6 @@ def sub_divergence(family: Family, theta, theta_tilde, q: Measure, alpha: float)
     if not 0.0 < a < 1.0:
         raise DomainError(f"sub_divergence needs alpha in (0, 1), got {alpha!r}")
     return orthogonal_constant(a) - sub_criterion(family, theta, theta_tilde, q, a)
-
-
-def _super_psi(family: Family, theta, tilde, q: Measure, alpha: float) -> np.ndarray:
-    """Stationarity residual of the nested superdivergence problem."""
-    a = float(alpha)
-    theta = family.validate_param(theta)
-    tilde = family.validate_param(tilde)
-    model_term, data_term = _escort_terms(family, theta, tilde, q, a, theta)
-    return a / (1.0 - a) * model_term + data_term
 
 
 def _pseudo_criterion(family: Family, theta, q: Measure, alpha: float) -> float:
@@ -409,67 +387,36 @@ def _fit(
     )
 
 
-def _inner_solve(
-    family: Family,
-    escort_theta: np.ndarray,
-    q: Measure,
-    alpha: float,
-    bounds,
-    spec: EstimatorSpec,
-    warm=None,
-) -> SolveResult:
-    """Inner subdivergence solve for the nested superdivergence problem.
+def _superdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
+    """Superdivergence estimate: the maximizer over theta of
+    ``h(theta) = min_t M(theta, t)``, which is the MLE on every family here.
 
-    A warm start from the previous outer iterate is polished by Newton
-    steps; a full bounded solve is the fallback.
-    """
-    lo = [b[0] for b in bounds]
-    hi = [b[1] for b in bounds]
-    psi = lambda tt: sub_psi(family, escort_theta, tt, q, alpha)
-    if warm is not None:
-        x, norm, evals = _newton_polish(psi, warm, lo, hi, _PSI_TOL)
-        if norm < _PSI_TOL:
-            fun = sub_criterion(family, escort_theta, x, q, alpha)
-            return SolveResult(x=x, fun=fun, iterations=evals, converged=True, psi_norm=norm)
-    objective = lambda tt: sub_criterion(family, escort_theta, tt, q, alpha)
-    x0 = warm if warm is not None else _start_point(family, q, bounds)
-    return _minimize(family, objective, psi, bounds, x0, spec.tol, _INNER_MAX_ITER)
+    With ``M = sub_criterion``, ``M(theta, t) = R(theta, t)/(1-a) +
+    (1/a) sum q (p_theta/p_t)^a``, where ``R(theta, t)`` integrates
+    ``p_t^(1-a) p_theta^a``, and ``c = 1/(1-a) + 1/a``:
 
+    - Upper bound: ``R(theta, theta) = 1``, so ``M(theta, theta) = c`` and
+      ``h(theta) <= c`` for every theta.
+    - The MLE reaches it.  Every family is an exponential family whose MLE
+      matches the moments of its statistic T (normal: (x, x^2), restricted
+      on the submodels; Pareto: log x), so ``sum q (l_mle - l_t) =
+      KL(mle || t)``.  By Jensen the data term is at least
+      ``exp(a KL)/a >= 1/a + KL``; by ``y^b >= 1 + b log y`` with
+      ``b = 1 - a``, ``(1 - R)/(1 - a) <= KL``.  Hence ``M(mle, t) >= c``.
+    - Nothing else does: for theta other than the MLE, the t-gradient of M
+      at ``t = theta`` is ``-sum q s_theta``, nonzero because the MLE is the
+      only root of the score equation, so ``h(theta) < c``.
 
-def _fit_superdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
-    """Nested optimization: outer maximization over the inner escort minima.
-
-    The stationarity residual of the nested problem certifies convergence,
-    and the final inner solution is reported alongside the estimate.
+    So the estimate is the MLE with criterion ``c``, with no search.
     """
     if spec.alpha == 0.0:
         return mle(family, q)
-    bounds = family.default_bounds(q.nodes, q.weights)
     a = spec.alpha
-    state = {"warm": None, "inner_iters": 0}
-
-    def inner_at(theta_vec: np.ndarray) -> SolveResult:
-        inner = _inner_solve(family, theta_vec, q, a, bounds, spec, warm=state["warm"])
-        state["warm"] = inner.x
-        state["inner_iters"] += inner.iterations
-        return inner
-
-    def neg_h(theta_vec: np.ndarray) -> float:
-        return -inner_at(theta_vec).fun
-
-    def outer_psi(theta_vec: np.ndarray) -> np.ndarray:
-        inner = inner_at(theta_vec)
-        return _super_psi(family, theta_vec, inner.x, q, a)
-
-    x0 = _start_point(family, q, bounds)
-    sr = _minimize(family, neg_h, outer_psi, bounds, x0, spec.tol, spec.max_iter)
-    final_inner = inner_at(sr.x)
     return EstimateResult(
-        theta_hat=sr.x,
-        criterion_value=final_inner.fun,
-        iterations=sr.iterations + state["inner_iters"],
-        converged=sr.converged and final_inner.converged,
-        inner_solution=final_inner.x,
+        theta_hat=family.mle_parameter(q.nodes, q.weights),
+        criterion_value=1.0 / (1.0 - a) + 1.0 / a,
+        iterations=0,
+        converged=True,
     )
 
 
@@ -482,7 +429,7 @@ def estimate(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
         escort = family.validate_param(np.asarray(spec.escort, dtype=float))
         return _fit(family, spec, q, sub_criterion, sub_psi, escort)
     if spec.kind == "superdivergence":
-        return _fit_superdivergence(family, spec, q)
+        return _superdivergence(family, spec, q)
     if spec.kind == "power-pseudo":
         return _fit(family, spec, q, _pseudo_criterion, _pseudo_gradient)
     if spec.kind == "renyi":

@@ -152,7 +152,8 @@ def _estimate_or_raise(family, spec, q, context: str):
 def if_mle(family: Family, theta, x) -> np.ndarray:
     """Maximum-likelihood influence ``I(theta)^{-1} s_theta(x)``.
 
-    Also the influence of every superdivergence estimator at a model point.
+    Also the influence of every superdivergence estimator, which is the MLE
+    on every family here (see ``estimators._superdivergence``).
     Vectorized: array ``x`` yields one row per point.
     """
     return _tilted_score_if(family, 0.0, theta, x, centre_score=False)
@@ -330,8 +331,9 @@ def influence_curve(
     """Sample the influence function of an estimator at a model point.
 
     Closed forms are used when available: MLE and superdivergence share the
-    likelihood influence, subdivergence has normal location/scale closed
-    forms, and the two pseudodistance kinds have general model-point forms.
+    likelihood influence (the superdivergence estimator is the MLE),
+    subdivergence has normal location/scale closed forms, and the two
+    pseudodistance kinds have general model-point forms.
     ``numeric=True`` switches to the contamination oracle on a quadrature
     evaluation measure, whose unchanged base fit is shared by every point.
     """

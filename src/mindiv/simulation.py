@@ -52,12 +52,14 @@ class ContaminationModel:
 
 @dataclass(frozen=True)
 class EstimatorRow:
-    """Pooled outcome of one estimator across replications."""
+    """Pooled outcome of one estimator across replications; ``estimates``
+    holds the converged scale estimates in replication order."""
 
     spec: EstimatorSpec
     mse: float
     mean_estimate: float
     failure_count: int
+    estimates: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,7 @@ class StudyResult:
     rows: tuple[EstimatorRow, ...]
     replications: int
     seed: int
+    base_sigma: float
 
 
 def _contaminant_draws(model: ContaminationModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,45 +158,36 @@ def run_study(
     for k, spec in enumerate(specs):
         sigma_hat = np.concatenate(parts[k])
         ok = sigma_hat[~np.isnan(sigma_hat)]
-        if ok.size:
-            mse = float(np.sum((ok - model.base_sigma) ** 2) / ok.size)
-            mean_est = float(np.sum(ok) / ok.size)
-        else:
-            mse = math.nan
-            mean_est = math.nan
-        rows.append(
-            EstimatorRow(spec=spec, mse=mse, mean_estimate=mean_est, failure_count=reps - ok.size)
-        )
-    return StudyResult(rows=tuple(rows), replications=reps, seed=int(seed))
+        rows.append(_pooled_row(spec, tuple(ok.tolist()), reps - ok.size, model.base_sigma))
+    return StudyResult(rows=tuple(rows), replications=reps, seed=int(seed), base_sigma=model.base_sigma)
+
+
+def _pooled_row(spec: EstimatorSpec, estimates: tuple, failures: int, base_sigma: float) -> EstimatorRow:
+    """Row whose MSE about ``base_sigma`` and mean are computed from the
+    converged ``estimates`` themselves, so pooled chunks equal one call."""
+    ok = np.array(estimates, dtype=float)
+    mse = float(np.sum((ok - base_sigma) ** 2) / ok.size) if ok.size else math.nan
+    mean_est = float(np.sum(ok) / ok.size) if ok.size else math.nan
+    return EstimatorRow(spec, mse, mean_est, failures, estimates)
 
 
 def pool_results(chunks) -> StudyResult:
-    """Pool chunked study results produced with matching spec lists."""
+    """Pool chunked study results produced with matching spec lists; chunks
+    in replication order pool to the single-call result exactly."""
     chunks = list(chunks)
     if not chunks:
         raise InvalidInputError("nothing to pool")
-    specs = [row.spec for row in chunks[0].rows]
+    base_sigma = chunks[0].base_sigma
     rows = []
-    for k, spec in enumerate(specs):
-        total_sq = 0.0
-        total_est = 0.0
-        ok = 0
-        failures = 0
-        for chunk in chunks:
-            row = chunk.rows[k]
-            n_ok = chunk.replications - row.failure_count
-            if n_ok > 0:
-                total_sq += row.mse * n_ok
-                total_est += row.mean_estimate * n_ok
-                ok += n_ok
-            failures += row.failure_count
-        mse = total_sq / ok if ok else math.nan
-        mean_est = total_est / ok if ok else math.nan
-        rows.append(EstimatorRow(spec=spec, mse=mse, mean_estimate=mean_est, failure_count=failures))
+    for k, row in enumerate(chunks[0].rows):
+        estimates = tuple(v for c in chunks for v in c.rows[k].estimates)
+        failures = sum(c.rows[k].failure_count for c in chunks)
+        rows.append(_pooled_row(row.spec, estimates, failures, base_sigma))
     return StudyResult(
         rows=tuple(rows),
         replications=sum(c.replications for c in chunks),
         seed=chunks[0].seed,
+        base_sigma=base_sigma,
     )
 
 

@@ -1,6 +1,7 @@
 """Tests for the estimator criteria, estimating equations, and drivers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from mindiv.estimators import (
     _renyi_gradient,
     _renyi_neg_log,
     _robust_start,
-    _super_psi,
 )
 
 
@@ -209,7 +209,43 @@ class TestSubdivergenceEstimator:
         assert abs(exact.theta_hat[0]) < 1e-6
 
 
+def gross_outlier_sample(family, n=30, seed=4):
+    """Sample with 10% gross outliers: 50 for the normal kinds, 1e4 for Pareto."""
+    rng = np.random.default_rng(seed)
+    if family is PARETO:
+        xs = PARETO.sample([2.0], n, rng)
+        xs[: n // 10] = 1e4
+    else:
+        xs = rng.standard_normal(n) * 1.3 + 0.4
+        xs[: n // 10] = 50.0
+    return empirical(xs)
+
+
+# Which coordinates of each family are locations (the rest are positive).
+GRID_LOCATION = {"normal": (True, False), "normal-loc": (True,), "normal-scale": (False,), "pareto": (False,)}
+
+
+def about_mle(family, theta, u):
+    """Parameters at offsets ``u`` (one column per coordinate) from the MLE
+    ``theta``: in steps of the fitted scale for a location, as a log-factor
+    for a scale or shape.  ``u = 0`` gives ``theta`` exactly."""
+    out = np.empty_like(u)
+    for i, (value, location) in enumerate(zip(theta, GRID_LOCATION[family.name])):
+        unit = theta[1] if family is NORMAL else 1.0
+        out[:, i] = value + 2.0 * unit * u[:, i] if location else value * np.exp(u[:, i])
+    return out
+
+
+SUPER_FAMILIES = [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO]
+SUPER_ALPHAS = [0.1, 0.5, 0.9]
+
+
 class TestSuperdivergenceEstimator:
+    # The estimator maximizes h(theta) = min_t M(theta, t) with
+    # M = sub_criterion; on every family here that maximizer is the MLE,
+    # with h = c = 1/(1-a) + 1/a.  The grid test checks that identity on M
+    # itself, without the estimator.
+
     def test_mle_reduction(self):
         q = empirical([1.0, 2.0, 4.0])
         spec = EstimatorSpec(kind="superdivergence", alpha=0.0)
@@ -217,21 +253,89 @@ class TestSuperdivergenceEstimator:
             estimate(NORMAL, spec, q).theta_hat, mle(NORMAL, q).theta_hat
         )
 
+    @pytest.mark.parametrize("alpha", SUPER_ALPHAS)
+    @pytest.mark.parametrize("family", SUPER_FAMILIES, ids=lambda f: f.name)
+    def test_estimate_is_mle(self, family, alpha):
+        q = gross_outlier_sample(family)
+        result = estimate(family, EstimatorSpec(kind="superdivergence", alpha=alpha), q)
+        assert np.array_equal(result.theta_hat, mle(family, q).theta_hat)
+        assert result.criterion_value == 1.0 / (1.0 - alpha) + 1.0 / alpha
+        assert result.converged and result.iterations == 0
+
+    @pytest.mark.parametrize("alpha", SUPER_ALPHAS)
+    @pytest.mark.parametrize("family", SUPER_FAMILIES, ids=lambda f: f.name)
+    def test_brute_force_max_min_is_mle(self, family, alpha):
+        # theta grid about the MLE (which it contains); the t grid puts
+        # 3 points per axis, a step of 1e-3 grid cells apart, at every
+        # theta, so it holds each theta and its close neighbours
+        q = gross_outlier_sample(family)
+        theta_mle = mle(family, q).theta_hat
+        c = 1.0 / (1.0 - alpha) + 1.0 / alpha
+        d = family.param_dim
+        axis = np.linspace(-1.0, 1.0, 5 if d == 2 else 11)
+        cells = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        nudge = 1e-3 * (axis[1] - axis[0]) * np.array([-1.0, 0.0, 1.0])
+        offsets = np.stack(np.meshgrid(*[nudge] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        thetas = about_mle(family, theta_mle, cells)
+        # M(mle, t) >= c on the whole t grid: h reaches its bound c at the MLE
+        t_grid = about_mle(family, theta_mle, (cells[:, None, :] + offsets).reshape(-1, d))
+        m_at_mle = [sub_criterion(family, theta_mle, t, q, alpha) for t in t_grid]
+        assert min(m_at_mle) >= c - 1e-12
+        # h(theta) < c at every other theta: some t next to it lies below c
+        for cell, theta in zip(cells, thetas):
+            if not cell.any():
+                continue
+            near = about_mle(family, theta_mle, cell + offsets)
+            assert min(sub_criterion(family, theta, t, q, alpha) for t in near) < c
+
     def test_fisher_consistency_with_inner(self):
+        # at the model the estimate is the true scale, and the inner
+        # argmin over the escort t of M(theta_hat, t) is theta_hat itself
         q = quadrature_of(NORMAL_SCALE, [1.6], 512)
         spec = EstimatorSpec(kind="superdivergence", alpha=0.5)
         result = estimate(NORMAL_SCALE, spec, q)
         assert result.theta_hat[0] == pytest.approx(1.6, abs=1e-5)
-        assert result.inner_solution[0] == pytest.approx(1.6, abs=1e-5)
+        inner = minimize_scalar(
+            lambda t: sub_criterion(NORMAL_SCALE, result.theta_hat, [t], q, 0.5),
+            bounds=(1.0, 2.5),
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
+        assert inner.x == pytest.approx(1.6, abs=1e-5)
+        assert inner.fun >= result.criterion_value - 1e-12
 
     def test_stationarity_certificate(self):
+        # (theta_hat, theta_hat) is a stationary point of M: the theta
+        # gradient (sub_psi) and a central difference in t both vanish
         rng = np.random.default_rng(8)
         q = empirical(rng.standard_normal(40) * 1.5)
         spec = EstimatorSpec(kind="superdivergence", alpha=0.4)
         result = estimate(NORMAL_SCALE, spec, q)
         assert result.converged
-        residual = _super_psi(NORMAL_SCALE, result.theta_hat, result.inner_solution, q, 0.4)
+        theta = result.theta_hat
+        residual = sub_psi(NORMAL_SCALE, theta, theta, q, 0.4)
         assert np.all(np.abs(residual) < 1e-8)
+        h = 1e-5
+        t_slope = (
+            sub_criterion(NORMAL_SCALE, theta, theta + h, q, 0.4)
+            - sub_criterion(NORMAL_SCALE, theta, theta - h, q, 0.4)
+        ) / (2.0 * h)
+        assert abs(t_slope) < 1e-8
+
+    @pytest.mark.parametrize("seed", [2, 3, 4, 5, 6, 8])
+    def test_no_breakdown_on_cauchy_contamination(self, seed):
+        # 10% Cauchy outliers of scale 50: the fit is the MLE, with no
+        # search that could stop on its box or leak a numpy warning
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal(60) * 1.3 + 0.4
+        xs[:6] = 50.0 * rng.standard_cauchy(6)
+        q = empirical(xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate(NORMAL_LOCATION, EstimatorSpec(kind="superdivergence", alpha=0.9), q)
+        assert result.converged
+        assert result.criterion_value == 1.0 / (1.0 - 0.9) + 1.0 / 0.9
+        assert np.array_equal(result.theta_hat, mle(NORMAL_LOCATION, q).theta_hat)
 
 
 class TestPowerPseudoEstimator:

@@ -130,12 +130,8 @@ class TestRunStudy:
             run_study(model(), 40, 3, SPECS, seed=5, first_rep=0),
             run_study(model(), 40, 3, SPECS, seed=5, first_rep=3),
         ]
-        pooled = pool_results(chunks)
-        assert pooled.replications == direct.replications
-        for row_a, row_b in zip(pooled.rows, direct.rows):
-            assert row_a.mse == pytest.approx(row_b.mse, rel=1e-10)
-            assert row_a.mean_estimate == pytest.approx(row_b.mean_estimate, rel=1e-10)
-            assert row_a.failure_count == row_b.failure_count
+        # estimates, statistics and failure counts all equal the direct study's
+        assert pool_results(chunks) == direct
 
     def test_batched_fits_equal_single_fits(self):
         # every replication's robust estimate equals a single estimate()
@@ -170,9 +166,9 @@ class TestRunStudy:
             [run_study(model(), 40, 3, SPECS, seed=5, first_rep=r) for r in (0, 3)]
         )
         for row_a, row_b in zip(pooled.rows, direct.rows):
-            # pooling re-weights rounded chunk means, so it can differ from
-            # the direct mean in the last bits only
-            assert row_a.mean_estimate == pytest.approx(row_b.mean_estimate, rel=1e-15, abs=0.0)
+            # pooling recomputes the statistics from the chunks' estimates
+            assert row_a.mean_estimate == row_b.mean_estimate
+            assert row_a.mse == row_b.mse
             assert row_a.failure_count == row_b.failure_count
 
     @pytest.mark.parametrize("kind", ["power-pseudo", "renyi"])
