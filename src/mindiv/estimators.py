@@ -9,9 +9,10 @@ is solved in closed form: on every family here it is the MLE (see
 ``_superdivergence``).
 
 Normal power-pseudo and Renyi fits first solve their estimating
-equations as a weighted-moment fixed point from a median/MAD start; the
-bounded search over the family's default box is the fallback for fits the
-fixed point does not settle, and the only path of every other kind.
+equations as a weighted-moment fixed point from a median/MAD start, and
+subdivergence fits by Newton from the escort; the bounded search over the
+family's default box is the fallback for fits that first try does not
+settle, and the only path of Pareto power-pseudo and Renyi fits.
 
 Estimation is pure given (family, spec, measure): repeated calls return
 bit-identical results, and concurrent calls on shared immutable inputs are
@@ -23,15 +24,16 @@ the lower end of the search box.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ToolkitError
-from .families import _GRID_N, _LOG_2PI, Family, _NormalKind, _row_quantile
-from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant
+from .families import _GRID_N, Family, _NormalKind, _row_quantile
+from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant, scalar_map
 from .measures import Measure
-from .optimize import SolveResult, solve_1d, solve_2d
+from .optimize import _newton_polish, solve_1d, solve_2d
 
 KINDS = ("mle", "subdivergence", "superdivergence", "power-pseudo", "renyi")
 
@@ -114,6 +116,11 @@ def _check_sub_alpha(alpha: float) -> float:
     return a
 
 
+def _tilted_sum(w, s):
+    """``sum_i w_i s_i`` of (..., n) weights and (..., n, d) scores, per row."""
+    return (w[..., None] * s).sum(axis=-2)
+
+
 def sub_criterion(family: Family, theta, theta_tilde, q: Measure, alpha: float) -> float:
     """Escort criterion M minimized by the subdivergence estimator.
 
@@ -151,14 +158,12 @@ def sub_psi(family: Family, theta, theta_tilde, q: Measure, alpha: float) -> np.
     x, wl = family.integration_grid([theta, tilde], _GRID_N)
     lp = np.asarray(family.log_density(theta, x))
     lp_tilde = np.asarray(family.log_density(tilde, x))
-    s_model = family.score(tilde, x)
-    model_term = ((wl * np.exp((1.0 - a) * lp_tilde + a * lp))[:, None] * s_model).sum(axis=0)
+    model_term = _tilted_sum(wl * np.exp((1.0 - a) * lp_tilde + a * lp), family.score(tilde, x))
     lp_q = np.asarray(family.log_density(theta, q.nodes))
     lp_tilde_q = np.asarray(family.log_density(tilde, q.nodes))
     with np.errstate(over="ignore"):
         ratio = np.exp(a * (lp_q - lp_tilde_q))
-    data_term = ((q.weights * ratio)[:, None] * family.score(tilde, q.nodes)).sum(axis=0)
-    return model_term - data_term
+    return model_term - _tilted_sum(q.weights * ratio, family.score(tilde, q.nodes))
 
 
 def sub_divergence(family: Family, theta, theta_tilde, q: Measure, alpha: float) -> float:
@@ -172,50 +177,53 @@ def sub_divergence(family: Family, theta, theta_tilde, q: Measure, alpha: float)
     return orthogonal_constant(a) - sub_criterion(family, theta, theta_tilde, q, a)
 
 
-def _pseudo_criterion(family: Family, theta, q: Measure, alpha: float) -> float:
-    a = float(alpha)
-    pm = family.power_mass_integral(theta, a)
-    lp = np.asarray(family.log_density(theta, q.nodes))
-    with np.errstate(over="ignore"):
-        qp = float(q.weights @ np.exp(a * lp))
-    return pm / (1.0 + a) - qp / a
-
-
-def _pseudo_gradient(family: Family, theta, q: Measure, alpha: float) -> np.ndarray:
-    a = float(alpha)
-    pm = family.power_mass_integral(theta, a)
-    model_term = pm * family.weighted_score_mean(theta, a)
-    lp = np.asarray(family.log_density(theta, q.nodes))
-    s = family.score(theta, q.nodes)
-    with np.errstate(over="ignore"):
-        w = q.weights * np.exp(a * lp)
-    data_term = (w[:, None] * s).sum(axis=0)
-    return model_term - data_term
-
-
-def _renyi_neg_log(family: Family, theta, q: Measure, alpha: float) -> float:
-    a = float(alpha)
-    lp = np.asarray(family.log_density(theta, q.nodes))
-    log_qp, _ = log_sum_exp(np.log(q.weights) + a * lp)
-    return math.log(family.renyi_normalizer(theta, a)) - log_qp
-
-
-def _renyi_gradient(family: Family, theta, q: Measure, alpha: float) -> np.ndarray:
-    a = float(alpha)
-    lp = np.asarray(family.log_density(theta, q.nodes))
-    _, w = log_sum_exp(np.log(q.weights) + a * lp)
-    w = w / w.sum()
-    tilted_mean = (w[:, None] * family.score(theta, q.nodes)).sum(axis=0)
-    return family.weighted_score_mean(theta, a) - tilted_mean
-
-
 # ---------------------------------------------------------------------------
-# weighted-moment fixed point of normal power-pseudo and Renyi fits
+# power-pseudo and Renyi equations, and the weighted-moment fixed point
 # ---------------------------------------------------------------------------
 #
-# Every function below works row by row on (R, n) node and weight arrays,
-# with elementwise operations and reductions along each row only, so a
-# row's numbers do not depend on the other rows or on R.
+# Every function below works on (R, n) node and weight arrays (the
+# equations also on one parameter and a Measure) and reduces along each row
+# only, so a row's numbers equal a single call's and do not depend on R.
+_Rows = namedtuple("_Rows", "nodes weights")
+
+
+def _pseudo_criterion(family: Family, theta, q, alpha: float):
+    a = float(alpha)
+    lp = family.log_density(theta, q.nodes)
+    with np.errstate(over="ignore"):
+        qp = (q.weights * np.exp(a * lp)).sum(axis=-1)
+    return family.power_mass_integral(theta, a) / (1.0 + a) - qp / a
+
+
+def _pseudo_gradient(family: Family, theta, q, alpha: float) -> np.ndarray:
+    a = float(alpha)
+    lp = family.log_density(theta, q.nodes)
+    with np.errstate(over="ignore"):
+        w = q.weights * np.exp(a * lp)
+    # transposes put the parameter axis first, against the (R,) masses
+    model_term = (family.power_mass_integral(theta, a) * family.weighted_score_mean(theta, a).T).T
+    return model_term - _tilted_sum(w, family.score(theta, q.nodes))
+
+
+def _renyi_neg_log(family: Family, theta, q, alpha: float):
+    a = float(alpha)
+    lp = family.log_density(theta, q.nodes)
+    log_qp, _ = log_sum_exp(np.log(q.weights) + a * lp)
+    return scalar_map(math.log, family.renyi_normalizer(theta, a)) - log_qp
+
+
+def _renyi_gradient(family: Family, theta, q, alpha: float) -> np.ndarray:
+    a = float(alpha)
+    lp = family.log_density(theta, q.nodes)
+    _, w = log_sum_exp(np.log(q.weights) + a * lp)
+    w = w / w.sum(axis=-1, keepdims=True)
+    return family.weighted_score_mean(theta, a) - _tilted_sum(w, family.score(theta, q.nodes))
+
+
+_EQUATIONS = {
+    "power-pseudo": (_pseudo_criterion, _pseudo_gradient),
+    "renyi": (_renyi_neg_log, _renyi_gradient),
+}
 
 
 def _robust_start(family: _NormalKind, x: np.ndarray, w: np.ndarray):
@@ -251,31 +259,6 @@ def _moment_step(family: _NormalKind, kind: str, a: float, x, w, mu, sigma):
     return mu, sigma
 
 
-def _moment_terms(family: _NormalKind, kind: str, a: float, x, w, mu, sigma):
-    """Criterion and estimating equation of each row, the same equations as
-    ``_renyi_neg_log``/``_renyi_gradient`` and
-    ``_pseudo_criterion``/``_pseudo_gradient``; psi has shape (R, d)."""
-    s = sigma[:, None]
-    z = (x - mu[:, None]) / s
-    log_p = -0.5 * z * z - np.log(s) - 0.5 * _LOG_2PI
-    score = np.stack([z / s, (z * z - 1.0) / s])
-    log_mass = -0.5 * math.log1p(a) - 0.5 * a * np.log(2.0 * math.pi * sigma * sigma)
-    tilt = np.stack([np.zeros_like(sigma), -a / (sigma * (1.0 + a))])
-    if kind == "renyi":
-        terms = np.log(w) + a * log_p
-        shift = terms.max(axis=1)
-        e = np.exp(terms - shift[:, None])
-        total = e.sum(axis=1)
-        crit = a / (1.0 + a) * log_mass - (shift + np.log(total))
-        psi = tilt - (e * score).sum(axis=2) / total
-    else:
-        u = w * np.exp(a * log_p)
-        mass = np.exp(log_mass)
-        crit = mass / (1.0 + a) - u.sum(axis=1) / a
-        psi = mass * tilt - (u * score).sum(axis=2)
-    return crit, psi.T[:, list(family._free)]
-
-
 def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     """Normal power-pseudo or Renyi fit of every row of (R, n) ``nodes`` and
     ``weights`` by the weighted-moment fixed point.
@@ -293,7 +276,7 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     w = np.asarray(weights, dtype=float)
     iterations = np.zeros(len(x), dtype=int)
     settled = np.zeros(len(x), dtype=bool)
-    if spec.kind not in ("power-pseudo", "renyi") or a == 0.0 or not isinstance(family, _NormalKind):
+    if spec.kind not in _EQUATIONS or a == 0.0 or not isinstance(family, _NormalKind):
         return np.full((len(x), family.param_dim), math.nan), settled, iterations
     mu0, sigma0 = _robust_start(family, x, w)
     mu, sigma = mu0.copy(), sigma0.copy()
@@ -310,13 +293,17 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
             done = valid & (step <= _FP_STEP_TOL)
             settled[active[done]] = True
             active = active[valid & ~done]
+        theta, start = (np.stack(pair, axis=1)[:, list(family._free)] for pair in ((mu, sigma), (mu0, sigma0)))
         rows = np.flatnonzero(settled)
-        crit, psi = _moment_terms(family, spec.kind, a, x[rows], w[rows], mu[rows], sigma[rows])
-        crit0, _ = _moment_terms(family, spec.kind, a, x[rows], w[rows], mu0[rows], sigma0[rows])
-        good = (np.max(np.abs(psi), axis=1) < _PSI_TOL) & (crit <= crit0)
+        # one row is checked as one parameter: the same numbers, without rows overhead
+        pick = rows[0] if len(x) == 1 and rows.size else rows
+        q = _Rows(x[pick], w[pick])
+        criterion, gradient = _EQUATIONS[spec.kind]
+        psi = gradient(family, theta[pick], q, a)
+        crit, crit0 = criterion(family, theta[pick], q, a), criterion(family, start[pick], q, a)
+        good = (np.max(np.abs(psi), axis=-1) < _PSI_TOL) & (crit <= crit0)
     accepted = np.zeros(len(x), dtype=bool)
-    accepted[rows[good]] = True
-    theta = np.stack([mu, sigma], axis=1)[:, list(family._free)]
+    accepted[rows] = good
     return theta, accepted, iterations
 
 
@@ -326,21 +313,11 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
 
 
 def _start_point(family: Family, q: Measure, bounds) -> np.ndarray:
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    """The MLE (``solve_2d`` clips it into the box), else the box centre."""
     try:
-        start = family.mle_parameter(q.nodes, q.weights)
+        return family.mle_parameter(q.nodes, q.weights)
     except ToolkitError:
-        start = 0.5 * (lo + hi)
-    return np.clip(start, lo, hi)
-
-
-def _minimize(family: Family, objective, psi, bounds, x0, tol: float, max_iter: int) -> SolveResult:
-    """Bounded minimization (from ``x0`` in 2-d), polished on ``psi = 0``."""
-    settings = {"tol": tol, "max_iter": max_iter, "psi": psi, "psi_tol": _PSI_TOL}
-    if family.param_dim == 1:
-        return solve_1d(lambda t: objective(np.array([t])), bounds[0], **settings)
-    return solve_2d(objective, bounds, x0, **settings)
+        return np.mean(bounds, axis=1)
 
 
 def mle(family: Family, q: Measure) -> EstimateResult:
@@ -356,35 +333,38 @@ def _fit(
     """Shared fit of the kinds that minimize one criterion directly.
 
     ``criterion(family, *fixed, theta, q, alpha)`` is minimized over the
-    search box from the MLE start, its stationary point is polished on
-    ``gradient(...) = 0`` (same arguments), and ``report`` maps the minimum
-    to ``criterion_value``.  Normal power-pseudo and Renyi fits try the
-    weighted-moment fixed point first and search the box only when it is
-    not accepted; their iteration count includes the fixed point's.  Every
-    such kind is the MLE at ``alpha = 0``.
+    search box (from the MLE start in 2-d), its stationary point is
+    polished on ``gradient(...) = 0`` (same arguments), and ``report`` maps
+    the minimum to ``criterion_value``.  First comes the weighted-moment
+    fixed point (power-pseudo, Renyi) or Newton from the escort
+    (subdivergence), accepted when its residual is below ``_PSI_TOL`` and
+    its criterion no higher than at its start (at the escort
+    ``1/(1-a) + 1/a``); the search runs only otherwise, and its iteration
+    count includes the first try's.  Every such kind is the MLE at
+    ``alpha = 0``.
     """
     if spec.alpha == 0.0:
         return mle(family, q)
     a = spec.alpha
     objective = lambda th: criterion(family, *fixed, th, q, a)
-    theta, accepted, its = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
-    if accepted[0]:
-        return EstimateResult(
-            theta_hat=theta[0],
-            criterion_value=report(objective(theta[0])),
-            iterations=int(its[0]),
-            converged=True,
-        )
-    bounds = family.default_bounds(q.nodes, q.weights)
     psi = lambda th: gradient(family, *fixed, th, q, a)
-    x0 = _start_point(family, q, bounds)
-    sr = _minimize(family, objective, psi, bounds, x0, spec.tol, spec.max_iter)
-    return EstimateResult(
-        theta_hat=sr.x,
-        criterion_value=report(sr.fun),
-        iterations=int(its[0]) + sr.iterations,
-        converged=sr.converged,
-    )
+    if spec.kind == "subdivergence":
+        bounds = family.default_bounds(q.nodes, q.weights)
+        theta, norm, its = _newton_polish(psi, fixed[0], *np.array(bounds).T, _PSI_TOL)
+        if norm < _PSI_TOL and (crit := objective(theta)) <= 1.0 / (1.0 - a) + 1.0 / a:
+            return EstimateResult(theta, report(crit), its, converged=True)
+    else:
+        rows, accepted, row_its = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
+        its = int(row_its[0])
+        if accepted[0]:
+            return EstimateResult(rows[0], report(objective(rows[0])), its, converged=True)
+        bounds = family.default_bounds(q.nodes, q.weights)
+    settings = {"tol": spec.tol, "max_iter": spec.max_iter, "psi": psi, "psi_tol": _PSI_TOL}
+    if family.param_dim == 1:
+        sr = solve_1d(lambda t: objective(np.array([t])), bounds[0], **settings)
+    else:
+        sr = solve_2d(objective, bounds, _start_point(family, q, bounds), **settings)
+    return EstimateResult(sr.x, report(sr.fun), its + sr.iterations, sr.converged)
 
 
 def _superdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:

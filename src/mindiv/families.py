@@ -3,7 +3,10 @@
 Four families are provided: the full normal location-scale model, its
 location and scale submodels, and the unit-threshold Pareto shape model.
 Each family exposes densities, scores, score derivatives, sampling, and the
-closed-form power integrals the estimators are built on.  The submodels are
+closed-form power integrals the estimators are built on.  The methods the
+tilted estimating equations use also take parameter rows, (R, d) theta
+against (R, n) nodes: row j is the result of theta[j] on nodes[j], bit for
+bit.  The submodels are
 distinct kinds with their own parameter vectors, but their scores, score
 derivatives, tilted score means, MLEs and search boxes are those of the
 full normal model restricted to the free coordinates of (mu, sigma).
@@ -20,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, InvalidInputError
+from .kernels import scalar_map
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -44,15 +48,23 @@ def _gauss_nodes(lo: float, hi: float, n: int):
     return mid + half * x, half * w
 
 
-def _as_param(theta, dim: int) -> np.ndarray:
+def _as_param(theta, dim: int, positive: str) -> np.ndarray:
+    """Finite (dim,) parameter or (R, dim) rows; the last component, if named, is positive."""
     arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    if arr.shape != (dim,):
-        raise InvalidInputError(
-            f"parameter must have {dim} component(s), got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim > 2 or arr.shape[-1] != dim:
+        raise InvalidInputError(f"parameter must have {dim} component(s), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"parameter must be finite, got {arr!r}")
+    last = arr.T[-1]
+    # one parameter compares as a numpy scalar, far cheaper than a reduction
+    if positive and (last <= 0.0 if arr.ndim == 1 else (last <= 0.0).any()):
+        raise InvalidInputError(f"{positive} must be positive, got {last.min()}")
     return arr
+
+
+def _columns(theta: np.ndarray) -> list:
+    """Components of a parameter as floats, or of rows as (R, 1) columns."""
+    return theta.tolist() if theta.ndim == 1 else list(theta.T[..., None])
 
 
 class Family:
@@ -64,6 +76,7 @@ class Family:
     support: tuple[float, float] = (-math.inf, math.inf)
 
     def validate_param(self, theta) -> np.ndarray:
+        """Checked parameter of shape (d,), or parameter rows of shape (R, d)."""
         raise NotImplementedError
 
     def log_density(self, theta, x):
@@ -85,18 +98,14 @@ class Family:
         """Closed form of the tilted-ratio expectation under the second member."""
         raise NotImplementedError
 
-    def power_mass_integral(self, theta, alpha: float) -> float:
+    def power_mass_integral(self, theta, alpha: float):
         """Closed form of the integral of the density raised to ``1 + alpha``."""
         raise NotImplementedError
 
-    def renyi_normalizer(self, theta, alpha: float) -> float:
+    def renyi_normalizer(self, theta, alpha: float):
         """Normalizer ``power_mass_integral ** (alpha / (1 + alpha))``."""
         a = float(alpha)
-        if a < 0.0:
-            raise DomainError(f"order alpha must be nonnegative, got {alpha!r}")
-        if a == 0.0:
-            return 1.0
-        return self.power_mass_integral(theta, a) ** (a / (1.0 + a))
+        return scalar_map(lambda mass: mass ** (a / (1.0 + a)), self.power_mass_integral(theta, a))
 
     def weighted_score_mean(self, theta, alpha: float):
         """Mean of the score under the power-tilted density, closed form."""
@@ -169,16 +178,14 @@ class _NormalKind(Family):
     _free: tuple[int, ...] = (0, 1)
 
     def validate_param(self, theta) -> np.ndarray:
-        arr = _as_param(theta, self.param_dim)
         # sigma, when free, is the last coordinate
-        if self._free[-1] == 1 and arr[-1] <= 0.0:
-            raise InvalidInputError(f"scale must be positive, got {arr[-1]}")
-        return arr
+        return _as_param(theta, self.param_dim, "scale" if self._free[-1] == 1 else "")
 
-    def _loc_scale(self, theta) -> tuple[float, float]:
-        full = [0.0, 1.0]
-        for i, value in zip(self._free, theta):
-            full[i] = float(value)
+    def _loc_scale(self, theta):
+        """(mu, sigma) of a validated parameter, as ``_columns`` gives them."""
+        full = [0.0, 1.0] if theta.ndim == 1 else [np.zeros((len(theta), 1)), np.ones((len(theta), 1))]
+        for i, value in zip(self._free, _columns(theta)):
+            full[i] = value
         return full[0], full[1]
 
     def score(self, theta, x):
@@ -204,7 +211,8 @@ class _NormalKind(Family):
     def weighted_score_mean(self, theta, alpha: float):
         _, sigma = self._loc_scale(self.validate_param(theta))
         a = float(alpha)
-        return np.array([0.0, -a / (sigma * (1.0 + a))])[..., self._free]
+        # (0, tilt): the tilted mean of the location score is zero
+        return np.take(-a / (sigma * (1.0 + a)) * np.array([0.0, 1.0]), self._free, axis=-1)
 
     def _centre(self, nodes, weights) -> float:
         return float(weights @ nodes) if 0 in self._free else 0.0
@@ -234,7 +242,7 @@ class _NormalKind(Family):
         mu, sigma = self._loc_scale(self.validate_param(theta))
         xs = np.asarray(x, dtype=float)
         z = (xs - mu) / sigma
-        out = -0.5 * z * z - math.log(sigma) - 0.5 * _LOG_2PI
+        out = -0.5 * z * z - scalar_map(math.log, sigma) - 0.5 * _LOG_2PI
         return float(out) if np.ndim(x) == 0 else out
 
     def power_ratio_integral(self, theta, theta_tilde, alpha: float) -> float:
@@ -255,12 +263,14 @@ class _NormalKind(Family):
         )
         return math.exp(log_value)
 
-    def power_mass_integral(self, theta, alpha: float) -> float:
-        _, sigma = self._loc_scale(self.validate_param(theta))
+    def power_mass_integral(self, theta, alpha: float):
+        theta = self.validate_param(theta)
+        _, sigma = self._loc_scale(theta)
         a = float(alpha)
         if a < 0.0:
             raise DomainError(f"order alpha must be nonnegative, got {alpha!r}")
-        return (1.0 + a) ** -0.5 / (2.0 * math.pi * sigma**2) ** (a / 2.0)
+        mass = scalar_map(lambda s: (1.0 + a) ** -0.5 / (2.0 * math.pi * s**2) ** (a / 2.0), sigma)
+        return mass if theta.ndim == 1 else mass[:, 0]
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
@@ -317,19 +327,16 @@ class Pareto(Family):
     support = (1.0, math.inf)
 
     def validate_param(self, theta) -> np.ndarray:
-        arr = _as_param(theta, 1)
-        if arr[0] <= 0.0:
-            raise InvalidInputError(f"shape must be positive, got {arr[0]}")
-        return arr
+        return _as_param(theta, 1, "shape")
 
     def log_density(self, theta, x):
-        shape = float(self.validate_param(theta)[0])
+        (shape,) = _columns(self.validate_param(theta))
         xs = _pareto_support(x)
-        out = math.log(shape) - (shape + 1.0) * np.log(xs)
+        out = scalar_map(math.log, shape) - (shape + 1.0) * np.log(xs)
         return float(out) if np.ndim(x) == 0 else out
 
     def score(self, theta, x):
-        shape = float(self.validate_param(theta)[0])
+        (shape,) = _columns(self.validate_param(theta))
         return np.stack([1.0 / shape - np.log(_pareto_support(x))], axis=-1)
 
     def score_deriv(self, theta, x):
@@ -348,17 +355,19 @@ class Pareto(Family):
             )
         return sh**a * sh_t ** (1.0 - a) / denom
 
-    def power_mass_integral(self, theta, alpha: float) -> float:
-        sh = float(self.validate_param(theta)[0])
+    def power_mass_integral(self, theta, alpha: float):
+        theta = self.validate_param(theta)
+        (shape,) = _columns(theta)
         a = float(alpha)
         if a < 0.0:
             raise DomainError(f"order alpha must be nonnegative, got {alpha!r}")
-        return sh ** (1.0 + a) / (sh * (1.0 + a) + a)
+        mass = scalar_map(lambda sh: sh ** (1.0 + a) / (sh * (1.0 + a) + a), shape)
+        return mass if theta.ndim == 1 else mass[:, 0]
 
     def weighted_score_mean(self, theta, alpha: float):
-        sh = float(self.validate_param(theta)[0])
+        theta = self.validate_param(theta)
         a = float(alpha)
-        return np.array([1.0 / sh - 1.0 / (sh * (1.0 + a) + a)])
+        return 1.0 / theta - 1.0 / (theta * (1.0 + a) + a)
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:

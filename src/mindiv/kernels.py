@@ -24,18 +24,28 @@ def _positive(value, name: str) -> np.ndarray:
     return arr
 
 
-def log_sum_exp(log_terms) -> tuple[float, np.ndarray]:
-    """``log(sum(exp(log_terms)))`` and the terms scaled by the largest one.
+def scalar_map(fn, value):
+    """``fn(value)``, or ``fn`` of each array entry in the array's shape: parameter
+    rows then match single parameters bit for bit, which numpy's ``log`` and ``**`` may not."""
+    if isinstance(value, np.ndarray):
+        return np.array([fn(v) for v in value.ravel().tolist()]).reshape(value.shape)
+    return fn(value)
+
+
+def log_sum_exp(log_terms):
+    """``log(sum(exp(log_terms)))`` along the last axis, and the terms scaled
+    by the largest one of their row.
 
     Shifting by the largest term keeps the sum from overflowing or
-    underflowing to zero.
+    underflowing to zero.  A 1-d input gives a scalar log-sum.
     """
-    shift = float(np.max(log_terms))
-    if not math.isfinite(shift):
-        shift = 0.0  # no finite largest term: the log-sum is +-inf, not NaN
-    scaled = np.exp(log_terms - shift)
-    total = float(scaled.sum())
-    return shift + (math.log(total) if total != 0.0 else -math.inf), scaled
+    terms = np.asarray(log_terms, dtype=float)
+    shift = terms.max(axis=-1, keepdims=True)
+    # no finite largest term: the log-sum is +-inf, not NaN
+    shift[~np.isfinite(shift)] = 0.0
+    scaled = np.exp(terms - shift)
+    log_total = scalar_map(lambda t: math.log(t) if t != 0.0 else -math.inf, scaled.sum(axis=-1))
+    return shift[..., 0] + log_total, scaled
 
 
 def _like(result: np.ndarray, template) -> float | np.ndarray:

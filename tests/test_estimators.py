@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 import mindiv.estimators
+from scipy.integrate import quad as scipy_quad
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 from mindiv import (
+    ContaminationModel,
     DegenerateDataError,
     EstimatorSpec,
     InvalidInputError,
+    Measure,
     NORMAL,
     NORMAL_LOCATION,
     NORMAL_SCALE,
@@ -25,13 +28,14 @@ from mindiv import (
     quadrature_of,
     sub_criterion,
     sub_divergence,
+    sample_contaminated,
     sub_psi,
 )
 from mindiv.estimators import (
     _PSI_TOL,
     KINDS,
+    _Rows,
     _moment_fixed_point,
-    _moment_terms,
     _pseudo_criterion,
     _pseudo_gradient,
     _renyi_gradient,
@@ -198,6 +202,56 @@ class TestSubdivergenceEstimator:
         result = estimate(NORMAL, spec, q)
         assert np.allclose(result.theta_hat, theta0, atol=1e-8)
         assert np.all(np.abs(sub_psi(NORMAL, theta0, result.theta_hat, q, 0.5)) < 1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_newton_from_escort_at_n_1e4(self, seed):
+        # Cauchy extremes stretch the location box so far that its 33-point
+        # scan misses the minimum next to the escort (the bounded search
+        # alone stops at criterion inf); Newton from the escort stays there
+        model = ContaminationModel(1.0, 0.1, "cauchy")
+        q = empirical(0.7 + sample_contaminated(model, 10_000, np.random.default_rng(seed)))
+        escort = mle(NORMAL_LOCATION, q).theta_hat
+        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=tuple(escort))
+        result = estimate(NORMAL_LOCATION, spec, q)
+        assert result.converged
+        assert result.theta_hat[0] == pytest.approx(escort[0], abs=1e-12)
+        assert result.criterion_value <= 1.0 / (1.0 - 0.5) + 1.0 / 0.5
+        assert np.max(np.abs(sub_psi(NORMAL_LOCATION, escort, result.theta_hat, q, 0.5))) < _PSI_TOL
+
+    def test_rejected_newton_falls_back(self, monkeypatch):
+        # a Newton try that is not accepted leaves the fit to the box search,
+        # whose iteration count then includes the Newton evaluations
+        q = empirical(np.random.default_rng(12).standard_normal(40))
+        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.3,))
+        monkeypatch.setattr(
+            mindiv.estimators, "_newton_polish", lambda psi, x0, lo, hi, tol: (x0, math.inf, 7)
+        )
+        searches = []
+        original = mindiv.estimators.solve_1d
+
+        def solve_1d(*args, **kwargs):
+            searches.append(original(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(mindiv.estimators, "solve_1d", solve_1d)
+        result = estimate(NORMAL_LOCATION, spec, q)
+        assert len(searches) == 1
+        assert result.iterations == 7 + searches[0].iterations
+        assert np.array_equal(result.theta_hat, searches[0].x)
+
+    def test_start_point_only_for_2d_search(self, monkeypatch):
+        # the MLE start is built for Nelder-Mead only; a 1-d search ignores it
+        calls = []
+        original = mindiv.estimators._start_point
+        monkeypatch.setattr(
+            mindiv.estimators, "_start_point", lambda *args: calls.append(args) or original(*args)
+        )
+        xs = PARETO.sample([2.0], 30, np.random.default_rng(14))
+        estimate(PARETO, EstimatorSpec(kind="power-pseudo", alpha=0.5), empirical(xs))
+        assert calls == []
+        # zero MAD: the fixed point takes no step and Nelder-Mead runs
+        estimate(NORMAL, EstimatorSpec(kind="renyi", alpha=0.5), empirical([0.0] * 6 + [1.0, -2.0, 3.0]))
+        assert len(calls) == 1
 
     def test_location_consistency_loss(self):
         # unit-scale location submodel fed data of scale 2: the fixed point
@@ -479,27 +533,93 @@ class TestBreakdown:
             assert abs(mu) < 0.5 and 0.5 <= sigma <= 2.0, magnitude
 
 
-class TestMomentFixedPoint:
-    @pytest.mark.parametrize("kind", ROBUST_KINDS)
-    @pytest.mark.parametrize(
-        "family,theta", [(NORMAL, [0.3, 1.7]), (NORMAL_LOCATION, [-0.4]), (NORMAL_SCALE, [0.6])]
-    )
-    def test_terms_match_scalar_equations(self, kind, family, theta):
-        xs = np.append(np.random.default_rng(5).standard_normal(40) * 1.2 + 0.2, 30.0)
-        q = empirical(xs)
-        mu, sigma = family._loc_scale(theta)
-        crit, psi = _moment_terms(
-            family, kind, 0.5, q.nodes[None], q.weights[None], np.array([mu]), np.array([sigma])
-        )
-        if kind == "renyi":
-            want_crit = _renyi_neg_log(family, theta, q, 0.5)
-            want_psi = _renyi_gradient(family, theta, q, 0.5)
-        else:
-            want_crit = _pseudo_criterion(family, theta, q, 0.5)
-            want_psi = _pseudo_gradient(family, theta, q, 0.5)
-        assert crit[0] == pytest.approx(want_crit, rel=1e-12, abs=1e-14)
-        assert np.allclose(psi[0], want_psi, rtol=1e-12, atol=1e-14)
+# Parameter rows of each family and the weighted samples of each row (row
+# 0 carries an outlier).
+ROW_CASES = [
+    (NORMAL, [[0.3, 1.7], [-1.0, 0.4], [2.0, 3.0], [0.2, 1e-3], [1e3, 50.0]]),
+    (NORMAL_LOCATION, [[-0.4], [0.0], [3.0], [1e3], [-2.5]]),
+    (NORMAL_SCALE, [[0.6], [1.0], [1e-3], [40.0], [2.2]]),
+    (PARETO, [[0.5], [2.0], [1e-2], [30.0], [1.1]]),
+]
+EQUATIONS = [
+    (_pseudo_criterion, _pseudo_gradient),
+    (_renyi_neg_log, _renyi_gradient),
+]
 
+
+def row_sample(family, rows, n=40, seed=22):
+    rng = np.random.default_rng(seed)
+    if family is PARETO:
+        x = (1.0 - rng.random((rows, n))) ** -0.5
+        x[0, 0] = 1e6
+    else:
+        x = 1.5 * rng.standard_normal((rows, n)) + 0.2
+        x[0, 0] = 30.0
+    w = rng.random((rows, n)) + 0.5
+    return _Rows(x, w / w.sum(axis=1, keepdims=True))
+
+
+class TestTiltedEquations:
+    @pytest.mark.parametrize("alpha", [0.3, 2.0])
+    @pytest.mark.parametrize("family,thetas", ROW_CASES)
+    def test_rows_equal_single_calls(self, family, thetas, alpha):
+        theta = np.array(thetas)
+        q = row_sample(family, len(theta))
+        for equation in (f for pair in EQUATIONS for f in pair):
+            rows = equation(family, theta, q, alpha)
+            singles = np.array(
+                [equation(family, t, Measure(x, w), alpha) for t, x, w in zip(theta, *q)]
+            )
+            assert rows.shape == singles.shape
+            assert rows.tobytes() == singles.tobytes(), equation.__name__
+            # a row does not depend on the other rows
+            part = equation(family, theta[1:3], _Rows(q.nodes[1:3], q.weights[1:3]), alpha)
+            assert part.tobytes() == rows[1:3].tobytes(), equation.__name__
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.0])
+    @pytest.mark.parametrize("criterion,gradient", EQUATIONS)
+    @pytest.mark.parametrize("family,thetas", ROW_CASES)
+    def test_psi_is_criterion_gradient(self, family, thetas, criterion, gradient, alpha):
+        # power-pseudo psi is the gradient of its criterion; Renyi psi is
+        # that of its negative log criterion divided by alpha
+        scale = alpha if criterion is _renyi_neg_log else 1.0
+        q = row_sample(family, 1)
+        q = Measure(q.nodes[0], q.weights[0])
+        for theta in np.array(thetas[:3]):
+            got = gradient(family, theta, q, alpha)
+            for j in range(family.param_dim):
+                h = 1e-5 * abs(theta[j]) + 1e-7
+                up, dn = theta.copy(), theta.copy()
+                up[j] += h
+                dn[j] -= h
+                fd = (criterion(family, up, q, alpha) - criterion(family, dn, q, alpha)) / (2.0 * h)
+                assert got[j] == pytest.approx(fd / scale, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.0])
+    @pytest.mark.parametrize("family,thetas", ROW_CASES)
+    def test_pseudo_criterion_formula(self, family, thetas, alpha):
+        # int p^(1 + a) / (1 + a) - sum q p^a / a, the integral by adaptive
+        # quadrature over the support
+        q = row_sample(family, 1)
+        q = Measure(q.nodes[0], q.weights[0])
+        for theta in np.array(thetas[:3]):
+            power = lambda x: family.density(theta, x) ** (1.0 + alpha)
+            if family is PARETO:
+                u_max = 50.0 / ((theta[0] + 1.0) * (1.0 + alpha) - 1.0)
+                mass = scipy_quad(
+                    lambda u: power(math.exp(u)) * math.exp(u), 0.0, u_max, epsabs=0.0, epsrel=1e-12, limit=400
+                )[0]
+            else:
+                mu = theta[0] if family is not NORMAL_SCALE else 0.0
+                sigma = theta[-1] if family is not NORMAL_LOCATION else 1.0
+                mass = scipy_quad(
+                    power, mu - 12.0 * sigma, mu + 12.0 * sigma, epsabs=0.0, epsrel=1e-12, limit=400
+                )[0]
+            want = mass / (1.0 + alpha) - np.sum(q.weights * family.density(theta, q.nodes) ** alpha) / alpha
+            assert _pseudo_criterion(family, theta, q, alpha) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+class TestMomentFixedPoint:
     @pytest.mark.parametrize("kind", ROBUST_KINDS)
     @pytest.mark.parametrize("family", [NORMAL, NORMAL_LOCATION, NORMAL_SCALE])
     def test_accepted_rows_pass_scalar_checks(self, kind, family):

@@ -279,6 +279,94 @@ class TestMLEParameter:
         assert NORMAL_LOCATION.mle_parameter(xs, w)[0] == float(w @ xs)
 
 
+# Parameter rows of each family, extreme ones included, and the rows of
+# nodes they are evaluated on (row 0 of each carries an outlier).
+ROW_FAMILIES = [
+    (NORMAL, [[0.3, 1.7], [-1.0, 0.4], [2.0, 3.0], [0.0, 1e-3], [1e3, 50.0]]),
+    (NORMAL_LOCATION, [[-0.4], [0.0], [3.0], [1e3], [-2.5]]),
+    (NORMAL_SCALE, [[0.6], [1.0], [1e-3], [40.0], [2.2]]),
+    (PARETO, [[0.5], [2.0], [1e-2], [30.0], [1.1]]),
+]
+
+
+def row_nodes(family, rows, n=40, seed=21):
+    rng = np.random.default_rng(seed)
+    if family is PARETO:
+        x = (1.0 - rng.random((rows, n))) ** -0.5
+        x[0, 0] = 1e6
+    else:
+        x = 1.5 * rng.standard_normal((rows, n)) + 0.2
+        x[0, 0] = 30.0
+    return x
+
+
+def log_mismatches(count=3):
+    """Positive values at which numpy's vectorized ``log`` differs from
+    ``math.log`` in the last bit on this platform (none where they agree)."""
+    v = np.random.default_rng(3).uniform(0.5, 4.0, 20_000)
+    return v[np.log(v) != np.array([math.log(t) for t in v])][:count]
+
+
+def with_log_mismatches(family, thetas):
+    """``thetas`` plus rows whose scale or shape is such a value."""
+    if family is NORMAL_LOCATION:
+        return np.array(thetas)
+    extra = [[0.1, v] if family is NORMAL else [v] for v in log_mismatches()]
+    return np.array(thetas + extra)
+
+
+def family_calls(family, alpha):
+    """The family methods that take parameter rows, as (theta, nodes) calls."""
+    return {
+        "validate_param": lambda t, x: family.validate_param(t),
+        "log_density": family.log_density,
+        "score": family.score,
+        "power_mass_integral": lambda t, x: family.power_mass_integral(t, alpha),
+        "weighted_score_mean": lambda t, x: family.weighted_score_mean(t, alpha),
+        "renyi_normalizer": lambda t, x: family.renyi_normalizer(t, alpha),
+    }
+
+
+def assert_bitwise_rows(rows, singles):
+    singles = np.array(singles)
+    assert np.asarray(rows).shape == singles.shape
+    assert np.asarray(rows).tobytes() == singles.tobytes()
+
+
+class TestParameterRows:
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 2.0])
+    @pytest.mark.parametrize("family,thetas", ROW_FAMILIES)
+    def test_rows_equal_single_calls(self, family, thetas, alpha):
+        theta = with_log_mismatches(family, thetas)
+        x = row_nodes(family, len(theta))
+        for name, call in family_calls(family, alpha).items():
+            rows = call(theta, x)
+            assert_bitwise_rows(rows, [call(t, xr) for t, xr in zip(theta, x)])
+            # a row does not depend on the other rows
+            assert_bitwise_rows(call(theta[1:3], x[1:3]), rows[1:3])
+
+    @pytest.mark.parametrize("family,thetas", ROW_FAMILIES)
+    def test_single_parameter_shapes(self, family, thetas):
+        theta = np.array(thetas[0])
+        x = row_nodes(family, 1)[0]
+        d = family.param_dim
+        assert family.log_density(theta, x).shape == x.shape
+        assert family.score(theta, x).shape == x.shape + (d,)
+        assert isinstance(family.power_mass_integral(theta, 0.5), float)
+        assert isinstance(family.renyi_normalizer(theta, 0.5), float)
+        assert family.weighted_score_mean(theta, 0.5).shape == (d,)
+
+    def test_rows_validated(self):
+        with pytest.raises(InvalidInputError, match="scale must be positive"):
+            NORMAL.validate_param([[0.0, 1.0], [0.0, -1.0]])
+        with pytest.raises(InvalidInputError, match="shape must be positive"):
+            PARETO.validate_param([[2.0], [0.0]])
+        with pytest.raises(InvalidInputError, match="finite"):
+            NORMAL_LOCATION.validate_param([[0.0], [math.nan]])
+        with pytest.raises(InvalidInputError, match="component"):
+            NORMAL.validate_param(np.ones((2, 2, 2)))
+
+
 class TestRegistry:
     def test_names(self):
         assert get_family("normal") is NORMAL

@@ -23,6 +23,7 @@ from mindiv import (
     quadrature_of,
     renyi_pseudodistance,
 )
+from mindiv.kernels import log_sum_exp
 
 T_GRID = np.concatenate([np.linspace(0.1, 10.0, 34), [0.5, 1.0, np.e]])
 ALPHAS = [0.0, 0.3, 0.5, 1.0, 2.0, 3.0]
@@ -258,3 +259,24 @@ class TestRenyiPseudodistance:
         quad = quadrature_of(NORMAL_LOCATION, [0.0], 512)
         with pytest.raises(DomainError):
             renyi_pseudodistance(NORMAL_LOCATION, [1.0], quad, lambda x: 0.0 * x, 0.5)
+
+
+class TestLogSumExp:
+    def test_matches_logsumexp(self):
+        terms = np.array([-800.0, -801.0, -1e4])
+        value, scaled = log_sum_exp(terms)
+        assert value == pytest.approx(logsumexp(terms), rel=1e-15)
+        assert np.array_equal(scaled, np.exp(terms - terms.max()))
+        assert log_sum_exp(np.full(3, -np.inf))[0] == -np.inf
+
+    def test_rows_equal_single_rows(self):
+        # each row's log-sum and scaled terms equal the 1-d call on that row
+        # bit for bit, whatever the other rows hold
+        terms = np.random.default_rng(15).normal(0.0, 3.0, (20_000, 4))
+        terms[0] = -np.inf
+        terms[1, 2] = -np.inf
+        terms[2, 0] = 800.0
+        values, scaled = log_sum_exp(terms)
+        ones = [log_sum_exp(row) for row in terms]
+        assert values.tobytes() == np.array([v for v, _ in ones]).tobytes()
+        assert scaled.tobytes() == np.stack([s for _, s in ones]).tobytes()
