@@ -24,6 +24,7 @@ from .estimators import (
     EstimatorSpec,
     estimate,
     mle,
+    renyi_pseudodistance,
     sub_criterion,
     sub_divergence,
     sub_psi,
@@ -60,7 +61,6 @@ from .kernels import (
     power_divergence,
     psi_components,
     psi_kernel,
-    renyi_pseudodistance,
 )
 from .measures import (
     Measure,

@@ -24,6 +24,7 @@ the lower end of the search box.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, ToolkitError
 from .families import _GRID_N, Family, _NormalKind, _row_quantile
-from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant, scalar_map
+from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant, scalar_map, shifted_exp
 from .measures import Measure
 from .optimize import _newton_polish, solve_1d, solve_2d
 
@@ -83,10 +84,10 @@ class EstimatorSpec:
             )
         elif self.escort is not None:
             raise InvalidInputError(f"{self.kind} does not take an escort parameter")
-        if self.tol <= 0.0:
-            raise InvalidInputError("tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidInputError("max_iter must be >= 1")
+        if not math.isfinite(self.tol) or self.tol <= 0.0:
+            raise InvalidInputError(f"tol must be a finite positive real, got {self.tol!r}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise InvalidInputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,8 @@ def _renyi_neg_log(family: Family, theta, q, alpha: float):
 def _renyi_gradient(family: Family, theta, q, alpha: float) -> np.ndarray:
     a = float(alpha)
     lp = family.log_density(theta, q.nodes)
-    _, w = log_sum_exp(np.log(q.weights) + a * lp)
+    # the weights need no log-sum, whose per-row math.log would dominate one-point rows
+    _, w = shifted_exp(np.log(q.weights) + a * lp)
     w = w / w.sum(axis=-1, keepdims=True)
     return family.weighted_score_mean(theta, a) - _tilted_sum(w, family.score(theta, q.nodes))
 
@@ -224,6 +226,48 @@ _EQUATIONS = {
     "power-pseudo": (_pseudo_criterion, _pseudo_gradient),
     "renyi": (_renyi_neg_log, _renyi_gradient),
 }
+
+
+def _point_psi(family: Family, spec: EstimatorSpec, theta, x) -> np.ndarray:
+    """The estimating equation of ``spec``'s fit on the point mass at each
+    ``x``: one (d,) row per point, whose mean under a measure Q vanishes at
+    the fit to Q.
+
+    The MLE and superdivergence (and every kind at ``alpha = 0``) use the
+    likelihood score equation, ``_pseudo_gradient`` at order 0.  The Renyi
+    equation normalizes its weights ``q p^a``, so its point rows are scaled
+    by ``p^a(x)`` to make their mean the un-normalized, linear equation.
+    """
+    a = 0.0 if spec.kind in ("mle", "superdivergence") else spec.alpha
+    xs = np.asarray(x, dtype=float).reshape(-1, 1)
+    points = _Rows(xs, np.ones_like(xs))
+    if a == 0.0 or spec.kind == "power-pseudo":
+        return _pseudo_gradient(family, theta, points, a)
+    if spec.kind == "subdivergence":
+        return sub_psi(family, spec.escort, theta, points, a)
+    return np.exp(a * family.log_density(theta, xs)) * _renyi_gradient(family, theta, points, a)
+
+
+def renyi_pseudodistance(family: Family, theta, q_measure, q_density, alpha: float) -> float:
+    """Logarithmic decomposable pseudodistance of order ``alpha``.
+
+    ``q_measure`` integrates against the comparison law with density
+    evaluator ``q_density``.  For ``alpha > 0`` it is the Renyi criterion
+    over ``alpha`` plus the comparison law's own tilted log-mass, in the
+    log domain so that small density powers do not underflow.  The
+    ``alpha = 0`` limit is the Kullback discrepancy ``Q.(ln q - ln p)``.
+    """
+    a = float(alpha)
+    if a < 0.0:
+        raise DomainError(f"order alpha must be nonnegative, got {alpha!r}")
+    qvals = np.asarray(q_density(q_measure.nodes), dtype=float)
+    if not np.all(np.isfinite(qvals)) or np.any(qvals <= 0.0):
+        raise DomainError("comparison density must be positive and finite on all nodes")
+    lq = np.log(qvals)
+    if a < BRANCH_TOL:
+        return float(q_measure.weights @ (lq - family.log_density(theta, q_measure.nodes)))
+    log_qq, _ = log_sum_exp(np.log(q_measure.weights) + a * lq)
+    return float(_renyi_neg_log(family, theta, q_measure, a) / a + log_qq / (a * (1.0 + a)))
 
 
 def _robust_start(family: _NormalKind, x: np.ndarray, w: np.ndarray):

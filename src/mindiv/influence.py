@@ -1,6 +1,10 @@
-"""Influence functions: the general M-estimator formula, closed forms for
-each estimator/submodel pair, a finite-difference contamination oracle, and
-gross-error sensitivity summaries.
+"""Influence functions: the general M-estimator formula, a
+finite-difference contamination oracle, the paper's closed forms for the
+subdivergence normal submodels, and gross-error sensitivity summaries.
+
+Every model-point curve is one formula, ``IF(x) = -J^{-1} psi(x)``, on the
+estimators' own estimating equations: ``psi`` is the fit's equation on the
+point mass at x (``estimators._point_psi``) and ``J = -E_theta[psi s^t]``.
 
 All computations are pure; grid points may be evaluated concurrently.
 """
@@ -18,13 +22,8 @@ from .errors import (
     SingularMatrixError,
     ToolkitError,
 )
-from .estimators import EstimatorSpec, estimate
-from .families import (
-    Family,
-    NormalLocation,
-    NormalScale,
-    _NormalKind,
-)
+from .estimators import EstimatorSpec, _point_psi, estimate
+from .families import Family, _NormalKind
 from .measures import Measure, contaminate, quadrature_of
 
 
@@ -86,12 +85,13 @@ class SensitivitySummary:
 # ---------------------------------------------------------------------------
 
 
-def if_general(psi, psi_deriv, q: Measure, t_of_q, x: float) -> np.ndarray:
+def if_general(psi, psi_deriv, q: Measure, t_of_q, x) -> np.ndarray:
     """Influence of an M-estimator at the fixed point ``t_of_q`` of ``q``.
 
     ``psi(x, theta)`` is the estimating function, ``psi_deriv`` its
-    parameter Jacobian; the returned vector is the matrix-weighted
-    ``-I(Q)^{-1} psi(x, T(Q))``.
+    parameter Jacobian (only its ``q``-mean is used); the returned vector is
+    the matrix-weighted ``-I(Q)^{-1} psi(x, T(Q))``.  Vectorized: array
+    ``x`` yields one row per point.
     """
     theta = np.atleast_1d(np.asarray(t_of_q, dtype=float))
     d = theta.size
@@ -99,14 +99,13 @@ def if_general(psi, psi_deriv, q: Measure, t_of_q, x: float) -> np.ndarray:
     if vals.shape != (len(q), d, d):
         vals = np.stack([np.asarray(psi_deriv(xi, theta), dtype=float).reshape(d, d) for xi in q.nodes])
     info = np.einsum("i,ijk->jk", q.weights, vals)
-    return _solve_sensitivity(info, np.asarray(psi(x, theta), dtype=float).reshape(d))
-
-
-def _solve_sensitivity(info: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``-info^{-1} rhs``, refusing a non-finite or ill-conditioned ``info``."""
     if not np.all(np.isfinite(info)) or np.linalg.cond(info) > 1e12:
         raise SingularMatrixError("sensitivity matrix is singular", matrix=info)
-    return -np.linalg.solve(info, rhs)
+    rhs = np.asarray(psi(x, theta), dtype=float).reshape(-1, d)
+    # the inverse, not a solve: LAPACK's solve with one right-hand side per
+    # point costs several times more for these d x d matrices, d <= 2
+    out = -rhs @ np.linalg.inv(info).T
+    return out[0] if np.ndim(x) == 0 else out
 
 
 def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x: float, eps: float = _ORACLE_EPS) -> np.ndarray:
@@ -145,8 +144,23 @@ def _estimate_or_raise(family, spec, q, context: str):
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# model-point curves
 # ---------------------------------------------------------------------------
+
+
+def _model_point_if(family: Family, spec: EstimatorSpec, theta, x) -> np.ndarray:
+    """``IF(x) = -J^{-1} psi(x)`` of ``spec``'s estimator at the model point.
+
+    ``psi`` is the estimator's own equation on the point mass at x.  Every
+    kind here is Fisher consistent, so ``E_theta[psi_theta] = 0`` for all
+    theta; its theta-derivative gives ``J = E[d psi / d theta] =
+    -E_theta[psi s^t]``, taken on the quadrature of the model point, so
+    ``-psi s^t`` serves ``if_general`` as the Jacobian whose mean it needs.
+    """
+    theta = family.validate_param(theta)
+    psi = lambda xs, th: _point_psi(family, spec, th, xs)
+    jac = lambda xs, th: -psi(xs, th)[:, :, None] * family.score(th, xs)[:, None, :]
+    return if_general(psi, jac, quadrature_of(family, theta), theta, x)
 
 
 def if_mle(family: Family, theta, x) -> np.ndarray:
@@ -156,7 +170,27 @@ def if_mle(family: Family, theta, x) -> np.ndarray:
     on every family here (see ``estimators._superdivergence``).
     Vectorized: array ``x`` yields one row per point.
     """
-    return _tilted_score_if(family, 0.0, theta, x, centre_score=False)
+    return _model_point_if(family, EstimatorSpec(kind="mle"), theta, x)
+
+
+def if_pseudo(family: Family, alpha: float, theta, x) -> np.ndarray:
+    """Influence of the power pseudodistance estimator at a model point."""
+    return _model_point_if(family, EstimatorSpec(kind="power-pseudo", alpha=alpha), theta, x)
+
+
+def if_renyi(family: Family, alpha: float, theta, x) -> np.ndarray:
+    """Influence of the Renyi pseudodistance estimator at a model point.
+
+    The numerator is the tilted centered score ``p^a (c - s)``; the
+    centered-normal scale specialization reproduces the known closed form,
+    which the tests pin against the contamination oracle.
+    """
+    return _model_point_if(family, EstimatorSpec(kind="renyi", alpha=alpha), theta, x)
+
+
+# ---------------------------------------------------------------------------
+# the paper's subdivergence closed forms
+# ---------------------------------------------------------------------------
 
 
 def if_sub_location(alpha: float, escort_mu: float, mu0: float, x):
@@ -211,60 +245,6 @@ def if_sub_scale(alpha: float, escort_sigma: float, sigma0: float, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _power_moments(family: Family, theta, alpha: float):
-    """First and second moments of the score under ``p^(1+alpha)``."""
-    grid_x, lam_w = family.integration_grid([theta])
-    lp = np.asarray(family.log_density(theta, grid_x))
-    tilt = lam_w * np.exp((1.0 + alpha) * lp)
-    s = family.score(theta, grid_x)
-    return np.einsum("i,ij->j", tilt, s), np.einsum("i,ij,ik->jk", tilt, s, s)
-
-
-def _tilted_score_if(family: Family, alpha: float, theta, x, centre_score: bool):
-    """Model-point influence ``-J^{-1} psi(x)`` of a tilted-score estimator.
-
-    ``psi(x) = p^a(x) (s(x) - k) - K``, with ``c`` the tilted score mean:
-    the Renyi equation centres the score before tilting (``k = c``,
-    ``K = 0``), the power-pseudo equation centres the tilted score
-    (``k = 0``, ``K`` the integral of ``p^(1+a) s``).  Differentiating
-    ``E_theta[psi_theta] = 0`` in theta gives ``J = -E[psi s^t] =
-    k m1^t - m2`` with ``m1, m2`` from :func:`_power_moments`.  At
-    ``a = 0`` both are the likelihood score equation and ``-J`` is the
-    Fisher information.
-    """
-    a = float(alpha)
-    if a < 0.0:
-        raise InvalidInputError(f"alpha must be nonnegative, got {alpha!r}")
-    theta = family.validate_param(theta)
-    m1, m2 = _power_moments(family, theta, a)
-    c = family.weighted_score_mean(theta, a)
-    if centre_score:
-        k, shift = c, 0.0
-    else:
-        k, shift = np.zeros_like(c), family.power_mass_integral(theta, a) * c
-    info = np.outer(k, m1) - m2
-    lp_x = np.asarray(family.log_density(theta, x), dtype=float)
-    s_x = np.atleast_2d(np.asarray(family.score(theta, x), dtype=float))
-    b = np.exp(a * lp_x).reshape(-1, 1) * (s_x - k) - shift
-    out = _solve_sensitivity(info, b.T).T
-    return out[0] if np.ndim(x) == 0 else out
-
-
-def if_pseudo(family: Family, alpha: float, theta, x) -> np.ndarray:
-    """Influence of the power pseudodistance estimator at a model point."""
-    return _tilted_score_if(family, alpha, theta, x, centre_score=False)
-
-
-def if_renyi(family: Family, alpha: float, theta, x) -> np.ndarray:
-    """Influence of the Renyi pseudodistance estimator at a model point.
-
-    The numerator is the tilted centered score ``p^a (s - c)``; the
-    centered-normal scale specialization reproduces the known closed form,
-    which the tests pin against the contamination oracle.
-    """
-    return _tilted_score_if(family, alpha, theta, x, centre_score=True)
-
-
 # ---------------------------------------------------------------------------
 # sensitivity and curve export
 # ---------------------------------------------------------------------------
@@ -292,30 +272,20 @@ def sensitivity(curve, family: Family, alpha: float, theta) -> SensitivitySummar
     span = max(10.0 * scale, 1.5 * anchor)
     lo_support = family.support[0]
     lo = max(-span, lo_support + 1e-9) if np.isfinite(lo_support) else -span
-    dense = np.linspace(lo, span, 801)
+    tails = [t[t > lo_support] for t in np.outer((1.0, -1.0), span * np.array([1.0, 2.0, 4.0]))]
+    points = [np.linspace(lo, span, 801), *(t for t in tails if t.size >= 2), np.array([50.0 * scale])]
+    # one call, so a curve's fixed cost (its quadrature and sensitivity matrix) is paid once
     with np.errstate(over="ignore"):
-        dense_vals = np.abs(np.asarray(curve(dense), dtype=float).reshape(dense.size, -1)).max(axis=1)
+        values = np.asarray(curve(np.concatenate(points)), dtype=float)
+    values = values.reshape(len(values), -1)
+    *probed, far = np.split(values, np.cumsum([p.size for p in points])[:-1])
+    dense_vals, *probes = (np.abs(v).max(axis=1) for v in probed)
     if not np.all(np.isfinite(dense_vals)):
         return SensitivitySummary(sup_abs=UNBOUNDED, limit_at_infinity=UNBOUNDED)
-
-    probes = []
-    for sign in (1.0, -1.0):
-        xs = sign * span * np.array([1.0, 2.0, 4.0])
-        if np.isfinite(lo_support):
-            xs = xs[xs > lo_support]
-        if xs.size < 2:
-            continue
-        xs = np.sort(xs) if sign > 0 else np.sort(xs)[::-1]
-        with np.errstate(over="ignore"):
-            vals = np.abs(np.asarray(curve(xs), dtype=float).reshape(xs.size, -1)).max(axis=1)
-        if not np.all(np.isfinite(vals)):
+    for vals in probes:
+        if not np.all(np.isfinite(vals)) or np.any(vals[1:] > vals[:-1] * (1.0 + 1e-9) + 1e-300):
             return SensitivitySummary(sup_abs=UNBOUNDED, limit_at_infinity=UNBOUNDED)
-        if np.any(vals[1:] > vals[:-1] * (1.0 + 1e-9) + 1e-300):
-            return SensitivitySummary(sup_abs=UNBOUNDED, limit_at_infinity=UNBOUNDED)
-        probes.append(vals)
-
-    x_far = 50.0 * scale
-    far = np.asarray(curve(np.array([x_far])), dtype=float).reshape(-1)
+    far = far.reshape(-1)
     limit = float(far[np.argmax(np.abs(far))]) if far.size > 1 else float(far[0])
     sup = float(max(dense_vals.max(), max((v.max() for v in probes), default=0.0), abs(limit)))
     return SensitivitySummary(sup_abs=sup, limit_at_infinity=limit)
@@ -330,10 +300,9 @@ def influence_curve(
 ) -> InfluenceCurve:
     """Sample the influence function of an estimator at a model point.
 
-    Closed forms are used when available: MLE and superdivergence share the
-    likelihood influence (the superdivergence estimator is the MLE),
-    subdivergence has normal location/scale closed forms, and the two
-    pseudodistance kinds have general model-point forms.
+    Every kind on every family uses ``-J^{-1} psi(x)`` on the estimator's
+    own estimating equation; the MLE and superdivergence share the
+    likelihood influence (the superdivergence estimator is the MLE).
     ``numeric=True`` switches to the contamination oracle on a quadrature
     evaluation measure, whose unchanged base fit is shared by every point.
     """
@@ -347,21 +316,5 @@ def influence_curve(
         )
         return InfluenceCurve(estimator=spec, eval_param=theta, grid=grid, values=values)
 
-    if spec.kind in ("mle", "superdivergence"):
-        values = if_mle(family, theta, grid)
-    elif spec.kind == "subdivergence":
-        escort = np.asarray(spec.escort, dtype=float)
-        if isinstance(family, NormalLocation):
-            values = if_sub_location(spec.alpha, escort[0], theta[0], grid).reshape(-1, 1)
-        elif isinstance(family, NormalScale):
-            values = if_sub_scale(spec.alpha, escort[0], theta[0], grid).reshape(-1, 1)
-        else:
-            raise InvalidInputError(
-                "closed-form subdivergence influence covers the normal location "
-                "and scale submodels; use the numeric oracle for other families"
-            )
-    elif spec.kind == "power-pseudo":
-        values = if_pseudo(family, spec.alpha, theta, grid)
-    else:  # renyi, the last of the validated kinds
-        values = if_renyi(family, spec.alpha, theta, grid)
+    values = _model_point_if(family, spec, theta, grid)
     return InfluenceCurve(estimator=spec, eval_param=theta, grid=grid, values=values)

@@ -32,20 +32,29 @@ def scalar_map(fn, value):
     return fn(value)
 
 
-def log_sum_exp(log_terms):
-    """``log(sum(exp(log_terms)))`` along the last axis, and the terms scaled
-    by the largest one of their row.
+def shifted_exp(log_terms):
+    """``exp(log_terms)`` scaled by the largest term of each row (along the
+    last axis), and the log of that scale.
 
-    Shifting by the largest term keeps the sum from overflowing or
-    underflowing to zero.  A 1-d input gives a scalar log-sum.
+    Shifting by the largest term keeps the row from overflowing or
+    underflowing to zero.
     """
     terms = np.asarray(log_terms, dtype=float)
     shift = terms.max(axis=-1, keepdims=True)
     # no finite largest term: the log-sum is +-inf, not NaN
     shift[~np.isfinite(shift)] = 0.0
-    scaled = np.exp(terms - shift)
+    return shift[..., 0], np.exp(terms - shift)
+
+
+def log_sum_exp(log_terms):
+    """``log(sum(exp(log_terms)))`` along the last axis, and the terms scaled
+    by the largest one of their row (see :func:`shifted_exp`).
+
+    A 1-d input gives a scalar log-sum.
+    """
+    shift, scaled = shifted_exp(log_terms)
     log_total = scalar_map(lambda t: math.log(t) if t != 0.0 else -math.inf, scaled.sum(axis=-1))
-    return shift[..., 0] + log_total, scaled
+    return shift + log_total, scaled
 
 
 def _like(result: np.ndarray, template) -> float | np.ndarray:
@@ -179,32 +188,3 @@ def power_divergence(family, theta, theta0, alpha: float, quad) -> float:
     if math.isnan(value):
         raise DomainError("power divergence integrand is not finite on the grid")
     return value
-
-
-def renyi_pseudodistance(family, theta, q_measure, q_density, alpha: float) -> float:
-    """Logarithmic decomposable pseudodistance of order ``alpha``.
-
-    ``q_measure`` integrates against the comparison law with density
-    evaluator ``q_density``.  Internally works in the log domain so that
-    small density powers do not underflow.  The ``alpha = 0`` limit is the
-    Kullback discrepancy ``Q.(ln q - ln p)``.
-    """
-    a = float(alpha)
-    if a < 0.0:
-        raise DomainError(f"order alpha must be nonnegative, got {alpha!r}")
-    nodes = q_measure.nodes
-    w = q_measure.weights
-    lp = np.asarray(family.log_density(theta, nodes), dtype=float)
-    qvals = np.asarray(q_density(nodes), dtype=float)
-    if not np.all(np.isfinite(qvals)) or np.any(qvals <= 0.0):
-        raise DomainError("comparison density must be positive and finite on all nodes")
-    lq = np.log(qvals)
-    if a < BRANCH_TOL:
-        return float(w @ (lq - lp))
-    log_w = np.log(w)
-    log_p_pa = math.log(family.power_mass_integral(theta, a))
-    return (
-        log_p_pa / (1.0 + a)
-        + log_sum_exp(log_w + a * lq)[0] / (a * (1.0 + a))
-        - log_sum_exp(log_w + a * lp)[0] / a
-    )

@@ -49,18 +49,19 @@ def _newton_polish(psi, x0, lo, hi, psi_tol: float, max_iter: int = 40):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    p = _psi_vector(psi, x)
-    if not np.all(np.isfinite(p)):
-        return x, math.inf, 1
-    best_x, best_norm = x.copy(), float(np.max(np.abs(p)))
-    evals = 1
-    d = x.size
-    for _ in range(max_iter):
-        if best_norm < 1e-2 * psi_tol:
-            break
-        jac = np.empty((d, d))
-        ok = True
-        with np.errstate(invalid="ignore", over="ignore"):
+    # psi may overflow at trial points; those show as non-finite norms
+    with np.errstate(invalid="ignore", over="ignore"):
+        p = _psi_vector(psi, x)
+        if not np.all(np.isfinite(p)):
+            return x, math.inf, 1
+        best_x, best_norm = x.copy(), float(np.max(np.abs(p)))
+        evals = 1
+        d = x.size
+        for _ in range(max_iter):
+            if best_norm < 1e-2 * psi_tol:
+                break
+            jac = np.empty((d, d))
+            ok = True
             for j in range(d):
                 h = 1e-6 * (1.0 + abs(x[j]))
                 xp = x.copy()
@@ -73,27 +74,27 @@ def _newton_polish(psi, x0, lo, hi, psi_tol: float, max_iter: int = 40):
                     break
                 jac[:, j] = (_psi_vector(psi, xp) - _psi_vector(psi, xm)) / span
                 evals += 2
-        if not ok or not np.all(np.isfinite(jac)):
-            break
-        try:
-            step = np.linalg.solve(jac, p)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        improved = False
-        for damp in (1.0, 0.5, 0.25, 0.1, 0.01):
-            trial = np.clip(x - damp * step, lo, hi)
-            pt = _psi_vector(psi, trial)
-            evals += 1
-            norm = float(np.max(np.abs(pt)))
-            if math.isfinite(norm) and norm < best_norm:
-                x, p = trial, pt
-                best_x, best_norm = trial.copy(), norm
-                improved = True
+            if not ok or not np.all(np.isfinite(jac)):
                 break
-        if not improved:
-            break
+            try:
+                step = np.linalg.solve(jac, p)
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(step)):
+                break
+            improved = False
+            for damp in (1.0, 0.5, 0.25, 0.1, 0.01):
+                trial = np.clip(x - damp * step, lo, hi)
+                pt = _psi_vector(psi, trial)
+                evals += 1
+                norm = float(np.max(np.abs(pt)))
+                if math.isfinite(norm) and norm < best_norm:
+                    x, p = trial, pt
+                    best_x, best_norm = trial.copy(), norm
+                    improved = True
+                    break
+            if not improved:
+                break
     return best_x, best_norm, evals
 
 

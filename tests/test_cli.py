@@ -66,6 +66,16 @@ class TestEstimate:
         assert code == 1
         assert "[0, 1)" in err
 
+    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "inf"), ("--max-iter", "0")])
+    def test_bad_solver_setting(self, capsys, sample_file, flag, value):
+        code, out, err = run_cli(
+            capsys, "estimate", "--family", "normal", "--estimator", "renyi", "--alpha", "0.5",
+            "--data", sample_file, flag, value,
+        )
+        assert code == 1
+        assert out == ""
+        assert flag.lstrip("-").replace("-", "_") in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(
             capsys, "estimate", "--family", "normal", "--estimator", "mle", "--data", "/no/such/file"
@@ -145,6 +155,28 @@ class TestInfluence:
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.allclose(rows[:, 0], np.linspace(-3, 3, 7))
         assert np.allclose(rows[:, 1], rows[:, 0], atol=1e-9)
+
+    def test_subdivergence_on_full_normal(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "influence",
+            "--family",
+            "normal",
+            "--estimator",
+            "subdivergence",
+            "--alpha",
+            "0.5",
+            "--escort",
+            "0.3,1.2",
+            "--theta",
+            "0,1",
+            "--grid",
+            "-3:3:7",
+        )
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "x,if_component_1,if_component_2"
+        assert len(lines) == 8
 
     def test_reversed_grid_rejected(self, capsys):
         code, _, err = run_cli(

@@ -71,6 +71,16 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             EstimatorSpec(kind="renyi", alpha=-0.1)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_tol_finite_positive(self, tol):
+        with pytest.raises(InvalidInputError, match="tol"):
+            EstimatorSpec(kind="renyi", alpha=0.5, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "10", 0])
+    def test_max_iter_positive_integer(self, max_iter):
+        with pytest.raises(InvalidInputError, match="max_iter"):
+            EstimatorSpec(kind="renyi", alpha=0.5, max_iter=max_iter)
+
 
 class TestSubCriterion:
     def test_diagonal_value(self):
@@ -217,6 +227,15 @@ class TestSubdivergenceEstimator:
         assert result.theta_hat[0] == pytest.approx(escort[0], abs=1e-12)
         assert result.criterion_value <= 1.0 / (1.0 - 0.5) + 1.0 / 0.5
         assert np.max(np.abs(sub_psi(NORMAL_LOCATION, escort, result.theta_hat, q, 0.5))) < _PSI_TOL
+
+    def test_newton_trials_raise_no_warnings(self):
+        # damped trial steps far from the escort overflow the data term
+        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.3, 1.2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = estimate(NORMAL, spec, quadrature_of(NORMAL, [0.0, 1.0]))
+        assert result.converged
+        assert np.allclose(result.theta_hat, [0.0, 1.0], atol=1e-8)
 
     def test_rejected_newton_falls_back(self, monkeypatch):
         # a Newton try that is not accepted leaves the fit to the box search,

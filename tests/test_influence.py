@@ -36,6 +36,15 @@ def mle_scale_if(sigma0, x):
 
 
 class TestIfGeneral:
+    def test_array_points(self):
+        q = quadrature_of(NORMAL_LOCATION, [0.5], 256)
+        psi = lambda x, th: np.asarray(x) - th[0]
+        psi_deriv = lambda x, th: np.full(np.shape(x) + (1, 1), -1.0)
+        xs = np.array([-2.0, 0.5, 3.1])
+        got = if_general(psi, psi_deriv, q, [0.5], xs)
+        assert got.shape == (3, 1)
+        assert np.allclose(got[:, 0], xs - 0.5, atol=1e-9)
+
     def test_mle_location(self):
         q = quadrature_of(NORMAL_LOCATION, [0.5], 256)
         psi = lambda x, th: np.atleast_1d(x - th[0])
@@ -138,6 +147,39 @@ class TestSubdivergenceClosedForms:
 
     def test_offset_at_center_when_escort_off(self):
         assert abs(if_sub_location(0.5, 1.0, 0.0, 0.0)) > 0.1
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_curve_matches_closed_forms(self, alpha):
+        # escorts below, at and above the model point
+        for mu0 in (0.0, 0.7):
+            grid = mu0 + np.linspace(-6.0, 6.0, 25)
+            for escort in (mu0 - 1.0, mu0, mu0 + 1.0):
+                spec = EstimatorSpec(kind="subdivergence", alpha=alpha, escort=(escort,))
+                got = influence_curve(NORMAL_LOCATION, spec, [mu0], grid).values[:, 0]
+                want = if_sub_location(alpha, escort, mu0, grid)
+                assert np.max(np.abs(got - want)) < 1e-10, (mu0, escort)
+        for sigma0 in (1.0, 2.0):
+            grid = sigma0 * np.linspace(-6.0, 6.0, 25)
+            for escort in (0.6 * sigma0, sigma0, 1.3 * sigma0):
+                spec = EstimatorSpec(kind="subdivergence", alpha=alpha, escort=(escort,))
+                got = influence_curve(NORMAL_SCALE, spec, [sigma0], grid).values[:, 0]
+                want = if_sub_scale(alpha, escort, sigma0, grid)
+                assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-10, (sigma0, escort)
+
+    @pytest.mark.parametrize(
+        "family,theta,escort,xs",
+        [
+            (NORMAL, [0.0, 1.0], (0.3, 1.2), np.linspace(-3.0, 3.0, 5)),
+            (PARETO, [2.0], (2.5,), np.array([1.0, 1.5, 3.0, 6.0])),
+        ],
+    )
+    def test_curve_matches_oracle_without_closed_form(self, family, theta, escort, xs):
+        q = quadrature_of(family, theta)
+        for alpha in (0.25, 0.5):
+            spec = EstimatorSpec(kind="subdivergence", alpha=alpha, escort=escort)
+            got = influence_curve(family, spec, theta, xs).values
+            num = np.stack([if_numeric(family, spec, q, float(x), eps=1e-4) for x in xs])
+            assert np.max(np.abs(got - num)) < 1e-3, alpha
 
     def test_alpha_range(self):
         with pytest.raises(InvalidInputError):
@@ -259,6 +301,17 @@ class TestSensitivity:
             summary = sensitivity(curve, NORMAL_LOCATION, alpha, [0.0])
             assert summary.sup_abs is UNBOUNDED
 
+    def test_curve_called_once(self):
+        # every probe goes into one call, so the curve's fixed cost is paid once
+        calls = []
+
+        def curve(xs):
+            calls.append(xs.size)
+            return if_pseudo(NORMAL_SCALE, 0.5, [1.0], xs)
+
+        sensitivity(curve, NORMAL_SCALE, 0.5, [1.0])
+        assert calls == [801 + 3 + 3 + 1]
+
     def test_mle_scale_unbounded(self):
         curve = lambda x: mle_scale_if(1.0, x)
         summary = sensitivity(curve, NORMAL_SCALE, 0.0, [1.0])
@@ -322,6 +375,8 @@ class TestInfluenceCurve:
         grid = np.linspace(-2, 2, 5)
         curve = influence_curve(NORMAL_LOCATION, spec, [0.0], grid)
         assert np.allclose(curve.values[:, 0], if_sub_location(0.5, 1.0, 0.0, grid), atol=1e-12)
-        spec_2d = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.0, 1.0))
-        with pytest.raises(InvalidInputError):
-            influence_curve(NORMAL, spec_2d, [0.0, 1.0], grid)
+        # the full normal has a curve too: at an escort equal to the model
+        # point the subdivergence equation is the score equation
+        spec_2d = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.3, 1.4))
+        curve_2d = influence_curve(NORMAL, spec_2d, [0.3, 1.4], grid)
+        assert np.allclose(curve_2d.values, if_mle(NORMAL, [0.3, 1.4], grid), atol=1e-10)
