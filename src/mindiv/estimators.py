@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, ToolkitError
 from .families import _GRID_N, Family, _NormalKind, _row_quantile
-from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant, scalar_map, shifted_exp
+from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant
 from .measures import Measure
 from .optimize import _newton_polish, solve_1d, solve_2d
 
@@ -210,14 +210,13 @@ def _renyi_neg_log(family: Family, theta, q, alpha: float):
     a = float(alpha)
     lp = family.log_density(theta, q.nodes)
     log_qp, _ = log_sum_exp(np.log(q.weights) + a * lp)
-    return scalar_map(math.log, family.renyi_normalizer(theta, a)) - log_qp
+    return np.log(family.renyi_normalizer(theta, a)) - log_qp
 
 
 def _renyi_gradient(family: Family, theta, q, alpha: float) -> np.ndarray:
     a = float(alpha)
     lp = family.log_density(theta, q.nodes)
-    # the weights need no log-sum, whose per-row math.log would dominate one-point rows
-    _, w = shifted_exp(np.log(q.weights) + a * lp)
+    _, w = log_sum_exp(np.log(q.weights) + a * lp)
     w = w / w.sum(axis=-1, keepdims=True)
     return family.weighted_score_mean(theta, a) - _tilted_sum(w, family.score(theta, q.nodes))
 

@@ -6,7 +6,9 @@ Each family exposes densities, scores, score derivatives, sampling, and the
 closed-form power integrals the estimators are built on.  The methods the
 tilted estimating equations use also take parameter rows, (R, d) theta
 against (R, n) nodes: row j is the result of theta[j] on nodes[j], bit for
-bit.  The submodels are
+bit, because one parameter and rows run the same numpy ufuncs (``np.log``,
+``np.power``, ``np.square``; Python's ``math.log`` and ``**`` round
+differently).  The submodels are
 distinct kinds with their own parameter vectors, but their scores, score
 derivatives, tilted score means, MLEs and search boxes are those of the
 full normal model restricted to the free coordinates of (mu, sigma).
@@ -23,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, InvalidInputError
-from .kernels import scalar_map
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -105,7 +106,7 @@ class Family:
     def renyi_normalizer(self, theta, alpha: float):
         """Normalizer ``power_mass_integral ** (alpha / (1 + alpha))``."""
         a = float(alpha)
-        return scalar_map(lambda mass: mass ** (a / (1.0 + a)), self.power_mass_integral(theta, a))
+        return np.power(self.power_mass_integral(theta, a), a / (1.0 + a))
 
     def weighted_score_mean(self, theta, alpha: float):
         """Mean of the score under the power-tilted density, closed form."""
@@ -242,7 +243,7 @@ class _NormalKind(Family):
         mu, sigma = self._loc_scale(self.validate_param(theta))
         xs = np.asarray(x, dtype=float)
         z = (xs - mu) / sigma
-        out = -0.5 * z * z - scalar_map(math.log, sigma) - 0.5 * _LOG_2PI
+        out = -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
         return float(out) if np.ndim(x) == 0 else out
 
     def power_ratio_integral(self, theta, theta_tilde, alpha: float) -> float:
@@ -269,7 +270,7 @@ class _NormalKind(Family):
         a = float(alpha)
         if a < 0.0:
             raise DomainError(f"order alpha must be nonnegative, got {alpha!r}")
-        mass = scalar_map(lambda s: (1.0 + a) ** -0.5 / (2.0 * math.pi * s**2) ** (a / 2.0), sigma)
+        mass = (1.0 + a) ** -0.5 / np.power(2.0 * math.pi * np.square(sigma), a / 2.0)
         return mass if theta.ndim == 1 else mass[:, 0]
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -332,7 +333,7 @@ class Pareto(Family):
     def log_density(self, theta, x):
         (shape,) = _columns(self.validate_param(theta))
         xs = _pareto_support(x)
-        out = scalar_map(math.log, shape) - (shape + 1.0) * np.log(xs)
+        out = np.log(shape) - (shape + 1.0) * np.log(xs)
         return float(out) if np.ndim(x) == 0 else out
 
     def score(self, theta, x):
@@ -361,7 +362,7 @@ class Pareto(Family):
         a = float(alpha)
         if a < 0.0:
             raise DomainError(f"order alpha must be nonnegative, got {alpha!r}")
-        mass = scalar_map(lambda sh: sh ** (1.0 + a) / (sh * (1.0 + a) + a), shape)
+        mass = np.power(shape, 1.0 + a) / (shape * (1.0 + a) + a)
         return mass if theta.ndim == 1 else mass[:, 0]
 
     def weighted_score_mean(self, theta, alpha: float):

@@ -3,6 +3,9 @@
 All kernels accept scalar or ndarray arguments in ``t`` (and ``s``) and are
 pure functions, safe to call concurrently.  Divergence orders within 1e-6 of
 a branch point use the limit formula to avoid catastrophic cancellation.
+``log_sum_exp`` reduces each row on its own with numpy ufuncs, which give a
+Python float and every array element the same bits, so a row of a batch
+equals the same terms passed alone.
 """
 
 from __future__ import annotations
@@ -24,37 +27,21 @@ def _positive(value, name: str) -> np.ndarray:
     return arr
 
 
-def scalar_map(fn, value):
-    """``fn(value)``, or ``fn`` of each array entry in the array's shape: parameter
-    rows then match single parameters bit for bit, which numpy's ``log`` and ``**`` may not."""
-    if isinstance(value, np.ndarray):
-        return np.array([fn(v) for v in value.ravel().tolist()]).reshape(value.shape)
-    return fn(value)
-
-
-def shifted_exp(log_terms):
-    """``exp(log_terms)`` scaled by the largest term of each row (along the
-    last axis), and the log of that scale.
+def log_sum_exp(log_terms):
+    """``log(sum(exp(log_terms)))`` along the last axis, and the terms scaled
+    by the largest one of their row.
 
     Shifting by the largest term keeps the row from overflowing or
-    underflowing to zero.
+    underflowing to zero.  A 1-d input gives a scalar log-sum.
     """
     terms = np.asarray(log_terms, dtype=float)
     shift = terms.max(axis=-1, keepdims=True)
     # no finite largest term: the log-sum is +-inf, not NaN
     shift[~np.isfinite(shift)] = 0.0
-    return shift[..., 0], np.exp(terms - shift)
-
-
-def log_sum_exp(log_terms):
-    """``log(sum(exp(log_terms)))`` along the last axis, and the terms scaled
-    by the largest one of their row (see :func:`shifted_exp`).
-
-    A 1-d input gives a scalar log-sum.
-    """
-    shift, scaled = shifted_exp(log_terms)
-    log_total = scalar_map(lambda t: math.log(t) if t != 0.0 else -math.inf, scaled.sum(axis=-1))
-    return shift + log_total, scaled
+    scaled = np.exp(terms - shift)
+    with np.errstate(divide="ignore"):
+        log_total = np.log(scaled.sum(axis=-1))
+    return shift[..., 0] + log_total, scaled
 
 
 def _like(result: np.ndarray, template) -> float | np.ndarray:

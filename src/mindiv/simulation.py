@@ -172,11 +172,18 @@ def _pooled_row(spec: EstimatorSpec, estimates: tuple, failures: int, base_sigma
 
 
 def pool_results(chunks) -> StudyResult:
-    """Pool chunked study results produced with matching spec lists; chunks
-    in replication order pool to the single-call result exactly."""
+    """Pool chunked study results; chunks in replication order pool to the
+    single-call result exactly.
+
+    Every chunk must come from the same estimator specs, in the same order,
+    the same seed and the same ``base_sigma``.
+    """
     chunks = list(chunks)
     if not chunks:
         raise InvalidInputError("nothing to pool")
+    study = lambda c: (tuple(row.spec for row in c.rows), c.seed, c.base_sigma)
+    if any(study(c) != study(chunks[0]) for c in chunks):
+        raise InvalidInputError("chunks to pool must share their estimator specs, seed and base_sigma")
     base_sigma = chunks[0].base_sigma
     rows = []
     for k, row in enumerate(chunks[0].rows):

@@ -307,11 +307,28 @@ def log_mismatches(count=3):
     return v[np.log(v) != np.array([math.log(t) for t in v])][:count]
 
 
-def with_log_mismatches(family, thetas):
+def power_mismatches(family, alpha, count=3):
+    """Scales or shapes at which a power in ``power_mass_integral`` or in
+    ``renyi_normalizer`` at order ``alpha`` differs between ``np.power`` and
+    Python's ``**`` in the last bit on this platform (none where they agree)."""
+    v = np.random.default_rng(4).uniform(0.5, 4.0, 20_000)
+    a = float(alpha)
+    if family is PARETO:
+        base, exponent, rows = v, 1.0 + a, v[:, None]
+    else:
+        base, exponent = 2.0 * math.pi * np.square(v), a / 2.0
+        rows = np.stack([np.full_like(v, 0.1), v], axis=1) if family is NORMAL else v[:, None]
+    mass = family.power_mass_integral(rows, a)
+    mismatch = lambda b, e: np.power(b, e) != np.array([t**e for t in b.tolist()])
+    return [*v[mismatch(base, exponent)][:count], *v[mismatch(mass, a / (1.0 + a))][:count]]
+
+
+def with_mismatches(family, thetas, alpha):
     """``thetas`` plus rows whose scale or shape is such a value."""
     if family is NORMAL_LOCATION:
         return np.array(thetas)
-    extra = [[0.1, v] if family is NORMAL else [v] for v in log_mismatches()]
+    values = [*log_mismatches(), *power_mismatches(family, alpha)]
+    extra = [[0.1, v] if family is NORMAL else [v] for v in values]
     return np.array(thetas + extra)
 
 
@@ -337,7 +354,7 @@ class TestParameterRows:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 2.0])
     @pytest.mark.parametrize("family,thetas", ROW_FAMILIES)
     def test_rows_equal_single_calls(self, family, thetas, alpha):
-        theta = with_log_mismatches(family, thetas)
+        theta = with_mismatches(family, thetas, alpha)
         x = row_nodes(family, len(theta))
         for name, call in family_calls(family, alpha).items():
             rows = call(theta, x)

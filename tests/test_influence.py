@@ -107,6 +107,26 @@ class TestIfNumeric:
         with pytest.raises(ZeroDivisionError):
             if_numeric(NORMAL_LOCATION, EstimatorSpec(kind="mle"), q, 1.0)
 
+    def test_array_x_fits_base_once(self, monkeypatch):
+        # one row per point, equal to the scalar calls, with the base fitted once
+        spec = EstimatorSpec(kind="power-pseudo", alpha=0.5)
+        q = quadrature_of(NORMAL, [0.0, 1.0])
+        xs = np.array([-1.5, 0.5, 2.0])
+        per_point = np.stack([if_numeric(NORMAL, spec, q, float(x)) for x in xs])
+        fits = []
+        real_estimate = mindiv.influence.estimate
+
+        def counting(family, spec, q):
+            fits.append(q)
+            return real_estimate(family, spec, q)
+
+        monkeypatch.setattr(mindiv.influence, "estimate", counting)
+        rows = if_numeric(NORMAL, spec, q, xs)
+        assert len(fits) == 1 + 2 * len(xs)
+        assert rows.shape == (3, 2)
+        assert np.array_equal(rows, per_point)
+        assert if_numeric(NORMAL, spec, q, 0.5).shape == (2,)
+
     def test_eps_validation(self):
         q = quadrature_of(NORMAL_LOCATION, [0.0], 64)
         with pytest.raises(InvalidInputError):

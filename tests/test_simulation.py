@@ -133,6 +133,32 @@ class TestRunStudy:
         # estimates, statistics and failure counts all equal the direct study's
         assert pool_results(chunks) == direct
 
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(specs=(EstimatorSpec(kind="renyi", alpha=0.9),)),
+            dict(seed=2),
+            dict(specs=(EstimatorSpec(kind="mle"),)),
+            dict(sigma=2.0),
+        ],
+        ids=["alpha", "seed", "kind", "base_sigma"],
+    )
+    def test_pooling_rejects_chunks_of_other_studies(self, other):
+        study = dict(specs=(EstimatorSpec(kind="renyi", alpha=0.5),), seed=1, sigma=1.0)
+        chunks = [
+            run_study(model(sigma=c["sigma"]), 20, 2, c["specs"], seed=c["seed"], first_rep=2 * i)
+            for i, c in enumerate((study, dict(study, **other)))
+        ]
+        with pytest.raises(InvalidInputError, match="must share"):
+            pool_results(chunks)
+
+    def test_pooling_rejects_chunks_with_fewer_specs(self):
+        two = run_study(model(), 20, 2, SPECS[:2], seed=1)
+        one = run_study(model(), 20, 2, SPECS[:1], seed=1, first_rep=2)
+        for chunks in ([two, one], [one, two]):
+            with pytest.raises(InvalidInputError, match="must share"):
+                pool_results(chunks)
+
     def test_batched_fits_equal_single_fits(self):
         # every replication's robust estimate equals a single estimate()
         # call on its sample, bit for bit, and the study pools exactly those
