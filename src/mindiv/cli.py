@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import EstimationError, ToolkitError
 from .estimators import KINDS, EstimatorSpec, estimate
 from .families import get_family
 from .influence import influence_curve
@@ -193,7 +193,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ToolkitError, OSError, ValueError) as exc:
         print(f"mindiv: error: {exc}", file=sys.stderr)
-        return 1
+        # an EstimationError without a cause reports a fit that did not
+        # converge; one that wraps another toolkit error is an input failure
+        return 2 if isinstance(exc, EstimationError) and exc.__cause__ is None else 1
 
 
 def run() -> None:

@@ -44,6 +44,9 @@ _PSI_TOL = 1e-8
 _FP_STEP_TOL = 1e-13
 # 1 / Phi^-1(3/4): turns the median absolute deviation into a normal scale.
 _MAD_SCALE = 1.482602218505602
+# Node values that callers batching rows pass to one ``_moment_fixed_point``
+# call at most: bounds a batch's memory, whatever the number of rows.
+_BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)

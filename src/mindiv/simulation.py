@@ -18,14 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ToolkitError
-from .estimators import EstimatorSpec, _moment_fixed_point, estimate
+from .estimators import _BATCH_VALUES, EstimatorSpec, _moment_fixed_point, estimate
 from .families import NORMAL_SCALE
 from .measures import empirical
 
 CONTAMINANTS = ("normal3", "normal10", "logistic", "cauchy")
-# Sample values drawn and fitted together at most: bounds the memory of a
-# batch of replications, whatever the study's size.
-_BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,10 +61,14 @@ class EstimatorRow:
 
 @dataclass(frozen=True)
 class StudyResult:
+    """A study over replications ``first_rep`` to ``first_rep +
+    replications - 1`` of one seed."""
+
     rows: tuple[EstimatorRow, ...]
     replications: int
     seed: int
     base_sigma: float
+    first_rep: int
 
 
 def _contaminant_draws(model: ContaminationModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,7 +160,9 @@ def run_study(
         sigma_hat = np.concatenate(parts[k])
         ok = sigma_hat[~np.isnan(sigma_hat)]
         rows.append(_pooled_row(spec, tuple(ok.tolist()), reps - ok.size, model.base_sigma))
-    return StudyResult(rows=tuple(rows), replications=reps, seed=int(seed), base_sigma=model.base_sigma)
+    return StudyResult(
+        rows=tuple(rows), replications=reps, seed=int(seed), base_sigma=model.base_sigma, first_rep=int(first_rep)
+    )
 
 
 def _pooled_row(spec: EstimatorSpec, estimates: tuple, failures: int, base_sigma: float) -> EstimatorRow:
@@ -172,11 +175,13 @@ def _pooled_row(spec: EstimatorSpec, estimates: tuple, failures: int, base_sigma
 
 
 def pool_results(chunks) -> StudyResult:
-    """Pool chunked study results; chunks in replication order pool to the
-    single-call result exactly.
+    """Pool chunked study results into the single-call result, exactly.
 
     Every chunk must come from the same estimator specs, in the same order,
-    the same seed and the same ``base_sigma``.
+    the same seed and the same ``base_sigma``, and each must start at the
+    replication after the previous chunk's last, so no replication is
+    counted twice.  The pooled study starts at the first chunk's
+    ``first_rep``.
     """
     chunks = list(chunks)
     if not chunks:
@@ -184,6 +189,12 @@ def pool_results(chunks) -> StudyResult:
     study = lambda c: (tuple(row.spec for row in c.rows), c.seed, c.base_sigma)
     if any(study(c) != study(chunks[0]) for c in chunks):
         raise InvalidInputError("chunks to pool must share their estimator specs, seed and base_sigma")
+    for prev, c in zip(chunks, chunks[1:]):
+        if c.first_rep != prev.first_rep + prev.replications:
+            raise InvalidInputError(
+                f"chunks to pool must cover consecutive replications: a chunk of replications "
+                f"{prev.first_rep}-{prev.first_rep + prev.replications - 1} is followed by one from {c.first_rep}"
+            )
     base_sigma = chunks[0].base_sigma
     rows = []
     for k, row in enumerate(chunks[0].rows):
@@ -195,6 +206,7 @@ def pool_results(chunks) -> StudyResult:
         replications=sum(c.replications for c in chunks),
         seed=chunks[0].seed,
         base_sigma=base_sigma,
+        first_rep=chunks[0].first_rep,
     )
 
 

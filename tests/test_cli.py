@@ -1,11 +1,13 @@
 """Tests for the command-line interface: payloads, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mindiv import NORMAL_SCALE
+import mindiv.influence
+from mindiv import NORMAL_SCALE, DegenerateDataError
 from mindiv.cli import main
 
 
@@ -217,6 +219,31 @@ class TestInfluence:
             return np.array([float(line.split(",")[1]) for line in text.strip().split("\n")[1:]])
 
         assert np.max(np.abs(column(closed_out) - column(numeric_out))) < 1e-3
+
+    @pytest.mark.parametrize(
+        "outcome,code,message",
+        [
+            ("stalls", 2, "did not converge at base measure"),
+            ("degenerate", 1, "estimation failed at base measure: zero spread"),
+        ],
+    )
+    def test_numeric_oracle_exit_codes(self, capsys, monkeypatch, outcome, code, message):
+        # a fit that does not converge exits 2, a wrapped input error 1
+        real_estimate = mindiv.influence.estimate
+
+        def patched(family, spec, q):
+            if outcome == "degenerate":
+                raise DegenerateDataError("zero spread")
+            return dataclasses.replace(real_estimate(family, spec, q), converged=False)
+
+        monkeypatch.setattr(mindiv.influence, "estimate", patched)
+        got, out, err = run_cli(
+            capsys, "influence", "--family", "normal-scale", "--estimator", "power-pseudo",
+            "--alpha", "0.5", "--theta", "1.0", "--grid", "-2:2:3", "--numeric",
+        )
+        assert got == code
+        assert out == ""
+        assert message in err
 
 
 class TestSimulate:

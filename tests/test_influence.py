@@ -1,5 +1,6 @@
 """Tests for influence functions, the contamination oracle, and sensitivity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from mindiv import (
     PARETO,
     SingularMatrixError,
     UNBOUNDED,
+    contaminate,
+    estimate,
     if_general,
     if_mle,
     if_numeric,
@@ -108,7 +111,8 @@ class TestIfNumeric:
             if_numeric(NORMAL_LOCATION, EstimatorSpec(kind="mle"), q, 1.0)
 
     def test_array_x_fits_base_once(self, monkeypatch):
-        # one row per point, equal to the scalar calls, with the base fitted once
+        # one row per point, equal to the scalar calls; estimate() fits only
+        # the base, as the row fixed point accepts every contaminated row
         spec = EstimatorSpec(kind="power-pseudo", alpha=0.5)
         q = quadrature_of(NORMAL, [0.0, 1.0])
         xs = np.array([-1.5, 0.5, 2.0])
@@ -122,7 +126,7 @@ class TestIfNumeric:
 
         monkeypatch.setattr(mindiv.influence, "estimate", counting)
         rows = if_numeric(NORMAL, spec, q, xs)
-        assert len(fits) == 1 + 2 * len(xs)
+        assert len(fits) == 1
         assert rows.shape == (3, 2)
         assert np.array_equal(rows, per_point)
         assert if_numeric(NORMAL, spec, q, 0.5).shape == (2,)
@@ -133,6 +137,112 @@ class TestIfNumeric:
             if_numeric(NORMAL_LOCATION, EstimatorSpec(kind="mle"), q, 1.0, eps=0.0)
         with pytest.raises(InvalidInputError):
             if_numeric(NORMAL_LOCATION, EstimatorSpec(kind="mle"), q, 1.0, eps=0.2)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, np.array([0.5, -math.inf])])
+    def test_non_finite_point_rejected(self, x):
+        q = quadrature_of(NORMAL_LOCATION, [0.0], 64)
+        spec = EstimatorSpec(kind="renyi", alpha=0.5)
+        with pytest.raises(InvalidInputError, match="finite"):
+            if_numeric(NORMAL_LOCATION, spec, q, x)
+
+    def test_non_converged_contaminated_fit_named(self, monkeypatch):
+        q = quadrature_of(NORMAL_LOCATION, [0.0], 64)
+        real_estimate = mindiv.influence.estimate
+
+        def stalls_when_contaminated(family, spec, m):
+            result = real_estimate(family, spec, m)
+            return result if len(m) == len(q) else dataclasses.replace(result, converged=False)
+
+        monkeypatch.setattr(mindiv.influence, "estimate", stalls_when_contaminated)
+        with pytest.raises(EstimationError, match=r"did not converge at contaminated measure \(x=1\.5, eps=0\.001\)"):
+            if_numeric(NORMAL_LOCATION, EstimatorSpec(kind="mle"), q, np.array([1.5, 2.0]))
+
+
+def per_point_oracle(family, spec, q, xs, eps=1e-3):
+    """The oracle one point at a time: ``estimate`` on each contaminated
+    measure, combined as ``if_numeric`` documents."""
+    base = estimate(family, spec, q).theta_hat
+    rows = []
+    for x in xs:
+        fits = [estimate(family, spec, contaminate(q, float(x), step)) for step in (eps, eps / 2.0)]
+        assert all(fit.converged for fit in fits)
+        quotients = [(fit.theta_hat - base) / step for fit, step in zip(fits, (eps, eps / 2.0))]
+        rows.append(2.0 * quotients[1] - quotients[0])
+    return np.array(rows)
+
+
+class TestBatchedOracle:
+    CASES = {
+        "normal": (NORMAL, [0.3, 1.2]),
+        "normal-loc": (NORMAL_LOCATION, [0.3]),
+        "normal-scale": (NORMAL_SCALE, [1.2]),
+    }
+
+    @staticmethod
+    def counting_estimate(monkeypatch):
+        fits = []
+        real_estimate = mindiv.influence.estimate
+
+        def counting(family, spec, q):
+            fits.append(q)
+            return real_estimate(family, spec, q)
+
+        monkeypatch.setattr(mindiv.influence, "estimate", counting)
+        return fits
+
+    @pytest.mark.parametrize("family_name", list(CASES))
+    @pytest.mark.parametrize("kind", ["renyi", "power-pseudo"])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
+    def test_points_equal_single_fits(self, monkeypatch, family_name, kind, alpha):
+        family, theta = self.CASES[family_name]
+        spec = EstimatorSpec(kind=kind, alpha=alpha)
+        q = quadrature_of(family, theta)
+        xs = np.linspace(-4.0, 4.0, 5)
+        want = per_point_oracle(family, spec, q, xs)
+        fits = self.counting_estimate(monkeypatch)
+        got = if_numeric(family, spec, q, xs)
+        # every contaminated row was solved in the batch, bit for bit
+        assert len(fits) == 1
+        assert np.array_equal(got, want)
+
+    def test_rejected_rows_fall_back(self, monkeypatch):
+        family, theta = self.CASES["normal"]
+        spec = EstimatorSpec(kind="power-pseudo", alpha=0.5)
+        q = quadrature_of(family, theta)
+        xs = np.array([-2.0, 0.5, 3.0])
+        want = per_point_oracle(family, spec, q, xs)
+        real_rows = mindiv.influence._moment_fixed_point
+
+        def rejecting(family, spec, nodes, weights):
+            theta, accepted, iterations = real_rows(family, spec, nodes, weights)
+            accepted[[1, 4]] = False  # point 0 at eps/2, point 2 at eps
+            return theta, accepted, iterations
+
+        monkeypatch.setattr(mindiv.influence, "_moment_fixed_point", rejecting)
+        fits = self.counting_estimate(monkeypatch)
+        got = if_numeric(family, spec, q, xs)
+        assert [m.nodes[-1] for m in fits[1:]] == [-2.0, 3.0]
+        assert np.array_equal(got, want)
+
+    def test_batches_do_not_change_rows(self, monkeypatch):
+        family, theta = self.CASES["normal-scale"]
+        spec = EstimatorSpec(kind="renyi", alpha=0.5)
+        q = quadrature_of(family, theta)
+        xs = np.linspace(-5.0, 5.0, 7)
+        whole = if_numeric(family, spec, q, xs)
+        calls = []
+        real_rows = mindiv.influence._moment_fixed_point
+
+        def recording(family, spec, nodes, weights):
+            calls.append(len(nodes))
+            return real_rows(family, spec, nodes, weights)
+
+        monkeypatch.setattr(mindiv.influence, "_moment_fixed_point", recording)
+        # three rows a batch: the 14 rows of 7 points take five batches, and
+        # a point's two rows can fall in different batches
+        monkeypatch.setattr(mindiv.influence, "_BATCH_VALUES", 3 * (len(q) + 1))
+        assert np.array_equal(if_numeric(family, spec, q, xs), whole)
+        assert calls == [3, 3, 3, 3, 2]
 
 
 class TestSubdivergenceClosedForms:
@@ -366,8 +476,8 @@ class TestInfluenceCurve:
         assert np.max(np.abs(closed.values - numeric.values)) < 1e-3
 
     def test_numeric_route_fits_base_once(self, monkeypatch):
-        # one shared base fit plus two contaminated fits per point, with the
-        # same values as the per-point oracle, which refits the base each time
+        # one shared base fit, the contaminated rows solved together, with
+        # the same values as the per-point oracle, which refits the base each time
         spec = EstimatorSpec(kind="renyi", alpha=0.5)
         grid = np.linspace(-2, 2, 5)
         q = quadrature_of(NORMAL_SCALE, [1.0])
@@ -381,7 +491,7 @@ class TestInfluenceCurve:
 
         monkeypatch.setattr(mindiv.influence, "estimate", counting)
         curve = influence_curve(NORMAL_SCALE, spec, [1.0], grid, numeric=True)
-        assert len(fits) == 11
+        assert len(fits) == 1
         assert np.array_equal(curve.values, per_point)
 
     def test_superdivergence_uses_mle_form(self):

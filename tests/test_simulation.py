@@ -133,6 +133,19 @@ class TestRunStudy:
         # estimates, statistics and failure counts all equal the direct study's
         assert pool_results(chunks) == direct
 
+    def test_pooling_keeps_the_first_replication(self):
+        chunks = [run_study(model(), 40, 3, SPECS, seed=5, first_rep=r) for r in (3, 6)]
+        pooled = pool_results(chunks)
+        assert (pooled.first_rep, pooled.replications) == (3, 6)
+        assert pooled == run_study(model(), 40, 6, SPECS, seed=5, first_rep=3)
+
+    @pytest.mark.parametrize("starts", [(0, 0), (0, 4), (3, 0)], ids=["same", "gap", "reversed"])
+    def test_pooling_rejects_chunks_not_consecutive(self, starts):
+        # pooling a chunk with itself would count its replications twice
+        chunks = [run_study(model(), 40, 3, SPECS, seed=5, first_rep=r) for r in starts]
+        with pytest.raises(InvalidInputError, match="consecutive replications"):
+            pool_results(chunks)
+
     @pytest.mark.parametrize(
         "other",
         [
