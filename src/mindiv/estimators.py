@@ -6,13 +6,17 @@ the power pseudodistance estimator, and the Renyi pseudodistance
 estimator.  Every kind reduces to the MLE at ``alpha = 0`` through the
 same code path.  The superdivergence estimator's max-min over the escort
 is solved in closed form: on every family here it is the MLE (see
-``_superdivergence``).
+``_superdivergence``).  The subdivergence estimator whose escort is the
+MLE is the MLE too: at theta = escort = MLE both terms of its estimating
+equation vanish (the escort's mean score, and the sample score at the
+MLE), so Newton from the escort accepts it at the first evaluation.
 
-Normal power-pseudo and Renyi fits first solve their estimating
-equations as a weighted-moment fixed point from a median/MAD start, and
-subdivergence fits by Newton from the escort; the bounded search over the
-family's default box is the fallback for fits that first try does not
-settle, and the only path of Pareto power-pseudo and Renyi fits.
+One row solver, ``_moment_fixed_point``, fits (R, n) rows of nodes and
+weights at once for every kind but subdivergence: closed-form MLE rows,
+or the weighted-moment fixed point of Fujisawa & Eguchi (2008) that each
+family writes (power-pseudo, Renyi).  Subdivergence fits start with
+Newton from the escort.  The bounded search over the family's default box
+is the fallback for fits that first try does not settle.
 
 Estimation is pure given (family, spec, measure): repeated calls return
 bit-identical results, and concurrent calls on shared immutable inputs are
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ToolkitError
-from .families import _GRID_N, Family, _NormalKind, _row_quantile
+from .families import _GRID_N, Family
 from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant
 from .measures import Measure
 from .optimize import _newton_polish, solve_1d, solve_2d
@@ -40,10 +44,8 @@ KINDS = ("mle", "subdivergence", "superdivergence", "power-pseudo", "renyi")
 
 # Estimating-equation norm below which a stationary point is accepted.
 _PSI_TOL = 1e-8
-# Relative step of (mu, sigma) below which the fixed point has settled.
+# Relative step of the parameter below which the fixed point has settled.
 _FP_STEP_TOL = 1e-13
-# 1 / Phi^-1(3/4): turns the median absolute deviation into a normal scale.
-_MAD_SCALE = 1.482602218505602
 # Node values that callers batching rows pass to one ``_moment_fixed_point``
 # call at most: bounds a batch's memory, whatever the number of rows.
 _BATCH_VALUES = 1 << 16
@@ -56,8 +58,8 @@ class EstimatorSpec:
     ``escort`` is required exactly for the subdivergence kind.  ``tol`` and
     ``max_iter`` steer the outer search, which runs over the family's
     sample-derived default box (see ``Family.default_bounds``);
-    ``max_iter`` also caps the weighted-moment fixed point of normal
-    power-pseudo and Renyi fits.
+    ``max_iter`` also caps the weighted-moment fixed point of power-pseudo
+    and Renyi fits.
     """
 
     kind: str
@@ -115,8 +117,8 @@ class EstimateResult:
 
 def _check_sub_alpha(alpha: float) -> float:
     a = float(alpha)
-    if not 0.0 < a <= 1.0:
-        raise DomainError(f"subdivergence criterion needs alpha in (0, 1], got {alpha!r}")
+    if not 0.0 < a < 1.0:
+        raise DomainError(f"subdivergence criterion needs alpha in (0, 1), got {alpha!r}")
     return a
 
 
@@ -126,24 +128,13 @@ def _tilted_sum(w, s):
 
 
 def sub_criterion(family: Family, theta, theta_tilde, q: Measure, alpha: float) -> float:
-    """Escort criterion M minimized by the subdivergence estimator.
-
-    For ``0 < alpha < 1`` this is the closed ratio-expectation form; at
-    ``alpha = 1`` the logarithmic branch is evaluated by quadrature.
-    """
+    """Escort criterion M minimized by the subdivergence estimator, in its
+    closed ratio-expectation form for ``0 < alpha < 1``."""
     a = _check_sub_alpha(alpha)
     theta = family.validate_param(theta)
     tilde = family.validate_param(theta_tilde)
     lp_q = np.asarray(family.log_density(theta, q.nodes))
     lp_tilde_q = np.asarray(family.log_density(tilde, q.nodes))
-    if abs(a - 1.0) < BRANCH_TOL:
-        x, wl = family.integration_grid([theta, tilde], _GRID_N)
-        lp = np.asarray(family.log_density(theta, x))
-        lp_tilde = np.asarray(family.log_density(tilde, x))
-        model_term = float(wl @ (np.exp(lp) * (lp_tilde - lp)))
-        with np.errstate(over="ignore"):
-            data_term = float(q.weights @ np.exp(lp_q - lp_tilde_q))
-        return model_term + data_term
     ratio_term = family.power_ratio_integral(theta, tilde, a)
     with np.errstate(over="ignore"):
         data_term = float(q.weights @ np.exp(a * (lp_q - lp_tilde_q)))
@@ -175,14 +166,12 @@ def sub_divergence(family: Family, theta, theta_tilde, q: Measure, alpha: float)
 
     Maximal in ``theta_tilde`` exactly at the parameter generating ``q``.
     """
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"sub_divergence needs alpha in (0, 1), got {alpha!r}")
+    a = _check_sub_alpha(alpha)
     return orthogonal_constant(a) - sub_criterion(family, theta, theta_tilde, q, a)
 
 
 # ---------------------------------------------------------------------------
-# power-pseudo and Renyi equations, and the weighted-moment fixed point
+# power-pseudo and Renyi equations, and the row solver
 # ---------------------------------------------------------------------------
 #
 # Every function below works on (R, n) node and weight arrays (the
@@ -272,74 +261,52 @@ def renyi_pseudodistance(family: Family, theta, q_measure, q_density, alpha: flo
     return float(_renyi_neg_log(family, theta, q_measure, a) / a + log_qq / (a * (1.0 + a)))
 
 
-def _robust_start(family: _NormalKind, x: np.ndarray, w: np.ndarray):
-    """Median and scaled MAD of each row as (mu, sigma); a submodel keeps its
-    fixed coordinate (mu = 0 or sigma = 1)."""
-    mu = _row_quantile(x, w, 0.5) if 0 in family._free else np.zeros(len(x))
-    if 1 not in family._free:
-        return mu, np.ones(len(x))
-    return mu, _MAD_SCALE * _row_quantile(np.abs(x - mu[:, None]), w, 0.5)
-
-
-def _moment_step(family: _NormalKind, kind: str, a: float, x, w, mu, sigma):
-    """One fixed-point update per row.  With v proportional to w p^a,
-    mu = E_v[x] and sigma^2 = (1 + a) E_v[(x - mu)^2] (Renyi) or
-    E_v[(x - mu)^2] / (1 - a (1 + a)^-1.5 / sum(w u)) (power-pseudo), where
-    u = exp(-a z^2 / 2) is p^a up to its normalizing factor."""
-    z = (x - mu[:, None]) / sigma[:, None]
-    log_u = -0.5 * a * z * z
-    shift = log_u.max(axis=1)
-    v = w * np.exp(log_u - shift[:, None])
-    total = v.sum(axis=1)
-    v /= total[:, None]
-    if 0 in family._free:
-        mu = (v * x).sum(axis=1)
-    if 1 in family._free:
-        d = x - mu[:, None]
-        second = (v * d * d).sum(axis=1)
-        if kind == "renyi":
-            sigma = np.sqrt((1.0 + a) * second)
-        else:
-            mass_ratio = a * (1.0 + a) ** -1.5 * np.exp(-shift) / total
-            sigma = np.sqrt(second / (1.0 - mass_ratio))
-    return mu, sigma
-
-
 def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
-    """Normal power-pseudo or Renyi fit of every row of (R, n) ``nodes`` and
-    ``weights`` by the weighted-moment fixed point.
+    """Fit of ``spec`` on every row of (R, n) ``nodes`` and ``weights``.
 
-    Each row starts from its median/MAD and iterates until its relative
-    step falls below ``_FP_STEP_TOL``, at most ``spec.max_iter`` times; a
-    settled row leaves the batch.  A row is accepted when its estimating
-    equation has max-norm below ``_PSI_TOL`` and its criterion is no higher
-    than at the start.  Returns the (R, d) parameters, the accepted mask and
-    the iterations each row took; no row is accepted for other families,
-    other kinds and ``alpha = 0``.
+    The MLE and superdivergence (and every kind at ``alpha = 0``) give the
+    closed-form MLE rows, all accepted unless one is degenerate.
+    Power-pseudo and Renyi rows run the weighted-moment fixed point:
+    ``family._moment_start(x, w)`` gives the start, a list of (R,)
+    coordinate arrays (NaN on a row it does not start), and the array that
+    ``family._moment_update(kind, a, y, w, state)`` iterates on; that
+    returns the new state and each row's relative step, which is not in
+    [0, inf) once a row leaves the parameter space.  A row stops when its
+    step falls below ``_FP_STEP_TOL``, after at most ``spec.max_iter``
+    updates, and is accepted when its estimating equation has max-norm
+    below ``_PSI_TOL`` and its criterion is no higher than at the start.
+    Returns the (R, d) parameters, the accepted mask and each row's
+    iterations; subdivergence rows are never accepted.
     """
     a = spec.alpha
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
     iterations = np.zeros(len(x), dtype=int)
     settled = np.zeros(len(x), dtype=bool)
-    if spec.kind not in _EQUATIONS or a == 0.0 or not isinstance(family, _NormalKind):
-        return np.full((len(x), family.param_dim), math.nan), settled, iterations
-    mu0, sigma0 = _robust_start(family, x, w)
-    mu, sigma = mu0.copy(), sigma0.copy()
-    active = np.flatnonzero(sigma0 > 0.0)
+    unfitted = np.full((len(x), family.param_dim), math.nan), settled, iterations
+    if spec.kind in ("mle", "superdivergence") or a == 0.0:
+        try:
+            return family.mle_parameter(x, w), np.ones(len(x), dtype=bool), iterations
+        except ToolkitError:
+            return unfitted
+    if spec.kind not in _EQUATIONS:
+        return unfitted
     with np.errstate(all="ignore"):
+        state, y = family._moment_start(x, w)
+        start = np.stack(state, axis=1)
+        active = np.flatnonzero(np.isfinite(start).all(axis=1))
         for _ in range(spec.max_iter):
             if active.size == 0:
                 break
-            m, s = _moment_step(family, spec.kind, a, x[active], w[active], mu[active], sigma[active])
-            step = np.maximum(np.abs(m - mu[active]), np.abs(s - sigma[active])) / s
-            mu[active], sigma[active] = m, s
+            new, step = family._moment_update(spec.kind, a, y[active], w[active], [s[active] for s in state])
+            for s, value in zip(state, new):
+                s[active] = value
             iterations[active] += 1
-            valid = (s > 0.0) & np.isfinite(s) & np.isfinite(m)
+            valid = (step >= 0.0) & (step < math.inf)
             done = valid & (step <= _FP_STEP_TOL)
             settled[active[done]] = True
             active = active[valid & ~done]
-        theta, start = (np.stack(pair, axis=1)[:, list(family._free)] for pair in ((mu, sigma), (mu0, sigma0)))
+        theta = np.stack(state, axis=1)
         rows = np.flatnonzero(settled)
         # one row is checked as one parameter: the same numbers, without rows overhead
         pick = rows[0] if len(x) == 1 and rows.size else rows
@@ -381,13 +348,13 @@ def _fit(
     ``criterion(family, *fixed, theta, q, alpha)`` is minimized over the
     search box (from the MLE start in 2-d), its stationary point is
     polished on ``gradient(...) = 0`` (same arguments), and ``report`` maps
-    the minimum to ``criterion_value``.  First comes the weighted-moment
-    fixed point (power-pseudo, Renyi) or Newton from the escort
-    (subdivergence), accepted when its residual is below ``_PSI_TOL`` and
-    its criterion no higher than at its start (at the escort
-    ``1/(1-a) + 1/a``); the search runs only otherwise, and its iteration
-    count includes the first try's.  Every such kind is the MLE at
-    ``alpha = 0``.
+    the minimum to ``criterion_value``.  First comes the row solver on one
+    row (power-pseudo, Renyi) or Newton from the escort (subdivergence),
+    accepted when its residual is below ``_PSI_TOL`` and its criterion no
+    higher than at its start, as computed there (at the escort that is
+    ``1/(1-a) + 1/a`` up to rounding).  The search runs only otherwise, and
+    its iteration count includes the first try's.  Every such kind is the
+    MLE at ``alpha = 0``.
     """
     if spec.alpha == 0.0:
         return mle(family, q)
@@ -397,7 +364,7 @@ def _fit(
     if spec.kind == "subdivergence":
         bounds = family.default_bounds(q.nodes, q.weights)
         theta, norm, its = _newton_polish(psi, fixed[0], *np.array(bounds).T, _PSI_TOL)
-        if norm < _PSI_TOL and (crit := objective(theta)) <= 1.0 / (1.0 - a) + 1.0 / a:
+        if norm < _PSI_TOL and (crit := objective(theta)) <= objective(fixed[0]):
             return EstimateResult(theta, report(crit), its, converged=True)
     else:
         rows, accepted, row_its = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
@@ -437,13 +404,8 @@ def _superdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> Estimat
     """
     if spec.alpha == 0.0:
         return mle(family, q)
-    a = spec.alpha
-    return EstimateResult(
-        theta_hat=family.mle_parameter(q.nodes, q.weights),
-        criterion_value=1.0 / (1.0 - a) + 1.0 / a,
-        iterations=0,
-        converged=True,
-    )
+    theta = family.mle_parameter(q.nodes, q.weights)
+    return EstimateResult(theta, 1.0 / (1.0 - spec.alpha) + 1.0 / spec.alpha, 0, converged=True)
 
 
 def estimate(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:

@@ -34,6 +34,8 @@ _NORMAL_WINDOW = 10.0
 _PARETO_LOG_SPAN = 30.0
 # Default node count of model-side quadrature grids.
 _GRID_N = 512
+# 1 / Phi^-1(3/4): turns the median absolute deviation into a normal scale.
+_MAD_SCALE = 1.482602218505602
 
 
 @lru_cache(maxsize=32)
@@ -69,7 +71,12 @@ def _columns(theta: np.ndarray) -> list:
 
 
 class Family:
-    """Base class for parametric model descriptors."""
+    """Base class for parametric model descriptors.
+
+    A family also writes the start and update of its weighted-moment fixed
+    point, ``_moment_start`` and ``_moment_update`` (the contract is in
+    ``estimators._moment_fixed_point``).
+    """
 
     name: str = ""
     param_dim: int = 1
@@ -84,8 +91,7 @@ class Family:
         raise NotImplementedError
 
     def density(self, theta, x):
-        out = np.exp(self.log_density(theta, x))
-        return out
+        return np.exp(self.log_density(theta, x))
 
     def score(self, theta, x):
         """Score vector; shape ``x.shape + (param_dim,)``."""
@@ -122,7 +128,8 @@ class Family:
         raise NotImplementedError
 
     def mle_parameter(self, nodes, weights) -> np.ndarray:
-        """Closed-form maximum-likelihood parameter for a weighted sample."""
+        """Closed-form maximum-likelihood parameter for a weighted sample, or
+        (R, d) rows for (R, n) nodes and weights, equal to single calls."""
         raise NotImplementedError
 
     def default_bounds(self, nodes, weights) -> tuple[tuple[float, float], ...]:
@@ -142,14 +149,11 @@ def _row_quantile(x: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     return np.take_along_axis(x, np.take_along_axis(order, k[:, None], axis=1), axis=1)[:, 0]
 
 
-def _weighted_quantile(nodes, weights, p: float) -> float:
-    return float(_row_quantile(np.asarray(nodes)[None], np.asarray(weights)[None], p)[0])
-
-
 def _location_bounds(nodes, weights) -> tuple[float, float]:
     xmin = float(np.min(nodes))
     xmax = float(np.max(nodes))
-    iqr = _weighted_quantile(nodes, weights, 0.75) - _weighted_quantile(nodes, weights, 0.25)
+    row = np.asarray(nodes)[None], np.asarray(weights)[None]
+    iqr = float(_row_quantile(*row, 0.75)[0]) - float(_row_quantile(*row, 0.25)[0])
     if iqr <= 0.0:
         mean = float(weights @ nodes)
         iqr = max(abs(mean), 1.0)
@@ -215,25 +219,61 @@ class _NormalKind(Family):
         # (0, tilt): the tilted mean of the location score is zero
         return np.take(-a / (sigma * (1.0 + a)) * np.array([0.0, 1.0]), self._free, axis=-1)
 
-    def _centre(self, nodes, weights) -> float:
-        return float(weights @ nodes) if 0 in self._free else 0.0
-
     def mle_parameter(self, nodes, weights) -> np.ndarray:
-        full = [self._centre(nodes, weights), 1.0]
-        if 1 in self._free:
-            var = float(weights @ (np.asarray(nodes) - full[0]) ** 2)
-            if var <= 0.0:
-                raise DegenerateDataError("sample has zero spread; scale estimate degenerates")
-            full[1] = math.sqrt(var)
-        return np.array([full[i] for i in self._free])
+        x, w = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
+        mu = (w * x).sum(axis=-1) if 0 in self._free else np.zeros(x.shape[:-1])
+        if 1 not in self._free:
+            return np.expand_dims(mu, -1)
+        var = (w * np.square(x - np.expand_dims(mu, -1))).sum(axis=-1)
+        if np.any(var <= 0.0):
+            raise DegenerateDataError("sample has zero spread; scale estimate degenerates")
+        return np.stack([(mu, np.sqrt(var))[i] for i in self._free], axis=-1)
 
     def default_bounds(self, nodes, weights):
         box = []
         if 0 in self._free:
             box.append(_location_bounds(nodes, weights))
         if 1 in self._free:
-            box.append(_scale_bounds(nodes, weights, self._centre(nodes, weights)))
+            box.append(_scale_bounds(nodes, weights, float(weights @ nodes) if 0 in self._free else 0.0))
         return tuple(box)
+
+    def _moment_start(self, x, w):
+        """Median and scaled MAD of each row; no start where the MAD is 0."""
+        mu = _row_quantile(x, w, 0.5) if 0 in self._free else np.zeros(len(x))
+        if 1 not in self._free:
+            return [mu], x
+        sigma = _MAD_SCALE * _row_quantile(np.abs(x - mu[:, None]), w, 0.5)
+        sigma[sigma <= 0.0] = math.nan
+        return [(mu, sigma)[i] for i in self._free], x
+
+    def _moment_update(self, kind, a, y, w, state):
+        """With v proportional to w p^a, mu = E_v[x] and sigma^2 = (1 + a)
+        E_v[(x - mu)^2] (Renyi) or E_v[(x - mu)^2] / (1 - a (1 + a)^-1.5 /
+        sum(w u)) (power-pseudo), where u = exp(-a z^2 / 2) is p^a up to its
+        normalizing factor; the relative step is the larger change over the
+        new sigma."""
+        # (R, 1) columns; a fixed mu = 0 or sigma = 1 is a float
+        mu = state[0][:, None] if 0 in self._free else 0.0
+        sigma = state[-1][:, None] if 1 in self._free else 1.0
+        z = (y - mu) / sigma
+        log_u = -0.5 * a * z * z
+        shift = log_u.max(axis=1, keepdims=True)
+        v = w * np.exp(log_u - shift)
+        total = v.sum(axis=1, keepdims=True)
+        v /= total
+        m, s = mu, sigma
+        if 0 in self._free:
+            m = (v * y).sum(axis=1, keepdims=True)
+        if 1 in self._free:
+            d = y - m
+            second = (v * d * d).sum(axis=1, keepdims=True)
+            if kind == "renyi":
+                s = np.sqrt((1.0 + a) * second)
+            else:
+                mass_ratio = a * (1.0 + a) ** -1.5 * np.exp(-shift) / total
+                s = np.sqrt(second / (1.0 - mass_ratio))
+        step = np.maximum(np.abs(m - mu), np.abs(s - sigma)) / s
+        return [(m, s)[i][:, 0] for i in self._free], step[:, 0]
 
     def _window(self, theta) -> tuple[float, float]:
         mu, sigma = self._loc_scale(theta)
@@ -386,12 +426,12 @@ class Pareto(Family):
         return x, w * x
 
     def mle_parameter(self, nodes, weights) -> np.ndarray:
-        mean_log = float(weights @ np.log(_pareto_support(nodes)))
-        if mean_log <= 0.0:
+        mean_log = (np.asarray(weights, dtype=float) * np.log(_pareto_support(nodes))).sum(axis=-1)
+        if np.any(mean_log <= 0.0):
             raise DegenerateDataError(
                 "all observations sit on the support boundary; shape estimate degenerates"
             )
-        return np.array([1.0 / mean_log])
+        return np.expand_dims(1.0 / mean_log, -1)
 
     def default_bounds(self, nodes, weights):
         mean_log = float(weights @ np.log(_pareto_support(nodes)))
@@ -399,6 +439,38 @@ class Pareto(Family):
             center = 1.0 / mean_log
             return ((center / 100.0, center * 100.0),)
         return ((1e-3, 1e3),)
+
+    def _moment_start(self, x, w):
+        """ln 2 over the weighted median of log x: the shape whose median is
+        the sample's.  A row with mass at x = 1 gets no start: as p(1) =
+        theta, its criteria can fall without bound as the shape grows, so a
+        fixed point there could only find a local minimum."""
+        y = np.log(x)
+        shape = math.log(2.0) / _row_quantile(y, w, 0.5)
+        shape[~(y > 0.0).all(axis=1)] = math.nan
+        return [shape], y
+
+    def _moment_update(self, kind, a, y, w, state):
+        """On y = log x, with v proportional to w p^a and c = 1 / E_v[y]: the
+        Renyi update is (c - a) / (1 + a), and the power-pseudo update the
+        larger positive root of (1 - k)/theta + k/((1 + a) theta + a) = 1/c,
+        where k = int p^(1+a) / sum(w p^a); the relative step is the change
+        over the new shape."""
+        (shape,) = state
+        log_u = -a * (shape[:, None] + 1.0) * y
+        shift = log_u.max(axis=1)
+        v = w * np.exp(log_u - shift[:, None])
+        total = v.sum(axis=1)
+        c = total / (v * y).sum(axis=1)
+        b = 1.0 + a
+        if kind == "renyi":
+            new = (c - a) / b
+        else:
+            # p^a = shape^a u, so sum(w p^a) = shape^a e^shift total
+            k = shape / (b * shape + a) * np.exp(-shift) / total
+            lin = a - c * (b - a * k)
+            new = (np.sqrt(lin * lin + 4.0 * b * c * a * (1.0 - k)) - lin) / (2.0 * b)
+        return [new], np.abs(new - shape) / new
 
 
 NORMAL = NormalLocScale()

@@ -115,11 +115,10 @@ def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x, eps: float = 
     Richardson step over ``{eps, eps/2}`` cancelling the leading error term.
     The base measure is fitted once.  The contaminated measures of all
     points are then solved together, one row each, by the estimators' row
-    fixed point (``_moment_fixed_point``); the rows it does not accept, and
-    every row of a kind or family it does not cover, are refitted one at a
-    time.  Each contaminated fit equals ``estimate`` on
-    ``contaminate(q, x, step)`` bit for bit.  Array ``x`` yields one row
-    per point.
+    solver (``_moment_fixed_point``); the rows it does not accept, and
+    every subdivergence row, are refitted one at a time.  Each
+    contaminated fit equals ``estimate`` on ``contaminate(q, x, step)`` bit
+    for bit.  Array ``x`` yields one row per point.
     """
     e = float(eps)
     if not 0.0 < e <= 0.05:

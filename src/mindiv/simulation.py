@@ -5,14 +5,16 @@ contaminants, every requested estimator is fitted per replication, and
 mean squared errors of the scale estimates are pooled.  Replications own
 independent generator streams derived from (seed, replication index), so
 results are reproducible, order-independent, and chunkable across calls.
-Power-pseudo and Renyi fits run batched over the replications, as one
-fixed point that gives each replication the numbers ``estimate`` gives.
+Every kind but subdivergence is fitted batched over the replications by
+the estimators' row solver, which gives each replication the numbers
+``estimate`` gives.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +108,9 @@ def _scale_estimates(spec: EstimatorSpec, samples: np.ndarray) -> np.ndarray:
     """Scale estimate of ``spec`` on each row of ``samples``; NaN marks a
     failed or non-converged fit.
 
-    Power-pseudo and Renyi rows are solved together by the weighted-moment
-    fixed point; the rows it does not accept, and every other kind, are
-    fitted one sample at a time by ``estimate``.
+    All rows are solved together by the estimators' row solver,
+    ``_moment_fixed_point``; the rows it does not accept, and every
+    subdivergence row, are fitted one sample at a time by ``estimate``.
     """
     weights = np.full(samples.shape, 1.0 / samples.shape[1])
     theta, accepted, _ = _moment_fixed_point(NORMAL_SCALE, spec, samples, weights)
@@ -139,11 +141,13 @@ def run_study(
     into chunks whose pooled statistics match the single-call result.
     Each replication's estimate equals ``estimate(NORMAL_SCALE, spec,
     empirical(sample))`` bit for bit, however the study is batched.
+    ``reps`` must be an integer >= 1, ``seed`` and ``first_rep`` integers
+    >= 0; anything else raises an ``InvalidInputError`` naming it.
     """
-    if reps < 1:
-        raise InvalidInputError(f"reps must be >= 1, got {reps}")
-    specs = tuple(specs)
-    reps = int(reps)
+    for name, value, least in (("reps", reps, 1), ("seed", seed, 0), ("first_rep", first_rep, 0)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+    reps, seed, first_rep, specs = int(reps), int(seed), int(first_rep), tuple(specs)
     batch = max(1, _BATCH_VALUES // max(int(n), 1))
     parts: list[list[np.ndarray]] = [[] for _ in specs]
     for start in range(0, reps, batch):
@@ -161,7 +165,7 @@ def run_study(
         ok = sigma_hat[~np.isnan(sigma_hat)]
         rows.append(_pooled_row(spec, tuple(ok.tolist()), reps - ok.size, model.base_sigma))
     return StudyResult(
-        rows=tuple(rows), replications=reps, seed=int(seed), base_sigma=model.base_sigma, first_rep=int(first_rep)
+        rows=tuple(rows), replications=reps, seed=seed, base_sigma=model.base_sigma, first_rep=first_rep
     )
 
 

@@ -40,7 +40,6 @@ from mindiv.estimators import (
     _pseudo_gradient,
     _renyi_gradient,
     _renyi_neg_log,
-    _robust_start,
 )
 
 
@@ -115,23 +114,6 @@ class TestSubCriterion:
                 @ (s**alpha / alpha * np.exp(alpha * q.nodes**2 * (s**-2 - 1.0) / (2.0 * sigma**2)))
             )
             assert direct == pytest.approx(form, rel=1e-10)
-
-    def test_alpha_one_branch_continuity(self):
-        # argmin of the logarithmic branch is the limit of the power branch
-        rng = np.random.default_rng(5)
-        q = empirical(rng.standard_normal(30) + 0.5)
-        mu = 0.2
-
-        def argmin_at(alpha):
-            res = minimize_scalar(
-                lambda t: sub_criterion(NORMAL_LOCATION, [mu], [t], q, alpha),
-                bounds=(-3.0, 3.0),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
-            return res.x
-
-        assert argmin_at(1.0) == pytest.approx(argmin_at(1.0 - 1e-4), abs=1e-3)
 
 
 class TestSubPsi:
@@ -228,6 +210,20 @@ class TestSubdivergenceEstimator:
         assert result.criterion_value <= 1.0 / (1.0 - 0.5) + 1.0 / 0.5
         assert np.max(np.abs(sub_psi(NORMAL_LOCATION, escort, result.theta_hat, q, 0.5))) < _PSI_TOL
 
+    @pytest.mark.parametrize("family", [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO])
+    def test_mle_escort_gives_the_mle(self, family):
+        # at theta = escort = MLE both terms of sub_psi vanish (the escort's
+        # mean score and the sample score at the MLE), so Newton accepts
+        # the escort at its first evaluation
+        for n in (100, 10_000):
+            q = empirical(contaminated_rows(family, 1, n, seed=n)[0][0])
+            theta = mle(family, q).theta_hat
+            for alpha in (0.25, 0.5, 0.9):
+                spec = EstimatorSpec(kind="subdivergence", alpha=alpha, escort=tuple(theta))
+                result = estimate(family, spec, q)
+                assert result.converged and result.iterations == 1
+                assert result.theta_hat.tobytes() == theta.tobytes()
+
     def test_newton_trials_raise_no_warnings(self):
         # damped trial steps far from the escort overflow the data term
         spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.3, 1.2))
@@ -265,9 +261,15 @@ class TestSubdivergenceEstimator:
         monkeypatch.setattr(
             mindiv.estimators, "_start_point", lambda *args: calls.append(args) or original(*args)
         )
-        xs = PARETO.sample([2.0], 30, np.random.default_rng(14))
+        # (an observation at x = 1 sends a Pareto fit to the 1-d search)
+        xs = np.append(PARETO.sample([2.0], 29, np.random.default_rng(14)), 1.0)
+        searches = []
+        search = mindiv.estimators.solve_1d
+        monkeypatch.setattr(
+            mindiv.estimators, "solve_1d", lambda *a, **k: searches.append(a) or search(*a, **k)
+        )
         estimate(PARETO, EstimatorSpec(kind="power-pseudo", alpha=0.5), empirical(xs))
-        assert calls == []
+        assert len(searches) == 1 and calls == []
         # zero MAD: the fixed point takes no step and Nelder-Mead runs
         estimate(NORMAL, EstimatorSpec(kind="renyi", alpha=0.5), empirical([0.0] * 6 + [1.0, -2.0, 3.0]))
         assert len(calls) == 1
@@ -638,21 +640,41 @@ class TestTiltedEquations:
             assert _pseudo_criterion(family, theta, q, alpha) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+ALL_FAMILIES = [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO]
+# every kind the row solver covers, closed-form ones included
+ROW_SPECS = [
+    EstimatorSpec(kind="mle"),
+    EstimatorSpec(kind="superdivergence", alpha=0.5),
+    EstimatorSpec(kind="power-pseudo", alpha=0.0),
+    EstimatorSpec(kind="power-pseudo", alpha=0.5),
+    EstimatorSpec(kind="renyi", alpha=0.5),
+]
+
+
+def contaminated_rows(family, rows, n, seed):
+    """(R, n) samples with 10% outliers (Cauchy, or x50 for Pareto) and their
+    equal weights."""
+    rng = np.random.default_rng(seed)
+    if family is PARETO:
+        xs = PARETO.sample([2.0], rows * n, rng).reshape(rows, n)
+        xs[:, : n // 10] *= 50.0
+    else:
+        xs = rng.standard_normal((rows, n)) + 0.5
+        xs[:, : n // 10] = 20.0 * rng.standard_cauchy((rows, n // 10))
+    return xs, np.full(xs.shape, 1.0 / n)
+
+
 class TestMomentFixedPoint:
     @pytest.mark.parametrize("kind", ROBUST_KINDS)
-    @pytest.mark.parametrize("family", [NORMAL, NORMAL_LOCATION, NORMAL_SCALE])
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_accepted_rows_pass_scalar_checks(self, kind, family):
         # every accepted row: the scalar estimating equation is below
         # _PSI_TOL and the scalar criterion is no higher than at the start
-        rng = np.random.default_rng(8)
-        xs = rng.standard_normal((12, 60)) + 0.5
-        xs[:, :6] = 20.0 * rng.standard_cauchy((12, 6))
-        ws = np.full(xs.shape, 1.0 / xs.shape[1])
+        xs, ws = contaminated_rows(family, 12, 60, seed=8)
         spec = EstimatorSpec(kind=kind, alpha=0.5)
         theta, accepted, iterations = _moment_fixed_point(family, spec, xs, ws)
         assert accepted.all() and np.all(iterations >= 1)
-        mu0, sigma0 = _robust_start(family, xs, ws)
-        start = np.stack([mu0, sigma0], axis=1)[:, list(family._free)]
+        start = np.stack(family._moment_start(xs, ws)[0], axis=1)
         criterion, gradient = (
             (_renyi_neg_log, _renyi_gradient) if kind == "renyi" else (_pseudo_criterion, _pseudo_gradient)
         )
@@ -661,18 +683,48 @@ class TestMomentFixedPoint:
             assert np.max(np.abs(gradient(family, th, q, 0.5))) < _PSI_TOL
             assert criterion(family, th, q, 0.5) <= criterion(family, th0, q, 0.5)
 
-    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_rows_equal_single_estimates(self, family, spec):
+        xs, ws = contaminated_rows(family, 6, 80, seed=9)
+        theta, accepted, iterations = _moment_fixed_point(family, spec, xs, ws)
+        assert accepted.all()
+        for row, th, its in zip(xs, theta, iterations):
+            result = estimate(family, spec, empirical(row))
+            assert result.converged
+            assert result.theta_hat.tobytes() == th.tobytes()
+            assert result.iterations == its
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS + ["mle", "superdivergence"])
     def test_rows_independent_of_batch(self, kind):
-        rng = np.random.default_rng(6)
-        xs = rng.standard_normal((9, 50)) * 1.5 - 0.3
-        xs[::2, :5] = 1e3 * rng.standard_cauchy((5, 5))
-        ws = np.full(xs.shape, 1.0 / xs.shape[1])
-        spec = EstimatorSpec(kind=kind, alpha=0.5)
-        theta, accepted, iterations = _moment_fixed_point(NORMAL, spec, xs, ws)
-        for j in range(len(xs)):
-            one = _moment_fixed_point(NORMAL, spec, xs[j : j + 1], ws[j : j + 1])
-            assert np.array_equal(one[0][0], theta[j])
-            assert one[1][0] == accepted[j] and one[2][0] == iterations[j]
+        spec = EstimatorSpec(kind=kind, alpha=0.0 if kind == "mle" else 0.5)
+        for family in ALL_FAMILIES:
+            if family is PARETO:
+                xs, ws = contaminated_rows(PARETO, 9, 50, seed=6)
+            else:
+                rng = np.random.default_rng(6)
+                xs = rng.standard_normal((9, 50)) * 1.5 - 0.3
+                xs[::2, :5] = 1e3 * rng.standard_cauchy((5, 5))
+                ws = np.full(xs.shape, 1.0 / xs.shape[1])
+            theta, accepted, iterations = _moment_fixed_point(family, spec, xs, ws)
+            for j in range(len(xs)):
+                one = _moment_fixed_point(family, spec, xs[j : j + 1], ws[j : j + 1])
+                assert np.array_equal(one[0][0], theta[j])
+                assert one[1][0] == accepted[j] and one[2][0] == iterations[j]
+
+    def test_subdivergence_rows_not_accepted(self):
+        xs, ws = contaminated_rows(NORMAL, 3, 30, seed=5)
+        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.0, 1.0))
+        _, accepted, iterations = _moment_fixed_point(NORMAL, spec, xs, ws)
+        assert not accepted.any() and not iterations.any()
+
+    def test_degenerate_mle_row_accepts_no_row(self):
+        # one row with zero spread: no closed-form row is accepted, so the
+        # callers refit each by estimate, which names the degenerate one
+        xs, ws = contaminated_rows(NORMAL, 3, 30, seed=5)
+        xs[1] = 2.0
+        _, accepted, _ = _moment_fixed_point(NORMAL, EstimatorSpec(kind="mle"), xs, ws)
+        assert not accepted.any()
 
     def test_iterations_reported(self):
         q = empirical(np.random.default_rng(4).standard_normal(80) * 2.0 + 1.0)
@@ -683,12 +735,11 @@ class TestMomentFixedPoint:
         assert result.iterations >= 1
         assert result.iterations == iterations[0]
 
-    def test_zero_mad_falls_back(self, monkeypatch):
-        # more than half the sample at one value: the MAD start is zero, so
-        # the fixed point takes no step and the bounded search runs alone
-        q = empirical([0.0] * 6 + [1.0, -2.0, 3.0])
-        spec = EstimatorSpec(kind="renyi", alpha=0.5)
-        _, accepted, iterations = _moment_fixed_point(NORMAL_SCALE, spec, q.nodes[None], q.weights[None])
+    @staticmethod
+    def search_alone(monkeypatch, family, spec, q):
+        """Check that the row gets no start and that ``estimate`` returns the
+        one bounded search's result; return that result."""
+        _, accepted, iterations = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
         assert not accepted[0] and iterations[0] == 0
         searches = []
         original = mindiv.estimators.solve_1d
@@ -698,10 +749,45 @@ class TestMomentFixedPoint:
             return searches[-1]
 
         monkeypatch.setattr(mindiv.estimators, "solve_1d", solve_1d)
-        result = estimate(NORMAL_SCALE, spec, q)
+        result = estimate(family, spec, q)
         assert len(searches) == 1
         assert result.iterations == searches[0].iterations
         assert np.array_equal(result.theta_hat, searches[0].x)
+        return result
+
+    def test_zero_mad_falls_back(self, monkeypatch):
+        # more than half the sample at one value: the MAD start is zero, so
+        # the fixed point takes no step and the bounded search runs alone
+        q = empirical([0.0] * 6 + [1.0, -2.0, 3.0])
+        self.search_alone(monkeypatch, NORMAL_SCALE, EstimatorSpec(kind="renyi", alpha=0.5), q)
+
+    @pytest.mark.parametrize(
+        "kind,alpha,xs",
+        [
+            ("power-pseudo", 0.5, [1.0, 1.5, 2.0, 3.0]),
+            ("renyi", 0.5, [1.0, 1.5, 2.0, 3.0]),
+            ("renyi", 0.9, np.append(PARETO.sample([2.0], 19, np.random.default_rng(3)), 1.0)),
+        ],
+    )
+    def test_pareto_mass_at_one_falls_back(self, monkeypatch, kind, alpha, xs):
+        # mass at x = 1: the criteria can fall without bound as the shape
+        # grows, so the row gets no start and the bounded search runs alone;
+        # it stops on the box edge, so the breakdown shows as non-convergence
+        # rather than as a local minimum the fixed point would accept
+        spec = EstimatorSpec(kind=kind, alpha=alpha)
+        assert not self.search_alone(monkeypatch, PARETO, spec, empirical(xs)).converged
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    def test_pareto_fit_makes_no_search(self, monkeypatch, kind):
+        def no_search(*args, **kwargs):
+            raise AssertionError("bounded search called")
+
+        monkeypatch.setattr(mindiv.estimators, "solve_1d", no_search)
+        for n in (100, 10_000):
+            xs, _ = contaminated_rows(PARETO, 1, n, seed=n)
+            result = estimate(PARETO, EstimatorSpec(kind=kind, alpha=0.5), empirical(xs[0]))
+            assert result.converged and result.iterations >= 1
+            assert 1.0 < result.theta_hat[0] < 3.0
 
 
 class TestMLE:

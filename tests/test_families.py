@@ -275,8 +275,8 @@ class TestMLEParameter:
         # the scale submodel is centred at 0, the location submodel has unit scale
         xs = np.array([1.0, 2.5, -0.5, 4.0])
         w = np.array([0.1, 0.2, 0.3, 0.4])
-        assert NORMAL_SCALE.mle_parameter(xs, w)[0] == math.sqrt(float(w @ xs**2))
-        assert NORMAL_LOCATION.mle_parameter(xs, w)[0] == float(w @ xs)
+        assert NORMAL_SCALE.mle_parameter(xs, w)[0] == math.sqrt((w * xs * xs).sum())
+        assert NORMAL_LOCATION.mle_parameter(xs, w)[0] == (w * xs).sum()
 
 
 # Parameter rows of each family, extreme ones included, and the rows of

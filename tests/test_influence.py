@@ -154,8 +154,10 @@ class TestIfNumeric:
             return result if len(m) == len(q) else dataclasses.replace(result, converged=False)
 
         monkeypatch.setattr(mindiv.influence, "estimate", stalls_when_contaminated)
+        # subdivergence rows are refitted one at a time by estimate
+        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.0,))
         with pytest.raises(EstimationError, match=r"did not converge at contaminated measure \(x=1\.5, eps=0\.001\)"):
-            if_numeric(NORMAL_LOCATION, EstimatorSpec(kind="mle"), q, np.array([1.5, 2.0]))
+            if_numeric(NORMAL_LOCATION, spec, q, np.array([1.5, 2.0]))
 
 
 def per_point_oracle(family, spec, q, xs, eps=1e-3):
@@ -176,6 +178,7 @@ class TestBatchedOracle:
         "normal": (NORMAL, [0.3, 1.2]),
         "normal-loc": (NORMAL_LOCATION, [0.3]),
         "normal-scale": (NORMAL_SCALE, [1.2]),
+        "pareto": (PARETO, [2.0]),
     }
 
     @staticmethod
@@ -194,15 +197,24 @@ class TestBatchedOracle:
     @pytest.mark.parametrize("kind", ["renyi", "power-pseudo"])
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
     def test_points_equal_single_fits(self, monkeypatch, family_name, kind, alpha):
+        self.check_points(monkeypatch, family_name, EstimatorSpec(kind=kind, alpha=alpha))
+
+    @pytest.mark.parametrize("family_name", list(CASES))
+    @pytest.mark.parametrize("kind", ["mle", "superdivergence"])
+    def test_closed_form_points_equal_single_fits(self, monkeypatch, family_name, kind):
+        self.check_points(monkeypatch, family_name, EstimatorSpec(kind=kind, alpha=0.0 if kind == "mle" else 0.5))
+
+    def check_points(self, monkeypatch, family_name, spec):
         family, theta = self.CASES[family_name]
-        spec = EstimatorSpec(kind=kind, alpha=alpha)
         q = quadrature_of(family, theta)
-        xs = np.linspace(-4.0, 4.0, 5)
+        xs = np.linspace(1.5, 8.0, 5) if family is PARETO else np.linspace(-4.0, 4.0, 5)
         want = per_point_oracle(family, spec, q, xs)
         fits = self.counting_estimate(monkeypatch)
+        monkeypatch.setattr(mindiv.influence, "contaminate", None)
         got = if_numeric(family, spec, q, xs)
-        # every contaminated row was solved in the batch, bit for bit
-        assert len(fits) == 1
+        # every contaminated row was solved in the batch, bit for bit, with
+        # no contaminated measure built
+        assert len(fits) == 1 and fits[0] is q
         assert np.array_equal(got, want)
 
     def test_rejected_rows_fall_back(self, monkeypatch):

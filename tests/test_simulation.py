@@ -81,6 +81,8 @@ SPECS = (
     EstimatorSpec(kind="power-pseudo", alpha=0.5),
     EstimatorSpec(kind="renyi", alpha=0.5),
 )
+# a kind the row solver does not cover: its rows reach estimate one by one
+SUB_SPEC = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(1.0,))
 
 
 class TestRunStudy:
@@ -112,7 +114,7 @@ class TestRunStudy:
             raise EvaluationError("objective returned NaN")
 
         monkeypatch.setattr(mindiv.simulation, "estimate", fail)
-        result = run_study(model(), 20, 3, (EstimatorSpec(kind="mle"),), seed=1)
+        result = run_study(model(), 20, 3, (SUB_SPEC,), seed=1)
         assert result.rows[0].failure_count == 3
         assert math.isnan(result.rows[0].mse)
 
@@ -122,7 +124,32 @@ class TestRunStudy:
 
         monkeypatch.setattr(mindiv.simulation, "estimate", fail)
         with pytest.raises(ZeroDivisionError):
-            run_study(model(), 20, 3, (EstimatorSpec(kind="mle"),), seed=1)
+            run_study(model(), 20, 3, (SUB_SPEC,), seed=1)
+
+    def test_batched_kinds_make_no_single_fit(self, monkeypatch):
+        # the MLE, superdivergence, power-pseudo and Renyi columns are all
+        # solved as rows: no estimate() call and no per-sample measure
+        def fail(*args):
+            raise AssertionError("fitted one sample at a time")
+
+        monkeypatch.setattr(mindiv.simulation, "estimate", fail)
+        monkeypatch.setattr(mindiv.simulation, "empirical", fail)
+        specs = SPECS + (EstimatorSpec(kind="superdivergence", alpha=0.5),)
+        result = run_study(model(), 100, 20, specs, seed=11)
+        assert not any(row.failure_count for row in result.rows)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("reps", 0), ("reps", 2.7), ("reps", "3"), ("seed", -5), ("seed", 1.9), ("first_rep", -1), ("first_rep", 2.5)],
+    )
+    def test_rejects_bad_counts(self, name, value):
+        args = {"reps": 3, "seed": 1, "first_rep": 0, name: value}
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            run_study(model(), 20, args["reps"], SPECS, seed=args["seed"], first_rep=args["first_rep"])
+
+    def test_accepts_numpy_integers(self):
+        direct = run_study(model(), 20, 3, SPECS, seed=4, first_rep=1)
+        assert run_study(model(), 20, np.int64(3), SPECS, seed=np.uint32(4), first_rep=np.int8(1)) == direct
 
     def test_chunk_pooling_matches_direct(self):
         direct = run_study(model(), 40, 6, SPECS, seed=5)
@@ -173,10 +200,10 @@ class TestRunStudy:
                 pool_results(chunks)
 
     def test_batched_fits_equal_single_fits(self):
-        # every replication's robust estimate equals a single estimate()
-        # call on its sample, bit for bit, and the study pools exactly those
+        # every replication's estimate equals a single estimate() call on
+        # its sample, bit for bit, and the study pools exactly those
         samples = np.stack([sample_contaminated(model(), 40, _replication_rng(5, j)) for j in range(6)])
-        for spec in SPECS[1:]:
+        for spec in SPECS:
             single = []
             for xs in samples:
                 result = estimate(NORMAL_SCALE, spec, empirical(xs))
