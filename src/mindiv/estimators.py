@@ -14,7 +14,9 @@ MLE), so Newton from the escort accepts it at the first evaluation.
 One row solver, ``_moment_fixed_point``, fits (R, n) rows of nodes and
 weights at once for every kind but subdivergence: closed-form MLE rows,
 or the weighted-moment fixed point of Fujisawa & Eguchi (2008) that each
-family writes (power-pseudo, Renyi).  Subdivergence fits start with
+family writes (power-pseudo, Renyi), accelerated by SQUAREM, the squared
+extrapolation of Varadhan & Roland (2008); its ``max_iter`` and
+``iterations`` count evaluations of that map.  Subdivergence fits start with
 Newton from the escort.  The bounded search over the family's default box
 is the fallback for fits that first try does not settle.
 
@@ -58,8 +60,9 @@ class EstimatorSpec:
     ``escort`` is required exactly for the subdivergence kind.  ``tol`` and
     ``max_iter`` steer the outer search, which runs over the family's
     sample-derived default box (see ``Family.default_bounds``);
-    ``max_iter`` also caps the weighted-moment fixed point of power-pseudo
-    and Renyi fits.
+    ``max_iter`` also caps the map evaluations of the power-pseudo and
+    Renyi fixed point, SQUAREM-accelerated (Varadhan & Roland 2008), which
+    a fit's ``iterations`` count.
     """
 
     kind: str
@@ -261,22 +264,43 @@ def renyi_pseudodistance(family: Family, theta, q_measure, q_density, alpha: flo
     return float(_renyi_neg_log(family, theta, q_measure, a) / a + log_qq / (a * (1.0 + a)))
 
 
+def _admissible(family: Family, rows) -> np.ndarray:
+    """Mask of the (R, d) ``rows`` that ``family.validate_param`` accepts:
+    one check on all rows, and on halves only where that one fails."""
+    try:
+        family.validate_param(rows)
+        return np.ones(len(rows), dtype=bool)
+    except InvalidInputError:
+        if len(rows) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(rows) // 2
+        return np.concatenate([_admissible(family, rows[:half]), _admissible(family, rows[half:])])
+
+
 def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     """Fit of ``spec`` on every row of (R, n) ``nodes`` and ``weights``.
 
     The MLE and superdivergence (and every kind at ``alpha = 0``) give the
     closed-form MLE rows, all accepted unless one is degenerate.
-    Power-pseudo and Renyi rows run the weighted-moment fixed point:
+    Power-pseudo and Renyi rows run the weighted-moment fixed point F:
     ``family._moment_start(x, w)`` gives the start, a list of (R,)
     coordinate arrays (NaN on a row it does not start), and the array that
-    ``family._moment_update(kind, a, y, w, state)`` iterates on; that
+    ``family._moment_update(kind, a, y, w, state)`` iterates on; that map
     returns the new state and each row's relative step, which is not in
-    [0, inf) once a row leaves the parameter space.  A row stops when its
-    step falls below ``_FP_STEP_TOL``, after at most ``spec.max_iter``
-    updates, and is accepted when its estimating equation has max-norm
-    below ``_PSI_TOL`` and its criterion is no higher than at the start.
-    Returns the (R, d) parameters, the accepted mask and each row's
-    iterations; subdivergence rows are never accepted.
+    [0, inf) once a row leaves the parameter space.
+
+    The iteration is SQUAREM-accelerated (Varadhan & Roland 2008, *Scand.
+    J. Statist.* 35): each cycle maps a row twice, x1 = F(x0) and
+    x2 = F(x1), and moves it to x0 - 2 t r + t^2 v, with r = x1 - x0,
+    v = x2 - 2 x1 + x0 and the step length t = -|r|/|v| clipped to at most
+    -1 (-1 where it is not finite).  Where that point is not a parameter
+    (``family.validate_param``), or t = -1, the row takes the plain double
+    step x2.  A row stops when a map step's relative step falls below
+    ``_FP_STEP_TOL``, or after ``spec.max_iter`` map evaluations, and is
+    accepted when its estimating equation has max-norm below ``_PSI_TOL``
+    and its criterion is no higher than at the start.  Returns the (R, d)
+    parameters, the accepted mask and each row's map evaluations;
+    subdivergence rows are never accepted.
     """
     a = spec.alpha
     x = np.asarray(nodes, dtype=float)
@@ -294,19 +318,34 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     with np.errstate(all="ignore"):
         state, y = family._moment_start(x, w)
         start = np.stack(state, axis=1)
-        active = np.flatnonzero(np.isfinite(start).all(axis=1))
-        for _ in range(spec.max_iter):
-            if active.size == 0:
-                break
-            new, step = family._moment_update(spec.kind, a, y[active], w[active], [s[active] for s in state])
-            for s, value in zip(state, new):
-                s[active] = value
-            iterations[active] += 1
+        theta = start.copy()
+
+        def advance(rows):
+            """One map evaluation on ``rows`` of ``theta``; the mask of those that go on."""
+            new, step = family._moment_update(spec.kind, a, y[rows], w[rows], list(theta[rows].T))
+            theta[rows] = np.stack(new, axis=1)
+            iterations[rows] += 1
             valid = (step >= 0.0) & (step < math.inf)
             done = valid & (step <= _FP_STEP_TOL)
-            settled[active[done]] = True
-            active = active[valid & ~done]
-        theta = np.stack(state, axis=1)
+            settled[rows[done]] = True
+            return valid & ~done & (iterations[rows] < spec.max_iter)
+
+        active = np.flatnonzero(np.isfinite(start).all(axis=1))
+        while active.size:
+            x0 = theta[active]
+            go = advance(active)
+            active, x0 = active[go], x0[go]
+            x1 = theta[active]
+            go = advance(active)
+            active, x0, x1 = active[go], x0[go], x1[go]
+            x2 = theta[active]
+            r, v = x1 - x0, x2 - 2.0 * x1 + x0
+            t = -np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1)
+            t = np.where(np.isfinite(t), np.minimum(t, -1.0), -1.0)
+            jump = x0 - 2.0 * t[:, None] * r + (t * t)[:, None] * v
+            keep = t < -1.0
+            keep[keep] = _admissible(family, jump[keep])
+            theta[active] = np.where(keep[:, None], jump, x2)
         rows = np.flatnonzero(settled)
         # one row is checked as one parameter: the same numbers, without rows overhead
         pick = rows[0] if len(x) == 1 and rows.size else rows
@@ -353,8 +392,10 @@ def _fit(
     accepted when its residual is below ``_PSI_TOL`` and its criterion no
     higher than at its start, as computed there (at the escort that is
     ``1/(1-a) + 1/a`` up to rounding).  The search runs only otherwise, and
-    its iteration count includes the first try's.  Every such kind is the
-    MLE at ``alpha = 0``.
+    its iteration count includes the first try's.  A power-pseudo or Renyi
+    fit of a sample on which ``family.mle_parameter`` raises
+    ``DegenerateDataError`` raises it too.  Every such kind is the MLE at
+    ``alpha = 0``.
     """
     if spec.alpha == 0.0:
         return mle(family, q)
@@ -371,6 +412,9 @@ def _fit(
         its = int(row_its[0])
         if accepted[0]:
             return EstimateResult(rows[0], report(objective(rows[0])), its, converged=True)
+        # on a sample the MLE cannot fit (zero spread, every x at 1) both
+        # criteria are unbounded below, so such a fit raises as the MLE does
+        family.mle_parameter(q.nodes, q.weights)
         bounds = family.default_bounds(q.nodes, q.weights)
     settings = {"tol": spec.tol, "max_iter": spec.max_iter, "psi": psi, "psi_tol": _PSI_TOL}
     if family.param_dim == 1:

@@ -141,14 +141,15 @@ def run_study(
     into chunks whose pooled statistics match the single-call result.
     Each replication's estimate equals ``estimate(NORMAL_SCALE, spec,
     empirical(sample))`` bit for bit, however the study is batched.
-    ``reps`` must be an integer >= 1, ``seed`` and ``first_rep`` integers
-    >= 0; anything else raises an ``InvalidInputError`` naming it.
+    ``n`` and ``reps`` must be integers >= 1, ``seed`` and ``first_rep``
+    integers >= 0; anything else raises an ``InvalidInputError`` naming it.
     """
-    for name, value, least in (("reps", reps, 1), ("seed", seed, 0), ("first_rep", first_rep, 0)):
-        if not isinstance(value, numbers.Integral) or value < least:
+    checks = (("n", n, 1), ("reps", reps, 1), ("seed", seed, 0), ("first_rep", first_rep, 0))
+    for name, value, least in checks:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
-    reps, seed, first_rep, specs = int(reps), int(seed), int(first_rep), tuple(specs)
-    batch = max(1, _BATCH_VALUES // max(int(n), 1))
+    n, reps, seed, first_rep, specs = int(n), int(reps), int(seed), int(first_rep), tuple(specs)
+    batch = max(1, _BATCH_VALUES // n)
     parts: list[list[np.ndarray]] = [[] for _ in specs]
     for start in range(0, reps, batch):
         samples = np.stack(

@@ -140,12 +140,24 @@ class TestRunStudy:
 
     @pytest.mark.parametrize(
         "name,value",
-        [("reps", 0), ("reps", 2.7), ("reps", "3"), ("seed", -5), ("seed", 1.9), ("first_rep", -1), ("first_rep", 2.5)],
+        [
+            ("n", 20.7),
+            ("n", 0),
+            ("n", True),
+            ("reps", 0),
+            ("reps", 2.7),
+            ("reps", "3"),
+            ("seed", -5),
+            ("seed", 1.9),
+            ("first_rep", -1),
+            ("first_rep", 2.5),
+        ],
     )
     def test_rejects_bad_counts(self, name, value):
-        args = {"reps": 3, "seed": 1, "first_rep": 0, name: value}
+        # a float n was once truncated: 20.7 ran the study at n = 20
+        args = {"n": 20, "reps": 3, "seed": 1, "first_rep": 0, name: value}
         with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
-            run_study(model(), 20, args["reps"], SPECS, seed=args["seed"], first_rep=args["first_rep"])
+            run_study(model(), args["n"], args["reps"], SPECS, seed=args["seed"], first_rep=args["first_rep"])
 
     def test_accepts_numpy_integers(self):
         direct = run_study(model(), 20, 3, SPECS, seed=4, first_rep=1)
@@ -215,6 +227,15 @@ class TestRunStudy:
             assert row.failure_count == 6 - ok.size
             assert row.mean_estimate == np.sum(ok) / ok.size
             assert row.mse == np.sum((ok - 1.0) ** 2) / ok.size
+
+    def test_degenerate_sample_is_a_failure(self):
+        # a replication the MLE cannot fit (every draw at 0) is a failure
+        # of every kind, not a fit on the edge of the search box
+        samples = np.stack([sample_contaminated(model(), 40, _replication_rng(5, j)) for j in range(3)])
+        samples[1] = 0.0
+        for spec in SPECS:
+            estimates = _scale_estimates(spec, samples)
+            assert np.isnan(estimates[1]) and not np.isnan(estimates[[0, 2]]).any()
 
     def test_batched_rows_independent_of_chunking(self):
         # a 6-replication batch and its 3 + 3 halves give the same
