@@ -287,7 +287,8 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     coordinate arrays (NaN on a row it does not start), and the array that
     ``family._moment_update(kind, a, y, w, state)`` iterates on; that map
     returns the new state and each row's relative step, which is not in
-    [0, inf) once a row leaves the parameter space.
+    [0, inf) once a row leaves the parameter space.  On equal weights the
+    start's medians are O(n) selections (``families._row_quantile``).
 
     The iteration is SQUAREM-accelerated (Varadhan & Roland 2008, *Scand.
     J. Statist.* 35): each cycle maps a row twice, x1 = F(x0) and
@@ -298,19 +299,22 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     step x2.  A row stops when a map step's relative step falls below
     ``_FP_STEP_TOL``, or after ``spec.max_iter`` map evaluations, and is
     accepted when its estimating equation has max-norm below ``_PSI_TOL``
-    and its criterion is no higher than at the start.  Returns the (R, d)
-    parameters, the accepted mask and each row's map evaluations;
-    subdivergence rows are never accepted.
+    and its criterion is no higher than at the start.  Rows still iterating
+    are kept compacted, and write their parameter and count back as they
+    stop.  Returns the (R, d) parameters, the accepted mask, each row's map
+    evaluations and the criterion the acceptance check computed (NaN on
+    rows that did not settle); subdivergence rows are never accepted.
     """
     a = spec.alpha
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
     iterations = np.zeros(len(x), dtype=int)
     settled = np.zeros(len(x), dtype=bool)
-    unfitted = np.full((len(x), family.param_dim), math.nan), settled, iterations
+    criteria = np.full(len(x), math.nan)
+    unfitted = np.full((len(x), family.param_dim), math.nan), settled, iterations, criteria
     if spec.kind in ("mle", "superdivergence") or a == 0.0:
         try:
-            return family.mle_parameter(x, w), np.ones(len(x), dtype=bool), iterations
+            return family.mle_parameter(x, w), np.ones(len(x), dtype=bool), iterations, criteria
         except ToolkitError:
             return unfitted
     if spec.kind not in _EQUATIONS:
@@ -319,33 +323,39 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
         state, y = family._moment_start(x, w)
         start = np.stack(state, axis=1)
         theta = start.copy()
+        idx = np.flatnonzero(np.isfinite(start).all(axis=1))
+        th, its, ys, ws = theta[idx], iterations[idx], y[idx], w[idx]
 
-        def advance(rows):
-            """One map evaluation on ``rows`` of ``theta``; the mask of those that go on."""
-            new, step = family._moment_update(spec.kind, a, y[rows], w[rows], list(theta[rows].T))
-            theta[rows] = np.stack(new, axis=1)
-            iterations[rows] += 1
+        def advance(*carried):
+            """One map evaluation on the iterating rows; the rows that stop
+            leave them, and each of the ``carried`` arrays, alike."""
+            nonlocal idx, th, its, ys, ws
+            new, step = family._moment_update(spec.kind, a, ys, ws, list(th.T))
+            th = np.stack(new, axis=1)
+            its += 1
             valid = (step >= 0.0) & (step < math.inf)
             done = valid & (step <= _FP_STEP_TOL)
-            settled[rows[done]] = True
-            return valid & ~done & (iterations[rows] < spec.max_iter)
+            go = valid & ~done & (its < spec.max_iter)
+            if go.all():
+                return carried
+            stop = ~go
+            theta[idx[stop]] = th[stop]
+            iterations[idx[stop]] = its[stop]
+            settled[idx[done]] = True
+            idx, th, its, ys, ws = idx[go], th[go], its[go], ys[go], ws[go]
+            return tuple(c[go] for c in carried)
 
-        active = np.flatnonzero(np.isfinite(start).all(axis=1))
-        while active.size:
-            x0 = theta[active]
-            go = advance(active)
-            active, x0 = active[go], x0[go]
-            x1 = theta[active]
-            go = advance(active)
-            active, x0, x1 = active[go], x0[go], x1[go]
-            x2 = theta[active]
+        while idx.size:
+            (x0,) = advance(th)
+            x0, x1 = advance(x0, th)
+            x2 = th
             r, v = x1 - x0, x2 - 2.0 * x1 + x0
-            t = -np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1)
+            t = -np.sqrt((r * r).sum(axis=1)) / np.sqrt((v * v).sum(axis=1))
             t = np.where(np.isfinite(t), np.minimum(t, -1.0), -1.0)
             jump = x0 - 2.0 * t[:, None] * r + (t * t)[:, None] * v
             keep = t < -1.0
             keep[keep] = _admissible(family, jump[keep])
-            theta[active] = np.where(keep[:, None], jump, x2)
+            th = np.where(keep[:, None], jump, x2)
         rows = np.flatnonzero(settled)
         # one row is checked as one parameter: the same numbers, without rows overhead
         pick = rows[0] if len(x) == 1 and rows.size else rows
@@ -356,7 +366,8 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
         good = (np.max(np.abs(psi), axis=-1) < _PSI_TOL) & (crit <= crit0)
     accepted = np.zeros(len(x), dtype=bool)
     accepted[rows] = good
-    return theta, accepted, iterations
+    criteria[rows] = crit
+    return theta, accepted, iterations, criteria
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +419,10 @@ def _fit(
         if norm < _PSI_TOL and (crit := objective(theta)) <= objective(fixed[0]):
             return EstimateResult(theta, report(crit), its, converged=True)
     else:
-        rows, accepted, row_its = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
+        rows, accepted, row_its, crit = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
         its = int(row_its[0])
         if accepted[0]:
-            return EstimateResult(rows[0], report(objective(rows[0])), its, converged=True)
+            return EstimateResult(rows[0], report(crit[0]), its, converged=True)
         # on a sample the MLE cannot fit (zero spread, every x at 1) both
         # criteria are unbounded below, so such a fit raises as the MLE does
         family.mle_parameter(q.nodes, q.weights)

@@ -142,7 +142,14 @@ class Family:
 
 def _row_quantile(x: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     """Weighted ``p``-quantile of each row of (R, n) nodes and weights: the
-    first sorted node whose cumulative weight reaches ``p`` of the row's mass."""
+    first sorted node whose cumulative weight reaches ``p`` of the row's mass.
+    On equal weights (any empirical measure) the cumulative weights do not
+    depend on the order, so ``np.partition`` selects that node in O(n) (a
+    zero may differ in sign, as ties order differently)."""
+    if w.size and (w == w[0, 0]).all():
+        cw = np.cumsum(w[0])
+        k = int(np.argmax(cw >= p * cw[-1]))
+        return np.partition(x, k, axis=1)[:, k]
     order = np.argsort(x, axis=1)
     cw = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
     k = np.argmax(cw >= p * cw[:, -1:], axis=1)
@@ -225,7 +232,8 @@ class _NormalKind(Family):
         if 1 not in self._free:
             return np.expand_dims(mu, -1)
         var = (w * np.square(x - np.expand_dims(mu, -1))).sum(axis=-1)
-        if np.any(var <= 0.0):
+        # equal nodes whose weighted mean is inexact leave var ~ 1e-32, not 0
+        if np.any(var <= 0.0) or (0 in self._free and np.any((x == x[..., :1]).all(axis=-1))):
             raise DegenerateDataError("sample has zero spread; scale estimate degenerates")
         return np.stack([(mu, np.sqrt(var))[i] for i in self._free], axis=-1)
 

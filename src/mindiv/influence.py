@@ -138,7 +138,7 @@ def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x, eps: float = 
         # weights times (1 - step) plus step
         nodes = np.concatenate([np.broadcast_to(q.nodes, (hi - lo, len(q))), at[lo:hi, None]], axis=1)
         weights = np.concatenate([(1.0 - steps[lo:hi, None]) * q.weights, steps[lo:hi, None]], axis=1)
-        theta, accepted, _ = _moment_fixed_point(family, spec, nodes, weights)
+        theta, accepted, _, _ = _moment_fixed_point(family, spec, nodes, weights)
         fits[lo:hi] = theta
         for j in lo + np.flatnonzero(~accepted):
             point, step = float(at[j]), float(steps[j])

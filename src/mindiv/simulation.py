@@ -113,7 +113,7 @@ def _scale_estimates(spec: EstimatorSpec, samples: np.ndarray) -> np.ndarray:
     subdivergence row, are fitted one sample at a time by ``estimate``.
     """
     weights = np.full(samples.shape, 1.0 / samples.shape[1])
-    theta, accepted, _ = _moment_fixed_point(NORMAL_SCALE, spec, samples, weights)
+    theta, accepted, _, _ = _moment_fixed_point(NORMAL_SCALE, spec, samples, weights)
     out = np.where(accepted, theta[:, 0], math.nan)
     for j in np.flatnonzero(~accepted):
         try:

@@ -1,5 +1,6 @@
 """Tests for the estimator criteria, estimating equations, and drivers."""
 
+import dataclasses
 import math
 import warnings
 
@@ -718,7 +719,7 @@ class TestMomentFixedPoint:
         # _PSI_TOL and the scalar criterion is no higher than at the start
         xs, ws = contaminated_rows(family, 12, 60, seed=8)
         spec = EstimatorSpec(kind=kind, alpha=0.5)
-        theta, accepted, iterations = _moment_fixed_point(family, spec, xs, ws)
+        theta, accepted, iterations, _ = _moment_fixed_point(family, spec, xs, ws)
         assert accepted.all() and np.all(iterations >= 1)
         start = np.stack(family._moment_start(xs, ws)[0], axis=1)
         criterion, gradient = (
@@ -733,7 +734,7 @@ class TestMomentFixedPoint:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_rows_equal_single_estimates(self, family, spec):
         xs, ws = contaminated_rows(family, 6, 80, seed=9)
-        theta, accepted, iterations = _moment_fixed_point(family, spec, xs, ws)
+        theta, accepted, iterations, _ = _moment_fixed_point(family, spec, xs, ws)
         # the Pareto power-pseudo map oscillates at alpha >= 1, and a row it
         # does not settle runs the search after it
         oscillates = family is PARETO and spec.kind == "power-pseudo" and spec.alpha >= 1.0
@@ -749,19 +750,27 @@ class TestMomentFixedPoint:
 
     @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
     def test_rows_independent_of_batch(self, spec):
+        # the rows of a batch stop in different cycles: they settle, reach
+        # max_iter (at 9 map evaluations), leave the space (Pareto
+        # power-pseudo at alpha >= 1) or never start (row 1: a zero MAD on
+        # normal and normal-scale, a node at x = 1 on Pareto)
         for family in ALL_FAMILIES:
             if family is PARETO:
                 xs, ws = contaminated_rows(PARETO, 9, 50, seed=6)
+                xs[1, 0] = 1.0
             else:
                 rng = np.random.default_rng(6)
                 xs = rng.standard_normal((9, 50)) * 1.5 - 0.3
                 xs[::2, :5] = 1e3 * rng.standard_cauchy((5, 5))
+                xs[1, :30] = 0.0
                 ws = np.full(xs.shape, 1.0 / xs.shape[1])
-            theta, accepted, iterations = _moment_fixed_point(family, spec, xs, ws)
-            for j in range(len(xs)):
-                one = _moment_fixed_point(family, spec, xs[j : j + 1], ws[j : j + 1])
-                assert np.array_equal(one[0][0], theta[j], equal_nan=True)
-                assert one[1][0] == accepted[j] and one[2][0] == iterations[j]
+            for max_iter in (spec.max_iter, 9):
+                rows_spec = dataclasses.replace(spec, max_iter=max_iter)
+                batch = _moment_fixed_point(family, rows_spec, xs, ws)
+                for j in range(len(xs)):
+                    one = _moment_fixed_point(family, rows_spec, xs[j : j + 1], ws[j : j + 1])
+                    for got, want in zip(one, batch):
+                        assert np.array_equal(got[0], want[j], equal_nan=True)
 
     @pytest.mark.parametrize("spec", ROBUST_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -769,7 +778,7 @@ class TestMomentFixedPoint:
         # the accelerated solver accepts exactly the rows the plain map
         # accepts, at the same fixed point
         xs, ws = contaminated_rows(family, 10, 100, seed=int(40 * spec.alpha))
-        theta, accepted, _ = _moment_fixed_point(family, spec, xs, ws)
+        theta, accepted, _, _ = _moment_fixed_point(family, spec, xs, ws)
         want, want_accepted = plain_fixed_point(family, spec, xs, ws)
         assert np.array_equal(accepted, want_accepted)
         assert np.all(np.abs(theta[accepted] - want[accepted]) <= 1e-12 * np.abs(want[accepted]))
@@ -777,7 +786,7 @@ class TestMomentFixedPoint:
     def test_few_map_evaluations(self):
         # the plain map needs a median of 40 evaluations on these rows
         xs, ws = contaminated_rows(NORMAL_SCALE, 20, 100, seed=3)
-        _, accepted, iterations = _moment_fixed_point(NORMAL_SCALE, EstimatorSpec(kind="renyi", alpha=1.0), xs, ws)
+        _, accepted, iterations, _ = _moment_fixed_point(NORMAL_SCALE, EstimatorSpec(kind="renyi", alpha=1.0), xs, ws)
         assert accepted.all()
         assert np.median(iterations) <= 15
 
@@ -787,7 +796,7 @@ class TestMomentFixedPoint:
         # row goes on from the plain double step 1/5 and is still accepted
         xs, ws = contaminated_rows(NORMAL_SCALE, 3, 100, seed=7)
         spec = EstimatorSpec(kind="renyi", alpha=0.5)
-        want, want_accepted, _ = _moment_fixed_point(NORMAL_SCALE, spec, xs, ws)
+        want, want_accepted, _, _ = _moment_fixed_point(NORMAL_SCALE, spec, xs, ws)
         update = NORMAL_SCALE._moment_update
         inputs = []
 
@@ -799,7 +808,7 @@ class TestMomentFixedPoint:
             return new, step
 
         monkeypatch.setattr(NORMAL_SCALE, "_moment_update", shrinking)
-        theta, accepted, _ = _moment_fixed_point(NORMAL_SCALE, spec, xs, ws)
+        theta, accepted, _, _ = _moment_fixed_point(NORMAL_SCALE, spec, xs, ws)
         assert inputs[2][0] == inputs[0][0] / 5.0
         assert accepted.all() and want_accepted.all()
         assert theta[0, 0] == pytest.approx(want[0, 0], rel=1e-12)
@@ -809,7 +818,7 @@ class TestMomentFixedPoint:
     def test_subdivergence_rows_not_accepted(self):
         xs, ws = contaminated_rows(NORMAL, 3, 30, seed=5)
         spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.0, 1.0))
-        _, accepted, iterations = _moment_fixed_point(NORMAL, spec, xs, ws)
+        _, accepted, iterations, _ = _moment_fixed_point(NORMAL, spec, xs, ws)
         assert not accepted.any() and not iterations.any()
 
     def test_degenerate_mle_row_accepts_no_row(self):
@@ -817,14 +826,38 @@ class TestMomentFixedPoint:
         # callers refit each by estimate, which names the degenerate one
         xs, ws = contaminated_rows(NORMAL, 3, 30, seed=5)
         xs[1] = 2.0
-        _, accepted, _ = _moment_fixed_point(NORMAL, EstimatorSpec(kind="mle"), xs, ws)
+        _, accepted, _, _ = _moment_fixed_point(NORMAL, EstimatorSpec(kind="mle"), xs, ws)
         assert not accepted.any()
+
+    @pytest.mark.parametrize("xs", [[5.0] * 50, [0.1] * 30], ids=["5", "0.1"])
+    def test_equal_nodes_accept_no_mle_row(self, xs):
+        # equal nodes whose weighted mean is inexact (variance ~1e-32)
+        q = empirical(xs)
+        theta, accepted, _, _ = _moment_fixed_point(NORMAL, EstimatorSpec(kind="mle"), q.nodes[None], q.weights[None])
+        assert not accepted[0] and np.isnan(theta).all()
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    def test_accepted_fit_evaluates_criterion_twice(self, monkeypatch, kind):
+        # at the fixed point and at its start, in the acceptance check, whose
+        # value the fit reports
+        criterion, gradient = EQUATIONS[ROBUST_KINDS.index(kind)]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return criterion(*args)
+
+        monkeypatch.setattr(mindiv.estimators, criterion.__name__, counting)
+        monkeypatch.setitem(mindiv.estimators._EQUATIONS, kind, (counting, gradient))
+        q = empirical(np.random.default_rng(4).standard_normal(80) * 2.0 + 1.0)
+        result = estimate(NORMAL, EstimatorSpec(kind=kind, alpha=0.5), q)
+        assert result.converged and len(calls) == 2
 
     def test_iterations_reported(self):
         q = empirical(np.random.default_rng(4).standard_normal(80) * 2.0 + 1.0)
         spec = EstimatorSpec(kind="renyi", alpha=0.5)
         result = estimate(NORMAL, spec, q)
-        _, _, iterations = _moment_fixed_point(NORMAL, spec, q.nodes[None], q.weights[None])
+        _, _, iterations, _ = _moment_fixed_point(NORMAL, spec, q.nodes[None], q.weights[None])
         assert result.converged
         assert result.iterations >= 1
         assert result.iterations == iterations[0]
@@ -833,7 +866,7 @@ class TestMomentFixedPoint:
     def search_alone(monkeypatch, family, spec, q):
         """Check that the row gets no start and that ``estimate`` returns the
         one bounded search's result; return that result."""
-        _, accepted, iterations = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
+        _, accepted, iterations, _ = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
         assert not accepted[0] and iterations[0] == 0
         searches = []
         original = mindiv.estimators.solve_1d
@@ -911,8 +944,16 @@ class TestDegenerateSample:
     @pytest.mark.parametrize("kind", ROBUST_KINDS)
     @pytest.mark.parametrize(
         "family,xs",
-        [(NORMAL, [1e12] * 50), (NORMAL, [-3.0] * 4), (NORMAL_SCALE, [0.0] * 50), (PARETO, [1.0] * 50)],
-        ids=["normal-1e12", "normal-3", "normal-scale-0", "pareto-1"],
+        [
+            (NORMAL, [1e12] * 50),
+            (NORMAL, [-3.0] * 4),
+            # inexact weighted means: the variance is ~1e-32, not 0
+            (NORMAL, [5.0] * 50),
+            (NORMAL, [0.1] * 30),
+            (NORMAL_SCALE, [0.0] * 50),
+            (PARETO, [1.0] * 50),
+        ],
+        ids=["normal-1e12", "normal-3", "normal-5", "normal-0.1", "normal-scale-0", "pareto-1"],
     )
     def test_raises_as_mle(self, family, xs, kind):
         q = empirical(xs)

@@ -18,6 +18,7 @@ from mindiv import (
     get_family,
     quadrature_of,
 )
+from mindiv.families import _row_quantile
 
 ALL_FAMILIES = [
     (NORMAL, np.array([0.4, 1.3])),
@@ -277,6 +278,48 @@ class TestMLEParameter:
         w = np.array([0.1, 0.2, 0.3, 0.4])
         assert NORMAL_SCALE.mle_parameter(xs, w)[0] == math.sqrt((w * xs * xs).sum())
         assert NORMAL_LOCATION.mle_parameter(xs, w)[0] == (w * xs).sum()
+
+
+def sorted_quantile(x, w, p):
+    """Reference for ``_row_quantile``: sort each row, then take the first
+    node whose cumulative weight reaches ``p`` of the row's mass."""
+    out = []
+    for xr, wr in zip(x, w):
+        order = np.argsort(xr)
+        cw = np.cumsum(wr[order])
+        out.append(xr[order][np.argmax(cw >= p * cw[-1])])
+    return np.array(out)
+
+
+class TestRowQuantile:
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    def test_equal_weights_match_sort(self, p):
+        # weights 1/n: at some n the cumulative weight k/n that equals p
+        # rounds below p, at others above; integer nodes tie
+        sides = {np.sign(np.cumsum(np.full(n, 1.0 / n))[round(p * n) - 1] - p) for n in range(4, 61, 4)}
+        assert sides == {-1.0, 0.0, 1.0}
+        rng = np.random.default_rng(3)
+        for n in range(1, 61):
+            x = np.round(3.0 * rng.standard_normal((4, n)))
+            x[0] = rng.standard_normal(n)
+            w = np.full(x.shape, 1.0 / n)
+            # equal values; rounding leaves -0.0 and 0.0, whose order the
+            # sort and the selection may break differently
+            assert np.array_equal(_row_quantile(x, w, p), sorted_quantile(x, w, p))
+
+    def test_unequal_weights_sort(self):
+        # the equal-weight position (the last node here) would give 3.0
+        x = np.array([[3.0, 1.0, 2.0, 0.0]])
+        assert _row_quantile(x, np.array([[0.1, 0.1, 0.1, 0.7]]), 0.5)[0] == 0.0
+        rng = np.random.default_rng(4)
+        x = np.round(3.0 * rng.standard_normal((6, 25)))
+        w = rng.random((6, 25))
+        w[0] = 1.0  # equal within a row, not across the array
+        for p in (0.25, 0.5, 0.75):
+            assert _row_quantile(x, w, p).tobytes() == sorted_quantile(x, w, p).tobytes()
+
+    def test_empty_batch(self):
+        assert _row_quantile(np.empty((0, 3)), np.empty((0, 3)), 0.5).shape == (0,)
 
 
 # Parameter rows of each family, extreme ones included, and the rows of

@@ -226,9 +226,9 @@ class TestBatchedOracle:
         real_rows = mindiv.influence._moment_fixed_point
 
         def rejecting(family, spec, nodes, weights):
-            theta, accepted, iterations = real_rows(family, spec, nodes, weights)
+            theta, accepted, iterations, criteria = real_rows(family, spec, nodes, weights)
             accepted[[1, 4]] = False  # point 0 at eps/2, point 2 at eps
-            return theta, accepted, iterations
+            return theta, accepted, iterations, criteria
 
         monkeypatch.setattr(mindiv.influence, "_moment_fixed_point", rejecting)
         fits = self.counting_estimate(monkeypatch)
