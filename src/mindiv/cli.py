@@ -62,8 +62,6 @@ def _build_parser() -> _Parser:
     est.add_argument("--alpha", type=float, default=0.0, help="divergence order (default 0)")
     est.add_argument("--data", required=True, help="text file, one observation per line")
     est.add_argument("--escort", type=_floats, help="escort parameter (subdivergence only)")
-    est.add_argument("--tol", type=float, default=1e-6)
-    est.add_argument("--max-iter", type=int, default=500)
 
     inf = sub.add_parser("influence", help="emit an influence curve as CSV")
     inf.add_argument("--family", required=True)
@@ -94,9 +92,6 @@ def _make_spec(args) -> EstimatorSpec:
         kwargs["escort"] = args.escort
     elif getattr(args, "escort", None) is not None:
         raise ToolkitError(f"--escort is not accepted by the {args.estimator} estimator")
-    if hasattr(args, "tol"):
-        kwargs["tol"] = args.tol
-        kwargs["max_iter"] = args.max_iter
     return EstimatorSpec(**kwargs)
 
 

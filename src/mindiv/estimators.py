@@ -15,10 +15,11 @@ One row solver, ``_moment_fixed_point``, fits (R, n) rows of nodes and
 weights at once for every kind but subdivergence: closed-form MLE rows,
 or the weighted-moment fixed point of Fujisawa & Eguchi (2008) that each
 family writes (power-pseudo, Renyi), accelerated by SQUAREM, the squared
-extrapolation of Varadhan & Roland (2008); its ``max_iter`` and
-``iterations`` count evaluations of that map.  Subdivergence fits start with
-Newton from the escort.  The bounded search over the family's default box
-is the fallback for fits that first try does not settle.
+extrapolation of Varadhan & Roland (2008); it stops after ``_MAX_ITER``
+evaluations of that map, which ``iterations`` counts.  Subdivergence fits
+start with Newton from the escort.  The bounded search over the family's
+default box, then one Newton polish, is the fallback for fits that first
+try does not settle; ``_fit`` alone decides whether a fit converged.
 
 Estimation is pure given (family, spec, measure): repeated calls return
 bit-identical results, and concurrent calls on shared immutable inputs are
@@ -30,7 +31,6 @@ the lower end of the search box.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -48,6 +48,8 @@ KINDS = ("mle", "subdivergence", "superdivergence", "power-pseudo", "renyi")
 _PSI_TOL = 1e-8
 # Relative step of the parameter below which the fixed point has settled.
 _FP_STEP_TOL = 1e-13
+# Map evaluations after which the fixed point stops.
+_MAX_ITER = 500
 # Node values that callers batching rows pass to one ``_moment_fixed_point``
 # call at most: bounds a batch's memory, whatever the number of rows.
 _BATCH_VALUES = 1 << 16
@@ -55,21 +57,13 @@ _BATCH_VALUES = 1 << 16
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Estimator kind plus solver settings.
-
-    ``escort`` is required exactly for the subdivergence kind.  ``tol`` and
-    ``max_iter`` steer the outer search, which runs over the family's
-    sample-derived default box (see ``Family.default_bounds``);
-    ``max_iter`` also caps the map evaluations of the power-pseudo and
-    Renyi fixed point, SQUAREM-accelerated (Varadhan & Roland 2008), which
-    a fit's ``iterations`` count.
-    """
+    """Estimator kind, order ``alpha`` and, for the subdivergence kind
+    exactly, its ``escort`` parameter.  The solvers have no settings here:
+    the estimating equations fix the estimate."""
 
     kind: str
     alpha: float = 0.0
     escort: tuple[float, ...] | None = None
-    tol: float = 1e-6
-    max_iter: int = 500
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -92,10 +86,6 @@ class EstimatorSpec:
             )
         elif self.escort is not None:
             raise InvalidInputError(f"{self.kind} does not take an escort parameter")
-        if not math.isfinite(self.tol) or self.tol <= 0.0:
-            raise InvalidInputError(f"tol must be a finite positive real, got {self.tol!r}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise InvalidInputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -297,7 +287,7 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     -1 (-1 where it is not finite).  Where that point is not a parameter
     (``family.validate_param``), or t = -1, the row takes the plain double
     step x2.  A row stops when a map step's relative step falls below
-    ``_FP_STEP_TOL``, or after ``spec.max_iter`` map evaluations, and is
+    ``_FP_STEP_TOL``, or after ``_MAX_ITER`` map evaluations, and is
     accepted when its estimating equation has max-norm below ``_PSI_TOL``
     and its criterion is no higher than at the start.  Rows still iterating
     are kept compacted, and write their parameter and count back as they
@@ -335,7 +325,7 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
             its += 1
             valid = (step >= 0.0) & (step < math.inf)
             done = valid & (step <= _FP_STEP_TOL)
-            go = valid & ~done & (its < spec.max_iter)
+            go = valid & ~done & (its < _MAX_ITER)
             if go.all():
                 return carried
             stop = ~go
@@ -375,14 +365,6 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
 # ---------------------------------------------------------------------------
 
 
-def _start_point(family: Family, q: Measure, bounds) -> np.ndarray:
-    """The MLE (``solve_2d`` clips it into the box), else the box centre."""
-    try:
-        return family.mle_parameter(q.nodes, q.weights)
-    except ToolkitError:
-        return np.mean(bounds, axis=1)
-
-
 def mle(family: Family, q: Measure) -> EstimateResult:
     """Maximum-likelihood estimate from closed forms, on any measure."""
     theta = family.mle_parameter(q.nodes, q.weights)
@@ -395,18 +377,20 @@ def _fit(
 ) -> EstimateResult:
     """Shared fit of the kinds that minimize one criterion directly.
 
-    ``criterion(family, *fixed, theta, q, alpha)`` is minimized over the
-    search box (from the MLE start in 2-d), its stationary point is
-    polished on ``gradient(...) = 0`` (same arguments), and ``report`` maps
-    the minimum to ``criterion_value``.  First comes the row solver on one
-    row (power-pseudo, Renyi) or Newton from the escort (subdivergence),
-    accepted when its residual is below ``_PSI_TOL`` and its criterion no
-    higher than at its start, as computed there (at the escort that is
-    ``1/(1-a) + 1/a`` up to rounding).  The search runs only otherwise, and
-    its iteration count includes the first try's.  A power-pseudo or Renyi
-    fit of a sample on which ``family.mle_parameter`` raises
-    ``DegenerateDataError`` raises it too.  Every such kind is the MLE at
-    ``alpha = 0``.
+    ``criterion(family, *fixed, theta, q, alpha)`` is the criterion,
+    ``gradient(...)`` (same arguments) its estimating equation, and
+    ``report`` maps the minimum to ``criterion_value``.  First comes the
+    row solver on one row (power-pseudo, Renyi) or Newton from the escort
+    (subdivergence), accepted when its residual is below ``_PSI_TOL`` and
+    its criterion no higher than at its start, as computed there (at the
+    escort that is ``1/(1-a) + 1/a`` up to rounding).  Otherwise the
+    criterion is minimized over the family's default box (from the MLE in
+    2-d) and that minimum polished once by the same Newton iteration; the
+    result is converged when its residual is below ``_PSI_TOL`` and it lies
+    strictly inside the box, and its iteration count includes every
+    earlier phase's.  A fit of a sample on which ``family.mle_parameter``
+    raises ``DegenerateDataError`` raises it too.  Every such kind is the
+    MLE at ``alpha = 0``.
     """
     if spec.alpha == 0.0:
         return mle(family, q)
@@ -423,16 +407,20 @@ def _fit(
         its = int(row_its[0])
         if accepted[0]:
             return EstimateResult(rows[0], report(crit[0]), its, converged=True)
-        # on a sample the MLE cannot fit (zero spread, every x at 1) both
-        # criteria are unbounded below, so such a fit raises as the MLE does
-        family.mle_parameter(q.nodes, q.weights)
         bounds = family.default_bounds(q.nodes, q.weights)
-    settings = {"tol": spec.tol, "max_iter": spec.max_iter, "psi": psi, "psi_tol": _PSI_TOL}
+    # on a sample the MLE cannot fit (zero spread, every x at 0 on
+    # normal-scale or at 1 on Pareto) each criterion reaches its infimum
+    # only as the fit degenerates, so such a fit raises as the MLE does
+    start = family.mle_parameter(q.nodes, q.weights)
     if family.param_dim == 1:
-        sr = solve_1d(lambda t: objective(np.array([t])), bounds[0], **settings)
+        sr = solve_1d(lambda t: objective(np.array([t])), bounds[0])
     else:
-        sr = solve_2d(objective, bounds, _start_point(family, q, bounds), **settings)
-    return EstimateResult(sr.x, report(sr.fun), its + sr.iterations, sr.converged)
+        sr = solve_2d(objective, bounds, start)
+    lo, hi = np.array(bounds).T
+    theta, norm, polish_its = _newton_polish(psi, sr.x, lo, hi, _PSI_TOL)
+    # a root on the box edge is where the box cut the search off
+    converged = norm < _PSI_TOL and bool(np.all((lo < theta) & (theta < hi)))
+    return EstimateResult(theta, report(objective(theta)), its + sr.iterations + polish_its, converged)
 
 
 def _superdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:

@@ -1,9 +1,11 @@
-"""Bounded derivative-free minimization with an optional root polish.
+"""Bounded derivative-free minimization and a Newton root polish.
 
 The 1-d solver is bounded golden-section/parabolic search; the 2-d solver
-is simplex descent with one restart.  When an estimating function ``psi``
-is supplied, a damped Newton polish drives its root to high precision,
-which is what the estimators rely on for tight tolerances.
+is simplex descent with one restart.  Both are plain box minimizers that
+report the minimum they find.  ``_newton_polish`` is a damped Newton
+iteration on an estimating function inside a box; the estimators call it
+after a search (and from a subdivergence escort) and decide there whether
+a fit converged.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ class SolveResult:
     fun: float
     iterations: int
     converged: bool
-    psi_norm: float | None = None
 
 
 def _checked(objective):
@@ -43,8 +44,8 @@ def _psi_vector(psi, x) -> np.ndarray:
 def _newton_polish(psi, x0, lo, hi, psi_tol: float, max_iter: int = 40):
     """Damped Newton iteration on ``psi(x) = 0`` inside the box [lo, hi].
 
-    Returns (x, psi_norm, n_evals).  Keeps the best iterate seen; never
-    leaves the box.
+    Returns (x, the max-norm of psi at x, psi evaluations).  Keeps the best
+    iterate seen; never leaves the box.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -98,19 +99,10 @@ def _newton_polish(psi, x0, lo, hi, psi_tol: float, max_iter: int = 40):
     return best_x, best_norm, evals
 
 
-def solve_1d(
-    objective,
-    bounds: tuple[float, float],
-    tol: float = 1e-6,
-    max_iter: int = 500,
-    psi=None,
-    psi_tol: float = 1e-8,
-) -> SolveResult:
+def solve_1d(objective, bounds: tuple[float, float], tol: float = 1e-6, max_iter: int = 500) -> SolveResult:
     """Minimize a scalar objective on an interval.
 
-    With ``psi`` given, the bracketing minimum is polished by Newton
-    iteration on ``psi = 0`` and convergence is certified by the residual
-    norm.  NaN objective values raise :class:`EvaluationError`.
+    NaN objective values raise :class:`EvaluationError`.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     f = _checked(objective)
@@ -132,25 +124,10 @@ def solve_1d(
             f, bounds=(b_lo, b_hi), method="bounded", options={"xatol": tol, "maxiter": max_iter}
         )
     x = np.array([float(res.x)])
-    iters += int(res.nfev)
-    converged = bool(res.success)
-    psi_norm = None
-    if psi is not None:
-        x, psi_norm, extra = _newton_polish(psi, x, [lo], [hi], psi_tol)
-        iters += extra
-        converged = psi_norm < psi_tol
-    return SolveResult(x=x, fun=f(x[0]), iterations=iters, converged=converged, psi_norm=psi_norm)
+    return SolveResult(x=x, fun=float(res.fun), iterations=iters + int(res.nfev), converged=bool(res.success))
 
 
-def solve_2d(
-    objective,
-    bounds,
-    x0,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-    psi=None,
-    psi_tol: float = 1e-8,
-) -> SolveResult:
+def solve_2d(objective, bounds, x0, tol: float = 1e-6, max_iter: int = 500) -> SolveResult:
     """Minimize a 2-d objective on a box via simplex descent with restart."""
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
@@ -163,12 +140,10 @@ def solve_2d(
         # Restart from the first solution; a fresh simplex escapes collapsed ones.
         res2 = _sciopt.minimize(f, res.x, method="Nelder-Mead", bounds=box, options=opts)
     best = res2 if res2.fun <= res.fun else res
-    x = np.clip(np.asarray(best.x, dtype=float), lo, hi)
-    iters = int(res.nfev + res2.nfev)
-    converged = bool(best.success)
-    psi_norm = None
-    if psi is not None:
-        x, psi_norm, extra = _newton_polish(psi, x, lo, hi, psi_tol)
-        iters += extra
-        converged = psi_norm < psi_tol
-    return SolveResult(x=x, fun=f(x), iterations=iters, converged=converged, psi_norm=psi_norm)
+    # scipy clips every simplex vertex into the box, so best.x lies in it
+    return SolveResult(
+        x=np.asarray(best.x, dtype=float),
+        fun=float(best.fun),
+        iterations=int(res.nfev + res2.nfev),
+        converged=bool(best.success),
+    )

@@ -70,13 +70,25 @@ class TestEstimate:
 
     @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "inf"), ("--max-iter", "0")])
     def test_bad_solver_setting(self, capsys, sample_file, flag, value):
+        # the estimating equations fix the estimate: no solver setting is an option
         code, out, err = run_cli(
             capsys, "estimate", "--family", "normal", "--estimator", "renyi", "--alpha", "0.5",
             "--data", sample_file, flag, value,
         )
         assert code == 1
         assert out == ""
-        assert flag.lstrip("-").replace("-", "_") in err
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    def test_degenerate_subdivergence_sample_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "fives.txt"
+        path.write_text("5.0\n" * 10, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "estimate", "--family", "normal", "--estimator", "subdivergence", "--alpha", "0.5",
+            "--escort", "5,1", "--data", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert "zero spread" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(

@@ -1,6 +1,5 @@
 """Tests for the estimator criteria, estimating equations, and drivers."""
 
-import dataclasses
 import math
 import warnings
 
@@ -34,6 +33,7 @@ from mindiv import (
 )
 from mindiv.estimators import (
     _FP_STEP_TOL,
+    _MAX_ITER,
     _PSI_TOL,
     KINDS,
     _Rows,
@@ -71,16 +71,6 @@ class TestSpecValidation:
     def test_negative_alpha(self):
         with pytest.raises(InvalidInputError):
             EstimatorSpec(kind="renyi", alpha=-0.1)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
-    def test_tol_finite_positive(self, tol):
-        with pytest.raises(InvalidInputError, match="tol"):
-            EstimatorSpec(kind="renyi", alpha=0.5, tol=tol)
-
-    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "10", 0])
-    def test_max_iter_positive_integer(self, max_iter):
-        with pytest.raises(InvalidInputError, match="max_iter"):
-            EstimatorSpec(kind="renyi", alpha=0.5, max_iter=max_iter)
 
 
 class TestSubCriterion:
@@ -236,13 +226,18 @@ class TestSubdivergenceEstimator:
         assert np.allclose(result.theta_hat, [0.0, 1.0], atol=1e-8)
 
     def test_rejected_newton_falls_back(self, monkeypatch):
-        # a Newton try that is not accepted leaves the fit to the box search,
-        # whose iteration count then includes the Newton evaluations
+        # a Newton try that is not accepted leaves the fit to the box search
+        # and then one polish of its result, and the iteration count adds
+        # up all three; a polish that does not settle is not converged
         q = empirical(np.random.default_rng(12).standard_normal(40))
         spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.3,))
-        monkeypatch.setattr(
-            mindiv.estimators, "_newton_polish", lambda psi, x0, lo, hi, tol: (x0, math.inf, 7)
-        )
+        polishes = []
+
+        def polish(psi, x0, lo, hi, tol):
+            polishes.append(np.array(x0, dtype=float))
+            return np.array(x0, dtype=float), math.inf, 7
+
+        monkeypatch.setattr(mindiv.estimators, "_newton_polish", polish)
         searches = []
         original = mindiv.estimators.solve_1d
 
@@ -252,29 +247,44 @@ class TestSubdivergenceEstimator:
 
         monkeypatch.setattr(mindiv.estimators, "solve_1d", solve_1d)
         result = estimate(NORMAL_LOCATION, spec, q)
-        assert len(searches) == 1
-        assert result.iterations == 7 + searches[0].iterations
+        assert len(searches) == 1 and len(polishes) == 2
+        assert np.array_equal(polishes[1], searches[0].x)
+        assert result.iterations == 7 + searches[0].iterations + 7
         assert np.array_equal(result.theta_hat, searches[0].x)
+        assert not result.converged
 
     def test_start_point_only_for_2d_search(self, monkeypatch):
-        # the MLE start is built for Nelder-Mead only; a 1-d search ignores it
-        calls = []
-        original = mindiv.estimators._start_point
+        # the MLE start is passed to Nelder-Mead only; a 1-d search has none
+        starts, searches = [], []
+        search_1d, search_2d = mindiv.estimators.solve_1d, mindiv.estimators.solve_2d
         monkeypatch.setattr(
-            mindiv.estimators, "_start_point", lambda *args: calls.append(args) or original(*args)
+            mindiv.estimators, "solve_1d", lambda *a, **k: searches.append(a) or search_1d(*a, **k)
+        )
+        monkeypatch.setattr(
+            mindiv.estimators, "solve_2d", lambda f, b, x0, **k: starts.append(x0) or search_2d(f, b, x0, **k)
         )
         # (an observation at x = 1 sends a Pareto fit to the 1-d search)
         xs = np.append(PARETO.sample([2.0], 29, np.random.default_rng(14)), 1.0)
-        searches = []
-        search = mindiv.estimators.solve_1d
-        monkeypatch.setattr(
-            mindiv.estimators, "solve_1d", lambda *a, **k: searches.append(a) or search(*a, **k)
-        )
         estimate(PARETO, EstimatorSpec(kind="power-pseudo", alpha=0.5), empirical(xs))
-        assert len(searches) == 1 and calls == []
-        # zero MAD: the fixed point takes no step and Nelder-Mead runs
-        estimate(NORMAL, EstimatorSpec(kind="renyi", alpha=0.5), empirical([0.0] * 6 + [1.0, -2.0, 3.0]))
-        assert len(calls) == 1
+        assert len(searches) == 1 and starts == []
+        # zero MAD: the fixed point takes no step and Nelder-Mead runs from
+        # the sample's MLE
+        q = empirical([0.0] * 6 + [1.0, -2.0, 3.0])
+        estimate(NORMAL, EstimatorSpec(kind="renyi", alpha=0.5), q)
+        assert len(starts) == 1
+        assert np.array_equal(starts[0], mle(NORMAL, q).theta_hat)
+
+    @pytest.mark.parametrize(
+        "family,xs,escort",
+        [(NORMAL, [5.0] * 10, (5.0, 1.0)), (NORMAL_SCALE, [0.0] * 10, (1.0,)), (PARETO, [1.0] * 10, (2.0,))],
+        ids=["normal-5", "normal-scale-0", "pareto-1"],
+    )
+    def test_degenerate_sample_raises_as_mle(self, family, xs, escort):
+        # the criterion reaches its infimum 0 only as the fit degenerates, so
+        # no estimate exists
+        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=escort)
+        with pytest.raises(DegenerateDataError):
+            estimate(family, spec, empirical(xs))
 
     def test_location_consistency_loss(self):
         # unit-scale location submodel fed data of scale 2: the fixed point
@@ -673,10 +683,10 @@ def plain_fixed_point(family, spec, xs, ws):
     weighted-moment map ``family._moment_update`` iterated one plain step at
     a time, on each row alone, under the solver's rules.  A row stops at a
     relative step <= ``_FP_STEP_TOL``, leaves at one outside [0, inf) and
-    takes at most ``max_iter`` steps; it is accepted when its residual is
+    takes at most ``_MAX_ITER`` steps; it is accepted when its residual is
     below ``_PSI_TOL`` and its criterion no higher than at the start.  An
     accepted row is then iterated on to a relative step of 1e-15 (at most
-    ``max_iter`` more steps), so its estimate is the map's limit, not the
+    ``_MAX_ITER`` more steps), so its estimate is the map's limit, not the
     point where the slow plain loop stopped.  Returns the (R, d) estimates
     (NaN where not accepted) and the accepted mask."""
     a = spec.alpha
@@ -685,7 +695,7 @@ def plain_fixed_point(family, spec, xs, ws):
     starts = np.stack(state, axis=1)
 
     def run(j, theta, tol):
-        for _ in range(spec.max_iter):
+        for _ in range(_MAX_ITER):
             new, step = family._moment_update(spec.kind, a, y[j : j + 1], ws[j : j + 1], [np.array([t]) for t in theta])
             theta = np.array([t[0] for t in new])
             if not 0.0 <= step[0] < math.inf:
@@ -749,9 +759,9 @@ class TestMomentFixedPoint:
                 assert result.iterations > its
 
     @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
-    def test_rows_independent_of_batch(self, spec):
+    def test_rows_independent_of_batch(self, monkeypatch, spec):
         # the rows of a batch stop in different cycles: they settle, reach
-        # max_iter (at 9 map evaluations), leave the space (Pareto
+        # _MAX_ITER (at 9 map evaluations), leave the space (Pareto
         # power-pseudo at alpha >= 1) or never start (row 1: a zero MAD on
         # normal and normal-scale, a node at x = 1 on Pareto)
         for family in ALL_FAMILIES:
@@ -764,11 +774,11 @@ class TestMomentFixedPoint:
                 xs[::2, :5] = 1e3 * rng.standard_cauchy((5, 5))
                 xs[1, :30] = 0.0
                 ws = np.full(xs.shape, 1.0 / xs.shape[1])
-            for max_iter in (spec.max_iter, 9):
-                rows_spec = dataclasses.replace(spec, max_iter=max_iter)
-                batch = _moment_fixed_point(family, rows_spec, xs, ws)
+            for max_iter in (_MAX_ITER, 9):
+                monkeypatch.setattr(mindiv.estimators, "_MAX_ITER", max_iter)
+                batch = _moment_fixed_point(family, spec, xs, ws)
                 for j in range(len(xs)):
-                    one = _moment_fixed_point(family, rows_spec, xs[j : j + 1], ws[j : j + 1])
+                    one = _moment_fixed_point(family, spec, xs[j : j + 1], ws[j : j + 1])
                     for got, want in zip(one, batch):
                         assert np.array_equal(got[0], want[j], equal_nan=True)
 
@@ -865,21 +875,28 @@ class TestMomentFixedPoint:
     @staticmethod
     def search_alone(monkeypatch, family, spec, q):
         """Check that the row gets no start and that ``estimate`` returns the
-        one bounded search's result; return that result."""
+        one bounded search's result after one Newton polish; return it."""
         _, accepted, iterations, _ = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
         assert not accepted[0] and iterations[0] == 0
-        searches = []
-        original = mindiv.estimators.solve_1d
+        searches, polishes = [], []
+        search, polish = mindiv.estimators.solve_1d, mindiv.estimators._newton_polish
 
         def solve_1d(*args, **kwargs):
-            searches.append(original(*args, **kwargs))
+            searches.append(search(*args, **kwargs))
             return searches[-1]
 
+        def newton_polish(psi, x0, *args):
+            assert np.array_equal(x0, searches[-1].x)
+            polishes.append(polish(psi, x0, *args))
+            return polishes[-1]
+
         monkeypatch.setattr(mindiv.estimators, "solve_1d", solve_1d)
+        monkeypatch.setattr(mindiv.estimators, "_newton_polish", newton_polish)
         result = estimate(family, spec, q)
-        assert len(searches) == 1
-        assert result.iterations == searches[0].iterations
-        assert np.array_equal(result.theta_hat, searches[0].x)
+        assert len(searches) == 1 and len(polishes) == 1
+        theta, _, polish_evals = polishes[0]
+        assert result.iterations == searches[0].iterations + polish_evals
+        assert np.array_equal(result.theta_hat, theta)
         return result
 
     def test_zero_mad_falls_back(self, monkeypatch):
@@ -975,8 +992,8 @@ EQUIVARIANCE_SWEEP = (
 )
 # Configurations whose absolute tolerances (_PSI_TOL on a residual that
 # grows like 1/sigma, _FP_STEP_TOL on a location step below the spacing of
-# the offset's floats) are out of reach: converged=False, or, for
-# power-pseudo on normal-loc, a search whose Newton polish steps
+# the offset's floats) are out of reach, so each returns converged=False;
+# for power-pseudo on normal-loc the search's Newton polish steps
 # 1e-6 (1 + |mu|) and stops on the box edge.  A scale-free fit would leave
 # none of them.
 BREAKDOWN = {
@@ -997,8 +1014,9 @@ BREAKDOWN = {
 class TestEquivariance:
     @pytest.mark.parametrize("kind", ROBUST_KINDS)
     def test_offset_scale_sweep(self, kind):
-        # each fit raises on a sample whose spread rounds to zero, maps back
-        # to the fit on z, or is a listed breakdown
+        # each fit raises on a sample whose spread rounds to zero, is a
+        # listed breakdown that reports converged=False, or converges to
+        # the fit on z mapped forward
         z = np.random.default_rng(0).standard_normal(50)
         spec = EstimatorSpec(kind=kind, alpha=0.5)
         reference = {f: estimate(f, spec, empirical(z)).theta_hat for f in (NORMAL, NORMAL_LOCATION, NORMAL_SCALE)}
@@ -1012,9 +1030,24 @@ class TestEquivariance:
             # (mu - offset) / scale and sigma / scale, on the free coordinates
             shift = np.array([offset, 0.0])[list(family._free)]
             back = (result.theta_hat - shift) / scale
-            if result.converged and np.all(np.abs(back - reference[family]) <= 1e-6):
-                continue
-            assert (family.name, kind, offset, scale) in BREAKDOWN
+            config = (family.name, kind, offset, scale)
+            if config in BREAKDOWN:
+                assert not result.converged, config
+            else:
+                assert result.converged and np.all(np.abs(back - reference[family]) <= 1e-6), config
+
+    @pytest.mark.parametrize("offset", [1e8, 1e12])
+    def test_search_root_on_box_edge_not_converged(self, offset):
+        # the fixed point settles at 0.116 but its location step never falls
+        # below _FP_STEP_TOL; the search's Newton polish then meets psi = 0
+        # to _PSI_TOL on the box's upper edge, 15 sigma from the fit
+        z = np.random.default_rng(0).standard_normal(50)
+        spec = EstimatorSpec(kind="power-pseudo", alpha=0.5)
+        q = empirical(offset + z)
+        result = estimate(NORMAL_LOCATION, spec, q)
+        (lo, hi), = NORMAL_LOCATION.default_bounds(q.nodes, q.weights)
+        assert result.theta_hat[0] == hi
+        assert not result.converged
 
 
 class TestParetoSupportBoundary:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mindiv.errors import EvaluationError
-from mindiv.optimize import solve_1d, solve_2d
+from mindiv.optimize import _newton_polish, solve_1d, solve_2d
 
 
 def test_quadratic_minimum():
@@ -15,17 +15,45 @@ def test_quadratic_minimum():
     assert res.converged
 
 
-def test_quadratic_with_polish():
-    res = solve_1d(
-        lambda x: (x - 2.0) ** 2,
-        (0.0, 5.0),
-        tol=1e-4,
-        psi=lambda v: np.array([2.0 * (v[0] - 2.0)]),
-        psi_tol=1e-10,
-    )
-    assert res.x[0] == pytest.approx(2.0, abs=1e-10)
-    assert res.converged
-    assert res.psi_norm < 1e-10
+class TestNewtonPolish:
+    def test_quadratic_root(self):
+        x, norm, evals = _newton_polish(lambda v: np.array([2.0 * (v[0] - 2.0)]), [1.9], [0.0], [5.0], 1e-10)
+        assert x[0] == pytest.approx(2.0, abs=1e-10)
+        assert norm < 1e-10 and evals > 1
+
+    def test_start_clipped_into_box(self):
+        x, _, _ = _newton_polish(lambda v: np.array([v[0] - 2.0]), [9.0], [0.0], [5.0], 1e-10)
+        assert x[0] == pytest.approx(2.0, abs=1e-10)
+
+    def test_root_outside_box_stays_on_edge(self):
+        # every damped step from the edge is clipped back onto it, so none improves
+        x, norm, _ = _newton_polish(lambda v: np.array([v[0] - 7.0]), [1.0], [0.0], [5.0], 1e-10)
+        assert x[0] == 5.0 and norm == pytest.approx(2.0)
+
+    def test_non_finite_start(self):
+        x, norm, evals = _newton_polish(lambda v: np.array([math.nan]), [1.0], [0.0], [5.0], 1e-10)
+        assert x[0] == 1.0 and norm == math.inf and evals == 1
+
+    def test_zero_width_box_coordinate(self):
+        # no difference step fits in [1, 1]: the start is returned as is
+        x, norm, evals = _newton_polish(lambda v: np.array([v[0] - 2.0]), [3.0], [1.0], [1.0], 1e-10)
+        assert x[0] == 1.0 and norm == 1.0 and evals == 1
+
+    def test_non_finite_jacobian(self):
+        # finite at the start only: both difference points overflow
+        psi = lambda v: np.array([v[0] - 2.0 if v[0] == 1.0 else math.inf])
+        x, norm, evals = _newton_polish(psi, [1.0], [0.0], [5.0], 1e-10)
+        assert x[0] == 1.0 and norm == 1.0 and evals == 3
+
+    def test_singular_jacobian(self):
+        x, norm, evals = _newton_polish(lambda v: np.array([1.0, 1.0]), [1.0, 2.0], [0.0, 0.0], [5.0, 5.0], 1e-10)
+        assert np.array_equal(x, [1.0, 2.0]) and norm == 1.0 and evals == 5
+
+    def test_non_finite_step(self):
+        # a residual of 1e10 against a slope of 1e-300 overflows the step
+        psi = lambda v: np.array([1e10 if v[0] == 1.0 else 1e-300 * v[0]])
+        x, norm, evals = _newton_polish(psi, [1.0], [0.0], [5.0], 1e-10)
+        assert x[0] == 1.0 and norm == 1e10 and evals == 3
 
 
 def test_rosenbrock():
@@ -51,6 +79,11 @@ def test_iteration_budget_respected():
     # the bracketing scan always runs; the refinement budget is capped
     res = solve_1d(lambda x: (x - 2.0) ** 2, (0.0, 5.0), tol=1e-12, max_iter=3)
     assert res.iterations <= 33 + 10
+
+
+def test_scan_without_finite_value_searches_whole_box():
+    res = solve_1d(lambda x: math.inf, (0.0, 5.0))
+    assert 0.0 <= res.x[0] <= 5.0 and res.fun == math.inf
 
 
 def test_overflowing_objective_still_bracketed():
