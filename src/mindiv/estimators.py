@@ -3,8 +3,8 @@
 Five estimator kinds share one interface: maximum likelihood, the
 escort-anchored subdivergence estimator, the superdivergence estimator,
 the power pseudodistance estimator, and the Renyi pseudodistance
-estimator.  Every kind reduces to the MLE at ``alpha = 0`` through the
-same code path.  The superdivergence estimator's max-min over the escort
+estimator.  Every kind reduces to the MLE at ``alpha = 0``: ``estimate``
+checks that once.  The superdivergence estimator's max-min over the escort
 is solved in closed form: on every family here it is the MLE (see
 ``_superdivergence``).  The subdivergence estimator whose escort is the
 MLE is the MLE too: at theta = escort = MLE both terms of its estimating
@@ -20,6 +20,8 @@ evaluations of that map, which ``iterations`` counts.  Subdivergence fits
 start with Newton from the escort.  The bounded search over the family's
 default box, then one Newton polish, is the fallback for fits that first
 try does not settle; ``_fit`` alone decides whether a fit converged.
+``_fit_rows``, which runs that row solver and then ``estimate`` on each
+row it does not accept, is the one place where rows are fitted.
 
 Estimation is pure given (family, spec, measure): repeated calls return
 bit-identical results, and concurrent calls on shared immutable inputs are
@@ -120,47 +122,47 @@ def _tilted_sum(w, s):
     return (w[..., None] * s).sum(axis=-2)
 
 
-def sub_criterion(family: Family, theta, theta_tilde, q: Measure, alpha: float) -> float:
-    """Escort criterion M minimized by the subdivergence estimator, in its
-    closed ratio-expectation form for ``0 < alpha < 1``."""
+def sub_criterion(family: Family, escort, theta, q: Measure, alpha: float) -> float:
+    """Escort criterion M minimized in ``theta`` by the subdivergence
+    estimator, in its closed ratio-expectation form for ``0 < alpha < 1``."""
     a = _check_sub_alpha(alpha)
+    escort = family.validate_param(escort)
     theta = family.validate_param(theta)
-    tilde = family.validate_param(theta_tilde)
+    lp_escort_q = np.asarray(family.log_density(escort, q.nodes))
     lp_q = np.asarray(family.log_density(theta, q.nodes))
-    lp_tilde_q = np.asarray(family.log_density(tilde, q.nodes))
-    ratio_term = family.power_ratio_integral(theta, tilde, a)
+    ratio_term = family.power_ratio_integral(escort, theta, a)
     with np.errstate(over="ignore"):
-        data_term = float(q.weights @ np.exp(a * (lp_q - lp_tilde_q)))
+        data_term = float(q.weights @ np.exp(a * (lp_escort_q - lp_q)))
     return ratio_term / (1.0 - a) + data_term / a
 
 
-def sub_psi(family: Family, theta, theta_tilde, q: Measure, alpha: float) -> np.ndarray:
-    """Estimating equation of the subdivergence criterion (zero at its argmin).
+def sub_psi(family: Family, escort, theta, q: Measure, alpha: float) -> np.ndarray:
+    """Estimating equation of ``sub_criterion`` in ``theta`` (zero at its argmin).
 
-    The model term integrates ``p_tilde^(1-a) p_theta^a`` and the data term
-    sums ``q (p_theta / p_tilde)^a``, both weighting the escort fit's score.
+    The model term integrates ``p_theta^(1-a) p_escort^a`` and the data term
+    sums ``q (p_escort / p_theta)^a``, both weighting the score at ``theta``.
     """
     a = _check_sub_alpha(alpha)
+    escort = family.validate_param(escort)
     theta = family.validate_param(theta)
-    tilde = family.validate_param(theta_tilde)
-    x, wl = family.integration_grid([theta, tilde], _GRID_N)
+    x, wl = family.integration_grid([escort, theta], _GRID_N)
+    lp_escort = np.asarray(family.log_density(escort, x))
     lp = np.asarray(family.log_density(theta, x))
-    lp_tilde = np.asarray(family.log_density(tilde, x))
-    model_term = _tilted_sum(wl * np.exp((1.0 - a) * lp_tilde + a * lp), family.score(tilde, x))
+    model_term = _tilted_sum(wl * np.exp((1.0 - a) * lp + a * lp_escort), family.score(theta, x))
+    lp_escort_q = np.asarray(family.log_density(escort, q.nodes))
     lp_q = np.asarray(family.log_density(theta, q.nodes))
-    lp_tilde_q = np.asarray(family.log_density(tilde, q.nodes))
     with np.errstate(over="ignore"):
-        ratio = np.exp(a * (lp_q - lp_tilde_q))
-    return model_term - _tilted_sum(q.weights * ratio, family.score(tilde, q.nodes))
+        ratio = np.exp(a * (lp_escort_q - lp_q))
+    return model_term - _tilted_sum(q.weights * ratio, family.score(theta, q.nodes))
 
 
-def sub_divergence(family: Family, theta, theta_tilde, q: Measure, alpha: float) -> float:
-    """Finite lower bound of the power divergence anchored at ``theta_tilde``.
+def sub_divergence(family: Family, escort, theta, q: Measure, alpha: float) -> float:
+    """Finite lower bound at ``theta`` of the escort law's power divergence from ``q``.
 
-    Maximal in ``theta_tilde`` exactly at the parameter generating ``q``.
+    Maximal in ``theta`` exactly at the parameter generating ``q``.
     """
     a = _check_sub_alpha(alpha)
-    return orthogonal_constant(a) - sub_criterion(family, theta, theta_tilde, q, a)
+    return orthogonal_constant(a) - sub_criterion(family, escort, theta, q, a)
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +374,13 @@ def mle(family: Family, q: Measure) -> EstimateResult:
     return EstimateResult(theta_hat=theta, criterion_value=crit, iterations=0, converged=True)
 
 
-def _fit(
-    family: Family, spec: EstimatorSpec, q: Measure, criterion, gradient, *fixed, report=float
-) -> EstimateResult:
-    """Shared fit of the kinds that minimize one criterion directly.
+def _fit(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
+    """Fit of a subdivergence, power-pseudo or Renyi ``spec`` at ``alpha > 0``.
 
-    ``criterion(family, *fixed, theta, q, alpha)`` is the criterion,
-    ``gradient(...)`` (same arguments) its estimating equation, and
-    ``report`` maps the minimum to ``criterion_value``.  First comes the
-    row solver on one row (power-pseudo, Renyi) or Newton from the escort
+    Its criterion and estimating equation are ``sub_criterion`` and
+    ``sub_psi`` at the escort, or the pair in ``_EQUATIONS``; a Renyi fit
+    reports the tilted mass ``exp(-criterion)``.  First comes the row
+    solver on one row (power-pseudo, Renyi) or Newton from the escort
     (subdivergence), accepted when its residual is below ``_PSI_TOL`` and
     its criterion no higher than at its start, as computed there (at the
     escort that is ``1/(1-a) + 1/a`` up to rounding).  Otherwise the
@@ -389,20 +389,22 @@ def _fit(
     result is converged when its residual is below ``_PSI_TOL`` and it lies
     strictly inside the box, and its iteration count includes every
     earlier phase's.  A fit of a sample on which ``family.mle_parameter``
-    raises ``DegenerateDataError`` raises it too.  Every such kind is the
-    MLE at ``alpha = 0``.
+    raises ``DegenerateDataError`` raises it too.
     """
-    if spec.alpha == 0.0:
-        return mle(family, q)
     a = spec.alpha
-    objective = lambda th: criterion(family, *fixed, th, q, a)
-    psi = lambda th: gradient(family, *fixed, th, q, a)
+    report = (lambda neg_log: math.exp(-neg_log)) if spec.kind == "renyi" else float
     if spec.kind == "subdivergence":
+        escort = family.validate_param(spec.escort)
+        objective = lambda th: sub_criterion(family, escort, th, q, a)
+        psi = lambda th: sub_psi(family, escort, th, q, a)
         bounds = family.default_bounds(q.nodes, q.weights)
-        theta, norm, its = _newton_polish(psi, fixed[0], *np.array(bounds).T, _PSI_TOL)
-        if norm < _PSI_TOL and (crit := objective(theta)) <= objective(fixed[0]):
+        theta, norm, its = _newton_polish(psi, escort, *np.array(bounds).T, _PSI_TOL)
+        if norm < _PSI_TOL and (crit := objective(theta)) <= objective(escort):
             return EstimateResult(theta, report(crit), its, converged=True)
     else:
+        criterion, gradient = _EQUATIONS[spec.kind]
+        objective = lambda th: criterion(family, th, q, a)
+        psi = lambda th: gradient(family, th, q, a)
         rows, accepted, row_its, crit = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
         its = int(row_its[0])
         if accepted[0]:
@@ -445,8 +447,6 @@ def _superdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> Estimat
 
     So the estimate is the MLE with criterion ``c``, with no search.
     """
-    if spec.alpha == 0.0:
-        return mle(family, q)
     theta = family.mle_parameter(q.nodes, q.weights)
     return EstimateResult(theta, 1.0 / (1.0 - spec.alpha) + 1.0 / spec.alpha, 0, converged=True)
 
@@ -456,15 +456,25 @@ def estimate(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
 
     A Renyi fit reports the maximized tilted-mass criterion itself.
     """
-    if spec.kind == "subdivergence":
-        escort = family.validate_param(np.asarray(spec.escort, dtype=float))
-        return _fit(family, spec, q, sub_criterion, sub_psi, escort)
+    if spec.kind == "mle" or spec.alpha == 0.0:
+        return mle(family, q)
     if spec.kind == "superdivergence":
         return _superdivergence(family, spec, q)
-    if spec.kind == "power-pseudo":
-        return _fit(family, spec, q, _pseudo_criterion, _pseudo_gradient)
-    if spec.kind == "renyi":
-        return _fit(
-            family, spec, q, _renyi_neg_log, _renyi_gradient, report=lambda neg_log: math.exp(-neg_log)
-        )
-    return mle(family, q)
+    return _fit(family, spec, q)
+
+
+def _fit_rows(family: Family, spec: EstimatorSpec, nodes, weights):
+    """Fit of ``spec`` on each row of (R, n) ``nodes`` and ``weights``, equal
+    bit for bit to ``estimate`` on ``Measure(nodes[j], weights[j])``: the
+    (R, d) parameters, NaN where a fit raised a ``ToolkitError`` or did not
+    converge, and the mask of converged rows."""
+    theta, ok, _, _ = _moment_fixed_point(family, spec, nodes, weights)
+    theta[~ok] = math.nan
+    for j in np.flatnonzero(~ok):
+        try:
+            result = estimate(family, spec, Measure(nodes[j], weights[j]))
+        except ToolkitError:
+            continue
+        if result.converged:
+            theta[j], ok[j] = result.theta_hat, True
+    return theta, ok

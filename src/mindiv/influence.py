@@ -22,7 +22,7 @@ from .errors import (
     SingularMatrixError,
     ToolkitError,
 )
-from .estimators import _BATCH_VALUES, EstimatorSpec, _moment_fixed_point, _point_psi, estimate
+from .estimators import _BATCH_VALUES, EstimatorSpec, _fit_rows, _point_psi, estimate
 from .families import Family, _NormalKind
 from .measures import Measure, contaminate, quadrature_of
 
@@ -113,12 +113,11 @@ def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x, eps: float = 
 
     One-sided in ``eps`` (contamination weights are nonnegative), with a
     Richardson step over ``{eps, eps/2}`` cancelling the leading error term.
-    The base measure is fitted once.  The contaminated measures of all
-    points are then solved together, one row each, by the estimators' row
-    solver (``_moment_fixed_point``); the rows it does not accept, and
-    every subdivergence row, are refitted one at a time.  Each
-    contaminated fit equals ``estimate`` on ``contaminate(q, x, step)`` bit
-    for bit.  Array ``x`` yields one row per point.
+    The base measure is fitted once, then the contaminated measures of all
+    points together, one row each, by ``estimators._fit_rows``, the one
+    place where rows are fitted.  Each equals ``estimate`` on
+    ``contaminate(q, x, step)`` bit for bit; the first that fails is
+    refitted there to raise its error.  Array ``x`` yields one row per point.
     """
     e = float(eps)
     if not 0.0 < e <= 0.05:
@@ -138,12 +137,13 @@ def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x, eps: float = 
         # weights times (1 - step) plus step
         nodes = np.concatenate([np.broadcast_to(q.nodes, (hi - lo, len(q))), at[lo:hi, None]], axis=1)
         weights = np.concatenate([(1.0 - steps[lo:hi, None]) * q.weights, steps[lo:hi, None]], axis=1)
-        theta, accepted, _, _ = _moment_fixed_point(family, spec, nodes, weights)
-        fits[lo:hi] = theta
-        for j in lo + np.flatnonzero(~accepted):
+        fits[lo:hi], ok = _fit_rows(family, spec, nodes, weights)
+        if not ok.all():
+            # fits are pure: the first failed row's refit fails the same way
+            j = lo + int(np.argmin(ok))
             point, step = float(at[j]), float(steps[j])
             context = f"contaminated measure (x={point}, eps={step})"
-            fits[j] = _estimate_or_raise(family, spec, contaminate(q, point, step), context).theta_hat
+            _estimate_or_raise(family, spec, contaminate(q, point, step), context)
     quotients = (fits - base) / steps[:, None]
     out = 2.0 * quotients[1::2] - quotients[0::2]
     return out[0] if np.ndim(x) == 0 else out
@@ -323,13 +323,13 @@ def influence_curve(
     own estimating equation; the MLE and superdivergence share the
     likelihood influence (the superdivergence estimator is the MLE).
     ``numeric=True`` switches to the contamination oracle ``if_numeric``
-    on ``quadrature_of(family, theta)``: one base fit, then the
-    contaminated measures of all grid points solved together, each point
-    equal to what single ``estimate`` calls give.  Its default
-    ``eps = 1e-3`` is too coarse for subdivergence on ``normal`` (2.6e-3
-    off the formula at alpha 0.5, escort (0.3, 1.2), theta (0, 1)); call
-    ``if_numeric(family, spec, quadrature_of(family, theta), grid,
-    eps=1e-4)`` there.
+    on ``quadrature_of(family, theta)``: one base fit, then the grid's
+    contaminated measures fitted together by ``estimators._fit_rows``, the
+    one place where rows are fitted, each as single ``estimate`` calls give.
+    Its default ``eps = 1e-3`` is too coarse for subdivergence on
+    ``normal`` (2.6e-3 off the formula at alpha 0.5, escort (0.3, 1.2),
+    theta (0, 1)); call ``if_numeric(family, spec, quadrature_of(family,
+    theta), grid, eps=1e-4)`` there.
     """
     theta = family.validate_param(theta)
     grid = np.asarray(grid, dtype=float)

@@ -41,11 +41,11 @@ def _psi_vector(psi, x) -> np.ndarray:
     return np.atleast_1d(np.asarray(psi(x), dtype=float))
 
 
-def _newton_polish(psi, x0, lo, hi, psi_tol: float, max_iter: int = 40):
+def _newton_polish(psi, x0, lo, hi, psi_tol: float):
     """Damped Newton iteration on ``psi(x) = 0`` inside the box [lo, hi].
 
-    Returns (x, the max-norm of psi at x, psi evaluations).  Keeps the best
-    iterate seen; never leaves the box.
+    Returns (x, the max-norm of psi at x, psi evaluations) after at most 40
+    Newton steps.  Keeps the best iterate seen; never leaves the box.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -58,7 +58,7 @@ def _newton_polish(psi, x0, lo, hi, psi_tol: float, max_iter: int = 40):
         best_x, best_norm = x.copy(), float(np.max(np.abs(p)))
         evals = 1
         d = x.size
-        for _ in range(max_iter):
+        for _ in range(40):
             if best_norm < 1e-2 * psi_tol:
                 break
             jac = np.empty((d, d))
@@ -99,7 +99,7 @@ def _newton_polish(psi, x0, lo, hi, psi_tol: float, max_iter: int = 40):
     return best_x, best_norm, evals
 
 
-def solve_1d(objective, bounds: tuple[float, float], tol: float = 1e-6, max_iter: int = 500) -> SolveResult:
+def solve_1d(objective, bounds: tuple[float, float]) -> SolveResult:
     """Minimize a scalar objective on an interval.
 
     NaN objective values raise :class:`EvaluationError`.
@@ -121,19 +121,19 @@ def solve_1d(objective, bounds: tuple[float, float], tol: float = 1e-6, max_iter
         b_lo, b_hi = lo, hi
     with np.errstate(invalid="ignore", over="ignore"):
         res = _sciopt.minimize_scalar(
-            f, bounds=(b_lo, b_hi), method="bounded", options={"xatol": tol, "maxiter": max_iter}
+            f, bounds=(b_lo, b_hi), method="bounded", options={"xatol": 1e-6, "maxiter": 500}
         )
     x = np.array([float(res.x)])
     return SolveResult(x=x, fun=float(res.fun), iterations=iters + int(res.nfev), converged=bool(res.success))
 
 
-def solve_2d(objective, bounds, x0, tol: float = 1e-6, max_iter: int = 500) -> SolveResult:
+def solve_2d(objective, bounds, x0) -> SolveResult:
     """Minimize a 2-d objective on a box via simplex descent with restart."""
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     start = np.clip(np.asarray(x0, dtype=float), lo, hi)
     f = _checked(lambda v: objective(np.asarray(v, dtype=float)))
-    opts = {"xatol": tol, "fatol": 1e-12, "maxiter": max_iter, "maxfev": 4 * max_iter}
+    opts = {"xatol": 1e-6, "fatol": 1e-12, "maxiter": 500, "maxfev": 2000}
     box = _sciopt.Bounds(lo, hi)
     with np.errstate(invalid="ignore", over="ignore"):
         res = _sciopt.minimize(f, start, method="Nelder-Mead", bounds=box, options=opts)

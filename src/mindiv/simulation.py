@@ -5,9 +5,9 @@ contaminants, every requested estimator is fitted per replication, and
 mean squared errors of the scale estimates are pooled.  Replications own
 independent generator streams derived from (seed, replication index), so
 results are reproducible, order-independent, and chunkable across calls.
-Every kind but subdivergence is fitted batched over the replications by
-the estimators' row solver, which gives each replication the numbers
-``estimate`` gives.
+Each estimator is fitted on all replications of a batch at once by
+``estimators._fit_rows``, the one place where rows are fitted, which gives
+each replication the numbers ``estimate`` gives.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ToolkitError
-from .estimators import _BATCH_VALUES, EstimatorSpec, _moment_fixed_point, estimate
+from .errors import InvalidInputError
+from .estimators import _BATCH_VALUES, EstimatorSpec, _fit_rows
 from .families import NORMAL_SCALE
-from .measures import empirical
 
 CONTAMINANTS = ("normal3", "normal10", "logistic", "cauchy")
 
@@ -104,27 +103,6 @@ def _replication_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
 
 
-def _scale_estimates(spec: EstimatorSpec, samples: np.ndarray) -> np.ndarray:
-    """Scale estimate of ``spec`` on each row of ``samples``; NaN marks a
-    failed or non-converged fit.
-
-    All rows are solved together by the estimators' row solver,
-    ``_moment_fixed_point``; the rows it does not accept, and every
-    subdivergence row, are fitted one sample at a time by ``estimate``.
-    """
-    weights = np.full(samples.shape, 1.0 / samples.shape[1])
-    theta, accepted, _, _ = _moment_fixed_point(NORMAL_SCALE, spec, samples, weights)
-    out = np.where(accepted, theta[:, 0], math.nan)
-    for j in np.flatnonzero(~accepted):
-        try:
-            result = estimate(NORMAL_SCALE, spec, empirical(samples[j]))
-        except ToolkitError:
-            continue
-        if result.converged:
-            out[j] = result.theta_hat[0]
-    return out
-
-
 def run_study(
     model: ContaminationModel,
     n: int,
@@ -139,8 +117,8 @@ def run_study(
     non-converged fits are excluded from the MSE and counted per estimator.
     ``first_rep`` offsets the replication indices so a study can be split
     into chunks whose pooled statistics match the single-call result.
-    Each replication's estimate equals ``estimate(NORMAL_SCALE, spec,
-    empirical(sample))`` bit for bit, however the study is batched.
+    Batches of replications are fitted by ``estimators._fit_rows``, so each
+    equals ``estimate(NORMAL_SCALE, spec, empirical(sample))`` bit for bit.
     ``n`` and ``reps`` must be integers >= 1, ``seed`` and ``first_rep``
     integers >= 0; anything else raises an ``InvalidInputError`` naming it.
     """
@@ -159,7 +137,7 @@ def run_study(
             ]
         )
         for k, spec in enumerate(specs):
-            parts[k].append(_scale_estimates(spec, samples))
+            parts[k].append(_fit_rows(NORMAL_SCALE, spec, samples, np.full(samples.shape, 1.0 / n))[0][:, 0])
     rows = []
     for k, spec in enumerate(specs):
         sigma_hat = np.concatenate(parts[k])

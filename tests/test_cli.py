@@ -35,22 +35,31 @@ class TestEstimate:
         assert payload["converged"] is True
         assert set(payload) == {"theta_hat", "criterion_value", "iterations", "converged"}
 
-    def test_missing_escort_is_usage_error(self, capsys, sample_file):
+    @pytest.mark.parametrize(
+        "estimator,extra,message",
+        [
+            ("subdivergence", [], "--escort is required for the subdivergence estimator"),
+            ("renyi", ["--escort", "0,1"], "--escort is not accepted by the renyi estimator"),
+        ],
+        ids=["missing", "not-accepted"],
+    )
+    def test_escort_usage_error(self, capsys, sample_file, estimator, extra, message):
         code, out, err = run_cli(
             capsys,
             "estimate",
             "--family",
             "normal",
             "--estimator",
-            "subdivergence",
+            estimator,
             "--alpha",
             "0.5",
             "--data",
             sample_file,
+            *extra,
         )
         assert code == 1
         assert out == ""
-        assert "--escort" in err
+        assert message in err
 
     def test_superdivergence_alpha_range(self, capsys, sample_file):
         code, _, err = run_cli(
@@ -192,8 +201,18 @@ class TestInfluence:
         assert lines[0] == "x,if_component_1,if_component_2"
         assert len(lines) == 8
 
-    def test_reversed_grid_rejected(self, capsys):
-        code, _, err = run_cli(
+    @pytest.mark.parametrize(
+        "theta,grid,message",
+        [
+            ("0", "3:-3:7", "grid minimum must be below maximum"),
+            ("0", "-1:1", "grid must be min:max:count"),
+            ("0", "-1:1:1", "grid needs at least 2 points, got 1"),
+            ("0,x", "-1:1:3", "expected comma-separated numbers, got '0,x'"),
+        ],
+        ids=["reversed", "two-fields", "one-point", "theta-not-numeric"],
+    )
+    def test_bad_grid_or_theta_rejected(self, capsys, theta, grid, message):
+        code, out, err = run_cli(
             capsys,
             "influence",
             "--family",
@@ -201,12 +220,13 @@ class TestInfluence:
             "--estimator",
             "mle",
             "--theta",
-            "0",
+            theta,
             "--grid",
-            "3:-3:7",
+            grid,
         )
         assert code == 1
-        assert "grid" in err
+        assert out == ""
+        assert message in err
 
     def test_numeric_matches_closed(self, capsys):
         args = [

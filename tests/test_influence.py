@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import mindiv.estimators
 import mindiv.influence
 from mindiv import (
     EstimationError,
@@ -39,10 +40,15 @@ def mle_scale_if(sigma0, x):
 
 
 class TestIfGeneral:
-    def test_array_points(self):
+    @pytest.mark.parametrize(
+        "psi_deriv",
+        [lambda x, th: np.full(np.shape(x) + (1, 1), -1.0), lambda x, th: np.array([[-1.0]])],
+        ids=["vectorized", "per-node"],
+    )
+    def test_array_points(self, psi_deriv):
+        # a Jacobian that does not vectorize over the nodes is taken node by node
         q = quadrature_of(NORMAL_LOCATION, [0.5], 256)
         psi = lambda x, th: np.asarray(x) - th[0]
-        psi_deriv = lambda x, th: np.full(np.shape(x) + (1, 1), -1.0)
         xs = np.array([-2.0, 0.5, 3.1])
         got = if_general(psi, psi_deriv, q, [0.5], xs)
         assert got.shape == (3, 1)
@@ -113,6 +119,7 @@ class TestIfNumeric:
     def test_array_x_fits_base_once(self, monkeypatch):
         # one row per point, equal to the scalar calls; estimate() fits only
         # the base, as the row fixed point accepts every contaminated row
+        # (if_numeric fits the base, _fit_rows refits rejected rows)
         spec = EstimatorSpec(kind="power-pseudo", alpha=0.5)
         q = quadrature_of(NORMAL, [0.0, 1.0])
         xs = np.array([-1.5, 0.5, 2.0])
@@ -125,6 +132,7 @@ class TestIfNumeric:
             return real_estimate(family, spec, q)
 
         monkeypatch.setattr(mindiv.influence, "estimate", counting)
+        monkeypatch.setattr(mindiv.estimators, "estimate", counting)
         rows = if_numeric(NORMAL, spec, q, xs)
         assert len(fits) == 1
         assert rows.shape == (3, 2)
@@ -153,8 +161,10 @@ class TestIfNumeric:
             result = real_estimate(family, spec, m)
             return result if len(m) == len(q) else dataclasses.replace(result, converged=False)
 
+        # _fit_rows refits the rows, and if_numeric refits the first failed
+        # one to raise; subdivergence rows are refitted one at a time
+        monkeypatch.setattr(mindiv.estimators, "estimate", stalls_when_contaminated)
         monkeypatch.setattr(mindiv.influence, "estimate", stalls_when_contaminated)
-        # subdivergence rows are refitted one at a time by estimate
         spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.0,))
         with pytest.raises(EstimationError, match=r"did not converge at contaminated measure \(x=1\.5, eps=0\.001\)"):
             if_numeric(NORMAL_LOCATION, spec, q, np.array([1.5, 2.0]))
@@ -190,7 +200,9 @@ class TestBatchedOracle:
             fits.append(q)
             return real_estimate(family, spec, q)
 
+        # if_numeric fits the base, _fit_rows the rows it refits
         monkeypatch.setattr(mindiv.influence, "estimate", counting)
+        monkeypatch.setattr(mindiv.estimators, "estimate", counting)
         return fits
 
     @pytest.mark.parametrize("family_name", list(CASES))
@@ -223,14 +235,15 @@ class TestBatchedOracle:
         q = quadrature_of(family, theta)
         xs = np.array([-2.0, 0.5, 3.0])
         want = per_point_oracle(family, spec, q, xs)
-        real_rows = mindiv.influence._moment_fixed_point
+        real_rows = mindiv.estimators._moment_fixed_point
 
         def rejecting(family, spec, nodes, weights):
             theta, accepted, iterations, criteria = real_rows(family, spec, nodes, weights)
-            accepted[[1, 4]] = False  # point 0 at eps/2, point 2 at eps
+            if len(nodes) > 1:  # the batch; one-row calls are single fits
+                accepted[[1, 4]] = False  # point 0 at eps/2, point 2 at eps
             return theta, accepted, iterations, criteria
 
-        monkeypatch.setattr(mindiv.influence, "_moment_fixed_point", rejecting)
+        monkeypatch.setattr(mindiv.estimators, "_moment_fixed_point", rejecting)
         fits = self.counting_estimate(monkeypatch)
         got = if_numeric(family, spec, q, xs)
         assert [m.nodes[-1] for m in fits[1:]] == [-2.0, 3.0]
@@ -243,18 +256,19 @@ class TestBatchedOracle:
         xs = np.linspace(-5.0, 5.0, 7)
         whole = if_numeric(family, spec, q, xs)
         calls = []
-        real_rows = mindiv.influence._moment_fixed_point
+        real_rows = mindiv.estimators._moment_fixed_point
 
         def recording(family, spec, nodes, weights):
             calls.append(len(nodes))
             return real_rows(family, spec, nodes, weights)
 
-        monkeypatch.setattr(mindiv.influence, "_moment_fixed_point", recording)
+        monkeypatch.setattr(mindiv.estimators, "_moment_fixed_point", recording)
         # three rows a batch: the 14 rows of 7 points take five batches, and
-        # a point's two rows can fall in different batches
+        # a point's two rows can fall in different batches; the one-row call
+        # first is the base fit
         monkeypatch.setattr(mindiv.influence, "_BATCH_VALUES", 3 * (len(q) + 1))
         assert np.array_equal(if_numeric(family, spec, q, xs), whole)
-        assert calls == [3, 3, 3, 3, 2]
+        assert calls == [1, 3, 3, 3, 3, 2]
 
 
 class TestSubdivergenceClosedForms:
@@ -460,6 +474,18 @@ class TestSensitivity:
         assert summary.sup_abs is UNBOUNDED
         assert summary.limit_at_infinity is UNBOUNDED
 
+    def test_pareto_probes_at_unit_scale(self):
+        # a family without a scale parameter is probed at scale 1: the dense
+        # grid starts just above the support's edge x = 1, where the Renyi
+        # curve peaks, and the limit is the curve at x = 50
+        theta = [2.0]
+        summary = sensitivity(lambda x: if_renyi(PARETO, 0.5, theta, x), PARETO, 0.5, theta)
+        assert summary.sup_abs == pytest.approx(6.125, rel=1e-7)
+        assert summary.limit_at_infinity == if_renyi(PARETO, 0.5, theta, 50.0)[0]
+        assert summary.limit_at_infinity == pytest.approx(-0.21988, abs=1e-5)
+        mle = sensitivity(lambda x: if_mle(PARETO, theta, x), PARETO, 0.0, theta)
+        assert mle.sup_abs is UNBOUNDED and mle.limit_at_infinity is UNBOUNDED
+
 
 class TestInfluenceCurve:
     def test_csv_format(self):
@@ -475,10 +501,19 @@ class TestInfluenceCurve:
         curve = influence_curve(NORMAL, spec, [0.0, 1.0], np.linspace(-1, 1, 3))
         assert curve.to_csv().splitlines()[0] == "x,if_component_1,if_component_2"
 
-    def test_grid_must_increase(self):
+    @pytest.mark.parametrize(
+        "grid,values,match",
+        [
+            ([1.0, 0.5], np.zeros((2, 1)), "strictly increasing"),
+            ([0.5, 1.0], np.zeros((3, 1)), "one row per grid point"),
+            ([0.5, 1.0], np.array([[0.0], [math.nan]]), "finite"),
+        ],
+        ids=["grid-decreasing", "row-count", "non-finite"],
+    )
+    def test_invalid_curve_rejected(self, grid, values, match):
         spec = EstimatorSpec(kind="mle")
-        with pytest.raises(InvalidInputError):
-            InfluenceCurve(spec, np.array([0.0]), np.array([1.0, 0.5]), np.zeros((2, 1)))
+        with pytest.raises(InvalidInputError, match=match):
+            InfluenceCurve(spec, np.array([0.0]), np.array(grid), values)
 
     def test_numeric_route_matches_closed(self):
         spec = EstimatorSpec(kind="power-pseudo", alpha=0.5)

@@ -10,7 +10,7 @@ from mindiv.optimize import _newton_polish, solve_1d, solve_2d
 
 
 def test_quadratic_minimum():
-    res = solve_1d(lambda x: (x - 2.0) ** 2, (0.0, 5.0), tol=1e-6)
+    res = solve_1d(lambda x: (x - 2.0) ** 2, (0.0, 5.0))
     assert res.x[0] == pytest.approx(2.0, abs=1e-5)
     assert res.converged
 
@@ -58,7 +58,7 @@ class TestNewtonPolish:
 
 def test_rosenbrock():
     rosen = lambda v: (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
-    res = solve_2d(rosen, ((-2.0, 2.0), (-1.0, 3.0)), x0=np.array([-1.2, 1.0]), tol=1e-6)
+    res = solve_2d(rosen, ((-2.0, 2.0), (-1.0, 3.0)), x0=np.array([-1.2, 1.0]))
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
 
 
@@ -71,14 +71,15 @@ def test_nan_objective_raises():
 
 
 def test_boundary_minimum_flagged():
-    res = solve_1d(lambda x: x, (0.0, 1.0), tol=1e-8)
+    res = solve_1d(lambda x: x, (0.0, 1.0))
     assert res.x[0] == pytest.approx(0.0, abs=1e-5)
 
 
 def test_iteration_budget_respected():
-    # the bracketing scan always runs; the refinement budget is capped
-    res = solve_1d(lambda x: (x - 2.0) ** 2, (0.0, 5.0), tol=1e-12, max_iter=3)
-    assert res.iterations <= 33 + 10
+    # the bracketing scan always runs; the refinement stops after 500
+    # evaluations, fewer than a 1e300-wide box needs
+    res = solve_1d(lambda x: x, (0.0, 1e300))
+    assert res.iterations == 33 + 500 and not res.converged
 
 
 def test_scan_without_finite_value_searches_whole_box():
@@ -91,5 +92,5 @@ def test_overflowing_objective_still_bracketed():
     def spiky(x):
         return math.inf if x > 10.0 else (x - 2.0) ** 2
 
-    res = solve_1d(spiky, (0.0, 200.0), tol=1e-8)
+    res = solve_1d(spiky, (0.0, 200.0))
     assert res.x[0] == pytest.approx(2.0, abs=1e-4)

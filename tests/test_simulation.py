@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import mindiv.simulation
+import mindiv.estimators
 from mindiv import (
     NORMAL_SCALE,
     ContaminationModel,
@@ -20,11 +20,18 @@ from mindiv import (
     estimate,
     sample_contaminated,
 )
-from mindiv.simulation import _replication_rng, _scale_estimates
+from mindiv.estimators import _fit_rows
+from mindiv.simulation import _replication_rng
 
 
 def model(eps=0.1, contaminant="cauchy", sigma=1.0):
     return ContaminationModel(base_sigma=sigma, epsilon=eps, contaminant=contaminant)
+
+
+def scale_estimates(spec, samples):
+    """``_fit_rows`` on the empirical measures of ``samples``' rows, as
+    ``run_study`` calls it: each row's scale estimate, NaN where it failed."""
+    return _fit_rows(NORMAL_SCALE, spec, samples, np.full(samples.shape, 1.0 / samples.shape[1]))[0][:, 0]
 
 
 class TestContaminationModel:
@@ -113,7 +120,7 @@ class TestRunStudy:
         def fail(family, spec, q):
             raise EvaluationError("objective returned NaN")
 
-        monkeypatch.setattr(mindiv.simulation, "estimate", fail)
+        monkeypatch.setattr(mindiv.estimators, "estimate", fail)
         result = run_study(model(), 20, 3, (SUB_SPEC,), seed=1)
         assert result.rows[0].failure_count == 3
         assert math.isnan(result.rows[0].mse)
@@ -122,7 +129,7 @@ class TestRunStudy:
         def fail(family, spec, q):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(mindiv.simulation, "estimate", fail)
+        monkeypatch.setattr(mindiv.estimators, "estimate", fail)
         with pytest.raises(ZeroDivisionError):
             run_study(model(), 20, 3, (SUB_SPEC,), seed=1)
 
@@ -132,8 +139,8 @@ class TestRunStudy:
         def fail(*args):
             raise AssertionError("fitted one sample at a time")
 
-        monkeypatch.setattr(mindiv.simulation, "estimate", fail)
-        monkeypatch.setattr(mindiv.simulation, "empirical", fail)
+        monkeypatch.setattr(mindiv.estimators, "estimate", fail)
+        monkeypatch.setattr(mindiv.estimators, "Measure", fail)
         specs = SPECS + (EstimatorSpec(kind="superdivergence", alpha=0.5),)
         result = run_study(model(), 100, 20, specs, seed=11)
         assert not any(row.failure_count for row in result.rows)
@@ -204,6 +211,10 @@ class TestRunStudy:
         with pytest.raises(InvalidInputError, match="must share"):
             pool_results(chunks)
 
+    def test_pooling_nothing_rejected(self):
+        with pytest.raises(InvalidInputError, match="nothing to pool"):
+            pool_results([])
+
     def test_pooling_rejects_chunks_with_fewer_specs(self):
         two = run_study(model(), 20, 2, SPECS[:2], seed=1)
         one = run_study(model(), 20, 2, SPECS[:1], seed=1, first_rep=2)
@@ -221,7 +232,7 @@ class TestRunStudy:
                 result = estimate(NORMAL_SCALE, spec, empirical(xs))
                 single.append(result.theta_hat[0] if result.converged else math.nan)
             single = np.array(single)
-            assert np.array_equal(_scale_estimates(spec, samples), single, equal_nan=True)
+            assert np.array_equal(scale_estimates(spec, samples), single, equal_nan=True)
             row = run_study(model(), 40, 6, (spec,), seed=5).rows[0]
             ok = single[~np.isnan(single)]
             assert row.failure_count == 6 - ok.size
@@ -234,7 +245,7 @@ class TestRunStudy:
         samples = np.stack([sample_contaminated(model(), 40, _replication_rng(5, j)) for j in range(3)])
         samples[1] = 0.0
         for spec in SPECS:
-            estimates = _scale_estimates(spec, samples)
+            estimates = scale_estimates(spec, samples)
             assert np.isnan(estimates[1]) and not np.isnan(estimates[[0, 2]]).any()
 
     def test_batched_rows_independent_of_chunking(self):
@@ -245,8 +256,8 @@ class TestRunStudy:
         # fitted by estimate() alone
         samples[4, :25] = 0.0
         for spec in SPECS[1:]:
-            whole = _scale_estimates(spec, samples)
-            halves = np.concatenate([_scale_estimates(spec, samples[:3]), _scale_estimates(spec, samples[3:])])
+            whole = scale_estimates(spec, samples)
+            halves = np.concatenate([scale_estimates(spec, samples[:3]), scale_estimates(spec, samples[3:])])
             assert np.array_equal(whole, halves, equal_nan=True)
         direct = run_study(model(), 40, 6, SPECS, seed=5)
         pooled = pool_results(
