@@ -118,8 +118,8 @@ def _check_sub_alpha(alpha: float) -> float:
 
 
 def _tilted_sum(w, s):
-    """``sum_i w_i s_i`` of (..., n) weights and (..., n, d) scores, per row."""
-    return (w[..., None] * s).sum(axis=-2)
+    """Per-row ``sum_i w_i s_i`` of (..., n) weights and (..., n, d) scores, over contiguous nodes."""
+    return np.multiply(w[..., None, :], s.swapaxes(-1, -2), order="C").sum(axis=-1)
 
 
 def sub_criterion(family: Family, escort, theta, q: Measure, alpha: float) -> float:
@@ -175,35 +175,41 @@ def sub_divergence(family: Family, escort, theta, q: Measure, alpha: float) -> f
 _Rows = namedtuple("_Rows", "nodes weights")
 
 
-def _pseudo_criterion(family: Family, theta, q, alpha: float):
-    a = float(alpha)
+def _tilt(family: Family, kind: str, theta, q, a: float):
+    """The tilt at ``theta`` on the nodes of ``q`` that a kind's criterion
+    and estimating equation both take: ``q p^a`` (power-pseudo), or
+    ``log sum q p^a`` and the terms ``q p^a`` scaled by their row's largest
+    (Renyi, ``log_sum_exp``)."""
     lp = family.log_density(theta, q.nodes)
+    if kind == "renyi":
+        return log_sum_exp(np.log(q.weights) + a * lp)
     with np.errstate(over="ignore"):
-        qp = (q.weights * np.exp(a * lp)).sum(axis=-1)
+        return q.weights * np.exp(a * lp)
+
+
+def _pseudo_criterion(family: Family, theta, q, alpha: float, tilt=None):
+    a = float(alpha)
+    qp = (_tilt(family, "power-pseudo", theta, q, a) if tilt is None else tilt).sum(axis=-1)
     return family.power_mass_integral(theta, a) / (1.0 + a) - qp / a
 
 
-def _pseudo_gradient(family: Family, theta, q, alpha: float) -> np.ndarray:
+def _pseudo_gradient(family: Family, theta, q, alpha: float, tilt=None) -> np.ndarray:
     a = float(alpha)
-    lp = family.log_density(theta, q.nodes)
-    with np.errstate(over="ignore"):
-        w = q.weights * np.exp(a * lp)
+    w = _tilt(family, "power-pseudo", theta, q, a) if tilt is None else tilt
     # transposes put the parameter axis first, against the (R,) masses
     model_term = (family.power_mass_integral(theta, a) * family.weighted_score_mean(theta, a).T).T
     return model_term - _tilted_sum(w, family.score(theta, q.nodes))
 
 
-def _renyi_neg_log(family: Family, theta, q, alpha: float):
+def _renyi_neg_log(family: Family, theta, q, alpha: float, tilt=None):
     a = float(alpha)
-    lp = family.log_density(theta, q.nodes)
-    log_qp, _ = log_sum_exp(np.log(q.weights) + a * lp)
+    log_qp, _ = _tilt(family, "renyi", theta, q, a) if tilt is None else tilt
     return np.log(family.renyi_normalizer(theta, a)) - log_qp
 
 
-def _renyi_gradient(family: Family, theta, q, alpha: float) -> np.ndarray:
+def _renyi_gradient(family: Family, theta, q, alpha: float, tilt=None) -> np.ndarray:
     a = float(alpha)
-    lp = family.log_density(theta, q.nodes)
-    _, w = log_sum_exp(np.log(q.weights) + a * lp)
+    _, w = _tilt(family, "renyi", theta, q, a) if tilt is None else tilt
     w = w / w.sum(axis=-1, keepdims=True)
     return family.weighted_score_mean(theta, a) - _tilted_sum(w, family.score(theta, q.nodes))
 
@@ -231,7 +237,8 @@ def _point_psi(family: Family, spec: EstimatorSpec, theta, x) -> np.ndarray:
         return _pseudo_gradient(family, theta, points, a)
     if spec.kind == "subdivergence":
         return sub_psi(family, spec.escort, theta, points, a)
-    return np.exp(a * family.log_density(theta, xs)) * _renyi_gradient(family, theta, points, a)
+    tilt = _tilt(family, "renyi", theta, points, a)
+    return np.exp(tilt[0])[:, None] * _renyi_gradient(family, theta, points, a, tilt)
 
 
 def renyi_pseudodistance(family: Family, theta, q_measure, q_density, alpha: float) -> float:
@@ -275,88 +282,94 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     The MLE and superdivergence (and every kind at ``alpha = 0``) give the
     closed-form MLE rows, all accepted unless one is degenerate.
     Power-pseudo and Renyi rows run the weighted-moment fixed point F:
-    ``family._moment_start(x, w)`` gives the start, a list of (R,)
-    coordinate arrays (NaN on a row it does not start), and the array that
-    ``family._moment_update(kind, a, y, w, state)`` iterates on; that map
-    returns the new state and each row's relative step, which is not in
-    [0, inf) once a row leaves the parameter space.  On equal weights the
-    start's medians are O(n) selections (``families._row_quantile``).
+    ``family._moment_start(x, w)`` gives the (R, d) start (NaN on a row it
+    does not start) and the array y that ``family._moment_update(kind, a,
+    y, w, theta)`` maps, with each row's relative step, which is not in
+    [0, inf) once a row leaves the parameter space.  On equal weights in
+    each row (any empirical measure) ``w`` is the column of each row's
+    weight: the map skips the weight multiply and the start's medians are
+    O(n) selections.  A batch mixing such rows with others fits each group
+    apart, so that every row equals its single call.
 
     The iteration is SQUAREM-accelerated (Varadhan & Roland 2008, *Scand.
     J. Statist.* 35): each cycle maps a row twice, x1 = F(x0) and
     x2 = F(x1), and moves it to x0 - 2 t r + t^2 v, with r = x1 - x0,
-    v = x2 - 2 x1 + x0 and the step length t = -|r|/|v| clipped to at most
-    -1 (-1 where it is not finite).  Where that point is not a parameter
-    (``family.validate_param``), or t = -1, the row takes the plain double
-    step x2.  A row stops when a map step's relative step falls below
-    ``_FP_STEP_TOL``, or after ``_MAX_ITER`` map evaluations, and is
-    accepted when its estimating equation has max-norm below ``_PSI_TOL``
-    and its criterion is no higher than at the start.  Rows still iterating
-    are kept compacted, and write their parameter and count back as they
-    stop.  Returns the (R, d) parameters, the accepted mask, each row's map
-    evaluations and the criterion the acceptance check computed (NaN on
-    rows that did not settle); subdivergence rows are never accepted.
+    v = x2 - 2 x1 + x0 and the step length t = -|r|/|v|, where t < -1 and
+    that point is a parameter (``family.validate_param``); otherwise the
+    row takes the plain double step x2.  A row stops when a map step's
+    relative step falls below ``_FP_STEP_TOL``, or after ``_MAX_ITER`` map
+    evaluations, and is accepted when its estimating equation has max-norm
+    below ``_PSI_TOL`` and its criterion is no higher than at the start;
+    both share one ``_tilt`` at the fixed point.  Rows still iterating share
+    one evaluation count, are kept compacted and write their parameter and
+    count back as they stop.  Returns the (R, d) parameters, the accepted
+    mask, each row's map evaluations and the criterion the acceptance check
+    computed (NaN on rows that did not settle); subdivergence rows are
+    never accepted.
     """
     a = spec.alpha
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
-    iterations = np.zeros(len(x), dtype=int)
-    settled = np.zeros(len(x), dtype=bool)
+    accepted, iterations = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=int)
     criteria = np.full(len(x), math.nan)
-    unfitted = np.full((len(x), family.param_dim), math.nan), settled, iterations, criteria
+    unfitted = np.full((len(x), family.param_dim), math.nan), accepted, iterations, criteria
     if spec.kind in ("mle", "superdivergence") or a == 0.0:
         try:
-            return family.mle_parameter(x, w), np.ones(len(x), dtype=bool), iterations, criteria
+            return family.mle_parameter(x, w), ~accepted, iterations, criteria
         except ToolkitError:
             return unfitted
     if spec.kind not in _EQUATIONS:
         return unfitted
+    equal = (w == w[:, :1]).all(axis=1)
+    if equal.any() and not equal.all():
+        for rows in (equal, ~equal):
+            for out, got in zip(unfitted, _moment_fixed_point(family, spec, x[rows], w[rows])):
+                out[rows] = got
+        return unfitted
+    settled = accepted.copy()
+    w_map = w[:, :1] if equal.all() else w
     with np.errstate(all="ignore"):
-        state, y = family._moment_start(x, w)
-        start = np.stack(state, axis=1)
+        start, y = family._moment_start(x, w_map)
         theta = start.copy()
         idx = np.flatnonzero(np.isfinite(start).all(axis=1))
-        th, its, ys, ws = theta[idx], iterations[idx], y[idx], w[idx]
+        th, ys, ws, its = theta[idx], y[idx], w_map[idx], 0
 
         def advance(*carried):
             """One map evaluation on the iterating rows; the rows that stop
             leave them, and each of the ``carried`` arrays, alike."""
-            nonlocal idx, th, its, ys, ws
-            new, step = family._moment_update(spec.kind, a, ys, ws, list(th.T))
-            th = np.stack(new, axis=1)
+            nonlocal idx, th, ys, ws, its
+            th, step = family._moment_update(spec.kind, a, ys, ws, th)
             its += 1
-            valid = (step >= 0.0) & (step < math.inf)
-            done = valid & (step <= _FP_STEP_TOL)
-            go = valid & ~done & (its < _MAX_ITER)
-            if go.all():
+            # a NaN or negative step (out of the space) fails both tests
+            go = (step > _FP_STEP_TOL) & (step < math.inf)
+            if go.all() and its < _MAX_ITER:
                 return carried
-            stop = ~go
-            theta[idx[stop]] = th[stop]
-            iterations[idx[stop]] = its[stop]
-            settled[idx[done]] = True
-            idx, th, its, ys, ws = idx[go], th[go], its[go], ys[go], ws[go]
+            go &= its < _MAX_ITER
+            stop = idx[~go]
+            theta[stop], iterations[stop] = th[~go], its
+            settled[stop] = (step[~go] >= 0.0) & (step[~go] <= _FP_STEP_TOL)
+            idx, th, ys, ws = idx[go], th[go], ys[go], ws[go]
             return tuple(c[go] for c in carried)
 
         while idx.size:
             (x0,) = advance(th)
             x0, x1 = advance(x0, th)
-            x2 = th
-            r, v = x1 - x0, x2 - 2.0 * x1 + x0
+            r, v = x1 - x0, th - 2.0 * x1 + x0
             t = -np.sqrt((r * r).sum(axis=1)) / np.sqrt((v * v).sum(axis=1))
-            t = np.where(np.isfinite(t), np.minimum(t, -1.0), -1.0)
-            jump = x0 - 2.0 * t[:, None] * r + (t * t)[:, None] * v
-            keep = t < -1.0
-            keep[keep] = _admissible(family, jump[keep])
-            th = np.where(keep[:, None], jump, x2)
+            k = np.flatnonzero(t < -1.0)
+            tk = t[k, None]
+            jump = x0[k] - 2.0 * tk * r[k] + tk * tk * v[k]
+            fits = _admissible(family, jump)
+            th[k[fits]] = jump[fits]
         rows = np.flatnonzero(settled)
         # one row is checked as one parameter: the same numbers, without rows overhead
         pick = rows[0] if len(x) == 1 and rows.size else rows
         q = _Rows(x[pick], w[pick])
         criterion, gradient = _EQUATIONS[spec.kind]
-        psi = gradient(family, theta[pick], q, a)
-        crit, crit0 = criterion(family, theta[pick], q, a), criterion(family, start[pick], q, a)
-        good = (np.max(np.abs(psi), axis=-1) < _PSI_TOL) & (crit <= crit0)
-    accepted = np.zeros(len(x), dtype=bool)
+        at_theta = _tilt(family, spec.kind, theta[pick], q, a)
+        psi = gradient(family, theta[pick], q, a, at_theta)
+        crit = criterion(family, theta[pick], q, a, at_theta)
+        good = (np.max(np.abs(psi), axis=-1) < _PSI_TOL) & (crit <= criterion(family, start[pick], q, a))
     accepted[rows] = good
     criteria[rows] = crit
     return theta, accepted, iterations, criteria
@@ -397,9 +410,14 @@ def _fit(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
         escort = family.validate_param(spec.escort)
         objective = lambda th: sub_criterion(family, escort, th, q, a)
         psi = lambda th: sub_psi(family, escort, th, q, a)
+        # on a sample the MLE cannot fit (zero spread, every x at 0 on
+        # normal-scale or at 1 on Pareto) each criterion reaches its infimum
+        # only as the fit degenerates, so such a fit raises as the MLE does
+        start = family.mle_parameter(q.nodes, q.weights)
         bounds = family.default_bounds(q.nodes, q.weights)
         theta, norm, its = _newton_polish(psi, escort, *np.array(bounds).T, _PSI_TOL)
-        if norm < _PSI_TOL and (crit := objective(theta)) <= objective(escort):
+        same = theta.tobytes() == escort.tobytes()  # an escort that is the MLE comes back as is
+        if norm < _PSI_TOL and (crit := objective(theta)) <= (crit if same else objective(escort)):
             return EstimateResult(theta, report(crit), its, converged=True)
     else:
         criterion, gradient = _EQUATIONS[spec.kind]
@@ -409,11 +427,8 @@ def _fit(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
         its = int(row_its[0])
         if accepted[0]:
             return EstimateResult(rows[0], report(crit[0]), its, converged=True)
+        start = family.mle_parameter(q.nodes, q.weights)
         bounds = family.default_bounds(q.nodes, q.weights)
-    # on a sample the MLE cannot fit (zero spread, every x at 0 on
-    # normal-scale or at 1 on Pareto) each criterion reaches its infimum
-    # only as the fit degenerates, so such a fit raises as the MLE does
-    start = family.mle_parameter(q.nodes, q.weights)
     if family.param_dim == 1:
         sr = solve_1d(lambda t: objective(np.array([t])), bounds[0])
     else:

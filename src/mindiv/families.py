@@ -141,19 +141,30 @@ class Family:
 
 
 def _row_quantile(x: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """Weighted ``p``-quantile of each row of (R, n) nodes and weights: the
-    first sorted node whose cumulative weight reaches ``p`` of the row's mass.
-    On equal weights (any empirical measure) the cumulative weights do not
-    depend on the order, so ``np.partition`` selects that node in O(n) (a
-    zero may differ in sign, as ties order differently)."""
+    """Weighted ``p``-quantile of each row of (R, n) nodes and weights (or the
+    (R, 1) column of each row's weight): the first sorted node whose
+    cumulative weight reaches ``p`` of the row's mass.  On one weight for
+    every node (empirical measures of one size) the cumulative weights do
+    not depend on the order, so ``np.partition`` selects that node in O(n)
+    (a zero may differ in sign, as ties order differently)."""
     if w.size and (w == w[0, 0]).all():
-        cw = np.cumsum(w[0])
+        cw = np.cumsum(np.full(x.shape[1], w[0, 0]))
         k = int(np.argmax(cw >= p * cw[-1]))
         return np.partition(x, k, axis=1)[:, k]
+    w = np.broadcast_to(w, x.shape)
     order = np.argsort(x, axis=1)
     cw = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
     k = np.argmax(cw >= p * cw[:, -1:], axis=1)
     return np.take_along_axis(x, np.take_along_axis(order, k[:, None], axis=1), axis=1)[:, 0]
+
+
+def _tilt_sums(u: np.ndarray, w: np.ndarray):
+    """Row sums of the (R, n) tilt ``u`` weighted in place by ``w``, and the
+    masses ``sum(w u)``; a column of equal weights cancels in their ratios."""
+    if w.shape[1] > 1:
+        u *= w
+    total = u.sum(axis=1, keepdims=True)
+    return total, (total if w.shape[1] > 1 else total * w)
 
 
 def _location_bounds(nodes, weights) -> tuple[float, float]:
@@ -249,39 +260,43 @@ class _NormalKind(Family):
         """Median and scaled MAD of each row; no start where the MAD is 0."""
         mu = _row_quantile(x, w, 0.5) if 0 in self._free else np.zeros(len(x))
         if 1 not in self._free:
-            return [mu], x
+            return mu[:, None], x
         sigma = _MAD_SCALE * _row_quantile(np.abs(x - mu[:, None]), w, 0.5)
         sigma[sigma <= 0.0] = math.nan
-        return [(mu, sigma)[i] for i in self._free], x
+        return np.stack([(mu, sigma)[i] for i in self._free], axis=1), x
 
-    def _moment_update(self, kind, a, y, w, state):
+    def _moment_update(self, kind, a, y, w, theta):
         """With v proportional to w p^a, mu = E_v[x] and sigma^2 = (1 + a)
         E_v[(x - mu)^2] (Renyi) or E_v[(x - mu)^2] / (1 - a (1 + a)^-1.5 /
         sum(w u)) (power-pseudo), where u = exp(-a z^2 / 2) is p^a up to its
         normalizing factor; the relative step is the larger change over the
         new sigma."""
         # (R, 1) columns; a fixed mu = 0 or sigma = 1 is a float
-        mu = state[0][:, None] if 0 in self._free else 0.0
-        sigma = state[-1][:, None] if 1 in self._free else 1.0
-        z = (y - mu) / sigma
-        log_u = -0.5 * a * z * z
-        shift = log_u.max(axis=1, keepdims=True)
-        v = w * np.exp(log_u - shift)
-        total = v.sum(axis=1, keepdims=True)
-        v /= total
+        mu = theta[:, :1] if 0 in self._free else 0.0
+        sigma = theta[:, -1:] if 1 in self._free else 1.0
+        u = y - mu
+        if 1 in self._free:
+            u /= sigma
+        np.square(u, out=u)
+        u *= -0.5 * a
+        shift = u.max(axis=1, keepdims=True)
+        u -= shift
+        np.exp(u, out=u)
+        total, mass = _tilt_sums(u, w)
         m, s = mu, sigma
         if 0 in self._free:
-            m = (v * y).sum(axis=1, keepdims=True)
+            m = (u * y).sum(axis=1, keepdims=True) / total
         if 1 in self._free:
-            d = y - m
-            second = (v * d * d).sum(axis=1, keepdims=True)
+            d = np.square(y - m)
+            d *= u
+            second = d.sum(axis=1, keepdims=True) / total
             if kind == "renyi":
                 s = np.sqrt((1.0 + a) * second)
             else:
-                mass_ratio = a * (1.0 + a) ** -1.5 * np.exp(-shift) / total
+                mass_ratio = a * (1.0 + a) ** -1.5 * np.exp(-shift) / mass
                 s = np.sqrt(second / (1.0 - mass_ratio))
-        step = np.maximum(np.abs(m - mu), np.abs(s - sigma)) / s
-        return [(m, s)[i][:, 0] for i in self._free], step[:, 0]
+        new = np.concatenate([(m, s)[i] for i in self._free], axis=1)
+        return new, (np.abs(new - theta).max(axis=1, keepdims=True) / s)[:, 0]
 
     def _window(self, theta) -> tuple[float, float]:
         mu, sigma = self._loc_scale(theta)
@@ -456,29 +471,29 @@ class Pareto(Family):
         y = np.log(x)
         shape = math.log(2.0) / _row_quantile(y, w, 0.5)
         shape[~(y > 0.0).all(axis=1)] = math.nan
-        return [shape], y
+        return shape[:, None], y
 
-    def _moment_update(self, kind, a, y, w, state):
+    def _moment_update(self, kind, a, y, w, theta):
         """On y = log x, with v proportional to w p^a and c = 1 / E_v[y]: the
         Renyi update is (c - a) / (1 + a), and the power-pseudo update the
         larger positive root of (1 - k)/theta + k/((1 + a) theta + a) = 1/c,
         where k = int p^(1+a) / sum(w p^a); the relative step is the change
         over the new shape."""
-        (shape,) = state
-        log_u = -a * (shape[:, None] + 1.0) * y
-        shift = log_u.max(axis=1)
-        v = w * np.exp(log_u - shift[:, None])
-        total = v.sum(axis=1)
-        c = total / (v * y).sum(axis=1)
+        u = (-a * (theta + 1.0)) * y
+        shift = u.max(axis=1, keepdims=True)
+        u -= shift
+        np.exp(u, out=u)
+        total, mass = _tilt_sums(u, w)
+        c = total / (u * y).sum(axis=1, keepdims=True)
         b = 1.0 + a
         if kind == "renyi":
             new = (c - a) / b
         else:
-            # p^a = shape^a u, so sum(w p^a) = shape^a e^shift total
-            k = shape / (b * shape + a) * np.exp(-shift) / total
+            # p^a = theta^a u, so sum(w p^a) = theta^a e^shift sum(w u)
+            k = theta / (b * theta + a) * np.exp(-shift) / mass
             lin = a - c * (b - a * k)
             new = (np.sqrt(lin * lin + 4.0 * b * c * a * (1.0 - k)) - lin) / (2.0 * b)
-        return [new], np.abs(new - shape) / new
+        return new, (np.abs(new - theta) / new)[:, 0]
 
 
 NORMAL = NormalLocScale()

@@ -14,6 +14,7 @@ from scipy.special import logsumexp
 from mindiv import (
     ContaminationModel,
     DegenerateDataError,
+    DomainError,
     EstimatorSpec,
     InvalidInputError,
     Measure,
@@ -106,6 +107,13 @@ class TestSubCriterion:
                 @ (s**alpha / alpha * np.exp(alpha * q.nodes**2 * (s**-2 - 1.0) / (2.0 * sigma**2)))
             )
             assert direct == pytest.approx(form, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_alpha_outside_open_unit_interval(self, alpha):
+        q = empirical([0.1, -0.4, 1.2])
+        for function in (sub_criterion, sub_psi, sub_divergence):
+            with pytest.raises(DomainError, match=r"alpha in \(0, 1\)"):
+                function(NORMAL_LOCATION, [0.0], [0.2], q, alpha)
 
 
 class TestSubPsi:
@@ -203,18 +211,24 @@ class TestSubdivergenceEstimator:
         assert np.max(np.abs(sub_psi(NORMAL_LOCATION, escort, result.theta_hat, q, 0.5))) < _PSI_TOL
 
     @pytest.mark.parametrize("family", [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO])
-    def test_mle_escort_gives_the_mle(self, family):
+    def test_mle_escort_gives_the_mle(self, monkeypatch, family):
         # at theta = escort = MLE both terms of sub_psi vanish (the escort's
         # mean score and the sample score at the MLE), so Newton accepts
-        # the escort at its first evaluation
+        # the escort at its first evaluation, and the criterion at the
+        # escort is the one at the fit: one evaluation
+        calls = []
+        criterion = mindiv.estimators.sub_criterion
+        monkeypatch.setattr(mindiv.estimators, "sub_criterion", lambda *args: calls.append(args) or criterion(*args))
         for n in (100, 10_000):
             q = empirical(contaminated_rows(family, 1, n, seed=n)[0][0])
             theta = mle(family, q).theta_hat
             for alpha in (0.25, 0.5, 0.9):
                 spec = EstimatorSpec(kind="subdivergence", alpha=alpha, escort=tuple(theta))
+                calls.clear()
                 result = estimate(family, spec, q)
                 assert result.converged and result.iterations == 1
                 assert result.theta_hat.tobytes() == theta.tobytes()
+                assert len(calls) == 1
 
     def test_newton_trials_raise_no_warnings(self):
         # damped trial steps far from the escort overflow the data term
@@ -279,12 +293,16 @@ class TestSubdivergenceEstimator:
         [(NORMAL, [5.0] * 10, (5.0, 1.0)), (NORMAL_SCALE, [0.0] * 10, (1.0,)), (PARETO, [1.0] * 10, (2.0,))],
         ids=["normal-5", "normal-scale-0", "pareto-1"],
     )
-    def test_degenerate_sample_raises_as_mle(self, family, xs, escort):
+    def test_degenerate_sample_raises_as_mle(self, monkeypatch, family, xs, escort):
         # the criterion reaches its infimum 0 only as the fit degenerates, so
-        # no estimate exists
+        # no estimate exists; the fit raises before Newton evaluates sub_psi
+        calls = []
+        psi = mindiv.estimators.sub_psi
+        monkeypatch.setattr(mindiv.estimators, "sub_psi", lambda *args: calls.append(args) or psi(*args))
         spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=escort)
         with pytest.raises(DegenerateDataError):
             estimate(family, spec, empirical(xs))
+        assert calls == []
 
     def test_location_consistency_loss(self):
         # unit-scale location submodel fed data of scale 2: the fixed point
@@ -609,6 +627,23 @@ class TestTiltedEquations:
             part = equation(family, theta[1:3], _Rows(q.nodes[1:3], q.weights[1:3]), alpha)
             assert part.tobytes() == rows[1:3].tobytes(), equation.__name__
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    def test_node_rows_equal_single_calls_on_normal(self, alpha):
+        # one parameter against (R, n) rows of nodes, as the point equations
+        # take them: at d = 2 each row's sums equal the single call's
+        theta = np.array([0.3, 1.7])
+        q = row_sample(NORMAL, 5)
+        equations = {
+            "power-pseudo": lambda m: _pseudo_gradient(NORMAL, theta, m, alpha),
+            "renyi": lambda m: _renyi_gradient(NORMAL, theta, m, alpha),
+            "subdivergence": lambda m: sub_psi(NORMAL, (0.1, 1.2), theta, m, alpha),
+        }
+        for name, equation in equations.items():
+            rows = equation(q)
+            singles = np.array([equation(Measure(x, w)) for x, w in zip(*q)])
+            assert rows.shape == singles.shape == (5, 2)
+            assert rows.tobytes() == singles.tobytes(), name
+
     @pytest.mark.parametrize("alpha", [0.3, 2.0])
     @pytest.mark.parametrize("criterion,gradient", EQUATIONS)
     @pytest.mark.parametrize("family,thetas", ROW_CASES)
@@ -691,13 +726,12 @@ def plain_fixed_point(family, spec, xs, ws):
     (NaN where not accepted) and the accepted mask."""
     a = spec.alpha
     criterion, gradient = EQUATIONS[ROBUST_KINDS.index(spec.kind)]
-    state, y = family._moment_start(xs, ws)
-    starts = np.stack(state, axis=1)
+    starts, y = family._moment_start(xs, ws)
 
     def run(j, theta, tol):
         for _ in range(_MAX_ITER):
-            new, step = family._moment_update(spec.kind, a, y[j : j + 1], ws[j : j + 1], [np.array([t]) for t in theta])
-            theta = np.array([t[0] for t in new])
+            new, step = family._moment_update(spec.kind, a, y[j : j + 1], ws[j : j + 1], theta[None])
+            theta = new[0]
             if not 0.0 <= step[0] < math.inf:
                 return theta, False
             if step[0] <= tol:
@@ -731,7 +765,7 @@ class TestMomentFixedPoint:
         spec = EstimatorSpec(kind=kind, alpha=0.5)
         theta, accepted, iterations, _ = _moment_fixed_point(family, spec, xs, ws)
         assert accepted.all() and np.all(iterations >= 1)
-        start = np.stack(family._moment_start(xs, ws)[0], axis=1)
+        start = family._moment_start(xs, ws)[0]
         criterion, gradient = (
             (_renyi_neg_log, _renyi_gradient) if kind == "renyi" else (_pseudo_criterion, _pseudo_gradient)
         )
@@ -782,6 +816,23 @@ class TestMomentFixedPoint:
                     for got, want in zip(one, batch):
                         assert np.array_equal(got[0], want[j], equal_nan=True)
 
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_mixed_weight_rows_equal_single_rows(self, family, kind):
+        # equal-weight rows run the map on one weight column, rows 1 and 3
+        # on their own weights: in one batch each row still gets the numbers
+        # of its single call
+        xs, ws = contaminated_rows(family, 5, 60, seed=10)
+        uneven = np.random.default_rng(10).random((2, 60)) + 0.5
+        ws[[1, 3]] = uneven / uneven.sum(axis=1, keepdims=True)
+        spec = EstimatorSpec(kind=kind, alpha=0.5)
+        batch = _moment_fixed_point(family, spec, xs, ws)
+        assert batch[1].all()
+        for j in range(len(xs)):
+            one = _moment_fixed_point(family, spec, xs[j : j + 1], ws[j : j + 1])
+            for got, want in zip(one, batch):
+                assert got[0].tobytes() == want[j].tobytes()
+
     @pytest.mark.parametrize("spec", ROBUST_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_agrees_with_plain_iteration(self, family, spec):
@@ -810,11 +861,11 @@ class TestMomentFixedPoint:
         update = NORMAL_SCALE._moment_update
         inputs = []
 
-        def shrinking(kind, a, y, w, state):
-            inputs.append(state[0].copy())
-            new, step = update(kind, a, y, w, state)
+        def shrinking(kind, a, y, w, theta):
+            inputs.append(theta[:, 0].copy())
+            new, step = update(kind, a, y, w, theta)
             if len(inputs) <= 2:
-                new[0][0] = inputs[0][0] / (2.0 if len(inputs) == 1 else 5.0)
+                new[0, 0] = inputs[0][0] / (2.0 if len(inputs) == 1 else 5.0)
             return new, step
 
         monkeypatch.setattr(NORMAL_SCALE, "_moment_update", shrinking)
@@ -849,19 +900,29 @@ class TestMomentFixedPoint:
     @pytest.mark.parametrize("kind", ROBUST_KINDS)
     def test_accepted_fit_evaluates_criterion_twice(self, monkeypatch, kind):
         # at the fixed point and at its start, in the acceptance check, whose
-        # value the fit reports
+        # value the fit reports; the criterion and the equation at the fixed
+        # point share one log_density
         criterion, gradient = EQUATIONS[ROBUST_KINDS.index(kind)]
-        calls = []
+        calls, densities = [], []
 
         def counting(*args):
             calls.append(args)
             return criterion(*args)
 
+        log_density = NORMAL.log_density
+
+        def counting_density(theta, x):
+            densities.append(np.array(theta, dtype=float))
+            return log_density(theta, x)
+
         monkeypatch.setattr(mindiv.estimators, criterion.__name__, counting)
         monkeypatch.setitem(mindiv.estimators._EQUATIONS, kind, (counting, gradient))
+        monkeypatch.setattr(NORMAL, "log_density", counting_density)
         q = empirical(np.random.default_rng(4).standard_normal(80) * 2.0 + 1.0)
         result = estimate(NORMAL, EstimatorSpec(kind=kind, alpha=0.5), q)
         assert result.converged and len(calls) == 2
+        at_fit = [th for th in densities if np.array_equal(th, result.theta_hat)]
+        assert len(at_fit) == 1 and len(densities) == 2
 
     def test_iterations_reported(self):
         q = empirical(np.random.default_rng(4).standard_normal(80) * 2.0 + 1.0)
@@ -993,16 +1054,16 @@ EQUIVARIANCE_SWEEP = (
 # Configurations whose absolute tolerances (_PSI_TOL on a residual that
 # grows like 1/sigma, _FP_STEP_TOL on a location step below the spacing of
 # the offset's floats) are out of reach, so each returns converged=False;
-# for power-pseudo on normal-loc the search's Newton polish steps
+# for power-pseudo on normal-loc at 1e12 the search's Newton polish steps
 # 1e-6 (1 + |mu|) and stops on the box edge.  A scale-free fit would leave
-# none of them.
+# none of them.  The set may only shrink, and a configuration that leaves
+# it must meet the sweep's 1e-6 bound.
 BREAKDOWN = {
     ("normal", kind, o, c)
     for kind in ROBUST_KINDS
     for o, c in [(0.0, 1e-8), (0.0, 1e-6), (1e6, 1e-8), (1e6, 1e-6), (1e8, 1e-8), (1e8, 1e-6), (1e12, 1.0)]
 } | {
     ("normal", "power-pseudo", 1e8, 1.0),
-    ("normal-loc", "power-pseudo", 1e8, 1.0),
     ("normal-loc", "power-pseudo", 1e12, 1.0),
     ("normal-loc", "renyi", 1e12, 1.0),
     ("normal-scale", "power-pseudo", 0.0, 1e-8),
@@ -1037,10 +1098,17 @@ class TestEquivariance:
                 assert result.converged and np.all(np.abs(back - reference[family]) <= 1e-6), config
 
     @pytest.mark.parametrize("offset", [1e8, 1e12])
-    def test_search_root_on_box_edge_not_converged(self, offset):
-        # the fixed point settles at 0.116 but its location step never falls
-        # below _FP_STEP_TOL; the search's Newton polish then meets psi = 0
-        # to _PSI_TOL on the box's upper edge, 15 sigma from the fit
+    def test_search_root_on_box_edge_not_converged(self, monkeypatch, offset):
+        # with the row solver made to reject, the search's Newton polish
+        # meets psi = 0 to _PSI_TOL on the box's upper edge, 15 sigma from
+        # the fit at 0.116
+        real_rows = mindiv.estimators._moment_fixed_point
+
+        def rejecting(*args):
+            theta, accepted, iterations, criteria = real_rows(*args)
+            return theta, np.zeros_like(accepted), iterations, criteria
+
+        monkeypatch.setattr(mindiv.estimators, "_moment_fixed_point", rejecting)
         z = np.random.default_rng(0).standard_normal(50)
         spec = EstimatorSpec(kind="power-pseudo", alpha=0.5)
         q = empirical(offset + z)

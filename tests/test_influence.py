@@ -343,6 +343,11 @@ class TestSubdivergenceClosedForms:
         with pytest.raises(InvalidInputError):
             if_sub_scale(-0.2, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("escort_sigma,sigma0", [(0.0, 1.0), (1.0, -2.0)])
+    def test_scales_must_be_positive(self, escort_sigma, sigma0):
+        with pytest.raises(InvalidInputError, match="scales must be positive"):
+            if_sub_scale(0.5, escort_sigma, sigma0, 1.0)
+
 
 class TestPseudoClosedForm:
     def test_location_tilted_linear_form(self):
@@ -467,6 +472,17 @@ class TestSensitivity:
 
         sensitivity(curve, NORMAL_SCALE, 0.5, [1.0])
         assert calls == [801 + 3 + 3 + 1]
+
+    def test_non_finite_dense_value_unbounded(self):
+        # NaN near the origin only: the tail probes (|x| >= 10) and the far
+        # point are finite, so the dense grid alone classifies the curve
+        def curve(xs):
+            values = np.array(if_pseudo(NORMAL_SCALE, 0.5, [1.0], xs), dtype=float)
+            values[np.abs(xs) < 0.1] = math.nan
+            return values
+
+        summary = sensitivity(curve, NORMAL_SCALE, 0.5, [1.0])
+        assert summary.sup_abs is UNBOUNDED and summary.limit_at_infinity is UNBOUNDED
 
     def test_mle_scale_unbounded(self):
         curve = lambda x: mle_scale_if(1.0, x)

@@ -260,6 +260,12 @@ class TestRenyiPseudodistance:
         with pytest.raises(DomainError):
             renyi_pseudodistance(NORMAL_LOCATION, [1.0], quad, lambda x: 0.0 * x, 0.5)
 
+    def test_rejects_negative_order(self):
+        quad = quadrature_of(NORMAL_LOCATION, [0.0], 64)
+        q_density = lambda x: NORMAL_LOCATION.density([0.0], x)
+        with pytest.raises(DomainError, match="nonnegative"):
+            renyi_pseudodistance(NORMAL_LOCATION, [1.0], quad, q_density, -0.5)
+
 
 class TestLogSumExp:
     def test_matches_logsumexp(self):
