@@ -11,17 +11,15 @@ MLE is the MLE too: at theta = escort = MLE both terms of its estimating
 equation vanish (the escort's mean score, and the sample score at the
 MLE), so Newton from the escort accepts it at the first evaluation.
 
-One row solver, ``_moment_fixed_point``, fits (R, n) rows of nodes and
-weights at once for every kind but subdivergence: closed-form MLE rows,
-or the weighted-moment fixed point of Fujisawa & Eguchi (2008) that each
-family writes (power-pseudo, Renyi), accelerated by SQUAREM, the squared
-extrapolation of Varadhan & Roland (2008); it stops after ``_MAX_ITER``
-evaluations of that map, which ``iterations`` counts.  Subdivergence fits
-start with Newton from the escort.  The bounded search over the family's
-default box, then one Newton polish, is the fallback for fits that first
-try does not settle; ``_fit`` alone decides whether a fit converged.
-``_fit_rows``, which runs that row solver and then ``estimate`` on each
-row it does not accept, is the one place where rows are fitted.
+One fit driver, ``_fit_rows``, fits (R, n) rows of nodes and weights;
+``estimate`` is one row of it.  Its row solver, ``_moment_fixed_point``,
+gives closed-form MLE rows, or runs the weighted-moment fixed point of
+Fujisawa & Eguchi (2008) that each family writes (power-pseudo, Renyi),
+accelerated by SQUAREM (Varadhan & Roland 2008), for at most ``_MAX_ITER``
+map evaluations, which ``iterations`` counts.  ``_fallback`` fits each
+row it does not accept, every subdivergence row among them: Newton from
+the escort (subdivergence), then a bounded search over the family's
+default box and one Newton polish; it alone decides whether a fit converged.
 
 Estimation is pure given (family, spec, measure): repeated calls return
 bit-identical results, and concurrent calls on shared immutable inputs are
@@ -387,57 +385,50 @@ def mle(family: Family, q: Measure) -> EstimateResult:
     return EstimateResult(theta_hat=theta, criterion_value=crit, iterations=0, converged=True)
 
 
-def _fit(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
-    """Fit of a subdivergence, power-pseudo or Renyi ``spec`` at ``alpha > 0``.
+def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
+    """Fit of a row ``q`` (nodes and weights) that the row solver did not
+    accept after ``its`` map evaluations: (theta, criterion, iterations,
+    converged).
 
-    Its criterion and estimating equation are ``sub_criterion`` and
-    ``sub_psi`` at the escort, or the pair in ``_EQUATIONS``; a Renyi fit
-    reports the tilted mass ``exp(-criterion)``.  First comes the row
-    solver on one row (power-pseudo, Renyi) or Newton from the escort
-    (subdivergence), accepted when its residual is below ``_PSI_TOL`` and
-    its criterion no higher than at its start, as computed there (at the
-    escort that is ``1/(1-a) + 1/a`` up to rounding).  Otherwise the
-    criterion is minimized over the family's default box (from the MLE in
-    2-d) and that minimum polished once by the same Newton iteration; the
-    result is converged when its residual is below ``_PSI_TOL`` and it lies
-    strictly inside the box, and its iteration count includes every
-    earlier phase's.  A fit of a sample on which ``family.mle_parameter``
-    raises ``DegenerateDataError`` raises it too.
+    Closed-form kinds give the MLE.  The others' criterion and equation are
+    ``sub_criterion`` and ``sub_psi`` at the escort, or the pair in
+    ``_EQUATIONS``.  Subdivergence first runs Newton from the escort, kept
+    when its residual is below ``_PSI_TOL`` and its criterion no higher
+    than at the escort.  Otherwise the criterion is minimized over the
+    family's default box (from the MLE in 2-d) and polished once by the
+    same Newton iteration: converged when that residual is below
+    ``_PSI_TOL`` strictly inside the box, with every phase's iterations.
     """
     a = spec.alpha
-    report = (lambda neg_log: math.exp(-neg_log)) if spec.kind == "renyi" else float
+    # on a sample the MLE cannot fit (zero spread, every x at 0 on
+    # normal-scale or at 1 on Pareto) each criterion reaches its infimum
+    # only as the fit degenerates, so such a fit raises as the MLE does
+    start = family.mle_parameter(q.nodes, q.weights)
+    if spec.kind in ("mle", "superdivergence") or a == 0.0:
+        return start, math.nan, its, True
+    bounds = family.default_bounds(q.nodes, q.weights)
+    lo, hi = np.array(bounds).T
     if spec.kind == "subdivergence":
         escort = family.validate_param(spec.escort)
         objective = lambda th: sub_criterion(family, escort, th, q, a)
         psi = lambda th: sub_psi(family, escort, th, q, a)
-        # on a sample the MLE cannot fit (zero spread, every x at 0 on
-        # normal-scale or at 1 on Pareto) each criterion reaches its infimum
-        # only as the fit degenerates, so such a fit raises as the MLE does
-        start = family.mle_parameter(q.nodes, q.weights)
-        bounds = family.default_bounds(q.nodes, q.weights)
-        theta, norm, its = _newton_polish(psi, escort, *np.array(bounds).T, _PSI_TOL)
+        theta, norm, newton_its = _newton_polish(psi, escort, lo, hi, _PSI_TOL)
+        its += newton_its
         same = theta.tobytes() == escort.tobytes()  # an escort that is the MLE comes back as is
         if norm < _PSI_TOL and (crit := objective(theta)) <= (crit if same else objective(escort)):
-            return EstimateResult(theta, report(crit), its, converged=True)
+            return theta, crit, its, True
     else:
         criterion, gradient = _EQUATIONS[spec.kind]
         objective = lambda th: criterion(family, th, q, a)
         psi = lambda th: gradient(family, th, q, a)
-        rows, accepted, row_its, crit = _moment_fixed_point(family, spec, q.nodes[None], q.weights[None])
-        its = int(row_its[0])
-        if accepted[0]:
-            return EstimateResult(rows[0], report(crit[0]), its, converged=True)
-        start = family.mle_parameter(q.nodes, q.weights)
-        bounds = family.default_bounds(q.nodes, q.weights)
     if family.param_dim == 1:
         sr = solve_1d(lambda t: objective(np.array([t])), bounds[0])
     else:
         sr = solve_2d(objective, bounds, start)
-    lo, hi = np.array(bounds).T
     theta, norm, polish_its = _newton_polish(psi, sr.x, lo, hi, _PSI_TOL)
     # a root on the box edge is where the box cut the search off
     converged = norm < _PSI_TOL and bool(np.all((lo < theta) & (theta < hi)))
-    return EstimateResult(theta, report(objective(theta)), its + sr.iterations + polish_its, converged)
+    return theta, objective(theta), its + sr.iterations + polish_its, converged
 
 
 def _superdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
@@ -469,27 +460,37 @@ def _superdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> Estimat
 def estimate(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
     """Run the estimator described by ``spec`` on the measure ``q``.
 
+    Any kind but the MLE and superdivergence is ``_fit_rows`` on one row.
     A Renyi fit reports the maximized tilted-mass criterion itself.
     """
     if spec.kind == "mle" or spec.alpha == 0.0:
         return mle(family, q)
     if spec.kind == "superdivergence":
         return _superdivergence(family, spec, q)
-    return _fit(family, spec, q)
+    theta, criteria, iterations, converged, errors = _fit_rows(family, spec, q.nodes[None], q.weights[None])
+    if errors:
+        raise errors[0]
+    crit = math.exp(-criteria[0]) if spec.kind == "renyi" else float(criteria[0])
+    return EstimateResult(theta[0], crit, int(iterations[0]), bool(converged[0]))
 
 
 def _fit_rows(family: Family, spec: EstimatorSpec, nodes, weights):
-    """Fit of ``spec`` on each row of (R, n) ``nodes`` and ``weights``, equal
-    bit for bit to ``estimate`` on ``Measure(nodes[j], weights[j])``: the
-    (R, d) parameters, NaN where a fit raised a ``ToolkitError`` or did not
-    converge, and the mask of converged rows."""
-    theta, ok, _, _ = _moment_fixed_point(family, spec, nodes, weights)
-    theta[~ok] = math.nan
-    for j in np.flatnonzero(~ok):
+    """Fit of ``spec`` on each row of (R, n) ``nodes`` and ``weights``: one
+    row-solver call on all rows, then ``_fallback`` on each row it does not
+    accept.  Returns the (R, d) parameters (NaN where a fit raised), each
+    row's criterion (Renyi's negative log; NaN on closed-form rows),
+    iterations and converged flag, and the ``ToolkitError`` each failed row
+    raised, keyed by row.  A subdivergence escort outside the space raises
+    before any row is fitted.
+    """
+    if spec.kind == "subdivergence" and spec.alpha > 0.0:
+        family.validate_param(spec.escort)
+    theta, converged, iterations, criteria = _moment_fixed_point(family, spec, nodes, weights)
+    errors = {}
+    for j in np.flatnonzero(~converged).tolist():
         try:
-            result = estimate(family, spec, Measure(nodes[j], weights[j]))
-        except ToolkitError:
-            continue
-        if result.converged:
-            theta[j], ok[j] = result.theta_hat, True
-    return theta, ok
+            fit = _fallback(family, spec, _Rows(nodes[j], weights[j]), int(iterations[j]))
+            theta[j], criteria[j], iterations[j], converged[j] = fit
+        except ToolkitError as exc:
+            theta[j], criteria[j], errors[j] = math.nan, math.nan, exc
+    return theta, criteria, iterations, converged, errors

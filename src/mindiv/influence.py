@@ -16,15 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EstimationError,
-    InvalidInputError,
-    SingularMatrixError,
-    ToolkitError,
-)
-from .estimators import _BATCH_VALUES, EstimatorSpec, _fit_rows, _point_psi, estimate
+from .errors import EstimationError, InvalidInputError, SingularMatrixError
+from .estimators import _BATCH_VALUES, EstimatorSpec, _fit_rows, _point_psi
 from .families import Family, _NormalKind
-from .measures import Measure, contaminate, quadrature_of
+from .measures import Measure, quadrature_of
 
 
 class Unbounded(enum.Enum):
@@ -113,11 +108,10 @@ def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x, eps: float = 
 
     One-sided in ``eps`` (contamination weights are nonnegative), with a
     Richardson step over ``{eps, eps/2}`` cancelling the leading error term.
-    The base measure is fitted once, then the contaminated measures of all
-    points together, one row each, by ``estimators._fit_rows``, the one
-    place where rows are fitted.  Each equals ``estimate`` on
-    ``contaminate(q, x, step)`` bit for bit; the first that fails is
-    refitted there to raise its error.  Array ``x`` yields one row per point.
+    ``estimators._fit_rows`` fits the base measure as one row, then the
+    contaminated measures of all points together, one row each, equal bit
+    for bit to ``estimate`` on ``contaminate(q, x, step)``; the first row
+    that fails raises its recorded error.  Array ``x`` yields one row per point.
     """
     e = float(eps)
     if not 0.0 < e <= 0.05:
@@ -125,7 +119,7 @@ def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x, eps: float = 
     points = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("contamination points must be finite")
-    base = _estimate_or_raise(family, spec, q, "base measure").theta_hat
+    base = _fit_or_raise(family, spec, q.nodes[None], q.weights[None], lambda j: "base measure")[0]
     # row 2i holds point i at eps, row 2i + 1 point i at eps/2
     at = np.repeat(points, 2)
     steps = np.tile([e, e / 2.0], points.size)
@@ -137,29 +131,24 @@ def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x, eps: float = 
         # weights times (1 - step) plus step
         nodes = np.concatenate([np.broadcast_to(q.nodes, (hi - lo, len(q))), at[lo:hi, None]], axis=1)
         weights = np.concatenate([(1.0 - steps[lo:hi, None]) * q.weights, steps[lo:hi, None]], axis=1)
-        fits[lo:hi], ok = _fit_rows(family, spec, nodes, weights)
-        if not ok.all():
-            # fits are pure: the first failed row's refit fails the same way
-            j = lo + int(np.argmin(ok))
-            point, step = float(at[j]), float(steps[j])
-            context = f"contaminated measure (x={point}, eps={step})"
-            _estimate_or_raise(family, spec, contaminate(q, point, step), context)
+        context = lambda j: f"contaminated measure (x={float(at[lo + j])}, eps={float(steps[lo + j])})"
+        fits[lo:hi] = _fit_or_raise(family, spec, nodes, weights, context)
     quotients = (fits - base) / steps[:, None]
     out = 2.0 * quotients[1::2] - quotients[0::2]
     return out[0] if np.ndim(x) == 0 else out
 
 
-def _estimate_or_raise(family, spec, q, context: str):
-    """``estimate``, failing with an ``EstimationError`` that names ``context``:
-    raised from the toolkit error it wraps, or with no cause when the fit
-    did not converge (the CLI's exit code tells the two apart)."""
-    try:
-        result = estimate(family, spec, q)
-    except ToolkitError as exc:
-        raise EstimationError(f"estimation failed at {context}: {exc}") from exc
-    if not result.converged:
-        raise EstimationError(f"estimator did not converge at {context}")
-    return result
+def _fit_or_raise(family, spec, nodes, weights, context):
+    """``_fit_rows``' parameters, or an ``EstimationError`` naming
+    ``context(j)`` of the first failed row j: raised from the error it
+    recorded, or with no cause if it did not converge (CLI exit 1 or 2)."""
+    theta, _, _, converged, errors = _fit_rows(family, spec, nodes, weights)
+    j = int(np.argmin(converged))
+    if j in errors:
+        raise EstimationError(f"estimation failed at {context(j)}: {errors[j]}") from errors[j]
+    if not converged[j]:
+        raise EstimationError(f"estimator did not converge at {context(j)}")
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +314,7 @@ def influence_curve(
     ``numeric=True`` switches to the contamination oracle ``if_numeric``
     on ``quadrature_of(family, theta)``: one base fit, then the grid's
     contaminated measures fitted together by ``estimators._fit_rows``, the
-    one place where rows are fitted, each as single ``estimate`` calls give.
+    one fit driver, each as single ``estimate`` calls give.
     Its default ``eps = 1e-3`` is too coarse for subdivergence on
     ``normal`` (2.6e-3 off the formula at alpha 0.5, escort (0.3, 1.2),
     theta (0, 1)); call ``if_numeric(family, spec, quadrature_of(family,

@@ -6,8 +6,8 @@ mean squared errors of the scale estimates are pooled.  Replications own
 independent generator streams derived from (seed, replication index), so
 results are reproducible, order-independent, and chunkable across calls.
 Each estimator is fitted on all replications of a batch at once by
-``estimators._fit_rows``, the one place where rows are fitted, which gives
-each replication the numbers ``estimate`` gives.
+``estimators._fit_rows``, the one fit driver, which gives each replication
+the numbers ``estimate`` gives.
 """
 
 from __future__ import annotations
@@ -118,9 +118,10 @@ def run_study(
     ``first_rep`` offsets the replication indices so a study can be split
     into chunks whose pooled statistics match the single-call result.
     Batches of replications are fitted by ``estimators._fit_rows``, so each
-    equals ``estimate(NORMAL_SCALE, spec, empirical(sample))`` bit for bit.
-    ``n`` and ``reps`` must be integers >= 1, ``seed`` and ``first_rep``
-    integers >= 0; anything else raises an ``InvalidInputError`` naming it.
+    equals ``estimate(NORMAL_SCALE, spec, empirical(sample))`` bit for bit,
+    and an invalid escort raises as there.  ``n`` and ``reps`` must be
+    integers >= 1, ``seed`` and ``first_rep`` integers >= 0; anything else
+    raises an ``InvalidInputError`` naming it.
     """
     checks = (("n", n, 1), ("reps", reps, 1), ("seed", seed, 0), ("first_rep", first_rep, 0))
     for name, value, least in checks:
@@ -137,7 +138,8 @@ def run_study(
             ]
         )
         for k, spec in enumerate(specs):
-            parts[k].append(_fit_rows(NORMAL_SCALE, spec, samples, np.full(samples.shape, 1.0 / n))[0][:, 0])
+            theta, _, _, converged, _ = _fit_rows(NORMAL_SCALE, spec, samples, np.full(samples.shape, 1.0 / n))
+            parts[k].append(np.where(converged, theta[:, 0], math.nan))
     rows = []
     for k, spec in enumerate(specs):
         sigma_hat = np.concatenate(parts[k])

@@ -1,12 +1,11 @@
 """Tests for the command-line interface: payloads, exit codes, determinism."""
 
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-import mindiv.influence
+import mindiv.estimators
 from mindiv import NORMAL_SCALE, DegenerateDataError
 from mindiv.cli import main
 
@@ -260,22 +259,32 @@ class TestInfluence:
         ],
     )
     def test_numeric_oracle_exit_codes(self, capsys, monkeypatch, outcome, code, message):
-        # a fit that does not converge exits 2, a wrapped input error 1
-        real_estimate = mindiv.influence.estimate
+        # a fit that does not converge exits 2, a wrapped input error 1; every
+        # subdivergence row, the base's first, is fitted by the fallback
+        real_fallback = mindiv.estimators._fallback
 
-        def patched(family, spec, q):
+        def patched(family, spec, q, its):
             if outcome == "degenerate":
                 raise DegenerateDataError("zero spread")
-            return dataclasses.replace(real_estimate(family, spec, q), converged=False)
+            return (*real_fallback(family, spec, q, its)[:3], False)
 
-        monkeypatch.setattr(mindiv.influence, "estimate", patched)
+        monkeypatch.setattr(mindiv.estimators, "_fallback", patched)
         got, out, err = run_cli(
-            capsys, "influence", "--family", "normal-scale", "--estimator", "power-pseudo",
+            capsys, "influence", "--family", "normal-scale", "--estimator", "subdivergence", "--escort", "1.0",
             "--alpha", "0.5", "--theta", "1.0", "--grid", "-2:2:3", "--numeric",
         )
         assert got == code
         assert out == ""
         assert message in err
+
+    def test_numeric_oracle_invalid_escort(self, capsys):
+        got, out, err = run_cli(
+            capsys, "influence", "--family", "normal-scale", "--estimator", "subdivergence", "--escort", "-1",
+            "--alpha", "0.5", "--theta", "1.0", "--grid", "-2:2:3", "--numeric",
+        )
+        assert got == 1
+        assert out == ""
+        assert "scale must be positive" in err
 
 
 class TestSimulate:

@@ -38,6 +38,7 @@ from mindiv.estimators import (
     _PSI_TOL,
     KINDS,
     _Rows,
+    _fit_rows,
     _moment_fixed_point,
     _pseudo_criterion,
     _pseudo_gradient,
@@ -883,12 +884,35 @@ class TestMomentFixedPoint:
         assert not accepted.any() and not iterations.any()
 
     def test_degenerate_mle_row_accepts_no_row(self):
-        # one row with zero spread: no closed-form row is accepted, so the
-        # callers refit each by estimate, which names the degenerate one
+        # one row with zero spread: no closed-form row is accepted, so
+        # _fit_rows fits each by the fallback, which names the degenerate one
         xs, ws = contaminated_rows(NORMAL, 3, 30, seed=5)
         xs[1] = 2.0
         _, accepted, _, _ = _moment_fixed_point(NORMAL, EstimatorSpec(kind="mle"), xs, ws)
         assert not accepted.any()
+        theta, _, _, converged, errors = _fit_rows(NORMAL, EstimatorSpec(kind="mle"), xs, ws)
+        assert list(errors) == [1] and isinstance(errors[1], DegenerateDataError)
+        assert converged.tolist() == [True, False, True]
+        assert np.array_equal(theta[[0, 2]], NORMAL.mle_parameter(xs[[0, 2]], ws[[0, 2]]))
+
+    def test_rejected_rows_make_one_row_solver_call(self, monkeypatch):
+        # 3 of 8 Pareto rows have a node at x = 1 and get no start: one row
+        # solver call on all 8, the fallback on each of the 3, and every row
+        # as its single estimate gives
+        xs, ws = contaminated_rows(PARETO, 8, 40, seed=12)
+        xs[[1, 4, 6], 0] = 1.0
+        spec = EstimatorSpec(kind="renyi", alpha=0.5)
+        singles = [estimate(PARETO, spec, empirical(row)) for row in xs]
+        calls, fallbacks = [], []
+        real_rows, real_fallback = mindiv.estimators._moment_fixed_point, mindiv.estimators._fallback
+        monkeypatch.setattr(mindiv.estimators, "_moment_fixed_point", lambda *args: calls.append(args) or real_rows(*args))
+        monkeypatch.setattr(mindiv.estimators, "_fallback", lambda *args: fallbacks.append(args) or real_fallback(*args))
+        theta, criteria, iterations, converged, errors = _fit_rows(PARETO, spec, xs, ws)
+        assert len(calls) == 1 and len(fallbacks) == 3 and not errors
+        for j, result in enumerate(singles):
+            assert theta[j].tobytes() == result.theta_hat.tobytes()
+            assert math.exp(-criteria[j]) == result.criterion_value
+            assert (iterations[j], converged[j]) == (result.iterations, result.converged)
 
     @pytest.mark.parametrize("xs", [[5.0] * 50, [0.1] * 30], ids=["5", "0.1"])
     def test_equal_nodes_accept_no_mle_row(self, xs):
@@ -1035,10 +1059,17 @@ class TestDegenerateSample:
     )
     def test_raises_as_mle(self, family, xs, kind):
         q = empirical(xs)
+        spec = EstimatorSpec(kind=kind, alpha=0.5)
         with pytest.raises(DegenerateDataError):
             mle(family, q)
-        with pytest.raises(DegenerateDataError):
-            estimate(family, EstimatorSpec(kind=kind, alpha=0.5), q)
+        with pytest.raises(DegenerateDataError) as single:
+            estimate(family, spec, q)
+        # in a batch after a good row, the row records the error estimate raises
+        good = contaminated_rows(family, 1, len(xs), seed=2)[0][0]
+        theta, _, _, converged, errors = _fit_rows(family, spec, np.stack([good, q.nodes]), np.stack([q.weights] * 2))
+        assert list(errors) == [1] and not converged[1] and np.isnan(theta[1]).all()
+        assert type(errors[1]) is type(single.value) and str(errors[1]) == str(single.value)
+        assert theta[0].tobytes() == estimate(family, spec, empirical(good)).theta_hat.tobytes()
 
 
 # Each normal family refitted on offset + scale * z (50 N(0, 1) draws z),

@@ -1,6 +1,5 @@
 """Tests for influence functions, the contamination oracle, and sensitivity."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +9,7 @@ import mindiv.estimators
 import mindiv.influence
 from mindiv import (
     EstimationError,
+    DomainError,
     EstimatorSpec,
     EvaluationError,
     InvalidInputError,
@@ -33,6 +33,10 @@ from mindiv import (
     sensitivity,
 )
 from mindiv.influence import InfluenceCurve
+from mindiv.measures import Measure
+
+# every subdivergence row, a base measure's among them, goes to the fallback
+SUB_SPEC = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.0,))
 
 
 def mle_scale_if(sigma0, x):
@@ -85,6 +89,25 @@ class TestIfGeneral:
         assert err.value.matrix is not None
 
 
+def counting_fits(monkeypatch):
+    """Record each ``_fit_rows`` call of the oracle (its nodes) and each row
+    ``_fallback`` fits."""
+    fit_rows, fallbacks = [], []
+    real_fit_rows, real_fallback = mindiv.influence._fit_rows, mindiv.estimators._fallback
+
+    def counting_fit_rows(family, spec, nodes, weights):
+        fit_rows.append(nodes)
+        return real_fit_rows(family, spec, nodes, weights)
+
+    def counting_fallback(family, spec, q, its):
+        fallbacks.append(q)
+        return real_fallback(family, spec, q, its)
+
+    monkeypatch.setattr(mindiv.influence, "_fit_rows", counting_fit_rows)
+    monkeypatch.setattr(mindiv.estimators, "_fallback", counting_fallback)
+    return fit_rows, fallbacks
+
+
 class TestIfNumeric:
     def test_matches_mle_location(self):
         q = quadrature_of(NORMAL_LOCATION, [0.0], 512)
@@ -99,42 +122,35 @@ class TestIfNumeric:
         assert abs(got[0]) < 1e-4
 
     def test_toolkit_error_is_wrapped(self, monkeypatch):
-        def fail(family, spec, q):
+        def fail(family, spec, q, its):
             raise EvaluationError("objective returned NaN")
 
-        monkeypatch.setattr(mindiv.influence, "estimate", fail)
+        monkeypatch.setattr(mindiv.estimators, "_fallback", fail)
         q = quadrature_of(NORMAL_LOCATION, [0.0], 64)
-        with pytest.raises(EstimationError, match="base measure"):
-            if_numeric(NORMAL_LOCATION, EstimatorSpec(kind="mle"), q, 1.0)
+        with pytest.raises(EstimationError, match="failed at base measure: objective returned NaN") as err:
+            if_numeric(NORMAL_LOCATION, SUB_SPEC, q, 1.0)
+        assert isinstance(err.value.__cause__, EvaluationError)
 
     def test_programming_error_propagates(self, monkeypatch):
-        def fail(family, spec, q):
+        def fail(family, spec, q, its):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(mindiv.influence, "estimate", fail)
+        monkeypatch.setattr(mindiv.estimators, "_fallback", fail)
         q = quadrature_of(NORMAL_LOCATION, [0.0], 64)
         with pytest.raises(ZeroDivisionError):
-            if_numeric(NORMAL_LOCATION, EstimatorSpec(kind="mle"), q, 1.0)
+            if_numeric(NORMAL_LOCATION, SUB_SPEC, q, 1.0)
 
     def test_array_x_fits_base_once(self, monkeypatch):
-        # one row per point, equal to the scalar calls; estimate() fits only
-        # the base, as the row fixed point accepts every contaminated row
-        # (if_numeric fits the base, _fit_rows refits rejected rows)
+        # one row per point, equal to the scalar calls; the base is fitted
+        # once, then the 6 contaminated rows together, and the row fixed
+        # point accepts every row, so none reaches the fallback
         spec = EstimatorSpec(kind="power-pseudo", alpha=0.5)
         q = quadrature_of(NORMAL, [0.0, 1.0])
         xs = np.array([-1.5, 0.5, 2.0])
         per_point = np.stack([if_numeric(NORMAL, spec, q, float(x)) for x in xs])
-        fits = []
-        real_estimate = mindiv.influence.estimate
-
-        def counting(family, spec, q):
-            fits.append(q)
-            return real_estimate(family, spec, q)
-
-        monkeypatch.setattr(mindiv.influence, "estimate", counting)
-        monkeypatch.setattr(mindiv.estimators, "estimate", counting)
+        fit_rows, fallbacks = counting_fits(monkeypatch)
         rows = if_numeric(NORMAL, spec, q, xs)
-        assert len(fits) == 1
+        assert [len(nodes) for nodes in fit_rows] == [1, 6] and not fallbacks
         assert rows.shape == (3, 2)
         assert np.array_equal(rows, per_point)
         assert if_numeric(NORMAL, spec, q, 0.5).shape == (2,)
@@ -155,19 +171,29 @@ class TestIfNumeric:
 
     def test_non_converged_contaminated_fit_named(self, monkeypatch):
         q = quadrature_of(NORMAL_LOCATION, [0.0], 64)
-        real_estimate = mindiv.influence.estimate
+        real_fallback = mindiv.estimators._fallback
 
-        def stalls_when_contaminated(family, spec, m):
-            result = real_estimate(family, spec, m)
-            return result if len(m) == len(q) else dataclasses.replace(result, converged=False)
+        def stalls_when_contaminated(family, spec, rows, its):
+            theta, criterion, its, converged = real_fallback(family, spec, rows, its)
+            return theta, criterion, its, converged and len(rows.nodes) == len(q)
 
-        # _fit_rows refits the rows, and if_numeric refits the first failed
-        # one to raise; subdivergence rows are refitted one at a time
-        monkeypatch.setattr(mindiv.estimators, "estimate", stalls_when_contaminated)
-        monkeypatch.setattr(mindiv.influence, "estimate", stalls_when_contaminated)
-        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.0,))
-        with pytest.raises(EstimationError, match=r"did not converge at contaminated measure \(x=1\.5, eps=0\.001\)"):
-            if_numeric(NORMAL_LOCATION, spec, q, np.array([1.5, 2.0]))
+        monkeypatch.setattr(mindiv.estimators, "_fallback", stalls_when_contaminated)
+        with pytest.raises(EstimationError, match=r"did not converge at contaminated measure \(x=1\.5, eps=0\.001\)") as err:
+            if_numeric(NORMAL_LOCATION, SUB_SPEC, q, np.array([1.5, 2.0]))
+        assert err.value.__cause__ is None
+
+    def test_failed_row_raises_without_refit(self, monkeypatch):
+        # a Pareto row contaminated below the support fails in the batch,
+        # which records its error: no fit goes through estimate
+        calls = []
+        real_estimate = mindiv.estimators.estimate
+        monkeypatch.setattr(mindiv.estimators, "estimate", lambda *args: calls.append(args) or real_estimate(*args))
+        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(2.5,))
+        message = r"estimation failed at contaminated measure \(x=0\.5, eps=0\.001\): observations must lie in the support"
+        with pytest.raises(EstimationError, match=message) as err:
+            influence_curve(PARETO, spec, [2.0], np.linspace(0.5, 3.0, 41), numeric=True)
+        assert isinstance(err.value.__cause__, DomainError)
+        assert not calls
 
 
 def per_point_oracle(family, spec, q, xs, eps=1e-3):
@@ -191,20 +217,6 @@ class TestBatchedOracle:
         "pareto": (PARETO, [2.0]),
     }
 
-    @staticmethod
-    def counting_estimate(monkeypatch):
-        fits = []
-        real_estimate = mindiv.influence.estimate
-
-        def counting(family, spec, q):
-            fits.append(q)
-            return real_estimate(family, spec, q)
-
-        # if_numeric fits the base, _fit_rows the rows it refits
-        monkeypatch.setattr(mindiv.influence, "estimate", counting)
-        monkeypatch.setattr(mindiv.estimators, "estimate", counting)
-        return fits
-
     @pytest.mark.parametrize("family_name", list(CASES))
     @pytest.mark.parametrize("kind", ["renyi", "power-pseudo"])
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
@@ -221,12 +233,17 @@ class TestBatchedOracle:
         q = quadrature_of(family, theta)
         xs = np.linspace(1.5, 8.0, 5) if family is PARETO else np.linspace(-4.0, 4.0, 5)
         want = per_point_oracle(family, spec, q, xs)
-        fits = self.counting_estimate(monkeypatch)
-        monkeypatch.setattr(mindiv.influence, "contaminate", None)
+        fit_rows, fallbacks = counting_fits(monkeypatch)
+
+        def no_measure(self):
+            raise AssertionError("built a measure")
+
+        monkeypatch.setattr(Measure, "__post_init__", no_measure)
         got = if_numeric(family, spec, q, xs)
-        # every contaminated row was solved in the batch, bit for bit, with
-        # no contaminated measure built
-        assert len(fits) == 1 and fits[0] is q
+        # the base row, then every contaminated row solved in the batch, bit
+        # for bit, with no contaminated measure built
+        assert np.array_equal(fit_rows[0], q.nodes[None])
+        assert [len(nodes) for nodes in fit_rows] == [1, 10] and not fallbacks
         assert np.array_equal(got, want)
 
     def test_rejected_rows_fall_back(self, monkeypatch):
@@ -234,19 +251,26 @@ class TestBatchedOracle:
         spec = EstimatorSpec(kind="power-pseudo", alpha=0.5)
         q = quadrature_of(family, theta)
         xs = np.array([-2.0, 0.5, 3.0])
-        want = per_point_oracle(family, spec, q, xs)
         real_rows = mindiv.estimators._moment_fixed_point
+        calls = []
 
         def rejecting(family, spec, nodes, weights):
+            calls.append(len(nodes))
             theta, accepted, iterations, criteria = real_rows(family, spec, nodes, weights)
-            if len(nodes) > 1:  # the batch; one-row calls are single fits
-                accepted[[1, 4]] = False  # point 0 at eps/2, point 2 at eps
+            # point -2 at eps/2 and point 3 at eps, in a batch or alone
+            contamination = np.stack([nodes[:, -1], weights[:, -1]], axis=1)
+            accepted[(contamination == [-2.0, 5e-4]).all(axis=1) | (contamination == [3.0, 1e-3]).all(axis=1)] = False
             return theta, accepted, iterations, criteria
 
         monkeypatch.setattr(mindiv.estimators, "_moment_fixed_point", rejecting)
-        fits = self.counting_estimate(monkeypatch)
+        want = per_point_oracle(family, spec, q, xs)
+        calls.clear()
+        _, fallbacks = counting_fits(monkeypatch)
         got = if_numeric(family, spec, q, xs)
-        assert [m.nodes[-1] for m in fits[1:]] == [-2.0, 3.0]
+        # one row-solver call for the base and one for the batch, and the
+        # fallback on the 2 rejected rows alone, as in single fits
+        assert calls == [1, 6]
+        assert [(rows.nodes[-1], rows.weights[-1]) for rows in fallbacks] == [(-2.0, 5e-4), (3.0, 1e-3)]
         assert np.array_equal(got, want)
 
     def test_batches_do_not_change_rows(self, monkeypatch):
@@ -545,16 +569,9 @@ class TestInfluenceCurve:
         grid = np.linspace(-2, 2, 5)
         q = quadrature_of(NORMAL_SCALE, [1.0])
         per_point = np.stack([if_numeric(NORMAL_SCALE, spec, q, float(x)) for x in grid])
-        fits = []
-        real_estimate = mindiv.influence.estimate
-
-        def counting(family, spec, q):
-            fits.append(q)
-            return real_estimate(family, spec, q)
-
-        monkeypatch.setattr(mindiv.influence, "estimate", counting)
+        fit_rows, _ = counting_fits(monkeypatch)
         curve = influence_curve(NORMAL_SCALE, spec, [1.0], grid, numeric=True)
-        assert len(fits) == 1
+        assert [len(nodes) for nodes in fit_rows] == [1, 10]
         assert np.array_equal(curve.values, per_point)
 
     def test_superdivergence_uses_mle_form(self):

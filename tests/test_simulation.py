@@ -31,7 +31,8 @@ def model(eps=0.1, contaminant="cauchy", sigma=1.0):
 def scale_estimates(spec, samples):
     """``_fit_rows`` on the empirical measures of ``samples``' rows, as
     ``run_study`` calls it: each row's scale estimate, NaN where it failed."""
-    return _fit_rows(NORMAL_SCALE, spec, samples, np.full(samples.shape, 1.0 / samples.shape[1]))[0][:, 0]
+    theta, _, _, converged, _ = _fit_rows(NORMAL_SCALE, spec, samples, np.full(samples.shape, 1.0 / samples.shape[1]))
+    return np.where(converged, theta[:, 0], math.nan)
 
 
 class TestContaminationModel:
@@ -117,33 +118,46 @@ class TestRunStudy:
         assert mses[0] == mses[1] == mses[2]
 
     def test_toolkit_error_is_counted(self, monkeypatch):
-        def fail(family, spec, q):
+        def fail(family, spec, q, its):
             raise EvaluationError("objective returned NaN")
 
-        monkeypatch.setattr(mindiv.estimators, "estimate", fail)
+        # every subdivergence row goes to the fallback
+        monkeypatch.setattr(mindiv.estimators, "_fallback", fail)
         result = run_study(model(), 20, 3, (SUB_SPEC,), seed=1)
         assert result.rows[0].failure_count == 3
         assert math.isnan(result.rows[0].mse)
 
     def test_programming_error_propagates(self, monkeypatch):
-        def fail(family, spec, q):
+        def fail(family, spec, q, its):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(mindiv.estimators, "estimate", fail)
+        monkeypatch.setattr(mindiv.estimators, "_fallback", fail)
         with pytest.raises(ZeroDivisionError):
             run_study(model(), 20, 3, (SUB_SPEC,), seed=1)
 
     def test_batched_kinds_make_no_single_fit(self, monkeypatch):
         # the MLE, superdivergence, power-pseudo and Renyi columns are all
-        # solved as rows: no estimate() call and no per-sample measure
+        # solved as rows: no fallback fit and no per-sample measure
         def fail(*args):
             raise AssertionError("fitted one sample at a time")
 
-        monkeypatch.setattr(mindiv.estimators, "estimate", fail)
+        monkeypatch.setattr(mindiv.estimators, "_fallback", fail)
         monkeypatch.setattr(mindiv.estimators, "Measure", fail)
         specs = SPECS + (EstimatorSpec(kind="superdivergence", alpha=0.5),)
         result = run_study(model(), 100, 20, specs, seed=11)
         assert not any(row.failure_count for row in result.rows)
+
+    @pytest.mark.parametrize(
+        "escort,message",
+        [((1.0, 2.0), "1 component"), ((-1.0,), "scale must be positive"), ((0.0,), "scale must be positive")],
+    )
+    def test_invalid_escort_raises(self, escort, message):
+        # as estimate does, not one failure per replication
+        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=escort)
+        with pytest.raises(InvalidInputError, match=message):
+            estimate(NORMAL_SCALE, spec, empirical([0.5, 1.0, 2.0]))
+        with pytest.raises(InvalidInputError, match=message):
+            run_study(model(), 20, 6, (spec,), seed=1)
 
     @pytest.mark.parametrize(
         "name,value",
@@ -253,7 +267,7 @@ class TestRunStudy:
         # per-replication estimates, so chunked studies pool the same fits
         samples = np.stack([sample_contaminated(model(), 40, _replication_rng(5, j)) for j in range(6)])
         # a row with zero MAD is not accepted by the fixed point and is
-        # fitted by estimate() alone
+        # fitted by the fallback alone
         samples[4, :25] = 0.0
         for spec in SPECS[1:]:
             whole = scale_estimates(spec, samples)
