@@ -11,6 +11,11 @@ MLE is the MLE too: at theta = escort = MLE both terms of its estimating
 equation vanish (the escort's mean score, and the sample score at the
 MLE), so Newton from the escort accepts it at the first evaluation.
 
+Subdivergence, power-pseudo and Renyi each have one (criterion, estimating
+equation) pair in ``_EQUATIONS`` on one shared ``_tilt``, which the fit
+drivers and ``_point_psi`` use; every model term is in closed form (the
+subdivergence one via ``Family._mixture_score_mean``, with no grid).
+
 One fit driver, ``_fit_rows``, fits (R, n) rows of nodes and weights;
 ``estimate`` is one row of it.  Its row solver, ``_moment_fixed_point``,
 gives closed-form MLE rows, or runs the weighted-moment fixed point of
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ToolkitError
-from .families import _GRID_N, Family
+from .families import Family
 from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant
 from .measures import Measure
 from .optimize import _newton_polish, solve_1d, solve_2d
@@ -104,15 +109,29 @@ class EstimateResult:
 
 
 # ---------------------------------------------------------------------------
-# criterion functions and estimating equations
+# criteria, estimating equations and the row solver
 # ---------------------------------------------------------------------------
+#
+# Every function below works on (R, n) node and weight arrays (the
+# equations also on one parameter and a Measure) and reduces along each row
+# only, so a row's numbers equal a single call's and do not depend on R.
+# The subdivergence pair takes one parameter, against a Measure or rows.
+_Rows = namedtuple("_Rows", "nodes weights")
 
 
-def _check_sub_alpha(alpha: float) -> float:
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"subdivergence criterion needs alpha in (0, 1), got {alpha!r}")
-    return a
+def _tilt(family: Family, spec: EstimatorSpec, theta, q):
+    """The tilt at ``theta`` on the nodes of ``q`` that a kind's criterion
+    and estimating equation both take: ``q p^a`` (power-pseudo), ``q
+    (p_escort / p)^a`` (subdivergence), or ``log sum q p^a`` and the terms
+    ``q p^a`` scaled by their row's largest (Renyi, ``log_sum_exp``)."""
+    a = spec.alpha
+    lp = family.log_density(theta, q.nodes)
+    if spec.kind == "renyi":
+        return log_sum_exp(np.log(q.weights) + a * lp)
+    if spec.kind == "subdivergence":
+        lp = family.log_density(spec.escort, q.nodes) - lp
+    with np.errstate(over="ignore"):
+        return q.weights * np.exp(a * lp)
 
 
 def _tilted_sum(w, s):
@@ -120,38 +139,74 @@ def _tilted_sum(w, s):
     return np.multiply(w[..., None, :], s.swapaxes(-1, -2), order="C").sum(axis=-1)
 
 
+def _sub_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
+    a = spec.alpha
+    w = _tilt(family, spec, theta, q) if tilt is None else tilt
+    return family.power_ratio_integral(spec.escort, theta, a) / (1.0 - a) + w.sum(axis=-1) / a
+
+
+def _sub_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -> np.ndarray:
+    a, escort = spec.alpha, spec.escort
+    w = _tilt(family, spec, theta, q) if tilt is None else tilt
+    model_term = family.power_ratio_integral(escort, theta, a) * family._mixture_score_mean(theta, escort, a)
+    return model_term - _tilted_sum(w, family.score(theta, q.nodes))
+
+
+def _pseudo_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
+    a = spec.alpha
+    qp = (_tilt(family, spec, theta, q) if tilt is None else tilt).sum(axis=-1)
+    return family.power_mass_integral(theta, a) / (1.0 + a) - qp / a
+
+
+def _pseudo_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -> np.ndarray:
+    a = spec.alpha
+    w = _tilt(family, spec, theta, q) if tilt is None else tilt
+    # transposes put the parameter axis first, against the (R,) masses
+    model_term = (family.power_mass_integral(theta, a) * family.weighted_score_mean(theta, a).T).T
+    return model_term - _tilted_sum(w, family.score(theta, q.nodes))
+
+
+def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
+    log_qp, _ = _tilt(family, spec, theta, q) if tilt is None else tilt
+    return np.log(family.renyi_normalizer(theta, spec.alpha)) - log_qp
+
+
+def _renyi_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -> np.ndarray:
+    _, w = _tilt(family, spec, theta, q) if tilt is None else tilt
+    w = w / w.sum(axis=-1, keepdims=True)
+    return family.weighted_score_mean(theta, spec.alpha) - _tilted_sum(w, family.score(theta, q.nodes))
+
+
+_EQUATIONS = {
+    "subdivergence": (_sub_criterion, _sub_gradient),
+    "power-pseudo": (_pseudo_criterion, _pseudo_gradient),
+    "renyi": (_renyi_neg_log, _renyi_gradient),
+}
+
+
+def _sub_spec(escort, alpha: float) -> EstimatorSpec:
+    """The spec of the public subdivergence functions, which need ``0 < alpha < 1``."""
+    a = float(alpha)
+    if not 0.0 < a < 1.0:
+        raise DomainError(f"subdivergence criterion needs alpha in (0, 1), got {alpha!r}")
+    return EstimatorSpec("subdivergence", a, escort)
+
+
 def sub_criterion(family: Family, escort, theta, q: Measure, alpha: float) -> float:
     """Escort criterion M minimized in ``theta`` by the subdivergence
     estimator, in its closed ratio-expectation form for ``0 < alpha < 1``."""
-    a = _check_sub_alpha(alpha)
-    escort = family.validate_param(escort)
-    theta = family.validate_param(theta)
-    lp_escort_q = np.asarray(family.log_density(escort, q.nodes))
-    lp_q = np.asarray(family.log_density(theta, q.nodes))
-    ratio_term = family.power_ratio_integral(escort, theta, a)
-    with np.errstate(over="ignore"):
-        data_term = float(q.weights @ np.exp(a * (lp_escort_q - lp_q)))
-    return ratio_term / (1.0 - a) + data_term / a
+    return float(_sub_criterion(family, theta, q, _sub_spec(escort, alpha)))
 
 
 def sub_psi(family: Family, escort, theta, q: Measure, alpha: float) -> np.ndarray:
     """Estimating equation of ``sub_criterion`` in ``theta`` (zero at its argmin).
 
-    The model term integrates ``p_theta^(1-a) p_escort^a`` and the data term
-    sums ``q (p_escort / p_theta)^a``, both weighting the score at ``theta``.
+    The model term integrates ``p_theta^(1-a) p_escort^a`` against the
+    score at ``theta`` in closed form; the data term sums ``q (p_escort /
+    p_theta)^a`` against the same score.  This and ``sub_criterion`` are
+    the subdivergence pair of ``_EQUATIONS``.
     """
-    a = _check_sub_alpha(alpha)
-    escort = family.validate_param(escort)
-    theta = family.validate_param(theta)
-    x, wl = family.integration_grid([escort, theta], _GRID_N)
-    lp_escort = np.asarray(family.log_density(escort, x))
-    lp = np.asarray(family.log_density(theta, x))
-    model_term = _tilted_sum(wl * np.exp((1.0 - a) * lp + a * lp_escort), family.score(theta, x))
-    lp_escort_q = np.asarray(family.log_density(escort, q.nodes))
-    lp_q = np.asarray(family.log_density(theta, q.nodes))
-    with np.errstate(over="ignore"):
-        ratio = np.exp(a * (lp_escort_q - lp_q))
-    return model_term - _tilted_sum(q.weights * ratio, family.score(theta, q.nodes))
+    return _sub_gradient(family, theta, q, _sub_spec(escort, alpha))
 
 
 def sub_divergence(family: Family, escort, theta, q: Measure, alpha: float) -> float:
@@ -159,63 +214,8 @@ def sub_divergence(family: Family, escort, theta, q: Measure, alpha: float) -> f
 
     Maximal in ``theta`` exactly at the parameter generating ``q``.
     """
-    a = _check_sub_alpha(alpha)
-    return orthogonal_constant(a) - sub_criterion(family, escort, theta, q, a)
-
-
-# ---------------------------------------------------------------------------
-# power-pseudo and Renyi equations, and the row solver
-# ---------------------------------------------------------------------------
-#
-# Every function below works on (R, n) node and weight arrays (the
-# equations also on one parameter and a Measure) and reduces along each row
-# only, so a row's numbers equal a single call's and do not depend on R.
-_Rows = namedtuple("_Rows", "nodes weights")
-
-
-def _tilt(family: Family, kind: str, theta, q, a: float):
-    """The tilt at ``theta`` on the nodes of ``q`` that a kind's criterion
-    and estimating equation both take: ``q p^a`` (power-pseudo), or
-    ``log sum q p^a`` and the terms ``q p^a`` scaled by their row's largest
-    (Renyi, ``log_sum_exp``)."""
-    lp = family.log_density(theta, q.nodes)
-    if kind == "renyi":
-        return log_sum_exp(np.log(q.weights) + a * lp)
-    with np.errstate(over="ignore"):
-        return q.weights * np.exp(a * lp)
-
-
-def _pseudo_criterion(family: Family, theta, q, alpha: float, tilt=None):
-    a = float(alpha)
-    qp = (_tilt(family, "power-pseudo", theta, q, a) if tilt is None else tilt).sum(axis=-1)
-    return family.power_mass_integral(theta, a) / (1.0 + a) - qp / a
-
-
-def _pseudo_gradient(family: Family, theta, q, alpha: float, tilt=None) -> np.ndarray:
-    a = float(alpha)
-    w = _tilt(family, "power-pseudo", theta, q, a) if tilt is None else tilt
-    # transposes put the parameter axis first, against the (R,) masses
-    model_term = (family.power_mass_integral(theta, a) * family.weighted_score_mean(theta, a).T).T
-    return model_term - _tilted_sum(w, family.score(theta, q.nodes))
-
-
-def _renyi_neg_log(family: Family, theta, q, alpha: float, tilt=None):
-    a = float(alpha)
-    log_qp, _ = _tilt(family, "renyi", theta, q, a) if tilt is None else tilt
-    return np.log(family.renyi_normalizer(theta, a)) - log_qp
-
-
-def _renyi_gradient(family: Family, theta, q, alpha: float, tilt=None) -> np.ndarray:
-    a = float(alpha)
-    _, w = _tilt(family, "renyi", theta, q, a) if tilt is None else tilt
-    w = w / w.sum(axis=-1, keepdims=True)
-    return family.weighted_score_mean(theta, a) - _tilted_sum(w, family.score(theta, q.nodes))
-
-
-_EQUATIONS = {
-    "power-pseudo": (_pseudo_criterion, _pseudo_gradient),
-    "renyi": (_renyi_neg_log, _renyi_gradient),
-}
+    spec = _sub_spec(escort, alpha)
+    return orthogonal_constant(spec.alpha) - float(_sub_criterion(family, theta, q, spec))
 
 
 def _point_psi(family: Family, spec: EstimatorSpec, theta, x) -> np.ndarray:
@@ -224,19 +224,18 @@ def _point_psi(family: Family, spec: EstimatorSpec, theta, x) -> np.ndarray:
     the fit to Q.
 
     The MLE and superdivergence (and every kind at ``alpha = 0``) use the
-    likelihood score equation, ``_pseudo_gradient`` at order 0.  The Renyi
-    equation normalizes its weights ``q p^a``, so its point rows are scaled
-    by ``p^a(x)`` to make their mean the un-normalized, linear equation.
+    likelihood score equation, ``_pseudo_gradient`` at order 0; the others
+    their equation in ``_EQUATIONS``.  The Renyi equation normalizes its
+    weights ``q p^a``, so its point rows are scaled by ``p^a(x)`` to make
+    their mean the un-normalized, linear equation.
     """
-    a = 0.0 if spec.kind in ("mle", "superdivergence") else spec.alpha
+    if spec.kind in ("mle", "superdivergence") or spec.alpha == 0.0:
+        spec = EstimatorSpec("power-pseudo")
     xs = np.asarray(x, dtype=float).reshape(-1, 1)
     points = _Rows(xs, np.ones_like(xs))
-    if a == 0.0 or spec.kind == "power-pseudo":
-        return _pseudo_gradient(family, theta, points, a)
-    if spec.kind == "subdivergence":
-        return sub_psi(family, spec.escort, theta, points, a)
-    tilt = _tilt(family, "renyi", theta, points, a)
-    return np.exp(tilt[0])[:, None] * _renyi_gradient(family, theta, points, a, tilt)
+    tilt = _tilt(family, spec, theta, points)
+    psi = _EQUATIONS[spec.kind][1](family, theta, points, spec, tilt)
+    return np.exp(tilt[0])[:, None] * psi if spec.kind == "renyi" else psi
 
 
 def renyi_pseudodistance(family: Family, theta, q_measure, q_density, alpha: float) -> float:
@@ -258,20 +257,8 @@ def renyi_pseudodistance(family: Family, theta, q_measure, q_density, alpha: flo
     if a < BRANCH_TOL:
         return float(q_measure.weights @ (lq - family.log_density(theta, q_measure.nodes)))
     log_qq, _ = log_sum_exp(np.log(q_measure.weights) + a * lq)
-    return float(_renyi_neg_log(family, theta, q_measure, a) / a + log_qq / (a * (1.0 + a)))
-
-
-def _admissible(family: Family, rows) -> np.ndarray:
-    """Mask of the (R, d) ``rows`` that ``family.validate_param`` accepts:
-    one check on all rows, and on halves only where that one fails."""
-    try:
-        family.validate_param(rows)
-        return np.ones(len(rows), dtype=bool)
-    except InvalidInputError:
-        if len(rows) == 1:
-            return np.zeros(1, dtype=bool)
-        half = len(rows) // 2
-        return np.concatenate([_admissible(family, rows[:half]), _admissible(family, rows[half:])])
+    neg_log = _renyi_neg_log(family, theta, q_measure, EstimatorSpec("renyi", a))
+    return float(neg_log / a + log_qq / (a * (1.0 + a)))
 
 
 def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
@@ -293,7 +280,7 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     J. Statist.* 35): each cycle maps a row twice, x1 = F(x0) and
     x2 = F(x1), and moves it to x0 - 2 t r + t^2 v, with r = x1 - x0,
     v = x2 - 2 x1 + x0 and the step length t = -|r|/|v|, where t < -1 and
-    that point is a parameter (``family.validate_param``); otherwise the
+    that point is a parameter (``family._in_space``); otherwise the
     row takes the plain double step x2.  A row stops when a map step's
     relative step falls below ``_FP_STEP_TOL``, or after ``_MAX_ITER`` map
     evaluations, and is accepted when its estimating equation has max-norm
@@ -305,18 +292,17 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     computed (NaN on rows that did not settle); subdivergence rows are
     never accepted.
     """
-    a = spec.alpha
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
     accepted, iterations = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=int)
     criteria = np.full(len(x), math.nan)
     unfitted = np.full((len(x), family.param_dim), math.nan), accepted, iterations, criteria
-    if spec.kind in ("mle", "superdivergence") or a == 0.0:
+    if spec.kind in ("mle", "superdivergence") or spec.alpha == 0.0:
         try:
             return family.mle_parameter(x, w), ~accepted, iterations, criteria
         except ToolkitError:
             return unfitted
-    if spec.kind not in _EQUATIONS:
+    if spec.kind == "subdivergence":
         return unfitted
     equal = (w == w[:, :1]).all(axis=1)
     if equal.any() and not equal.all():
@@ -336,7 +322,7 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
             """One map evaluation on the iterating rows; the rows that stop
             leave them, and each of the ``carried`` arrays, alike."""
             nonlocal idx, th, ys, ws, its
-            th, step = family._moment_update(spec.kind, a, ys, ws, th)
+            th, step = family._moment_update(spec.kind, spec.alpha, ys, ws, th)
             its += 1
             # a NaN or negative step (out of the space) fails both tests
             go = (step > _FP_STEP_TOL) & (step < math.inf)
@@ -357,17 +343,17 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
             k = np.flatnonzero(t < -1.0)
             tk = t[k, None]
             jump = x0[k] - 2.0 * tk * r[k] + tk * tk * v[k]
-            fits = _admissible(family, jump)
+            fits = family._in_space(jump)
             th[k[fits]] = jump[fits]
         rows = np.flatnonzero(settled)
         # one row is checked as one parameter: the same numbers, without rows overhead
         pick = rows[0] if len(x) == 1 and rows.size else rows
         q = _Rows(x[pick], w[pick])
         criterion, gradient = _EQUATIONS[spec.kind]
-        at_theta = _tilt(family, spec.kind, theta[pick], q, a)
-        psi = gradient(family, theta[pick], q, a, at_theta)
-        crit = criterion(family, theta[pick], q, a, at_theta)
-        good = (np.max(np.abs(psi), axis=-1) < _PSI_TOL) & (crit <= criterion(family, start[pick], q, a))
+        at_theta = _tilt(family, spec, theta[pick], q)
+        psi = gradient(family, theta[pick], q, spec, at_theta)
+        crit = criterion(family, theta[pick], q, spec, at_theta)
+        good = (np.max(np.abs(psi), axis=-1) < _PSI_TOL) & (crit <= criterion(family, start[pick], q, spec))
     accepted[rows] = good
     criteria[rows] = crit
     return theta, accepted, iterations, criteria
@@ -391,36 +377,31 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     converged).
 
     Closed-form kinds give the MLE.  The others' criterion and equation are
-    ``sub_criterion`` and ``sub_psi`` at the escort, or the pair in
-    ``_EQUATIONS``.  Subdivergence first runs Newton from the escort, kept
-    when its residual is below ``_PSI_TOL`` and its criterion no higher
-    than at the escort.  Otherwise the criterion is minimized over the
-    family's default box (from the MLE in 2-d) and polished once by the
+    their pair in ``_EQUATIONS``.  Subdivergence first runs Newton from the
+    escort, kept when its residual is below ``_PSI_TOL`` and its criterion
+    no higher than at the escort.  Otherwise the criterion is minimized over
+    the family's default box (from the MLE in 2-d) and polished once by the
     same Newton iteration: converged when that residual is below
     ``_PSI_TOL`` strictly inside the box, with every phase's iterations.
     """
-    a = spec.alpha
     # on a sample the MLE cannot fit (zero spread, every x at 0 on
     # normal-scale or at 1 on Pareto) each criterion reaches its infimum
     # only as the fit degenerates, so such a fit raises as the MLE does
     start = family.mle_parameter(q.nodes, q.weights)
-    if spec.kind in ("mle", "superdivergence") or a == 0.0:
+    if spec.kind in ("mle", "superdivergence") or spec.alpha == 0.0:
         return start, math.nan, its, True
     bounds = family.default_bounds(q.nodes, q.weights)
     lo, hi = np.array(bounds).T
+    criterion, gradient = _EQUATIONS[spec.kind]
+    objective = lambda th: criterion(family, th, q, spec)
+    psi = lambda th: gradient(family, th, q, spec)
     if spec.kind == "subdivergence":
-        escort = family.validate_param(spec.escort)
-        objective = lambda th: sub_criterion(family, escort, th, q, a)
-        psi = lambda th: sub_psi(family, escort, th, q, a)
+        escort = np.array(spec.escort)
         theta, norm, newton_its = _newton_polish(psi, escort, lo, hi, _PSI_TOL)
         its += newton_its
         same = theta.tobytes() == escort.tobytes()  # an escort that is the MLE comes back as is
         if norm < _PSI_TOL and (crit := objective(theta)) <= (crit if same else objective(escort)):
             return theta, crit, its, True
-    else:
-        criterion, gradient = _EQUATIONS[spec.kind]
-        objective = lambda th: criterion(family, th, q, a)
-        psi = lambda th: gradient(family, th, q, a)
     if family.param_dim == 1:
         sr = solve_1d(lambda t: objective(np.array([t])), bounds[0])
     else:

@@ -51,20 +51,6 @@ def _gauss_nodes(lo: float, hi: float, n: int):
     return mid + half * x, half * w
 
 
-def _as_param(theta, dim: int, positive: str) -> np.ndarray:
-    """Finite (dim,) parameter or (R, dim) rows; the last component, if named, is positive."""
-    arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    if arr.ndim > 2 or arr.shape[-1] != dim:
-        raise InvalidInputError(f"parameter must have {dim} component(s), got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError(f"parameter must be finite, got {arr!r}")
-    last = arr.T[-1]
-    # one parameter compares as a numpy scalar, far cheaper than a reduction
-    if positive and (last <= 0.0 if arr.ndim == 1 else (last <= 0.0).any()):
-        raise InvalidInputError(f"{positive} must be positive, got {last.min()}")
-    return arr
-
-
 def _columns(theta: np.ndarray) -> list:
     """Components of a parameter as floats, or of rows as (R, 1) columns."""
     return theta.tolist() if theta.ndim == 1 else list(theta.T[..., None])
@@ -75,17 +61,35 @@ class Family:
 
     A family also writes the start and update of its weighted-moment fixed
     point, ``_moment_start`` and ``_moment_update`` (the contract is in
-    ``estimators._moment_fixed_point``).
+    ``estimators._moment_fixed_point``), and ``_mixture_score_mean``, the
+    closed-form model term of the subdivergence estimating equation.
     """
 
     name: str = ""
     param_dim: int = 1
     param_names: tuple[str, ...] = ()
     support: tuple[float, float] = (-math.inf, math.inf)
+    # name of the last coordinate, which must be positive ("" if it is free)
+    _positive: str = ""
 
     def validate_param(self, theta) -> np.ndarray:
-        """Checked parameter of shape (d,), or parameter rows of shape (R, d)."""
-        raise NotImplementedError
+        """Checked parameter of shape (d,), or parameter rows of shape (R, d):
+        finite, and positive in the last coordinate if ``_positive`` names it."""
+        arr = np.atleast_1d(np.asarray(theta, dtype=float))
+        if arr.ndim > 2 or arr.shape[-1] != self.param_dim:
+            raise InvalidInputError(f"parameter must have {self.param_dim} component(s), got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidInputError(f"parameter must be finite, got {arr!r}")
+        last = arr.T[-1]
+        # one parameter compares as a numpy scalar, far cheaper than a reduction
+        if self._positive and (last <= 0.0 if arr.ndim == 1 else (last <= 0.0).any()):
+            raise InvalidInputError(f"{self._positive} must be positive, got {last.min()}")
+        return arr
+
+    def _in_space(self, rows: np.ndarray) -> np.ndarray:
+        """Mask of the (R, d) ``rows`` that ``validate_param`` accepts."""
+        finite = np.isfinite(rows).all(axis=1)
+        return finite & (rows[:, -1] > 0.0) if self._positive else finite
 
     def log_density(self, theta, x):
         raise NotImplementedError
@@ -200,10 +204,6 @@ class _NormalKind(Family):
     support = (-math.inf, math.inf)
     _free: tuple[int, ...] = (0, 1)
 
-    def validate_param(self, theta) -> np.ndarray:
-        # sigma, when free, is the last coordinate
-        return _as_param(theta, self.param_dim, "scale" if self._free[-1] == 1 else "")
-
     def _loc_scale(self, theta):
         """(mu, sigma) of a validated parameter, as ``_columns`` gives them."""
         full = [0.0, 1.0] if theta.ndim == 1 else [np.zeros((len(theta), 1)), np.ones((len(theta), 1))]
@@ -236,6 +236,16 @@ class _NormalKind(Family):
         a = float(alpha)
         # (0, tilt): the tilted mean of the location score is zero
         return np.take(-a / (sigma * (1.0 + a)) * np.array([0.0, 1.0]), self._free, axis=-1)
+
+    def _mixture_score_mean(self, theta, escort, a: float) -> np.ndarray:
+        """Mean of the score at ``theta`` under the normalized ``p_theta^(1-a)
+        p_escort^a``: a normal with precision tau = (1-a)/sigma^2 +
+        a/sigma_e^2 and mean mu + a (mu_e - mu) / (sigma_e^2 tau)."""
+        mu, sigma = self._loc_scale(self.validate_param(theta))
+        mu_e, sigma_e = self._loc_scale(self.validate_param(escort))
+        tau = (1.0 - a) / sigma**2 + a / sigma_e**2
+        shift = a * (mu_e - mu) / (sigma_e**2 * tau)
+        return np.take([shift / sigma**2, ((1.0 / tau + shift**2) / sigma**2 - 1.0) / sigma], self._free)
 
     def mle_parameter(self, nodes, weights) -> np.ndarray:
         x, w = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
@@ -355,6 +365,7 @@ class NormalLocScale(_NormalKind):
     name = "normal"
     param_dim = 2
     param_names = ("mu", "sigma")
+    _positive = "scale"
 
 
 class NormalLocation(_NormalKind):
@@ -373,6 +384,7 @@ class NormalScale(_NormalKind):
     param_dim = 1
     param_names = ("sigma",)
     _free = (1,)
+    _positive = "scale"
 
 
 def _pareto_support(x) -> np.ndarray:
@@ -389,9 +401,7 @@ class Pareto(Family):
     param_dim = 1
     param_names = ("theta",)
     support = (1.0, math.inf)
-
-    def validate_param(self, theta) -> np.ndarray:
-        return _as_param(theta, 1, "shape")
+    _positive = "shape"
 
     def log_density(self, theta, x):
         (shape,) = _columns(self.validate_param(theta))
@@ -432,6 +442,12 @@ class Pareto(Family):
         theta = self.validate_param(theta)
         a = float(alpha)
         return 1.0 / theta - 1.0 / (theta * (1.0 + a) + a)
+
+    def _mixture_score_mean(self, theta, escort, a: float) -> np.ndarray:
+        """Mean of the score at ``theta`` under the normalized ``p_theta^(1-a)
+        p_escort^a``: a Pareto of shape (1-a) theta + a theta_e."""
+        theta = self.validate_param(theta)
+        return 1.0 / theta - 1.0 / ((1.0 - a) * theta + a * self.validate_param(escort))
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:

@@ -24,6 +24,7 @@ from mindiv import (
     PARETO,
     empirical,
     estimate,
+    influence_curve,
     mle,
     power_divergence,
     quadrature_of,
@@ -155,6 +156,39 @@ class TestSubPsi:
             )
             assert got == pytest.approx(form, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize(
+        "family,theta,escort,tol",
+        [
+            (NORMAL, [0.2, 1.3], [1.1, 0.8], 1e-12),
+            (NORMAL_LOCATION, [0.5], [-0.9], 1e-12),
+            (NORMAL_SCALE, [1.4], [0.7], 1e-12),
+            (PARETO, [2.0], [3.5], 1e-10),
+        ],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    def test_model_term_matches_quadrature(self, family, theta, escort, alpha, tol):
+        # the closed-form model term, int p_theta^(1-a) p_escort^a s_theta,
+        # against 512 Gauss-Legendre nodes covering both members (on log x
+        # for Pareto, whose tail beyond the window is below e^-40); sub_psi
+        # on one point mass plus that point's data term leaves the model term
+        u, wu = np.polynomial.legendre.leggauss(512)
+        if family is PARETO:
+            span = 40.0 / ((1.0 - alpha) * theta[0] + alpha * escort[0])
+            x = np.exp(0.5 * span * (u + 1.0))
+            wx = 0.5 * span * wu * x
+            point = 1.7
+        else:
+            (m, s), (m_e, s_e) = family._loc_scale(np.array(theta)), family._loc_scale(np.array(escort))
+            lo, hi = min(m - 12.0 * s, m_e - 12.0 * s_e), max(m + 12.0 * s, m_e + 12.0 * s_e)
+            x, wx = 0.5 * (hi + lo) + 0.5 * (hi - lo) * u, 0.5 * (hi - lo) * wu
+            point = 0.4
+        product = np.exp((1.0 - alpha) * family.log_density(theta, x) + alpha * family.log_density(escort, x))
+        want = (wx * product) @ family.score(theta, x)
+        ratio = math.exp(alpha * (family.log_density(escort, point) - family.log_density(theta, point)))
+        got = sub_psi(family, escort, theta, empirical([point]), alpha) + ratio * family.score(theta, point)
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
 
 class TestSubDivergenceBound:
     def test_bounded_by_divergence_with_equality_at_truth(self):
@@ -218,8 +252,9 @@ class TestSubdivergenceEstimator:
         # the escort at its first evaluation, and the criterion at the
         # escort is the one at the fit: one evaluation
         calls = []
-        criterion = mindiv.estimators.sub_criterion
-        monkeypatch.setattr(mindiv.estimators, "sub_criterion", lambda *args: calls.append(args) or criterion(*args))
+        criterion, gradient = mindiv.estimators._EQUATIONS["subdivergence"]
+        counting = lambda *args: calls.append(args) or criterion(*args)
+        monkeypatch.setitem(mindiv.estimators._EQUATIONS, "subdivergence", (counting, gradient))
         for n in (100, 10_000):
             q = empirical(contaminated_rows(family, 1, n, seed=n)[0][0])
             theta = mle(family, q).theta_hat
@@ -230,6 +265,30 @@ class TestSubdivergenceEstimator:
                 assert result.converged and result.iterations == 1
                 assert result.theta_hat.tobytes() == theta.tobytes()
                 assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "family,theta,escort,grid",
+        [
+            (NORMAL, (0.0, 1.0), (0.3, 1.2), np.linspace(-3.0, 3.0, 7)),
+            (NORMAL_LOCATION, (0.0,), (1.0,), np.linspace(-3.0, 3.0, 7)),
+            (NORMAL_SCALE, (1.0,), (1.2,), np.linspace(-3.0, 3.0, 7)),
+            (PARETO, (2.0,), (2.5,), np.linspace(1.5, 4.0, 6)),
+        ],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    def test_fits_build_no_quadrature_grid(self, monkeypatch, family, theta, escort, grid):
+        # the model term is in closed form: a fit builds no integration
+        # grid, and a numeric curve builds only its base measure's
+        # (quadrature_of)
+        grids = []
+        build = family.integration_grid
+        monkeypatch.setattr(family, "integration_grid", lambda *args: grids.append(args) or build(*args))
+        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=escort)
+        xs = family.sample(theta, 200, np.random.default_rng(5))
+        assert estimate(family, spec, empirical(xs)).converged
+        assert grids == []
+        influence_curve(family, spec, theta, grid, numeric=True)
+        assert len(grids) == 1
 
     def test_newton_trials_raise_no_warnings(self):
         # damped trial steps far from the escort overflow the data term
@@ -296,10 +355,11 @@ class TestSubdivergenceEstimator:
     )
     def test_degenerate_sample_raises_as_mle(self, monkeypatch, family, xs, escort):
         # the criterion reaches its infimum 0 only as the fit degenerates, so
-        # no estimate exists; the fit raises before Newton evaluates sub_psi
+        # no estimate exists; the fit raises before Newton evaluates its equation
         calls = []
-        psi = mindiv.estimators.sub_psi
-        monkeypatch.setattr(mindiv.estimators, "sub_psi", lambda *args: calls.append(args) or psi(*args))
+        criterion, psi = mindiv.estimators._EQUATIONS["subdivergence"]
+        counting = lambda *args: calls.append(args) or psi(*args)
+        monkeypatch.setitem(mindiv.estimators._EQUATIONS, "subdivergence", (criterion, counting))
         spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=escort)
         with pytest.raises(DegenerateDataError):
             estimate(family, spec, empirical(xs))
@@ -506,7 +566,8 @@ class TestRenyiEstimator:
         a = 0.5
         lp = family.log_density(theta, q.nodes)
         want = math.log(family.renyi_normalizer(theta, a)) - logsumexp(np.log(q.weights) + a * lp)
-        assert _renyi_neg_log(family, theta, q, a) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        spec = EstimatorSpec(kind="renyi", alpha=a)
+        assert _renyi_neg_log(family, theta, q, spec) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_single_point_separation(self):
         # one observation with alpha x^2 = 2: closed-form Renyi scale is
@@ -617,16 +678,18 @@ class TestTiltedEquations:
     def test_rows_equal_single_calls(self, family, thetas, alpha):
         theta = np.array(thetas)
         q = row_sample(family, len(theta))
-        for equation in (f for pair in EQUATIONS for f in pair):
-            rows = equation(family, theta, q, alpha)
-            singles = np.array(
-                [equation(family, t, Measure(x, w), alpha) for t, x, w in zip(theta, *q)]
-            )
-            assert rows.shape == singles.shape
-            assert rows.tobytes() == singles.tobytes(), equation.__name__
-            # a row does not depend on the other rows
-            part = equation(family, theta[1:3], _Rows(q.nodes[1:3], q.weights[1:3]), alpha)
-            assert part.tobytes() == rows[1:3].tobytes(), equation.__name__
+        for kind, pair in zip(ROBUST_KINDS, EQUATIONS):
+            spec = EstimatorSpec(kind=kind, alpha=alpha)
+            for equation in pair:
+                rows = equation(family, theta, q, spec)
+                singles = np.array(
+                    [equation(family, t, Measure(x, w), spec) for t, x, w in zip(theta, *q)]
+                )
+                assert rows.shape == singles.shape
+                assert rows.tobytes() == singles.tobytes(), equation.__name__
+                # a row does not depend on the other rows
+                part = equation(family, theta[1:3], _Rows(q.nodes[1:3], q.weights[1:3]), spec)
+                assert part.tobytes() == rows[1:3].tobytes(), equation.__name__
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9])
     def test_node_rows_equal_single_calls_on_normal(self, alpha):
@@ -634,9 +697,10 @@ class TestTiltedEquations:
         # take them: at d = 2 each row's sums equal the single call's
         theta = np.array([0.3, 1.7])
         q = row_sample(NORMAL, 5)
+        pseudo, renyi = (EstimatorSpec(kind=k, alpha=alpha) for k in ROBUST_KINDS)
         equations = {
-            "power-pseudo": lambda m: _pseudo_gradient(NORMAL, theta, m, alpha),
-            "renyi": lambda m: _renyi_gradient(NORMAL, theta, m, alpha),
+            "power-pseudo": lambda m: _pseudo_gradient(NORMAL, theta, m, pseudo),
+            "renyi": lambda m: _renyi_gradient(NORMAL, theta, m, renyi),
             "subdivergence": lambda m: sub_psi(NORMAL, (0.1, 1.2), theta, m, alpha),
         }
         for name, equation in equations.items():
@@ -652,16 +716,17 @@ class TestTiltedEquations:
         # power-pseudo psi is the gradient of its criterion; Renyi psi is
         # that of its negative log criterion divided by alpha
         scale = alpha if criterion is _renyi_neg_log else 1.0
+        spec = EstimatorSpec(kind=ROBUST_KINDS[EQUATIONS.index((criterion, gradient))], alpha=alpha)
         q = row_sample(family, 1)
         q = Measure(q.nodes[0], q.weights[0])
         for theta in np.array(thetas[:3]):
-            got = gradient(family, theta, q, alpha)
+            got = gradient(family, theta, q, spec)
             for j in range(family.param_dim):
                 h = 1e-5 * abs(theta[j]) + 1e-7
                 up, dn = theta.copy(), theta.copy()
                 up[j] += h
                 dn[j] -= h
-                fd = (criterion(family, up, q, alpha) - criterion(family, dn, q, alpha)) / (2.0 * h)
+                fd = (criterion(family, up, q, spec) - criterion(family, dn, q, spec)) / (2.0 * h)
                 assert got[j] == pytest.approx(fd / scale, rel=1e-6, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.3, 2.0])
@@ -685,7 +750,8 @@ class TestTiltedEquations:
                     power, mu - 12.0 * sigma, mu + 12.0 * sigma, epsabs=0.0, epsrel=1e-12, limit=400
                 )[0]
             want = mass / (1.0 + alpha) - np.sum(q.weights * family.density(theta, q.nodes) ** alpha) / alpha
-            assert _pseudo_criterion(family, theta, q, alpha) == pytest.approx(want, rel=1e-9, abs=1e-12)
+            spec = EstimatorSpec(kind="power-pseudo", alpha=alpha)
+            assert _pseudo_criterion(family, theta, q, spec) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 ALL_FAMILIES = [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO]
@@ -748,9 +814,9 @@ def plain_fixed_point(family, spec, xs, ws):
             theta, settled = run(j, start, _FP_STEP_TOL)
             if settled:
                 q = Measure(xs[j], ws[j])
-                accepted[j] = np.max(np.abs(gradient(family, theta, q, a))) < _PSI_TOL and criterion(
-                    family, theta, q, a
-                ) <= criterion(family, start, q, a)
+                accepted[j] = np.max(np.abs(gradient(family, theta, q, spec))) < _PSI_TOL and criterion(
+                    family, theta, q, spec
+                ) <= criterion(family, start, q, spec)
             if accepted[j]:
                 estimates[j] = run(j, theta, 1e-15)[0]
     return estimates, accepted
@@ -772,8 +838,8 @@ class TestMomentFixedPoint:
         )
         for row, th, th0 in zip(xs, theta, start):
             q = empirical(row)
-            assert np.max(np.abs(gradient(family, th, q, 0.5))) < _PSI_TOL
-            assert criterion(family, th, q, 0.5) <= criterion(family, th0, q, 0.5)
+            assert np.max(np.abs(gradient(family, th, q, spec))) < _PSI_TOL
+            assert criterion(family, th, q, spec) <= criterion(family, th0, q, spec)
 
     @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
     @pytest.mark.parametrize("family", ALL_FAMILIES)

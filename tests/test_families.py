@@ -426,6 +426,26 @@ class TestParameterRows:
         with pytest.raises(InvalidInputError, match="component"):
             NORMAL.validate_param(np.ones((2, 2, 2)))
 
+    @pytest.mark.parametrize("family,theta", ALL_FAMILIES)
+    def test_in_space_is_validate_param(self, family, theta):
+        # the mask that SQUAREM's jump check reads: a row is in it exactly
+        # when validate_param accepts that row
+        rows = [theta.copy()]
+        for value in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5, 1e-300):
+            for i in range(family.param_dim):
+                rows.append(theta.copy())
+                rows[-1][i] = value
+        rows = np.array(rows)
+        want = []
+        for row in rows:
+            try:
+                family.validate_param(row)
+                want.append(True)
+            except InvalidInputError:
+                want.append(False)
+        assert family._in_space(rows).tolist() == want
+        assert not all(want) and any(want)
+
 
 class TestRegistry:
     def test_names(self):
