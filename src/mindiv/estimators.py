@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,27 +117,37 @@ class EstimateResult:
 # equations also on one parameter and a Measure) and reduces along each row
 # only, so a row's numbers equal a single call's and do not depend on R.
 # The subdivergence pair takes one parameter, against a Measure or rows.
-_Rows = namedtuple("_Rows", "nodes weights")
+_Rows = namedtuple("_Rows", "nodes weights escort", defaults=(None,))
+
+
+def _rows(family: Family, spec: EstimatorSpec, nodes, weights) -> _Rows:
+    """``nodes`` and ``weights`` as the equations of ``spec`` take them: with
+    the subdivergence escort's log-density on the nodes, fixed for a fit."""
+    escort = family.log_density(spec.escort, nodes) if spec.kind == "subdivergence" else None
+    return _Rows(nodes, weights, escort)
 
 
 def _tilt(family: Family, spec: EstimatorSpec, theta, q):
     """The tilt at ``theta`` on the nodes of ``q`` that a kind's criterion
     and estimating equation both take: ``q p^a`` (power-pseudo), ``q
-    (p_escort / p)^a`` (subdivergence), or ``log sum q p^a`` and the terms
-    ``q p^a`` scaled by their row's largest (Renyi, ``log_sum_exp``)."""
+    (p_escort / p)^a`` (subdivergence, with ``q`` from ``_rows``), or ``log
+    sum q p^a`` and the terms ``q p^a`` scaled by their row's largest
+    (Renyi, ``log_sum_exp``)."""
     a = spec.alpha
     lp = family.log_density(theta, q.nodes)
     if spec.kind == "renyi":
         return log_sum_exp(np.log(q.weights) + a * lp)
     if spec.kind == "subdivergence":
-        lp = family.log_density(spec.escort, q.nodes) - lp
+        lp = q.escort - lp
     with np.errstate(over="ignore"):
         return q.weights * np.exp(a * lp)
 
 
-def _tilted_sum(w, s):
-    """Per-row ``sum_i w_i s_i`` of (..., n) weights and (..., n, d) scores, over contiguous nodes."""
-    return np.multiply(w[..., None, :], s.swapaxes(-1, -2), order="C").sum(axis=-1)
+def _tilted_sum(w, cols):
+    """Per-row ``sum_i w_i s_i`` of (..., n) weights and each of the score
+    columns ``family._score_cols`` gives: every product is a contiguous
+    (..., n) array, so a row sums as a single call does."""
+    return np.array([(w * s).sum(axis=-1) for s in cols]).T
 
 
 def _sub_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
@@ -149,7 +160,7 @@ def _sub_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -> n
     a, escort = spec.alpha, spec.escort
     w = _tilt(family, spec, theta, q) if tilt is None else tilt
     model_term = family.power_ratio_integral(escort, theta, a) * family._mixture_score_mean(theta, escort, a)
-    return model_term - _tilted_sum(w, family.score(theta, q.nodes))
+    return model_term - _tilted_sum(w, family._score_cols(theta, q.nodes))
 
 
 def _pseudo_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
@@ -163,7 +174,7 @@ def _pseudo_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -
     w = _tilt(family, spec, theta, q) if tilt is None else tilt
     # transposes put the parameter axis first, against the (R,) masses
     model_term = (family.power_mass_integral(theta, a) * family.weighted_score_mean(theta, a).T).T
-    return model_term - _tilted_sum(w, family.score(theta, q.nodes))
+    return model_term - _tilted_sum(w, family._score_cols(theta, q.nodes))
 
 
 def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
@@ -174,7 +185,7 @@ def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
 def _renyi_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -> np.ndarray:
     _, w = _tilt(family, spec, theta, q) if tilt is None else tilt
     w = w / w.sum(axis=-1, keepdims=True)
-    return family.weighted_score_mean(theta, spec.alpha) - _tilted_sum(w, family.score(theta, q.nodes))
+    return family.weighted_score_mean(theta, spec.alpha) - _tilted_sum(w, family._score_cols(theta, q.nodes))
 
 
 _EQUATIONS = {
@@ -184,18 +195,19 @@ _EQUATIONS = {
 }
 
 
-def _sub_spec(escort, alpha: float) -> EstimatorSpec:
-    """The spec of the public subdivergence functions, which need ``0 < alpha < 1``."""
+def _sub_args(family: Family, escort, theta, q, alpha: float):
+    """Arguments of the subdivergence pair for the public functions (``0 < alpha < 1``)."""
     a = float(alpha)
     if not 0.0 < a < 1.0:
         raise DomainError(f"subdivergence criterion needs alpha in (0, 1), got {alpha!r}")
-    return EstimatorSpec("subdivergence", a, escort)
+    spec = EstimatorSpec("subdivergence", a, escort)
+    return family, theta, _rows(family, spec, q.nodes, q.weights), spec
 
 
 def sub_criterion(family: Family, escort, theta, q: Measure, alpha: float) -> float:
     """Escort criterion M minimized in ``theta`` by the subdivergence
     estimator, in its closed ratio-expectation form for ``0 < alpha < 1``."""
-    return float(_sub_criterion(family, theta, q, _sub_spec(escort, alpha)))
+    return float(_sub_criterion(*_sub_args(family, escort, theta, q, alpha)))
 
 
 def sub_psi(family: Family, escort, theta, q: Measure, alpha: float) -> np.ndarray:
@@ -206,7 +218,7 @@ def sub_psi(family: Family, escort, theta, q: Measure, alpha: float) -> np.ndarr
     p_theta)^a`` against the same score.  This and ``sub_criterion`` are
     the subdivergence pair of ``_EQUATIONS``.
     """
-    return _sub_gradient(family, theta, q, _sub_spec(escort, alpha))
+    return _sub_gradient(*_sub_args(family, escort, theta, q, alpha))
 
 
 def sub_divergence(family: Family, escort, theta, q: Measure, alpha: float) -> float:
@@ -214,8 +226,8 @@ def sub_divergence(family: Family, escort, theta, q: Measure, alpha: float) -> f
 
     Maximal in ``theta`` exactly at the parameter generating ``q``.
     """
-    spec = _sub_spec(escort, alpha)
-    return orthogonal_constant(spec.alpha) - float(_sub_criterion(family, theta, q, spec))
+    crit = sub_criterion(family, escort, theta, q, alpha)
+    return orthogonal_constant(float(alpha)) - crit
 
 
 def _point_psi(family: Family, spec: EstimatorSpec, theta, x) -> np.ndarray:
@@ -232,7 +244,7 @@ def _point_psi(family: Family, spec: EstimatorSpec, theta, x) -> np.ndarray:
     if spec.kind in ("mle", "superdivergence") or spec.alpha == 0.0:
         spec = EstimatorSpec("power-pseudo")
     xs = np.asarray(x, dtype=float).reshape(-1, 1)
-    points = _Rows(xs, np.ones_like(xs))
+    points = _rows(family, spec, xs, np.ones_like(xs))
     tilt = _tilt(family, spec, theta, points)
     psi = _EQUATIONS[spec.kind][1](family, theta, points, spec, tilt)
     return np.exp(tilt[0])[:, None] * psi if spec.kind == "renyi" else psi
@@ -285,12 +297,13 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     relative step falls below ``_FP_STEP_TOL``, or after ``_MAX_ITER`` map
     evaluations, and is accepted when its estimating equation has max-norm
     below ``_PSI_TOL`` and its criterion is no higher than at the start;
-    both share one ``_tilt`` at the fixed point.  Rows still iterating share
-    one evaluation count, are kept compacted and write their parameter and
-    count back as they stop.  Returns the (R, d) parameters, the accepted
-    mask, each row's map evaluations and the criterion the acceptance check
-    computed (NaN on rows that did not settle); subdivergence rows are
-    never accepted.
+    both share one ``_tilt`` at the fixed point, on the weight column.  Rows
+    still iterating share one evaluation count, are kept compacted (copied
+    once one stops) and write their parameter and count back as they stop;
+    a cycle whose first map stops the last row ends there.  Returns the
+    (R, d) parameters, the accepted mask, each row's map evaluations and the
+    criterion the acceptance check computed (NaN on rows that did not
+    settle); subdivergence rows are never accepted.
     """
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -315,8 +328,9 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     with np.errstate(all="ignore"):
         start, y = family._moment_start(x, w_map)
         theta = start.copy()
-        idx = np.flatnonzero(np.isfinite(start).all(axis=1))
-        th, ys, ws, its = theta[idx], y[idx], w_map[idx], 0
+        idx = np.isfinite(start).all(axis=1).nonzero()[0]
+        th, its = theta[idx], 0
+        ys, ws = (y, w_map) if idx.size == len(x) else (y[idx], w_map[idx])
 
         def advance(*carried):
             """One map evaluation on the iterating rows; the rows that stop
@@ -337,23 +351,24 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
 
         while idx.size:
             (x0,) = advance(th)
+            if not idx.size:
+                break
             x0, x1 = advance(x0, th)
             r, v = x1 - x0, th - 2.0 * x1 + x0
-            t = -np.sqrt((r * r).sum(axis=1)) / np.sqrt((v * v).sum(axis=1))
-            k = np.flatnonzero(t < -1.0)
-            tk = t[k, None]
-            jump = x0[k] - 2.0 * tk * r[k] + tk * tk * v[k]
-            fits = family._in_space(jump)
-            th[k[fits]] = jump[fits]
-        rows = np.flatnonzero(settled)
+            # t here is |r|/|v| = -t: x0 + 2 t r is x0 - 2 (-t) r, bit for bit
+            t = np.sqrt((r * r).sum(axis=1, keepdims=True) / (v * v).sum(axis=1, keepdims=True))
+            jump = x0 + 2.0 * t * r + t * t * v
+            jumps = (t[:, 0] > 1.0) & family._in_space(jump)
+            th[jumps] = jump[jumps]
+        rows = settled.nonzero()[0]
         # one row is checked as one parameter: the same numbers, without rows overhead
         pick = rows[0] if len(x) == 1 and rows.size else rows
-        q = _Rows(x[pick], w[pick])
+        q = _Rows(x[pick], w_map[pick])
         criterion, gradient = _EQUATIONS[spec.kind]
         at_theta = _tilt(family, spec, theta[pick], q)
         psi = gradient(family, theta[pick], q, spec, at_theta)
         crit = criterion(family, theta[pick], q, spec, at_theta)
-        good = (np.max(np.abs(psi), axis=-1) < _PSI_TOL) & (crit <= criterion(family, start[pick], q, spec))
+        good = (np.abs(psi).max(axis=-1) < _PSI_TOL) & (crit <= criterion(family, start[pick], q, spec))
     accepted[rows] = good
     criteria[rows] = crit
     return theta, accepted, iterations, criteria
@@ -393,8 +408,10 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     bounds = family.default_bounds(q.nodes, q.weights)
     lo, hi = np.array(bounds).T
     criterion, gradient = _EQUATIONS[spec.kind]
-    objective = lambda th: criterion(family, th, q, spec)
-    psi = lambda th: gradient(family, th, q, spec)
+    # the last point's tilt: the criterion where Newton stops takes its equation's
+    tilt = lru_cache(maxsize=1)(lambda key: _tilt(family, spec, np.frombuffer(key), q))
+    objective = lambda th: criterion(family, th, q, spec, tilt(th.tobytes()))
+    psi = lambda th: gradient(family, th, q, spec, tilt(th.tobytes()))
     if spec.kind == "subdivergence":
         escort = np.array(spec.escort)
         theta, norm, newton_its = _newton_polish(psi, escort, lo, hi, _PSI_TOL)
@@ -466,11 +483,13 @@ def _fit_rows(family: Family, spec: EstimatorSpec, nodes, weights):
     """
     if spec.kind == "subdivergence" and spec.alpha > 0.0:
         family.validate_param(spec.escort)
+    # C order, whatever the caller's layout: rows sum along contiguous nodes, as single calls do
+    nodes, weights = np.ascontiguousarray(nodes, dtype=float), np.ascontiguousarray(weights, dtype=float)
     theta, converged, iterations, criteria = _moment_fixed_point(family, spec, nodes, weights)
     errors = {}
-    for j in np.flatnonzero(~converged).tolist():
+    for j in (~converged).nonzero()[0].tolist():
         try:
-            fit = _fallback(family, spec, _Rows(nodes[j], weights[j]), int(iterations[j]))
+            fit = _fallback(family, spec, _rows(family, spec, nodes[j], weights[j]), int(iterations[j]))
             theta[j], criteria[j], iterations[j], converged[j] = fit
         except ToolkitError as exc:
             theta[j], criteria[j], errors[j] = math.nan, math.nan, exc

@@ -61,8 +61,10 @@ class Family:
 
     A family also writes the start and update of its weighted-moment fixed
     point, ``_moment_start`` and ``_moment_update`` (the contract is in
-    ``estimators._moment_fixed_point``), and ``_mixture_score_mean``, the
-    closed-form model term of the subdivergence estimating equation.
+    ``estimators._moment_fixed_point``), ``_mixture_score_mean``, the
+    closed-form model term of the subdivergence estimating equation, and
+    ``_score_cols``, the score's coordinates as arrays of the nodes' shape,
+    which the estimating equations sum apart.
     """
 
     name: str = ""
@@ -78,10 +80,10 @@ class Family:
         arr = np.atleast_1d(np.asarray(theta, dtype=float))
         if arr.ndim > 2 or arr.shape[-1] != self.param_dim:
             raise InvalidInputError(f"parameter must have {self.param_dim} component(s), got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        # one parameter is checked on Python floats, far cheaper than reductions
+        if not (all(map(math.isfinite, arr.tolist())) if arr.ndim == 1 else np.isfinite(arr).all()):
             raise InvalidInputError(f"parameter must be finite, got {arr!r}")
         last = arr.T[-1]
-        # one parameter compares as a numpy scalar, far cheaper than a reduction
         if self._positive and (last <= 0.0 if arr.ndim == 1 else (last <= 0.0).any()):
             raise InvalidInputError(f"{self._positive} must be positive, got {last.min()}")
         return arr
@@ -98,8 +100,8 @@ class Family:
         return np.exp(self.log_density(theta, x))
 
     def score(self, theta, x):
-        """Score vector; shape ``x.shape + (param_dim,)``."""
-        raise NotImplementedError
+        """Score vector; shape ``x.shape + (param_dim,)``: ``_score_cols`` stacked."""
+        return np.stack(self._score_cols(theta, x), axis=-1)
 
     def score_deriv(self, theta, x):
         """Jacobian of the score; shape ``x.shape + (param_dim, param_dim)``."""
@@ -144,16 +146,23 @@ class Family:
         return f"<family {self.name}>"
 
 
+@lru_cache(maxsize=64)
+def _equal_weight_rank(n: int, w: float, p: float) -> int:
+    """Rank of the ``p``-quantile among ``n`` nodes of weight ``w`` each."""
+    cw = np.cumsum(np.full(n, w))
+    return int(np.argmax(cw >= p * cw[-1]))
+
+
 def _row_quantile(x: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     """Weighted ``p``-quantile of each row of (R, n) nodes and weights (or the
     (R, 1) column of each row's weight): the first sorted node whose
     cumulative weight reaches ``p`` of the row's mass.  On one weight for
     every node (empirical measures of one size) the cumulative weights do
     not depend on the order, so ``np.partition`` selects that node in O(n)
-    (a zero may differ in sign, as ties order differently)."""
+    at a rank cached per (n, weight, p) (a zero may differ in sign, as ties
+    order differently)."""
     if w.size and (w == w[0, 0]).all():
-        cw = np.cumsum(np.full(x.shape[1], w[0, 0]))
-        k = int(np.argmax(cw >= p * cw[-1]))
+        k = _equal_weight_rank(x.shape[1], float(w[0, 0]), p)
         return np.partition(x, k, axis=1)[:, k]
     w = np.broadcast_to(w, x.shape)
     order = np.argsort(x, axis=1)
@@ -211,13 +220,10 @@ class _NormalKind(Family):
             full[i] = value
         return full[0], full[1]
 
-    def score(self, theta, x):
+    def _score_cols(self, theta, x):
         mu, sigma = self._loc_scale(self.validate_param(theta))
         z = (np.asarray(x, dtype=float) - mu) / sigma
-        full = np.stack([z / sigma, (z * z - 1.0) / sigma], axis=-1)
-        # np.take keeps the C layout of the stack; fancy indexing would
-        # return a Fortran-ordered copy and change the summation order.
-        return np.take(full, self._free, axis=-1)
+        return [z / sigma if i == 0 else (z * z - 1.0) / sigma for i in self._free]
 
     def score_deriv(self, theta, x):
         mu, sigma = self._loc_scale(self.validate_param(theta))
@@ -251,12 +257,12 @@ class _NormalKind(Family):
         x, w = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
         mu = (w * x).sum(axis=-1) if 0 in self._free else np.zeros(x.shape[:-1])
         if 1 not in self._free:
-            return np.expand_dims(mu, -1)
-        var = (w * np.square(x - np.expand_dims(mu, -1))).sum(axis=-1)
+            return mu[..., None]
+        var = (w * np.square(x - mu[..., None])).sum(axis=-1)
         # equal nodes whose weighted mean is inexact leave var ~ 1e-32, not 0
-        if np.any(var <= 0.0) or (0 in self._free and np.any((x == x[..., :1]).all(axis=-1))):
+        if (var <= 0.0).any() or (0 in self._free and (x == x[..., :1]).all(axis=-1).any()):
             raise DegenerateDataError("sample has zero spread; scale estimate degenerates")
-        return np.stack([(mu, np.sqrt(var))[i] for i in self._free], axis=-1)
+        return np.array([(mu, np.sqrt(var))[i] for i in self._free]).T
 
     def default_bounds(self, nodes, weights):
         box = []
@@ -273,37 +279,40 @@ class _NormalKind(Family):
             return mu[:, None], x
         sigma = _MAD_SCALE * _row_quantile(np.abs(x - mu[:, None]), w, 0.5)
         sigma[sigma <= 0.0] = math.nan
-        return np.stack([(mu, sigma)[i] for i in self._free], axis=1), x
+        return np.array([(mu, sigma)[i] for i in self._free]).T, x
 
     def _moment_update(self, kind, a, y, w, theta):
         """With v proportional to w p^a, mu = E_v[x] and sigma^2 = (1 + a)
         E_v[(x - mu)^2] (Renyi) or E_v[(x - mu)^2] / (1 - a (1 + a)^-1.5 /
         sum(w u)) (power-pseudo), where u = exp(-a z^2 / 2) is p^a up to its
         normalizing factor; the relative step is the larger change over the
-        new sigma."""
+        new sigma.  Both moments are sums of u d and u d^2 with d = x - mu
+        at the current mu, so E_v[(x - mu)^2] is E_v[d^2] - E_v[d]^2 and
+        the nodes take one pass less than re-centring them."""
         # (R, 1) columns; a fixed mu = 0 or sigma = 1 is a float
         mu = theta[:, :1] if 0 in self._free else 0.0
         sigma = theta[:, -1:] if 1 in self._free else 1.0
-        u = y - mu
-        if 1 in self._free:
-            u /= sigma
+        d = y - mu if 0 in self._free else y
+        # a z^2 / 2 as (d sqrt(a / 2) / sigma)^2, less its row's least value
+        u = d * (math.sqrt(0.5 * a) / sigma)
         np.square(u, out=u)
-        u *= -0.5 * a
-        shift = u.max(axis=1, keepdims=True)
-        u -= shift
-        np.exp(u, out=u)
+        low = u.min(axis=1, keepdims=True)
+        np.exp(np.subtract(low, u, out=u), out=u)
         total, mass = _tilt_sums(u, w)
         m, s = mu, sigma
+        u *= d
         if 0 in self._free:
-            m = (u * y).sum(axis=1, keepdims=True) / total
+            first = u.sum(axis=1, keepdims=True) / total
+            m = mu + first
         if 1 in self._free:
-            d = np.square(y - m)
-            d *= u
-            second = d.sum(axis=1, keepdims=True) / total
+            u *= d
+            second = u.sum(axis=1, keepdims=True) / total
+            if 0 in self._free:
+                second -= first * first
             if kind == "renyi":
                 s = np.sqrt((1.0 + a) * second)
             else:
-                mass_ratio = a * (1.0 + a) ** -1.5 * np.exp(-shift) / mass
+                mass_ratio = a * (1.0 + a) ** -1.5 * np.exp(low) / mass
                 s = np.sqrt(second / (1.0 - mass_ratio))
         new = np.concatenate([(m, s)[i] for i in self._free], axis=1)
         return new, (np.abs(new - theta).max(axis=1, keepdims=True) / s)[:, 0]
@@ -389,7 +398,7 @@ class NormalScale(_NormalKind):
 
 def _pareto_support(x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 1.0):
+    if (xs < 1.0).any():
         raise DomainError("observations must lie in the support [1, inf)")
     return xs
 
@@ -409,9 +418,9 @@ class Pareto(Family):
         out = np.log(shape) - (shape + 1.0) * np.log(xs)
         return float(out) if np.ndim(x) == 0 else out
 
-    def score(self, theta, x):
+    def _score_cols(self, theta, x):
         (shape,) = _columns(self.validate_param(theta))
-        return np.stack([1.0 / shape - np.log(_pareto_support(x))], axis=-1)
+        return [1.0 / shape - np.log(_pareto_support(x))]
 
     def score_deriv(self, theta, x):
         shape = float(self.validate_param(theta)[0])
@@ -466,11 +475,11 @@ class Pareto(Family):
 
     def mle_parameter(self, nodes, weights) -> np.ndarray:
         mean_log = (np.asarray(weights, dtype=float) * np.log(_pareto_support(nodes))).sum(axis=-1)
-        if np.any(mean_log <= 0.0):
+        if (mean_log <= 0.0).any():
             raise DegenerateDataError(
                 "all observations sit on the support boundary; shape estimate degenerates"
             )
-        return np.expand_dims(1.0 / mean_log, -1)
+        return (1.0 / mean_log)[..., None]
 
     def default_bounds(self, nodes, weights):
         mean_log = float(weights @ np.log(_pareto_support(nodes)))

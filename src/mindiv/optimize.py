@@ -53,9 +53,9 @@ def _newton_polish(psi, x0, lo, hi, psi_tol: float):
     # psi may overflow at trial points; those show as non-finite norms
     with np.errstate(invalid="ignore", over="ignore"):
         p = _psi_vector(psi, x)
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             return x, math.inf, 1
-        best_x, best_norm = x.copy(), float(np.max(np.abs(p)))
+        best_x, best_norm = x.copy(), float(np.abs(p).max())
         evals = 1
         d = x.size
         for _ in range(40):

@@ -18,7 +18,7 @@ from mindiv import (
     get_family,
     quadrature_of,
 )
-from mindiv.families import _row_quantile
+from mindiv.families import _equal_weight_rank, _row_quantile
 
 ALL_FAMILIES = [
     (NORMAL, np.array([0.4, 1.3])),
@@ -321,6 +321,14 @@ class TestRowQuantile:
     def test_empty_batch(self):
         assert _row_quantile(np.empty((0, 3)), np.empty((0, 3)), 0.5).shape == (0,)
 
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    def test_cached_rank_is_cumsum_rule(self, p):
+        # the equal-weight rank, cached per (n, w, p), is the first node
+        # whose cumulative weight reaches p of the mass
+        for n in (1, 2, 3, 50, 99, 100, 513, 10_000):
+            cw = np.cumsum(np.full(n, 1.0 / n))
+            assert _equal_weight_rank(n, 1.0 / n, p) == int(np.argmax(cw >= p * cw[-1])), n
+
 
 # Parameter rows of each family, extreme ones included, and the rows of
 # nodes they are evaluated on (row 0 of each carries an outlier).
@@ -404,6 +412,19 @@ class TestParameterRows:
             assert_bitwise_rows(rows, [call(t, xr) for t, xr in zip(theta, x)])
             # a row does not depend on the other rows
             assert_bitwise_rows(call(theta[1:3], x[1:3]), rows[1:3])
+
+    @pytest.mark.parametrize("family,thetas", ROW_FAMILIES)
+    def test_score_stacks_score_cols(self, family, thetas):
+        # score is its columns stacked, for one parameter and for rows, and
+        # each column's rows equal single calls
+        theta = np.array(thetas)
+        x = row_nodes(family, len(theta))
+        cols = family._score_cols(theta, x)
+        assert len(cols) == family.param_dim and all(c.shape == x.shape for c in cols)
+        assert family.score(theta, x).tobytes() == np.stack(cols, axis=-1).tobytes()
+        for t, xr, score in zip(theta, x, family.score(theta, x)):
+            one = family._score_cols(t, xr)
+            assert score.tobytes() == family.score(t, xr).tobytes() == np.stack(one, axis=-1).tobytes()
 
     @pytest.mark.parametrize("family,thetas", ROW_FAMILIES)
     def test_single_parameter_shapes(self, family, thetas):
