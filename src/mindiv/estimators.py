@@ -18,10 +18,10 @@ subdivergence one via ``Family._mixture_score_mean``, with no grid).
 
 One fit driver, ``_fit_rows``, fits (R, n) rows of nodes and weights;
 ``estimate`` is one row of it.  Its row solver, ``_moment_fixed_point``,
-gives closed-form MLE rows, or runs the weighted-moment fixed point of
-Fujisawa & Eguchi (2008) that each family writes (power-pseudo, Renyi),
-accelerated by SQUAREM (Varadhan & Roland 2008), for at most ``_MAX_ITER``
-map evaluations, which ``iterations`` counts.  ``_fallback`` fits each
+gives closed-form MLE rows, or solves the power-pseudo and Renyi rows by
+Newton steps on the weighted-moment equations of Fujisawa & Eguchi (2008)
+in fixed-point form, with each family's closed-form Jacobian, for at most
+``_MAX_ITER`` steps, which ``iterations`` counts.  ``_fallback`` fits each
 row it does not accept, every subdivergence row among them: Newton from
 the escort (subdivergence), then a bounded search over the family's
 default box and one Newton polish; it alone decides whether a fit converged.
@@ -117,14 +117,15 @@ class EstimateResult:
 # equations also on one parameter and a Measure) and reduces along each row
 # only, so a row's numbers equal a single call's and do not depend on R.
 # The subdivergence pair takes one parameter, against a Measure or rows.
-_Rows = namedtuple("_Rows", "nodes weights escort", defaults=(None,))
+_Rows = namedtuple("_Rows", "nodes weights escort log_escort", defaults=(None, None))
 
 
 def _rows(family: Family, spec: EstimatorSpec, nodes, weights) -> _Rows:
     """``nodes`` and ``weights`` as the equations of ``spec`` take them: with
-    the subdivergence escort's log-density on the nodes, fixed for a fit."""
-    escort = family.log_density(spec.escort, nodes) if spec.kind == "subdivergence" else None
-    return _Rows(nodes, weights, escort)
+    the subdivergence escort, validated, and its log-density on the nodes,
+    both fixed for a fit."""
+    escort = family.validate_param(spec.escort) if spec.kind == "subdivergence" else None
+    return _Rows(nodes, weights, escort, None if escort is None else family.log_density(escort, nodes))
 
 
 def _tilt(family: Family, spec: EstimatorSpec, theta, q):
@@ -138,7 +139,7 @@ def _tilt(family: Family, spec: EstimatorSpec, theta, q):
     if spec.kind == "renyi":
         return log_sum_exp(np.log(q.weights) + a * lp)
     if spec.kind == "subdivergence":
-        lp = q.escort - lp
+        lp = q.log_escort - lp
     with np.errstate(over="ignore"):
         return q.weights * np.exp(a * lp)
 
@@ -153,13 +154,13 @@ def _tilted_sum(w, cols):
 def _sub_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
     a = spec.alpha
     w = _tilt(family, spec, theta, q) if tilt is None else tilt
-    return family.power_ratio_integral(spec.escort, theta, a) / (1.0 - a) + w.sum(axis=-1) / a
+    return family._power_ratio(q.escort, family.validate_param(theta), a) / (1.0 - a) + w.sum(axis=-1) / a
 
 
 def _sub_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -> np.ndarray:
-    a, escort = spec.alpha, spec.escort
+    a, theta = spec.alpha, family.validate_param(theta)
     w = _tilt(family, spec, theta, q) if tilt is None else tilt
-    model_term = family.power_ratio_integral(escort, theta, a) * family._mixture_score_mean(theta, escort, a)
+    model_term = family._power_ratio(q.escort, theta, a) * family._mixture_score_mean(theta, q.escort, a)
     return model_term - _tilted_sum(w, family._score_cols(theta, q.nodes))
 
 
@@ -278,32 +279,20 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
 
     The MLE and superdivergence (and every kind at ``alpha = 0``) give the
     closed-form MLE rows, all accepted unless one is degenerate.
-    Power-pseudo and Renyi rows run the weighted-moment fixed point F:
-    ``family._moment_start(x, w)`` gives the (R, d) start (NaN on a row it
-    does not start) and the array y that ``family._moment_update(kind, a,
-    y, w, theta)`` maps, with each row's relative step, which is not in
-    [0, inf) once a row leaves the parameter space.  On equal weights in
-    each row (any empirical measure) ``w`` is the column of each row's
-    weight: the map skips the weight multiply and the start's medians are
-    O(n) selections.  A batch mixing such rows with others fits each group
-    apart, so that every row equals its single call.
-
-    The iteration is SQUAREM-accelerated (Varadhan & Roland 2008, *Scand.
-    J. Statist.* 35): each cycle maps a row twice, x1 = F(x0) and
-    x2 = F(x1), and moves it to x0 - 2 t r + t^2 v, with r = x1 - x0,
-    v = x2 - 2 x1 + x0 and the step length t = -|r|/|v|, where t < -1 and
-    that point is a parameter (``family._in_space``); otherwise the
-    row takes the plain double step x2.  A row stops when a map step's
-    relative step falls below ``_FP_STEP_TOL``, or after ``_MAX_ITER`` map
-    evaluations, and is accepted when its estimating equation has max-norm
-    below ``_PSI_TOL`` and its criterion is no higher than at the start;
-    both share one ``_tilt`` at the fixed point, on the weight column.  Rows
-    still iterating share one evaluation count, are kept compacted (copied
-    once one stops) and write their parameter and count back as they stop;
-    a cycle whose first map stops the last row ends there.  Returns the
-    (R, d) parameters, the accepted mask, each row's map evaluations and the
-    criterion the acceptance check computed (NaN on rows that did not
-    settle); subdivergence rows are never accepted.
+    Power-pseudo and Renyi rows run Newton: ``family._moment_start(x, w)``
+    gives the (R, d) start (NaN on a row it does not start) and the y on
+    which ``family._moment_update(kind, a, y, w, theta)`` steps each row,
+    with its relative step (inf on a plain map step, NaN where the row
+    cannot go on).  On equal weights in each row ``w`` is the column of
+    each row's weight (a batch mixing such rows with others fits each group
+    apart).  A Newton step out of the space (``family._in_space``) is halved
+    until the row is back inside.  A row stops once its Newton step falls
+    below ``sqrt(_FP_STEP_TOL)`` (quadratic convergence puts the next one at
+    about ``_FP_STEP_TOL``) or after ``_MAX_ITER`` steps, and is accepted
+    when its equation has max-norm below ``_PSI_TOL`` and its criterion is
+    no higher than at the start, on one ``_tilt``.  Returns the (R, d)
+    parameters, the accepted mask, each row's steps and the criterion of the
+    check (NaN where a row did not settle; subdivergence is never accepted).
     """
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -323,7 +312,7 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
             for out, got in zip(unfitted, _moment_fixed_point(family, spec, x[rows], w[rows])):
                 out[rows] = got
         return unfitted
-    settled = accepted.copy()
+    settled, stop_tol = accepted.copy(), math.sqrt(_FP_STEP_TOL)
     w_map = w[:, :1] if equal.all() else w
     with np.errstate(all="ignore"):
         start, y = family._moment_start(x, w_map)
@@ -331,35 +320,27 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
         idx = np.isfinite(start).all(axis=1).nonzero()[0]
         th, its = theta[idx], 0
         ys, ws = (y, w_map) if idx.size == len(x) else (y[idx], w_map[idx])
-
-        def advance(*carried):
-            """One map evaluation on the iterating rows; the rows that stop
-            leave them, and each of the ``carried`` arrays, alike."""
-            nonlocal idx, th, ys, ws, its
-            th, step = family._moment_update(spec.kind, spec.alpha, ys, ws, th)
+        while idx.size:
+            new, step = family._moment_update(spec.kind, spec.alpha, ys, ws, th)
             its += 1
-            # a NaN or negative step (out of the space) fails both tests
-            go = (step > _FP_STEP_TOL) & (step < math.inf)
+            if (out := ~family._in_space(new)).any():
+                # a Newton step out of the space is halved until the row is
+                # back inside; a map step or a NaN step there stops the row
+                d = new - th
+                back = out & (step < math.inf) & np.isfinite(d).all(axis=1)
+                step[out], step[back] = math.nan, math.inf
+                while back.any():
+                    d[back] *= 0.5
+                    new[back] = th[back] + d[back]
+                    back &= ~family._in_space(new)
+            # a NaN step fails both tests
+            th, go = new, step >= stop_tol
             if go.all() and its < _MAX_ITER:
-                return carried
+                continue
             go &= its < _MAX_ITER
             stop = idx[~go]
-            theta[stop], iterations[stop] = th[~go], its
-            settled[stop] = (step[~go] >= 0.0) & (step[~go] <= _FP_STEP_TOL)
+            theta[stop], iterations[stop], settled[stop] = th[~go], its, step[~go] < stop_tol
             idx, th, ys, ws = idx[go], th[go], ys[go], ws[go]
-            return tuple(c[go] for c in carried)
-
-        while idx.size:
-            (x0,) = advance(th)
-            if not idx.size:
-                break
-            x0, x1 = advance(x0, th)
-            r, v = x1 - x0, th - 2.0 * x1 + x0
-            # t here is |r|/|v| = -t: x0 + 2 t r is x0 - 2 (-t) r, bit for bit
-            t = np.sqrt((r * r).sum(axis=1, keepdims=True) / (v * v).sum(axis=1, keepdims=True))
-            jump = x0 + 2.0 * t * r + t * t * v
-            jumps = (t[:, 0] > 1.0) & family._in_space(jump)
-            th[jumps] = jump[jumps]
         rows = settled.nonzero()[0]
         # one row is checked as one parameter: the same numbers, without rows overhead
         pick = rows[0] if len(x) == 1 and rows.size else rows
@@ -388,7 +369,7 @@ def mle(family: Family, q: Measure) -> EstimateResult:
 
 def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     """Fit of a row ``q`` (nodes and weights) that the row solver did not
-    accept after ``its`` map evaluations: (theta, criterion, iterations,
+    accept after ``its`` Newton steps: (theta, criterion, iterations,
     converged).
 
     Closed-form kinds give the MLE.  The others' criterion and equation are
@@ -405,25 +386,26 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     start = family.mle_parameter(q.nodes, q.weights)
     if spec.kind in ("mle", "superdivergence") or spec.alpha == 0.0:
         return start, math.nan, its, True
-    bounds = family.default_bounds(q.nodes, q.weights)
-    lo, hi = np.array(bounds).T
+    # the box, built once Newton steps or the search runs
+    box = lru_cache(maxsize=1)(lambda: family.default_bounds(q.nodes, q.weights))
     criterion, gradient = _EQUATIONS[spec.kind]
     # the last point's tilt: the criterion where Newton stops takes its equation's
     tilt = lru_cache(maxsize=1)(lambda key: _tilt(family, spec, np.frombuffer(key), q))
     objective = lambda th: criterion(family, th, q, spec, tilt(th.tobytes()))
     psi = lambda th: gradient(family, th, q, spec, tilt(th.tobytes()))
     if spec.kind == "subdivergence":
-        escort = np.array(spec.escort)
-        theta, norm, newton_its = _newton_polish(psi, escort, lo, hi, _PSI_TOL)
+        theta, norm, newton_its = _newton_polish(psi, q.escort, box, _PSI_TOL)
         its += newton_its
-        same = theta.tobytes() == escort.tobytes()  # an escort that is the MLE comes back as is
-        if norm < _PSI_TOL and (crit := objective(theta)) <= (crit if same else objective(escort)):
+        same = theta.tobytes() == q.escort.tobytes()  # an escort that is the MLE comes back as is
+        if norm < _PSI_TOL and (crit := objective(theta)) <= (crit if same else objective(q.escort)):
             return theta, crit, its, True
+    bounds = box()
     if family.param_dim == 1:
         sr = solve_1d(lambda t: objective(np.array([t])), bounds[0])
     else:
         sr = solve_2d(objective, bounds, start)
-    theta, norm, polish_its = _newton_polish(psi, sr.x, lo, hi, _PSI_TOL)
+    theta, norm, polish_its = _newton_polish(psi, sr.x, box, _PSI_TOL)
+    lo, hi = np.array(bounds).T
     # a root on the box edge is where the box cut the search off
     converged = norm < _PSI_TOL and bool(np.all((lo < theta) & (theta < hi)))
     return theta, objective(theta), its + sr.iterations + polish_its, converged

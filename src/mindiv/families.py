@@ -59,12 +59,12 @@ def _columns(theta: np.ndarray) -> list:
 class Family:
     """Base class for parametric model descriptors.
 
-    A family also writes the start and update of its weighted-moment fixed
-    point, ``_moment_start`` and ``_moment_update`` (the contract is in
+    A family also writes the start and the Newton step of its row solver,
+    ``_moment_start`` and ``_moment_update`` (the contract is in
     ``estimators._moment_fixed_point``), ``_mixture_score_mean``, the
-    closed-form model term of the subdivergence estimating equation, and
-    ``_score_cols``, the score's coordinates as arrays of the nodes' shape,
-    which the estimating equations sum apart.
+    closed-form model term of the subdivergence estimating equation (on
+    validated parameters, as ``_power_ratio``), and ``_score_cols``, the
+    score's coordinates as arrays of the nodes' shape.
     """
 
     name: str = ""
@@ -109,7 +109,7 @@ class Family:
 
     def power_ratio_integral(self, theta, theta_tilde, alpha: float) -> float:
         """Closed form of the tilted-ratio expectation under the second member."""
-        raise NotImplementedError
+        return self._power_ratio(self.validate_param(theta), self.validate_param(theta_tilde), float(alpha))
 
     def power_mass_integral(self, theta, alpha: float):
         """Closed form of the integral of the density raised to ``1 + alpha``."""
@@ -171,13 +171,16 @@ def _row_quantile(x: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     return np.take_along_axis(x, np.take_along_axis(order, k[:, None], axis=1), axis=1)[:, 0]
 
 
-def _tilt_sums(u: np.ndarray, w: np.ndarray):
-    """Row sums of the (R, n) tilt ``u`` weighted in place by ``w``, and the
-    masses ``sum(w u)``; a column of equal weights cancels in their ratios."""
+def _tilted_moments(u: np.ndarray, d: np.ndarray, w: np.ndarray, top: int):
+    """Tilted means sum(w u d^k) / sum(w u), k = 1..top, and the mass sum(w
+    u) of the (R, n) tilt ``u`` (overwritten), as (R, 1) columns."""
     if w.shape[1] > 1:
         u *= w
-    total = u.sum(axis=1, keepdims=True)
-    return total, (total if w.shape[1] > 1 else total * w)
+    total, means = u.sum(axis=1, keepdims=True), []
+    for _ in range(top):
+        u *= d
+        means.append(u.sum(axis=1, keepdims=True) / total)
+    return means, (total if w.shape[1] > 1 else total * w)
 
 
 def _location_bounds(nodes, weights) -> tuple[float, float]:
@@ -247,8 +250,8 @@ class _NormalKind(Family):
         """Mean of the score at ``theta`` under the normalized ``p_theta^(1-a)
         p_escort^a``: a normal with precision tau = (1-a)/sigma^2 +
         a/sigma_e^2 and mean mu + a (mu_e - mu) / (sigma_e^2 tau)."""
-        mu, sigma = self._loc_scale(self.validate_param(theta))
-        mu_e, sigma_e = self._loc_scale(self.validate_param(escort))
+        mu, sigma = self._loc_scale(theta)
+        mu_e, sigma_e = self._loc_scale(escort)
         tau = (1.0 - a) / sigma**2 + a / sigma_e**2
         shift = a * (mu_e - mu) / (sigma_e**2 * tau)
         return np.take([shift / sigma**2, ((1.0 / tau + shift**2) / sigma**2 - 1.0) / sigma], self._free)
@@ -282,40 +285,50 @@ class _NormalKind(Family):
         return np.array([(mu, sigma)[i] for i in self._free]).T, x
 
     def _moment_update(self, kind, a, y, w, theta):
-        """With v proportional to w p^a, mu = E_v[x] and sigma^2 = (1 + a)
-        E_v[(x - mu)^2] (Renyi) or E_v[(x - mu)^2] / (1 - a (1 + a)^-1.5 /
-        sum(w u)) (power-pseudo), where u = exp(-a z^2 / 2) is p^a up to its
-        normalizing factor; the relative step is the larger change over the
-        new sigma.  Both moments are sums of u d and u d^2 with d = x - mu
-        at the current mu, so E_v[(x - mu)^2] is E_v[d^2] - E_v[d]^2 and
-        the nodes take one pass less than re-centring them."""
+        """Newton step on theta = F(theta), the weighted-moment equations of
+        Fujisawa & Eguchi (2008): with d = x - mu, u = exp(-a z^2 / 2) and e_k
+        = E_v[d^k] for v ~ w u, F is mu + e_1 and sigma = sqrt(V / D), V = e_2
+        - e_1^2, D = 1 / (1 + a) (Renyi) or 1 - a (1 + a)^-1.5 / sum(w u).  As
+        de_k/dmu = h (e_{k+1} - e_k e_1) - k e_{k-1} and de_k/dsigma = h
+        (e_{k+2} - e_k e_2) / sigma, h = a / sigma^2, dF is closed-form."""
+        loc, scale = 0 in self._free, 1 in self._free
         # (R, 1) columns; a fixed mu = 0 or sigma = 1 is a float
-        mu = theta[:, :1] if 0 in self._free else 0.0
-        sigma = theta[:, -1:] if 1 in self._free else 1.0
-        d = y - mu if 0 in self._free else y
+        mu, sigma = theta[:, :1] if loc else 0.0, theta[:, -1:] if scale else 1.0
+        d = y - mu if loc else y
         # a z^2 / 2 as (d sqrt(a / 2) / sigma)^2, less its row's least value
         u = d * (math.sqrt(0.5 * a) / sigma)
         np.square(u, out=u)
         low = u.min(axis=1, keepdims=True)
         np.exp(np.subtract(low, u, out=u), out=u)
-        total, mass = _tilt_sums(u, w)
-        m, s = mu, sigma
-        u *= d
-        if 0 in self._free:
-            first = u.sum(axis=1, keepdims=True) / total
-            m = mu + first
-        if 1 in self._free:
-            u *= d
-            second = u.sum(axis=1, keepdims=True) / total
-            if 0 in self._free:
-                second -= first * first
-            if kind == "renyi":
-                s = np.sqrt((1.0 + a) * second)
-            else:
-                mass_ratio = a * (1.0 + a) ** -1.5 * np.exp(low) / mass
-                s = np.sqrt(second / (1.0 - mass_ratio))
-        new = np.concatenate([(m, s)[i] for i in self._free], axis=1)
-        return new, (np.abs(new - theta).max(axis=1, keepdims=True) / s)[:, 0]
+        # e_1..e_4, e_1 and e_2 (normal-loc), or e_2 and e_4 (normal-scale)
+        e, mass = _tilted_moments(u, d if loc else d * d, w, 4 if loc and scale else 2)
+        e1, e2, e3, e4 = e if loc and scale else [*e, 0.0, 0.0] if loc else [0.0, e[0], 0.0, e[1]]
+        h = a / (sigma * sigma)
+        # F - theta and I - dF/dtheta
+        if loc:
+            f1, j11 = e1, 1.0 - h * (e2 - e1 * e1)
+        if scale:
+            # the mass, like the sums, is scaled by e^low
+            c = 0.0 if kind == "renyi" else a * (1.0 + a) ** -1.5 * np.exp(low) / mass
+            D, V = (1.0 / (1.0 + a) if kind == "renyi" else 1.0) - c, e2 - e1 * e1
+            s = np.sqrt(V / D)
+            f2 = s - sigma
+            j22 = 1.0 - 0.5 * s * h / sigma * ((e4 - e2 * e2 - 2.0 * e1 * (e3 - e1 * e2)) / V - c * e2 / D)
+        if loc and scale:
+            j12 = -h / sigma * (e3 - e1 * e2)
+            j21 = -0.5 * s * h * ((e3 - 3.0 * e1 * e2 + 2.0 * e1**3) / V - c * e1 / D)
+            det = j11 * j22 - j12 * j21
+            n1, n2 = (j22 * f1 - j12 * f2) / det, (j11 * f2 - j21 * f1) / det
+            # Newton where I - dF/dtheta keeps the step on the map's side
+            newton = (det > 0.0) & (n1 * f1 + n2 * f2 > 0.0)
+            steps = [np.where(newton, n1, f1), np.where(newton, n2, f2)]
+        else:
+            f, j = (f1, j11) if loc else (f2, j22)
+            newton = j > 0.0
+            steps = [f / np.where(newton, j, 1.0)]
+        new = theta + np.concatenate(steps, axis=1)
+        step = np.abs(new - theta).max(axis=1, keepdims=True) / (new[:, -1:] if scale else 1.0)
+        return new, np.where(newton, step, math.inf)[:, 0]
 
     def _window(self, theta) -> tuple[float, float]:
         mu, sigma = self._loc_scale(theta)
@@ -328,14 +341,13 @@ class _NormalKind(Family):
         out = -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
         return float(out) if np.ndim(x) == 0 else out
 
-    def power_ratio_integral(self, theta, theta_tilde, alpha: float) -> float:
-        mu, sigma = self._loc_scale(self.validate_param(theta))
-        mu_t, sigma_t = self._loc_scale(self.validate_param(theta_tilde))
-        a = float(alpha)
+    def _power_ratio(self, theta, theta_tilde, a: float) -> float:
+        mu, sigma = self._loc_scale(theta)
+        mu_t, sigma_t = self._loc_scale(theta_tilde)
         v = a * sigma_t**2 + (1.0 - a) * sigma**2
         if v <= 0.0:
             raise DomainError(
-                f"alpha={alpha!r} is outside the valid range for scales "
+                f"alpha={a!r} is outside the valid range for scales "
                 f"({sigma}, {sigma_t}): mixed variance is nonpositive"
             )
         log_value = (
@@ -427,14 +439,12 @@ class Pareto(Family):
         xs = _pareto_support(x)
         return np.broadcast_to(-1.0 / shape**2, xs.shape + (1, 1)).copy()
 
-    def power_ratio_integral(self, theta, theta_tilde, alpha: float) -> float:
-        sh = float(self.validate_param(theta)[0])
-        sh_t = float(self.validate_param(theta_tilde)[0])
-        a = float(alpha)
+    def _power_ratio(self, theta, theta_tilde, a: float) -> float:
+        sh, sh_t = float(theta[0]), float(theta_tilde[0])
         denom = a * sh + (1.0 - a) * sh_t
         if denom <= 0.0:
             raise DomainError(
-                f"alpha={alpha!r} is outside the valid range for shapes ({sh}, {sh_t})"
+                f"alpha={a!r} is outside the valid range for shapes ({sh}, {sh_t})"
             )
         return sh**a * sh_t ** (1.0 - a) / denom
 
@@ -455,8 +465,7 @@ class Pareto(Family):
     def _mixture_score_mean(self, theta, escort, a: float) -> np.ndarray:
         """Mean of the score at ``theta`` under the normalized ``p_theta^(1-a)
         p_escort^a``: a Pareto of shape (1-a) theta + a theta_e."""
-        theta = self.validate_param(theta)
-        return 1.0 / theta - 1.0 / ((1.0 - a) * theta + a * self.validate_param(escort))
+        return 1.0 / theta - 1.0 / ((1.0 - a) * theta + a * escort)
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
@@ -499,26 +508,30 @@ class Pareto(Family):
         return shape[:, None], y
 
     def _moment_update(self, kind, a, y, w, theta):
-        """On y = log x, with v proportional to w p^a and c = 1 / E_v[y]: the
-        Renyi update is (c - a) / (1 + a), and the power-pseudo update the
-        larger positive root of (1 - k)/theta + k/((1 + a) theta + a) = 1/c,
-        where k = int p^(1+a) / sum(w p^a); the relative step is the change
-        over the new shape."""
+        """Newton step on theta = F(theta), the weighted-moment equation on y =
+        log x: with u = p^a / theta^a, e_k = E_v[y^k] for v ~ w u and r = 1 /
+        ((1 + a) theta + a), F is (1 / e_1 - a) / (1 + a) (Renyi; Fujisawa &
+        Eguchi 2008) or 1 / (e_1 + (theta + 1) a r^2 / sum(w u)) (power-pseudo);
+        de_1/dtheta = -a (e_2 - e_1^2)."""
         u = (-a * (theta + 1.0)) * y
         shift = u.max(axis=1, keepdims=True)
         u -= shift
         np.exp(u, out=u)
-        total, mass = _tilt_sums(u, w)
-        c = total / (u * y).sum(axis=1, keepdims=True)
+        (e1, e2), mass = _tilted_moments(u, y, w, 2)
         b = 1.0 + a
         if kind == "renyi":
-            new = (c - a) / b
+            f, df = (1.0 / e1 - a) / b, a * (e2 - e1 * e1) / (b * e1 * e1)
         else:
-            # p^a = theta^a u, so sum(w p^a) = theta^a e^shift sum(w u)
-            k = theta / (b * theta + a) * np.exp(-shift) / mass
-            lin = a - c * (b - a * k)
-            new = (np.sqrt(lin * lin + 4.0 * b * c * a * (1.0 - k)) - lin) / (2.0 * b)
-        return new, (np.abs(new - theta) / new)[:, 0]
+            # a r^2 / sum(w u): the mass, like the sums, is scaled by e^-shift
+            k = a * np.exp(-shift) / (mass * (b * theta + a) ** 2)
+            f = 1.0 / (e1 + (theta + 1.0) * k)
+            df = f * f * (a * (e2 - e1 / f) + (b * theta + a + 2.0) / (b * theta + a) * k)
+        # Newton where 1 - dF/dtheta keeps the step on the map's side; a row
+        # whose map point leaves the space (Renyi: e_1 > 1 / a) stops
+        newton = df < 1.0
+        new = theta + (f - theta) / np.where(newton, 1.0 - df, 1.0)
+        step = np.where(newton, np.abs(new - theta) / new, math.inf)
+        return new, np.where(f > 0.0, step, math.nan)[:, 0]
 
 
 NORMAL = NormalLocScale()

@@ -41,22 +41,27 @@ def _psi_vector(psi, x) -> np.ndarray:
     return np.atleast_1d(np.asarray(psi(x), dtype=float))
 
 
-def _newton_polish(psi, x0, lo, hi, psi_tol: float):
+def _newton_polish(psi, x0, box, psi_tol: float):
     """Damped Newton iteration on ``psi(x) = 0`` inside the box [lo, hi].
 
     Returns (x, the max-norm of psi at x, psi evaluations) after at most 40
-    Newton steps.  Keeps the best iterate seen; never leaves the box.
+    Newton steps.  Keeps the best iterate seen; never leaves the box, whose
+    (lo, hi) bounds per coordinate ``box()`` gives once a step needs them:
+    a root at the start comes back as is, another start is clipped into it.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    x = np.asarray(x0, dtype=float)
     # psi may overflow at trial points; those show as non-finite norms
     with np.errstate(invalid="ignore", over="ignore"):
         p = _psi_vector(psi, x)
-        if not np.isfinite(p).all():
-            return x, math.inf, 1
-        best_x, best_norm = x.copy(), float(np.abs(p).max())
         evals = 1
+        if (norm := float(np.abs(p).max())) < 1e-2 * psi_tol:
+            return x.copy(), norm, evals
+        lo, hi = np.array(box(), dtype=float).T
+        if not np.array_equal(x, clipped := np.clip(x, lo, hi)):
+            x, p, evals = clipped, _psi_vector(psi, clipped), evals + 1
+        if not np.isfinite(p).all():
+            return x, math.inf, evals
+        best_x, best_norm = x.copy(), float(np.abs(p).max())
         d = x.size
         for _ in range(40):
             if best_norm < 1e-2 * psi_tol:

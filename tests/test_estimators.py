@@ -250,11 +250,16 @@ class TestSubdivergenceEstimator:
         # at theta = escort = MLE both terms of sub_psi vanish (the escort's
         # mean score and the sample score at the MLE), so Newton accepts
         # the escort at its first evaluation, and the criterion at the
-        # escort is the one at the fit: one evaluation
+        # escort is the one at the fit: one evaluation, and no search box
         calls = []
         criterion, gradient = mindiv.estimators._EQUATIONS["subdivergence"]
         counting = lambda *args: calls.append(args) or criterion(*args)
         monkeypatch.setitem(mindiv.estimators._EQUATIONS, "subdivergence", (counting, gradient))
+
+        def no_box(*args):
+            raise AssertionError("search box built")
+
+        monkeypatch.setattr(family, "default_bounds", no_box)
         for n in (100, 10_000):
             q = empirical(contaminated_rows(family, 1, n, seed=n)[0][0])
             theta = mle(family, q).theta_hat
@@ -265,6 +270,19 @@ class TestSubdivergenceEstimator:
                 assert result.converged and result.iterations == 1
                 assert result.theta_hat.tobytes() == theta.tobytes()
                 assert len(calls) == 1
+
+    def test_escort_outside_box_is_clipped_after_one_evaluation(self, monkeypatch):
+        # the box is built only once Newton steps: its first residual is at
+        # the escort itself, its second at the escort clipped into the box
+        q = empirical(np.random.default_rng(12).standard_normal(40))
+        ((_, hi),) = NORMAL_LOCATION.default_bounds(q.nodes, q.weights)
+        assert hi < 20.0
+        points = []
+        criterion, gradient = mindiv.estimators._EQUATIONS["subdivergence"]
+        recording = lambda family, theta, *args: points.append(float(theta[0])) or gradient(family, theta, *args)
+        monkeypatch.setitem(mindiv.estimators._EQUATIONS, "subdivergence", (criterion, recording))
+        estimate(NORMAL_LOCATION, EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(20.0,)), q)
+        assert points[:2] == [20.0, hi]
 
     @pytest.mark.parametrize(
         "family,theta,escort,grid",
@@ -307,7 +325,7 @@ class TestSubdivergenceEstimator:
         spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.3,))
         polishes = []
 
-        def polish(psi, x0, lo, hi, tol):
+        def polish(psi, x0, box, tol):
             polishes.append(np.array(x0, dtype=float))
             return np.array(x0, dtype=float), math.inf, 7
 
@@ -755,8 +773,8 @@ class TestTiltedEquations:
 
 
 ALL_FAMILIES = [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO]
-# orders at which the fixed point is checked: its map contracts more slowly,
-# and on Pareto power-pseudo oscillates, as alpha grows
+# orders at which the row solver is checked: the weighted-moment map
+# contracts more slowly, and on Pareto power-pseudo oscillates, as alpha grows
 ALPHA_GRID = [0.25, 0.5, 1.0, 2.0]
 ROBUST_SPECS = [EstimatorSpec(kind=k, alpha=a) for k in ROBUST_KINDS for a in ALPHA_GRID]
 # every kind the row solver covers, closed-form ones included
@@ -780,24 +798,64 @@ def contaminated_rows(family, rows, n, seed):
     return xs, np.full(xs.shape, 1.0 / n)
 
 
+def moment_map(family, kind, a, y, w, theta):
+    """The weighted-moment map of Fujisawa & Eguchi (2008) on (R, n) rows of
+    ``family._moment_start``'s y and weights: with v proportional to w p^a,
+    on the normal kinds mu = E_v[x] and sigma^2 = (1 + a) Var_v(x) (Renyi)
+    or Var_v(x) / (1 - a (1 + a)^-1.5 / sum(w u)) (power-pseudo), with u =
+    exp(-a z^2 / 2); on Pareto (y = log x, c = 1 / E_v[y]) the Renyi map is
+    (c - a) / (1 + a), and the power-pseudo map the larger positive root of
+    (1 - k)/theta + k/((1 + a) theta + a) = 1/c, with k = int p^(1+a) /
+    sum(w p^a).  Returns the new rows and each row's relative step."""
+    if family is PARETO:
+        # u = p^a / theta^a, scaled by its row's largest value e^shift
+        u = (-a * (theta + 1.0)) * y
+        shift = u.max(axis=1, keepdims=True)
+        u = w * np.exp(u - shift)
+        c = u.sum(axis=1, keepdims=True) / (u * y).sum(axis=1, keepdims=True)
+        b = 1.0 + a
+        if kind == "renyi":
+            new = (c - a) / b
+        else:
+            k = theta / (b * theta + a) * np.exp(-shift) / u.sum(axis=1, keepdims=True)
+            lin = a - c * (b - a * k)
+            new = (np.sqrt(lin * lin + 4.0 * b * c * a * (1.0 - k)) - lin) / (2.0 * b)
+        return new, (np.abs(new - theta) / new)[:, 0]
+    mu = theta[:, :1] if 0 in family._free else 0.0
+    sigma = theta[:, -1:] if 1 in family._free else 1.0
+    # u = exp(-a z^2 / 2), scaled by its row's largest value e^-low
+    u = 0.5 * a * ((y - mu) / sigma) ** 2
+    low = u.min(axis=1, keepdims=True)
+    u = w * np.exp(low - u)
+    total = u.sum(axis=1, keepdims=True)
+    m = (u * y).sum(axis=1, keepdims=True) / total if 0 in family._free else 0.0
+    var = (u * (y - m) ** 2).sum(axis=1, keepdims=True) / total
+    if kind == "renyi":
+        s = np.sqrt((1.0 + a) * var)
+    else:
+        s = np.sqrt(var / (1.0 - a * (1.0 + a) ** -1.5 * np.exp(low) / total))
+    new = np.concatenate([(m, s)[i] for i in family._free], axis=1)
+    return new, (np.abs(new - theta).max(axis=1, keepdims=True) / (s if 1 in family._free else 1.0))[:, 0]
+
+
 def plain_fixed_point(family, spec, xs, ws):
     """Oracle for ``_moment_fixed_point`` on power-pseudo and Renyi rows: the
-    weighted-moment map ``family._moment_update`` iterated one plain step at
-    a time, on each row alone, under the solver's rules.  A row stops at a
-    relative step <= ``_FP_STEP_TOL``, leaves at one outside [0, inf) and
-    takes at most ``_MAX_ITER`` steps; it is accepted when its residual is
-    below ``_PSI_TOL`` and its criterion no higher than at the start.  An
-    accepted row is then iterated on to a relative step of 1e-15 (at most
-    ``_MAX_ITER`` more steps), so its estimate is the map's limit, not the
-    point where the slow plain loop stopped.  Returns the (R, d) estimates
-    (NaN where not accepted) and the accepted mask."""
+    weighted-moment map ``moment_map`` iterated one plain step at a time, on
+    each row alone.  A row stops at a relative step <= ``_FP_STEP_TOL``,
+    leaves at one outside [0, inf) and takes at most ``_MAX_ITER`` steps; it
+    is accepted when its residual is below ``_PSI_TOL`` and its criterion no
+    higher than at the start.  An accepted row is then iterated on to a
+    relative step of 1e-15 (at most ``_MAX_ITER`` more steps), so its
+    estimate is the map's limit, not the point where the slow plain loop
+    stopped.  Returns the (R, d) estimates (NaN where not accepted) and the
+    accepted mask."""
     a = spec.alpha
     criterion, gradient = EQUATIONS[ROBUST_KINDS.index(spec.kind)]
     starts, y = family._moment_start(xs, ws)
 
     def run(j, theta, tol):
         for _ in range(_MAX_ITER):
-            new, step = family._moment_update(spec.kind, a, y[j : j + 1], ws[j : j + 1], theta[None])
+            new, step = moment_map(family, spec.kind, a, y[j : j + 1], ws[j : j + 1], theta[None])
             theta = new[0]
             if not 0.0 <= step[0] < math.inf:
                 return theta, False
@@ -822,6 +880,16 @@ def plain_fixed_point(family, spec, xs, ws):
     return estimates, accepted
 
 
+def passes_scalar_checks(family, spec, xs, theta, start):
+    """Whether a row's fit has its scalar estimating equation below
+    ``_PSI_TOL`` and its scalar criterion no higher than at the start."""
+    criterion, gradient = EQUATIONS[ROBUST_KINDS.index(spec.kind)]
+    q = empirical(xs)
+    return np.max(np.abs(gradient(family, theta, q, spec))) < _PSI_TOL and criterion(
+        family, theta, q, spec
+    ) <= criterion(family, start, q, spec)
+
+
 class TestMomentFixedPoint:
     @pytest.mark.parametrize("kind", ROBUST_KINDS)
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -833,37 +901,25 @@ class TestMomentFixedPoint:
         theta, accepted, iterations, _ = _moment_fixed_point(family, spec, xs, ws)
         assert accepted.all() and np.all(iterations >= 1)
         start = family._moment_start(xs, ws)[0]
-        criterion, gradient = (
-            (_renyi_neg_log, _renyi_gradient) if kind == "renyi" else (_pseudo_criterion, _pseudo_gradient)
-        )
         for row, th, th0 in zip(xs, theta, start):
-            q = empirical(row)
-            assert np.max(np.abs(gradient(family, th, q, spec))) < _PSI_TOL
-            assert criterion(family, th, q, spec) <= criterion(family, th0, q, spec)
+            assert passes_scalar_checks(family, spec, row, th, th0)
 
     @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_rows_equal_single_estimates(self, family, spec):
         xs, ws = contaminated_rows(family, 6, 80, seed=9)
         theta, accepted, iterations, _ = _moment_fixed_point(family, spec, xs, ws)
-        # the Pareto power-pseudo map oscillates at alpha >= 1, and a row it
-        # does not settle runs the search after it
-        oscillates = family is PARETO and spec.kind == "power-pseudo" and spec.alpha >= 1.0
-        assert accepted.all() or oscillates
-        for row, th, its, ok in zip(xs, theta, iterations, accepted):
+        assert accepted.all()
+        for row, th, its in zip(xs, theta, iterations):
             result = estimate(family, spec, empirical(row))
-            if ok:
-                assert result.converged
-                assert result.theta_hat.tobytes() == th.tobytes()
-                assert result.iterations == its
-            else:
-                assert result.iterations > its
+            assert result.converged
+            assert result.theta_hat.tobytes() == th.tobytes()
+            assert result.iterations == its
 
     @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
     def test_rows_independent_of_batch(self, monkeypatch, spec):
-        # the rows of a batch stop in different cycles: they settle, reach
-        # _MAX_ITER (at 9 map evaluations), leave the space (Pareto
-        # power-pseudo at alpha >= 1) or never start (row 1: a zero MAD on
+        # the rows of a batch stop at different steps: they settle, reach
+        # _MAX_ITER (at 3 Newton steps) or never start (row 1: a zero MAD on
         # normal and normal-scale, a node at x = 1 on Pareto)
         for family in ALL_FAMILIES:
             if family is PARETO:
@@ -875,7 +931,7 @@ class TestMomentFixedPoint:
                 xs[::2, :5] = 1e3 * rng.standard_cauchy((5, 5))
                 xs[1, :30] = 0.0
                 ws = np.full(xs.shape, 1.0 / xs.shape[1])
-            for max_iter in (_MAX_ITER, 9):
+            for max_iter in (_MAX_ITER, 3):
                 monkeypatch.setattr(mindiv.estimators, "_MAX_ITER", max_iter)
                 batch = _moment_fixed_point(family, spec, xs, ws)
                 for j in range(len(xs)):
@@ -903,50 +959,67 @@ class TestMomentFixedPoint:
     @pytest.mark.parametrize("spec", ROBUST_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_agrees_with_plain_iteration(self, family, spec):
-        # the accelerated solver accepts exactly the rows the plain map
-        # accepts, at the same fixed point
+        # Newton accepts exactly the rows the plain map accepts, at the same
+        # root; where the Pareto power-pseudo map oscillates (alpha >= 1) it
+        # accepts every row (test_accepts_rows_the_map_rejects)
         xs, ws = contaminated_rows(family, 10, 100, seed=int(40 * spec.alpha))
         theta, accepted, _, _ = _moment_fixed_point(family, spec, xs, ws)
         want, want_accepted = plain_fixed_point(family, spec, xs, ws)
-        assert np.array_equal(accepted, want_accepted)
-        assert np.all(np.abs(theta[accepted] - want[accepted]) <= 1e-12 * np.abs(want[accepted]))
+        oscillates = family is PARETO and spec.kind == "power-pseudo" and spec.alpha >= 1.0
+        assert np.array_equal(accepted, want_accepted | oscillates)
+        ok = want_accepted
+        assert np.all(np.abs(theta[ok] - want[ok]) <= 1e-12 * np.abs(want[ok]))
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_accepts_rows_the_map_rejects(self, alpha):
+        # the Pareto power-pseudo map oscillates on some of these rows and
+        # never settles; Newton accepts each, and each passes the scalar checks
+        xs, ws = contaminated_rows(PARETO, 10, 100, seed=int(40 * alpha))
+        spec = EstimatorSpec(kind="power-pseudo", alpha=alpha)
+        _, map_accepted = plain_fixed_point(PARETO, spec, xs, ws)
+        theta, accepted, _, _ = _moment_fixed_point(PARETO, spec, xs, ws)
+        start = PARETO._moment_start(xs, ws)[0]
+        assert not map_accepted.all() and accepted.all()
+        for j in (~map_accepted).nonzero()[0]:
+            assert passes_scalar_checks(PARETO, spec, xs[j], theta[j], start[j])
+            assert estimate(PARETO, spec, empirical(xs[j])).converged
 
     def test_few_map_evaluations(self):
         # the plain map needs a median of 40 evaluations on these rows
         xs, ws = contaminated_rows(NORMAL_SCALE, 20, 100, seed=3)
         _, accepted, iterations, _ = _moment_fixed_point(NORMAL_SCALE, EstimatorSpec(kind="renyi", alpha=1.0), xs, ws)
         assert accepted.all()
-        assert np.median(iterations) <= 15
+        assert np.median(iterations) <= 6
 
-    def test_extrapolation_out_of_space_takes_double_step(self, monkeypatch):
-        # the map is made to shrink row 0's sigma to 1/2, then 1/5 of its
-        # start: the extrapolation from (1, 1/2, 1/5) lands at -1/4, so that
-        # row goes on from the plain double step 1/5 and is still accepted
-        xs, ws = contaminated_rows(NORMAL_SCALE, 3, 100, seed=7)
+    def test_step_out_of_space_is_pulled_back(self, monkeypatch):
+        # the first step is made to take row 0's shape to minus its start:
+        # pulled back halfway toward the start it lands at 0, still outside,
+        # and then at half the start, where Newton goes on from and accepts
+        xs, ws = contaminated_rows(PARETO, 3, 100, seed=7)
         spec = EstimatorSpec(kind="renyi", alpha=0.5)
-        want, want_accepted, _, _ = _moment_fixed_point(NORMAL_SCALE, spec, xs, ws)
-        update = NORMAL_SCALE._moment_update
+        want, want_accepted, _, _ = _moment_fixed_point(PARETO, spec, xs, ws)
+        update = PARETO._moment_update
         inputs = []
 
-        def shrinking(kind, a, y, w, theta):
+        def overshooting(kind, a, y, w, theta):
             inputs.append(theta[:, 0].copy())
             new, step = update(kind, a, y, w, theta)
-            if len(inputs) <= 2:
-                new[0, 0] = inputs[0][0] / (2.0 if len(inputs) == 1 else 5.0)
+            if len(inputs) == 1:
+                new[0, 0] = -inputs[0][0]
             return new, step
 
-        monkeypatch.setattr(NORMAL_SCALE, "_moment_update", shrinking)
-        theta, accepted, _, _ = _moment_fixed_point(NORMAL_SCALE, spec, xs, ws)
-        assert inputs[2][0] == inputs[0][0] / 5.0
+        monkeypatch.setattr(PARETO, "_moment_update", overshooting)
+        theta, accepted, _, _ = _moment_fixed_point(PARETO, spec, xs, ws)
+        assert inputs[1][0] == inputs[0][0] / 2.0
         assert accepted.all() and want_accepted.all()
         assert theta[0, 0] == pytest.approx(want[0, 0], rel=1e-12)
-        # the other rows are not touched by row 0's fallback
+        # the other rows are not touched by row 0's pull-back
         assert np.array_equal(theta[1:], want[1:])
 
     @pytest.mark.parametrize("kind", ROBUST_KINDS)
-    def test_every_map_call_gets_a_row(self, monkeypatch, kind):
-        # rows that stop on a cycle's first map evaluation (an odd count)
-        # end that cycle: the map never runs on zero rows, alone or in a batch
+    def test_every_step_gets_a_row(self, monkeypatch, kind):
+        # rows stop at different steps and leave the batch as they stop: a
+        # Newton step never runs on zero rows, alone or in a batch
         xs, ws = contaminated_rows(NORMAL, 8, 100, seed=13)
         spec = EstimatorSpec(kind=kind, alpha=0.5)
         update, rows = NORMAL._moment_update, []
@@ -959,7 +1032,7 @@ class TestMomentFixedPoint:
         _, accepted, iterations, _ = _moment_fixed_point(NORMAL, spec, xs, ws)
         for j in range(len(xs)):
             _moment_fixed_point(NORMAL, spec, xs[j : j + 1], ws[j : j + 1])
-        assert accepted.all() and np.any(iterations % 2 == 1)
+        assert accepted.all() and iterations.min() < iterations.max()
         assert len(rows) == iterations.max() + iterations.sum() and min(rows) >= 1
 
     @pytest.mark.parametrize("kind", [*ROBUST_KINDS, "subdivergence"])
@@ -1200,11 +1273,12 @@ EQUIVARIANCE_SWEEP = (
 BREAKDOWN = {
     ("normal", kind, o, c)
     for kind in ROBUST_KINDS
-    for o, c in [(0.0, 1e-8), (0.0, 1e-6), (1e6, 1e-8), (1e6, 1e-6), (1e8, 1e-8), (1e8, 1e-6), (1e12, 1.0)]
+    for o, c in [(1e6, 1e-8), (1e6, 1e-6), (1e8, 1e-8), (1e8, 1e-6), (1e12, 1.0)]
 } | {
+    ("normal", "power-pseudo", 0.0, 1e-8),
+    ("normal", "power-pseudo", 0.0, 1e-6),
     ("normal-loc", "power-pseudo", 1e12, 1.0),
     ("normal-loc", "renyi", 1e12, 1.0),
-    ("normal-scale", "power-pseudo", 0.0, 1e-8),
     ("normal-scale", "power-pseudo", 0.0, 1e-6),
     ("normal-scale", "renyi", 0.0, 1e-8),
 }

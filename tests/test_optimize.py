@@ -15,44 +15,58 @@ def test_quadratic_minimum():
     assert res.converged
 
 
+def box(lo, hi):
+    """The box [lo, hi] as ``_newton_polish`` takes it: built on a call."""
+    return lambda: tuple(zip(lo, hi))
+
+
 class TestNewtonPolish:
     def test_quadratic_root(self):
-        x, norm, evals = _newton_polish(lambda v: np.array([2.0 * (v[0] - 2.0)]), [1.9], [0.0], [5.0], 1e-10)
+        x, norm, evals = _newton_polish(lambda v: np.array([2.0 * (v[0] - 2.0)]), [1.9], box([0.0], [5.0]), 1e-10)
         assert x[0] == pytest.approx(2.0, abs=1e-10)
         assert norm < 1e-10 and evals > 1
 
     def test_start_clipped_into_box(self):
-        x, _, _ = _newton_polish(lambda v: np.array([v[0] - 2.0]), [9.0], [0.0], [5.0], 1e-10)
+        x, _, _ = _newton_polish(lambda v: np.array([v[0] - 2.0]), [9.0], box([0.0], [5.0]), 1e-10)
         assert x[0] == pytest.approx(2.0, abs=1e-10)
 
     def test_root_outside_box_stays_on_edge(self):
         # every damped step from the edge is clipped back onto it, so none improves
-        x, norm, _ = _newton_polish(lambda v: np.array([v[0] - 7.0]), [1.0], [0.0], [5.0], 1e-10)
+        x, norm, _ = _newton_polish(lambda v: np.array([v[0] - 7.0]), [1.0], box([0.0], [5.0]), 1e-10)
         assert x[0] == 5.0 and norm == pytest.approx(2.0)
 
     def test_non_finite_start(self):
-        x, norm, evals = _newton_polish(lambda v: np.array([math.nan]), [1.0], [0.0], [5.0], 1e-10)
+        x, norm, evals = _newton_polish(lambda v: np.array([math.nan]), [1.0], box([0.0], [5.0]), 1e-10)
         assert x[0] == 1.0 and norm == math.inf and evals == 1
 
     def test_zero_width_box_coordinate(self):
-        # no difference step fits in [1, 1]: the start is returned as is
-        x, norm, evals = _newton_polish(lambda v: np.array([v[0] - 2.0]), [3.0], [1.0], [1.0], 1e-10)
-        assert x[0] == 1.0 and norm == 1.0 and evals == 1
+        # the start 3 is evaluated, then clipped to 1 and evaluated again; no
+        # difference step fits in [1, 1], so the clipped start is returned
+        x, norm, evals = _newton_polish(lambda v: np.array([v[0] - 2.0]), [3.0], box([1.0], [1.0]), 1e-10)
+        assert x[0] == 1.0 and norm == 1.0 and evals == 2
+
+    def test_root_at_start_builds_no_box(self):
+        # a start that is a root comes back as is, unclipped, after one evaluation
+        def no_box():
+            raise AssertionError("box built")
+
+        x, norm, evals = _newton_polish(lambda v: np.array([v[0] - 7.0]), [7.0], no_box, 1e-10)
+        assert x[0] == 7.0 and norm == 0.0 and evals == 1
 
     def test_non_finite_jacobian(self):
         # finite at the start only: both difference points overflow
         psi = lambda v: np.array([v[0] - 2.0 if v[0] == 1.0 else math.inf])
-        x, norm, evals = _newton_polish(psi, [1.0], [0.0], [5.0], 1e-10)
+        x, norm, evals = _newton_polish(psi, [1.0], box([0.0], [5.0]), 1e-10)
         assert x[0] == 1.0 and norm == 1.0 and evals == 3
 
     def test_singular_jacobian(self):
-        x, norm, evals = _newton_polish(lambda v: np.array([1.0, 1.0]), [1.0, 2.0], [0.0, 0.0], [5.0, 5.0], 1e-10)
+        x, norm, evals = _newton_polish(lambda v: np.array([1.0, 1.0]), [1.0, 2.0], box([0.0, 0.0], [5.0, 5.0]), 1e-10)
         assert np.array_equal(x, [1.0, 2.0]) and norm == 1.0 and evals == 5
 
     def test_non_finite_step(self):
         # a residual of 1e10 against a slope of 1e-300 overflows the step
         psi = lambda v: np.array([1e10 if v[0] == 1.0 else 1e-300 * v[0]])
-        x, norm, evals = _newton_polish(psi, [1.0], [0.0], [5.0], 1e-10)
+        x, norm, evals = _newton_polish(psi, [1.0], box([0.0], [5.0]), 1e-10)
         assert x[0] == 1.0 and norm == 1e10 and evals == 3
 
 
