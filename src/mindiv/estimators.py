@@ -285,14 +285,17 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     with its relative step (inf on a plain map step, NaN where the row
     cannot go on).  On equal weights in each row ``w`` is the column of
     each row's weight (a batch mixing such rows with others fits each group
-    apart).  A Newton step out of the space (``family._in_space``) is halved
-    until the row is back inside.  A row stops once its Newton step falls
-    below ``sqrt(_FP_STEP_TOL)`` (quadratic convergence puts the next one at
-    about ``_FP_STEP_TOL``) or after ``_MAX_ITER`` steps, and is accepted
-    when its equation has max-norm below ``_PSI_TOL`` and its criterion is
-    no higher than at the start, on one ``_tilt``.  Returns the (R, d)
-    parameters, the accepted mask, each row's steps and the criterion of the
-    check (NaN where a row did not settle; subdivergence is never accepted).
+    apart).  One row, or the last one left in a batch, steps as one (d,)
+    parameter on its (n,) nodes, with a scalar weight on equal weights: the
+    same numbers, with scalar masks and no compaction.  A Newton step out of
+    the space (``family._in_space``) is halved until the row is back inside.
+    A row stops once its Newton step falls below ``sqrt(_FP_STEP_TOL)``
+    (quadratic convergence puts the next one at about ``_FP_STEP_TOL``) or
+    after ``_MAX_ITER`` steps, and is accepted when its equation has
+    max-norm below ``_PSI_TOL`` and its criterion is no higher than at the
+    start, on one ``_tilt``.  Returns the (R, d) parameters, the accepted
+    mask, each row's steps and the criterion of the check (NaN where a row
+    did not settle; subdivergence is never accepted).
     """
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -307,43 +310,50 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     if spec.kind == "subdivergence":
         return unfitted
     equal = (w == w[:, :1]).all(axis=1)
-    if equal.any() and not equal.all():
+    if not (all_equal := equal.all()) and equal.any():
         for rows in (equal, ~equal):
             for out, got in zip(unfitted, _moment_fixed_point(family, spec, x[rows], w[rows])):
                 out[rows] = got
         return unfitted
     settled, stop_tol = accepted.copy(), math.sqrt(_FP_STEP_TOL)
-    w_map = w[:, :1] if equal.all() else w
+    w_map = w[:, :1] if all_equal else w
     with np.errstate(all="ignore"):
         start, y = family._moment_start(x, w_map)
         theta = start.copy()
-        idx = np.isfinite(start).all(axis=1).nonzero()[0]
-        th, its = theta[idx], 0
-        ys, ws = (y, w_map) if idx.size == len(x) else (y[idx], w_map[idx])
+        idx, its = np.isfinite(start).all(axis=1).nonzero()[0], 0
+        th, ys, ws = (start, y, w_map) if idx.size == len(x) else (start[idx], y[idx], w_map[idx])
         while idx.size:
+            if idx.size == 1 and th.ndim > 1:
+                # one row, or the last one left, steps as one parameter
+                th, ys, ws = th[0], ys[0], ws[0] if ws.shape[1] > 1 else ws.item()
+            lone = th.ndim == 1
             new, step = family._moment_update(spec.kind, spec.alpha, ys, ws, th)
             its += 1
-            if (out := ~family._in_space(new)).any():
+            inside = family._in_space(new)
+            if not (inside if lone else inside.all()):
                 # a Newton step out of the space is halved until the row is
                 # back inside; a map step or a NaN step there stops the row
                 d = new - th
-                back = out & (step < math.inf) & np.isfinite(d).all(axis=1)
-                step[out], step[back] = math.nan, math.inf
+                back = np.logical_not(inside) & (step < math.inf) & np.isfinite(d).all(axis=-1)
+                step = np.where(back, math.inf, np.where(inside, step, math.nan))
                 while back.any():
                     d[back] *= 0.5
                     new[back] = th[back] + d[back]
-                    back &= ~family._in_space(new)
+                    back &= np.logical_not(family._in_space(new))
             # a NaN step fails both tests
             th, go = new, step >= stop_tol
-            if go.all() and its < _MAX_ITER:
+            if its < _MAX_ITER and (go if lone else go.all()):
                 continue
+            if lone:
+                theta[idx], iterations[idx], settled[idx] = th, its, step < stop_tol
+                break
             go &= its < _MAX_ITER
             stop = idx[~go]
             theta[stop], iterations[stop], settled[stop] = th[~go], its, step[~go] < stop_tol
             idx, th, ys, ws = idx[go], th[go], ys[go], ws[go]
         rows = settled.nonzero()[0]
         # one row is checked as one parameter: the same numbers, without rows overhead
-        pick = rows[0] if len(x) == 1 and rows.size else rows
+        pick = rows[0] if rows.size == 1 else rows
         q = _Rows(x[pick], w_map[pick])
         criterion, gradient = _EQUATIONS[spec.kind]
         at_theta = _tilt(family, spec, theta[pick], q)

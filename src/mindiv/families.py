@@ -4,14 +4,15 @@ Four families are provided: the full normal location-scale model, its
 location and scale submodels, and the unit-threshold Pareto shape model.
 Each family exposes densities, scores, score derivatives, sampling, and the
 closed-form power integrals the estimators are built on.  The methods the
-tilted estimating equations use also take parameter rows, (R, d) theta
-against (R, n) nodes: row j is the result of theta[j] on nodes[j], bit for
-bit, because one parameter and rows run the same numpy ufuncs (``np.log``,
-``np.power``, ``np.square``; Python's ``math.log`` and ``**`` round
-differently).  The submodels are
-distinct kinds with their own parameter vectors, but their scores, score
-derivatives, tilted score means, MLEs and search boxes are those of the
-full normal model restricted to the free coordinates of (mu, sigma).
+tilted estimating equations and the row solver use take one parameter
+against (n,) nodes or parameter rows, (R, d) theta against (R, n) nodes:
+row j is the result of theta[j] on nodes[j], bit for bit, because one
+parameter and rows run the same numpy ufuncs (``np.log``, ``np.power``,
+``np.square``; Python's ``math.log`` and ``**`` round differently).  The
+submodels are distinct kinds with their own parameter vectors, but their
+scores, score derivatives, tilted score means, MLEs and search boxes are
+those of the full normal model restricted to the free coordinates of (mu,
+sigma).
 
 Family objects are stateless and immutable; sampling takes an explicit
 generator owned by the caller, so concurrent use is safe.
@@ -56,15 +57,25 @@ def _columns(theta: np.ndarray) -> list:
     return theta.tolist() if theta.ndim == 1 else list(theta.T[..., None])
 
 
+def _where(mask, a, b):
+    """``np.where(mask, a, b)``, or ``a if mask else b`` on scalars."""
+    return np.where(mask, a, b) if isinstance(mask, np.ndarray) else a if mask else b
+
+
+def _stack(cols: list, theta: np.ndarray) -> np.ndarray:
+    """The inverse of ``_columns``, shaped as ``theta``."""
+    return np.array(cols).T.reshape(theta.shape)
+
+
 class Family:
     """Base class for parametric model descriptors.
 
-    A family also writes the start and the Newton step of its row solver,
-    ``_moment_start`` and ``_moment_update`` (the contract is in
-    ``estimators._moment_fixed_point``), ``_mixture_score_mean``, the
-    closed-form model term of the subdivergence estimating equation (on
-    validated parameters, as ``_power_ratio``), and ``_score_cols``, the
-    score's coordinates as arrays of the nodes' shape.
+    A family also writes its row solver's start and Newton step,
+    ``_moment_start`` and ``_moment_update``, on one parameter or on (R, d)
+    rows as ``_in_space`` (the contract is in ``estimators._moment_fixed_point``);
+    ``_mixture_score_mean``, the closed-form model term of the subdivergence
+    estimating equation (on validated parameters, as ``_power_ratio``); and
+    ``_score_cols``, the score's coordinates as arrays of the nodes' shape.
     """
 
     name: str = ""
@@ -77,21 +88,24 @@ class Family:
     def validate_param(self, theta) -> np.ndarray:
         """Checked parameter of shape (d,), or parameter rows of shape (R, d):
         finite, and positive in the last coordinate if ``_positive`` names it."""
-        arr = np.atleast_1d(np.asarray(theta, dtype=float))
+        arr = np.array(theta, dtype=float, ndmin=1, copy=None)
         if arr.ndim > 2 or arr.shape[-1] != self.param_dim:
             raise InvalidInputError(f"parameter must have {self.param_dim} component(s), got shape {arr.shape}")
-        # one parameter is checked on Python floats, far cheaper than reductions
-        if not (all(map(math.isfinite, arr.tolist())) if arr.ndim == 1 else np.isfinite(arr).all()):
-            raise InvalidInputError(f"parameter must be finite, got {arr!r}")
-        last = arr.T[-1]
-        if self._positive and (last <= 0.0 if arr.ndim == 1 else (last <= 0.0).any()):
-            raise InvalidInputError(f"{self._positive} must be positive, got {last.min()}")
+        inside = self._in_space(arr)
+        if not (inside if arr.ndim == 1 else inside.all()):
+            if not np.isfinite(arr).all():
+                raise InvalidInputError(f"parameter must be finite, got {arr!r}")
+            raise InvalidInputError(f"{self._positive} must be positive, got {arr.T[-1].min()}")
         return arr
 
-    def _in_space(self, rows: np.ndarray) -> np.ndarray:
-        """Mask of the (R, d) ``rows`` that ``validate_param`` accepts."""
-        finite = np.isfinite(rows).all(axis=1)
-        return finite & (rows[:, -1] > 0.0) if self._positive else finite
+    def _in_space(self, theta: np.ndarray):
+        """The parameter space, finite and positive in the last coordinate if
+        ``_positive`` names it: a bool for one parameter (from Python floats,
+        far cheaper than reductions), or a mask of (R, d) rows."""
+        if theta.ndim == 1:
+            return all(map(math.isfinite, v := theta.tolist())) and not (self._positive and v[-1] <= 0.0)
+        finite = np.isfinite(theta).all(axis=1)
+        return finite & (theta[:, -1] > 0.0) if self._positive else finite
 
     def log_density(self, theta, x):
         raise NotImplementedError
@@ -154,33 +168,34 @@ def _equal_weight_rank(n: int, w: float, p: float) -> int:
 
 
 def _row_quantile(x: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """Weighted ``p``-quantile of each row of (R, n) nodes and weights (or the
-    (R, 1) column of each row's weight): the first sorted node whose
+    """Weighted ``p``-quantile of (n,) nodes, or of each row of (R, n) nodes,
+    and weights (or each row's one weight): the first sorted node whose
     cumulative weight reaches ``p`` of the row's mass.  On one weight for
     every node (empirical measures of one size) the cumulative weights do
     not depend on the order, so ``np.partition`` selects that node in O(n)
     at a rank cached per (n, weight, p) (a zero may differ in sign, as ties
     order differently)."""
-    if w.size and (w == w[0, 0]).all():
-        k = _equal_weight_rank(x.shape[1], float(w[0, 0]), p)
-        return np.partition(x, k, axis=1)[:, k]
+    if (w := np.asarray(w)).size == 1 or w.size and (w == w.flat[0]).all():
+        k = _equal_weight_rank(x.shape[-1], float(w.flat[0]), p)
+        return np.partition(x, k, axis=-1)[..., k]
     w = np.broadcast_to(w, x.shape)
-    order = np.argsort(x, axis=1)
-    cw = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
-    k = np.argmax(cw >= p * cw[:, -1:], axis=1)
-    return np.take_along_axis(x, np.take_along_axis(order, k[:, None], axis=1), axis=1)[:, 0]
+    order = np.argsort(x, axis=-1)
+    cw = np.cumsum(np.take_along_axis(w, order, axis=-1), axis=-1)
+    k = np.argmax(cw >= p * cw[..., -1:], axis=-1)
+    return np.take_along_axis(x, np.take_along_axis(order, k[..., None], axis=-1), axis=-1)[..., 0]
 
 
-def _tilted_moments(u: np.ndarray, d: np.ndarray, w: np.ndarray, top: int):
-    """Tilted means sum(w u d^k) / sum(w u), k = 1..top, and the mass sum(w
-    u) of the (R, n) tilt ``u`` (overwritten), as (R, 1) columns."""
-    if w.shape[1] > 1:
+def _tilted_moments(u: np.ndarray, d: np.ndarray, w, top: int):
+    """Tilted means sum(w u d^k) / sum(w u), k = 1..top, and the mass sum(w u)
+    of the tilt ``u`` (overwritten): scalars on (n,) nodes, columns on rows."""
+    full, keep = isinstance(w, np.ndarray) and w.shape[-1] > 1, u.ndim > 1
+    if full:
         u *= w
-    total, means = u.sum(axis=1, keepdims=True), []
+    total, means = np.add.reduce(u, axis=-1, keepdims=keep), []
     for _ in range(top):
         u *= d
-        means.append(u.sum(axis=1, keepdims=True) / total)
-    return means, (total if w.shape[1] > 1 else total * w)
+        means.append(np.add.reduce(u, axis=-1, keepdims=keep) / total)
+    return means, (total if full else total * w)
 
 
 def _location_bounds(nodes, weights) -> tuple[float, float]:
@@ -241,10 +256,12 @@ class _NormalKind(Family):
         return np.take(np.take(full, self._free, axis=-1), self._free, axis=-2)
 
     def weighted_score_mean(self, theta, alpha: float):
-        _, sigma = self._loc_scale(self.validate_param(theta))
+        theta = self.validate_param(theta)
+        _, sigma = self._loc_scale(theta)
         a = float(alpha)
         # (0, tilt): the tilted mean of the location score is zero
-        return np.take(-a / (sigma * (1.0 + a)) * np.array([0.0, 1.0]), self._free, axis=-1)
+        tilt = -a / (sigma * (1.0 + a))
+        return _stack([(tilt * 0.0, tilt * 1.0)[i] for i in self._free], theta)
 
     def _mixture_score_mean(self, theta, escort, a: float) -> np.ndarray:
         """Mean of the score at ``theta`` under the normalized ``p_theta^(1-a)
@@ -276,12 +293,13 @@ class _NormalKind(Family):
         return tuple(box)
 
     def _moment_start(self, x, w):
-        """Median and scaled MAD of each row; no start where the MAD is 0."""
-        mu = _row_quantile(x, w, 0.5) if 0 in self._free else np.zeros(len(x))
+        """Median and scaled MAD of the nodes or of each row; no start (NaN)
+        where the MAD is 0."""
+        mu = _row_quantile(x, w, 0.5) if 0 in self._free else np.zeros(x.shape[:-1])
         if 1 not in self._free:
-            return mu[:, None], x
-        sigma = _MAD_SCALE * _row_quantile(np.abs(x - mu[:, None]), w, 0.5)
-        sigma[sigma <= 0.0] = math.nan
+            return mu[..., None], x
+        sigma = _MAD_SCALE * _row_quantile(np.abs(x - mu[..., None]), w, 0.5)
+        sigma = np.where(sigma > 0.0, sigma, math.nan)
         return np.array([(mu, sigma)[i] for i in self._free]).T, x
 
     def _moment_update(self, kind, a, y, w, theta):
@@ -292,13 +310,14 @@ class _NormalKind(Family):
         de_k/dmu = h (e_{k+1} - e_k e_1) - k e_{k-1} and de_k/dsigma = h
         (e_{k+2} - e_k e_2) / sigma, h = a / sigma^2, dF is closed-form."""
         loc, scale = 0 in self._free, 1 in self._free
-        # (R, 1) columns; a fixed mu = 0 or sigma = 1 is a float
-        mu, sigma = theta[:, :1] if loc else 0.0, theta[:, -1:] if scale else 1.0
+        # floats, or (R, 1) columns; a fixed mu = 0 or sigma = 1 is a float
+        cols = _columns(theta)
+        mu, sigma = cols[0] if loc else 0.0, cols[-1] if scale else 1.0
         d = y - mu if loc else y
         # a z^2 / 2 as (d sqrt(a / 2) / sigma)^2, less its row's least value
         u = d * (math.sqrt(0.5 * a) / sigma)
         np.square(u, out=u)
-        low = u.min(axis=1, keepdims=True)
+        low = u.min(axis=-1, keepdims=u.ndim > 1)
         np.exp(np.subtract(low, u, out=u), out=u)
         # e_1..e_4, e_1 and e_2 (normal-loc), or e_2 and e_4 (normal-scale)
         e, mass = _tilted_moments(u, d if loc else d * d, w, 4 if loc and scale else 2)
@@ -316,19 +335,20 @@ class _NormalKind(Family):
             j22 = 1.0 - 0.5 * s * h / sigma * ((e4 - e2 * e2 - 2.0 * e1 * (e3 - e1 * e2)) / V - c * e2 / D)
         if loc and scale:
             j12 = -h / sigma * (e3 - e1 * e2)
-            j21 = -0.5 * s * h * ((e3 - 3.0 * e1 * e2 + 2.0 * e1**3) / V - c * e1 / D)
+            j21 = -0.5 * s * h * ((e3 - 3.0 * e1 * e2 + 2.0 * np.power(e1, 3)) / V - c * e1 / D)
             det = j11 * j22 - j12 * j21
             n1, n2 = (j22 * f1 - j12 * f2) / det, (j11 * f2 - j21 * f1) / det
             # Newton where I - dF/dtheta keeps the step on the map's side
             newton = (det > 0.0) & (n1 * f1 + n2 * f2 > 0.0)
-            steps = [np.where(newton, n1, f1), np.where(newton, n2, f2)]
+            steps = [_where(newton, n1, f1), _where(newton, n2, f2)]
         else:
             f, j = (f1, j11) if loc else (f2, j22)
             newton = j > 0.0
-            steps = [f / np.where(newton, j, 1.0)]
-        new = theta + np.concatenate(steps, axis=1)
-        step = np.abs(new - theta).max(axis=1, keepdims=True) / (new[:, -1:] if scale else 1.0)
-        return new, np.where(newton, step, math.inf)[:, 0]
+            steps = [f / _where(newton, j, 1.0)]
+        new = [c + s for c, s in zip(cols, steps)]
+        size = np.maximum.reduce([abs(n - c) for n, c in zip(new, cols)]) / (new[-1] if scale else 1.0)
+        step = _where(newton, size, math.inf)
+        return _stack(new, theta), step[:, 0] if theta.ndim > 1 else step
 
     def _window(self, theta) -> tuple[float, float]:
         mu, sigma = self._loc_scale(theta)
@@ -503,9 +523,8 @@ class Pareto(Family):
         theta, its criteria can fall without bound as the shape grows, so a
         fixed point there could only find a local minimum."""
         y = np.log(x)
-        shape = math.log(2.0) / _row_quantile(y, w, 0.5)
-        shape[~(y > 0.0).all(axis=1)] = math.nan
-        return shape[:, None], y
+        shape = np.where((y > 0.0).all(axis=-1), math.log(2.0) / _row_quantile(y, w, 0.5), math.nan)
+        return shape[..., None], y
 
     def _moment_update(self, kind, a, y, w, theta):
         """Newton step on theta = F(theta), the weighted-moment equation on y =
@@ -513,8 +532,9 @@ class Pareto(Family):
         ((1 + a) theta + a), F is (1 / e_1 - a) / (1 + a) (Renyi; Fujisawa &
         Eguchi 2008) or 1 / (e_1 + (theta + 1) a r^2 / sum(w u)) (power-pseudo);
         de_1/dtheta = -a (e_2 - e_1^2)."""
-        u = (-a * (theta + 1.0)) * y
-        shift = u.max(axis=1, keepdims=True)
+        (shape,) = _columns(theta)
+        u = (-a * (shape + 1.0)) * y
+        shift = u.max(axis=-1, keepdims=u.ndim > 1)
         u -= shift
         np.exp(u, out=u)
         (e1, e2), mass = _tilted_moments(u, y, w, 2)
@@ -523,15 +543,15 @@ class Pareto(Family):
             f, df = (1.0 / e1 - a) / b, a * (e2 - e1 * e1) / (b * e1 * e1)
         else:
             # a r^2 / sum(w u): the mass, like the sums, is scaled by e^-shift
-            k = a * np.exp(-shift) / (mass * (b * theta + a) ** 2)
-            f = 1.0 / (e1 + (theta + 1.0) * k)
-            df = f * f * (a * (e2 - e1 / f) + (b * theta + a + 2.0) / (b * theta + a) * k)
+            k = a * np.exp(-shift) / (mass * np.square(b * shape + a))
+            f = 1.0 / (e1 + (shape + 1.0) * k)
+            df = f * f * (a * (e2 - e1 / f) + (b * shape + a + 2.0) / (b * shape + a) * k)
         # Newton where 1 - dF/dtheta keeps the step on the map's side; a row
         # whose map point leaves the space (Renyi: e_1 > 1 / a) stops
         newton = df < 1.0
-        new = theta + (f - theta) / np.where(newton, 1.0 - df, 1.0)
-        step = np.where(newton, np.abs(new - theta) / new, math.inf)
-        return new, np.where(f > 0.0, step, math.nan)[:, 0]
+        new = shape + (f - shape) / _where(newton, 1.0 - df, 1.0)
+        step = _where(f > 0.0, _where(newton, abs(new - shape) / new, math.inf), math.nan)
+        return _stack([new], theta), step[:, 0] if theta.ndim > 1 else step
 
 
 NORMAL = NormalLocScale()

@@ -72,31 +72,34 @@ class StudyResult:
     first_rep: int
 
 
-def _contaminant_draws(model: ContaminationModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    s = model.base_sigma
-    kind = model.contaminant
-    if kind == "normal3":
-        return 3.0 * s * rng.standard_normal(n)
-    if kind == "normal10":
-        return 10.0 * s * rng.standard_normal(n)
-    u = rng.random(n)
-    if kind == "logistic":
-        u = np.clip(u, 1e-15, 1.0 - 1e-15)
-        return s * np.log(u / (1.0 - u))
-    # Cauchy via the tangent transform of a uniform draw.
-    return s * np.tan(math.pi * (u - 0.5))
+def _contaminated_rows(model: ContaminationModel, n: int, rngs) -> np.ndarray:
+    """(R, n) samples, row j from ``rngs[j]``: each generator fills its row
+    of mask uniforms, then of base normals, then of contaminant variates;
+    the mask and the contaminant transform then apply to all rows at once."""
+    mask, base, raw = np.empty((3, len(rngs), n))
+    normal = model.contaminant in ("normal3", "normal10")
+    for rng, mask_j, base_j, raw_j in zip(rngs, mask, base, raw):
+        rng.random(out=mask_j)
+        rng.standard_normal(out=base_j)
+        (rng.standard_normal if normal else rng.random)(out=raw_j)
+    s, kind = model.base_sigma, model.contaminant
+    if normal:
+        contam = (3.0 if kind == "normal3" else 10.0) * s * raw
+    elif kind == "logistic":
+        raw = np.clip(raw, 1e-15, 1.0 - 1e-15)
+        contam = s * np.log(raw / (1.0 - raw))
+    else:
+        # Cauchy via the tangent transform of a uniform draw.
+        contam = s * np.tan(math.pi * (raw - 0.5))
+    return np.where(mask < model.epsilon, contam, s * base)
 
 
 def sample_contaminated(model: ContaminationModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n observations; each is contaminated independently with
-    probability epsilon."""
+    probability epsilon (``run_study``'s batched draws on one generator)."""
     if n < 1:
         raise InvalidInputError(f"sample size must be >= 1, got {n}")
-    n = int(n)
-    mask = rng.random(n) < model.epsilon
-    base = model.base_sigma * rng.standard_normal(n)
-    contam = _contaminant_draws(model, n, rng)
-    return np.where(mask, contam, base)
+    return _contaminated_rows(model, int(n), [rng])[0]
 
 
 def _replication_rng(seed: int, index: int) -> np.random.Generator:
@@ -117,11 +120,12 @@ def run_study(
     non-converged fits are excluded from the MSE and counted per estimator.
     ``first_rep`` offsets the replication indices so a study can be split
     into chunks whose pooled statistics match the single-call result.
-    Batches of replications are fitted by ``estimators._fit_rows``, so each
-    equals ``estimate(NORMAL_SCALE, spec, empirical(sample))`` bit for bit,
-    and an invalid escort raises as there.  ``n`` and ``reps`` must be
-    integers >= 1, ``seed`` and ``first_rep`` integers >= 0; anything else
-    raises an ``InvalidInputError`` naming it.
+    A batch of replications is drawn at once, each row from its own
+    generator as ``sample_contaminated`` draws it, and fitted by
+    ``estimators._fit_rows``, so each equals ``estimate(NORMAL_SCALE, spec,
+    empirical(sample))`` bit for bit, and an invalid escort raises as there.
+    ``n`` and ``reps`` must be integers >= 1, ``seed`` and ``first_rep``
+    integers >= 0; anything else raises an ``InvalidInputError`` naming it.
     """
     checks = (("n", n, 1), ("reps", reps, 1), ("seed", seed, 0), ("first_rep", first_rep, 0))
     for name, value, least in checks:
@@ -131,12 +135,8 @@ def run_study(
     batch = max(1, _BATCH_VALUES // n)
     parts: list[list[np.ndarray]] = [[] for _ in specs]
     for start in range(0, reps, batch):
-        samples = np.stack(
-            [
-                sample_contaminated(model, n, _replication_rng(seed, first_rep + j))
-                for j in range(start, min(start + batch, reps))
-            ]
-        )
+        rngs = [_replication_rng(seed, first_rep + j) for j in range(start, min(start + batch, reps))]
+        samples = _contaminated_rows(model, n, rngs)
         for k, spec in enumerate(specs):
             theta, _, _, converged, _ = _fit_rows(NORMAL_SCALE, spec, samples, np.full(samples.shape, 1.0 / n))
             parts[k].append(np.where(converged, theta[:, 0], math.nan))

@@ -1002,10 +1002,11 @@ class TestMomentFixedPoint:
         inputs = []
 
         def overshooting(kind, a, y, w, theta):
-            inputs.append(theta[:, 0].copy())
+            # rows come as (R, d), a lone row as one (d,) parameter
+            inputs.append(np.atleast_2d(theta)[:, 0].copy())
             new, step = update(kind, a, y, w, theta)
             if len(inputs) == 1:
-                new[0, 0] = -inputs[0][0]
+                np.atleast_2d(new)[0, 0] = -inputs[0][0]
             return new, step
 
         monkeypatch.setattr(PARETO, "_moment_update", overshooting)
@@ -1025,7 +1026,8 @@ class TestMomentFixedPoint:
         update, rows = NORMAL._moment_update, []
 
         def counting(kind, a, y, w, theta):
-            rows.append(len(y))
+            # a lone row steps as one parameter on (n,) nodes
+            rows.append(len(np.atleast_2d(y)))
             return update(kind, a, y, w, theta)
 
         monkeypatch.setattr(NORMAL, "_moment_update", counting)
@@ -1034,6 +1036,45 @@ class TestMomentFixedPoint:
             _moment_fixed_point(NORMAL, spec, xs[j : j + 1], ws[j : j + 1])
         assert accepted.all() and iterations.min() < iterations.max()
         assert len(rows) == iterations.max() + iterations.sum() and min(rows) >= 1
+
+    def test_lone_step_out_of_space_is_pulled_back(self, monkeypatch):
+        # one row steps as one (d,) parameter; its first step is made to take
+        # the shape to minus its start, and the scalar pull-back lands at 0,
+        # still outside, then at half the start, from where Newton accepts
+        xs, ws = contaminated_rows(PARETO, 1, 100, seed=7)
+        spec = EstimatorSpec(kind="renyi", alpha=0.5)
+        want, want_accepted, _, _ = _moment_fixed_point(PARETO, spec, xs, ws)
+        update, inputs = PARETO._moment_update, []
+
+        def overshooting(kind, a, y, w, theta):
+            inputs.append(theta.copy())
+            new, step = update(kind, a, y, w, theta)
+            if len(inputs) == 1:
+                new[0] = -inputs[0][0]
+            return new, step
+
+        monkeypatch.setattr(PARETO, "_moment_update", overshooting)
+        theta, accepted, _, _ = _moment_fixed_point(PARETO, spec, xs, ws)
+        assert inputs[0].shape == (1,) and inputs[1][0] == inputs[0][0] / 2.0
+        assert accepted.all() and want_accepted.all()
+        assert theta[0, 0] == pytest.approx(want[0, 0], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_single_estimate_steps_one_parameter(self, monkeypatch, family, kind):
+        # a single fit carries its row as one (d,) parameter against its
+        # (n,) nodes: no Newton step runs on (R, d) rows
+        update, shapes = family._moment_update, []
+
+        def recording(kind, a, y, w, theta):
+            shapes.append((theta.shape, y.shape))
+            return update(kind, a, y, w, theta)
+
+        monkeypatch.setattr(family, "_moment_update", recording)
+        xs, _ = contaminated_rows(family, 1, 100, seed=15)
+        result = estimate(family, EstimatorSpec(kind=kind, alpha=0.5), empirical(xs[0]))
+        assert result.converged and len(shapes) == result.iterations >= 1
+        assert set(shapes) == {((family.param_dim,), (100,))}
 
     @pytest.mark.parametrize("kind", [*ROBUST_KINDS, "subdivergence"])
     @pytest.mark.parametrize("family", ALL_FAMILIES)

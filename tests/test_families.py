@@ -468,6 +468,76 @@ class TestParameterRows:
         assert not all(want) and any(want)
 
 
+def hook_nodes(family, n=40, seed=5):
+    """(4, n) rows for the row solver's hooks, with 10% outliers; the start
+    refuses row 3 (most of its nodes at 0 on the normal kinds, a node at
+    x = 1 on Pareto), but on normal-loc, which has no such row."""
+    rng = np.random.default_rng(seed)
+    if family is PARETO:
+        x = (1.0 - rng.random((4, n))) ** -0.5
+        x[:, :4] *= 50.0
+        x[3, 0] = 1.0
+    else:
+        x = rng.standard_normal((4, n)) + 0.5
+        x[:, :4] = 20.0 * rng.standard_cauchy((4, 4))
+        x[3, 5:] = 0.0
+    return x
+
+
+def hook_thetas(family, start):
+    """Parameter rows around ``start`` and far from it, where the Newton step
+    is taken, refused for the map's, or leaves the space."""
+    scales = np.geomspace(1e-3, 1e3, 13)
+    if family is NORMAL:
+        return np.array([[start[0] + m, s] for m in (-30.0, 0.0, 30.0) for s in scales])
+    if family is NORMAL_LOCATION:
+        return start + np.linspace(-60.0, 60.0, 13)[:, None]
+    return scales[:, None]
+
+
+class TestMomentHooks:
+    """``_moment_start``, ``_moment_update`` and ``_in_space`` on one
+    parameter against (n,) nodes, with a scalar weight on equal weights,
+    give row j of the batch, bit for bit."""
+
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("kind", ["power-pseudo", "renyi"])
+    @pytest.mark.parametrize("family", [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO], ids=lambda f: f.name)
+    def test_one_parameter_is_row_j(self, family, kind, equal):
+        x = hook_nodes(family)
+        n = x.shape[1]
+        if equal:
+            w, one_weight = np.full((len(x), 1), 1.0 / n), lambda j: 1.0 / n
+        else:
+            uneven = np.random.default_rng(6).random(x.shape) + 0.5
+            w = uneven / uneven.sum(axis=1, keepdims=True)
+            one_weight = lambda j: w[j]
+        with np.errstate(all="ignore"):
+            start, y = family._moment_start(x, w)
+            for j in range(len(x)):
+                start_j, y_j = family._moment_start(x[j], one_weight(j))
+                assert start_j.tobytes() == start[j].tobytes() and y_j.tobytes() == y[j].tobytes()
+            # a row with no start is NaN, as one parameter too
+            assert np.isnan(start[3]).any() != (family is NORMAL_LOCATION)
+            thetas = hook_thetas(family, start[0])
+            newton_steps = map_steps = left = 0
+            for alpha in (0.1, 2.0):
+                rows = np.repeat(y[:1], len(thetas), axis=0)
+                new, step = family._moment_update(kind, alpha, rows, np.repeat(w[:1], len(thetas), axis=0), thetas)
+                inside = family._in_space(new)
+                for j, theta in enumerate(thetas):
+                    new_j, step_j = family._moment_update(kind, alpha, y[0], one_weight(0), theta)
+                    assert new_j.shape == theta.shape and new_j.tobytes() == new[j].tobytes()
+                    assert np.float64(step_j).tobytes() == step[j].tobytes()
+                    assert family._in_space(new_j) == inside[j]
+                newton_steps += np.sum(np.isfinite(step))
+                map_steps += np.sum(step == math.inf)
+                left += np.sum(~inside)
+        # Newton steps, Newton refused for the map's step, and steps out of
+        # the space (a free location cannot leave it)
+        assert newton_steps > 0 and map_steps > 0 and (left > 0) != (family is NORMAL_LOCATION)
+
+
 class TestRegistry:
     def test_names(self):
         assert get_family("normal") is NORMAL

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mindiv.estimators
+import mindiv.simulation
 from mindiv import (
     NORMAL_SCALE,
     ContaminationModel,
@@ -21,7 +22,7 @@ from mindiv import (
     sample_contaminated,
 )
 from mindiv.estimators import _fit_rows
-from mindiv.simulation import _replication_rng
+from mindiv.simulation import CONTAMINANTS, _replication_rng
 
 
 def model(eps=0.1, contaminant="cauchy", sigma=1.0):
@@ -82,6 +83,24 @@ class TestSampleContaminated:
         xs = sample_contaminated(model(eps=0.3, contaminant="logistic"), 50_000, np.random.default_rng(5))
         assert np.all(np.isfinite(xs))
         assert xs.std() > 1.0
+
+    @pytest.mark.parametrize("contaminant", CONTAMINANTS)
+    def test_study_batches_are_single_samples(self, monkeypatch, contaminant):
+        # run_study draws a batch at once, each row from its own generator:
+        # row j is sample_contaminated on replication first_rep + j's
+        # generator, bit for bit, in each of the two batches (32 and 8 rows)
+        batches = []
+
+        def recording(family, spec, nodes, weights):
+            batches.append(nodes.copy())
+            return _fit_rows(family, spec, nodes, weights)
+
+        monkeypatch.setattr(mindiv.simulation, "_fit_rows", recording)
+        m, n, first = model(contaminant=contaminant, sigma=1.7), 2000, 7
+        run_study(m, n, 40, (EstimatorSpec(kind="mle"),), seed=5, first_rep=first)
+        assert [len(b) for b in batches] == [32, 8]
+        for j, row in enumerate(np.concatenate(batches)):
+            assert row.tobytes() == sample_contaminated(m, n, _replication_rng(5, first + j)).tobytes()
 
 
 SPECS = (
