@@ -88,7 +88,7 @@ class Family:
     def validate_param(self, theta) -> np.ndarray:
         """Checked parameter of shape (d,), or parameter rows of shape (R, d):
         finite, and positive in the last coordinate if ``_positive`` names it."""
-        arr = np.array(theta, dtype=float, ndmin=1, copy=None)
+        arr = np.atleast_1d(np.asarray(theta, dtype=float))
         if arr.ndim > 2 or arr.shape[-1] != self.param_dim:
             raise InvalidInputError(f"parameter must have {self.param_dim} component(s), got shape {arr.shape}")
         inside = self._in_space(arr)
@@ -256,12 +256,10 @@ class _NormalKind(Family):
         return np.take(np.take(full, self._free, axis=-1), self._free, axis=-2)
 
     def weighted_score_mean(self, theta, alpha: float):
-        theta = self.validate_param(theta)
-        _, sigma = self._loc_scale(theta)
+        _, sigma = self._loc_scale(self.validate_param(theta))
         a = float(alpha)
         # (0, tilt): the tilted mean of the location score is zero
-        tilt = -a / (sigma * (1.0 + a))
-        return _stack([(tilt * 0.0, tilt * 1.0)[i] for i in self._free], theta)
+        return np.take(-a / (sigma * (1.0 + a)) * np.array([0.0, 1.0]), self._free, axis=-1)
 
     def _mixture_score_mean(self, theta, escort, a: float) -> np.ndarray:
         """Mean of the score at ``theta`` under the normalized ``p_theta^(1-a)
