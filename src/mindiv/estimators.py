@@ -13,8 +13,8 @@ MLE), so Newton from the escort accepts it at the first evaluation.
 
 Subdivergence, power-pseudo and Renyi each have one (criterion, estimating
 equation) pair in ``_EQUATIONS`` on one shared ``_tilt``, which the fit
-drivers and ``_point_psi`` use; every model term is in closed form (the
-subdivergence one via ``Family._mixture_score_mean``, with no grid).
+drivers and ``_point_psi`` use; every model term is one closed form,
+``Family._power_product``, with no grid.
 
 One fit driver, ``_fit_rows``, fits (R, n) rows of nodes and weights;
 ``estimate`` is one row of it.  Its row solver, ``_moment_fixed_point``,
@@ -154,14 +154,15 @@ def _tilted_sum(w, cols):
 def _sub_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
     a = spec.alpha
     w = _tilt(family, spec, theta, q) if tilt is None else tilt
-    return family._power_ratio(q.escort, family.validate_param(theta), a) / (1.0 - a) + w.sum(axis=-1) / a
+    ratio = next(family._power_product(family.validate_param(theta), q.escort, 0.0, a))
+    return ratio / (1.0 - a) + w.sum(axis=-1) / a
 
 
 def _sub_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -> np.ndarray:
     a, theta = spec.alpha, family.validate_param(theta)
     w = _tilt(family, spec, theta, q) if tilt is None else tilt
-    model_term = family._power_ratio(q.escort, theta, a) * family._mixture_score_mean(theta, q.escort, a)
-    return model_term - _tilted_sum(w, family._score_cols(theta, q.nodes))
+    ratio, mean = family._power_product(theta, q.escort, 0.0, a)
+    return ratio * mean - _tilted_sum(w, family._score_cols(theta, q.nodes))
 
 
 def _pseudo_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
@@ -171,11 +172,9 @@ def _pseudo_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
 
 
 def _pseudo_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -> np.ndarray:
-    a = spec.alpha
     w = _tilt(family, spec, theta, q) if tilt is None else tilt
-    # transposes put the parameter axis first, against the (R,) masses
-    model_term = (family.power_mass_integral(theta, a) * family.weighted_score_mean(theta, a).T).T
-    return model_term - _tilted_sum(w, family._score_cols(theta, q.nodes))
+    mass, mean = family._power_product(family.validate_param(theta), None, spec.alpha, 0.0)
+    return mass * mean - _tilted_sum(w, family._score_cols(theta, q.nodes))
 
 
 def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt=None):

@@ -73,9 +73,12 @@ class Family:
     A family also writes its row solver's start and Newton step,
     ``_moment_start`` and ``_moment_update``, on one parameter or on (R, d)
     rows as ``_in_space`` (the contract is in ``estimators._moment_fixed_point``);
-    ``_mixture_score_mean``, the closed-form model term of the subdivergence
-    estimating equation (on validated parameters, as ``_power_ratio``); and
-    ``_score_cols``, the score's coordinates as arrays of the nodes' shape.
+    ``_power_product(theta, other, e, c)``, its one closed form: it yields the
+    integral of ``p_theta^(1+e-c) p_other^c``, then (if asked) the score's mean
+    at ``theta`` under that family member (else ``DomainError``), on rows at
+    ``c = 0`` (``other`` unread; the integral as an (R, 1) column), else one
+    validated parameter, as floats; and ``_score_cols``, the score's
+    coordinates as arrays of the nodes' shape.
     """
 
     name: str = ""
@@ -123,11 +126,17 @@ class Family:
 
     def power_ratio_integral(self, theta, theta_tilde, alpha: float) -> float:
         """Closed form of the tilted-ratio expectation under the second member."""
-        return self._power_ratio(self.validate_param(theta), self.validate_param(theta_tilde), float(alpha))
+        return next(self._power_product(*map(self.validate_param, (theta_tilde, theta)), 0.0, float(alpha)))
+
+    def _power_tilt(self, theta, alpha):
+        if (a := float(alpha)) < 0.0:
+            raise DomainError(f"order alpha must be nonnegative, got {alpha!r}")
+        return self._power_product(self.validate_param(theta), None, a, 0.0)
 
     def power_mass_integral(self, theta, alpha: float):
         """Closed form of the integral of the density raised to ``1 + alpha``."""
-        raise NotImplementedError
+        mass = next(self._power_tilt(theta, alpha))
+        return mass[:, 0] if mass.ndim > 1 else mass
 
     def renyi_normalizer(self, theta, alpha: float):
         """Normalizer ``power_mass_integral ** (alpha / (1 + alpha))``."""
@@ -136,7 +145,7 @@ class Family:
 
     def weighted_score_mean(self, theta, alpha: float):
         """Mean of the score under the power-tilted density, closed form."""
-        raise NotImplementedError
+        return list(self._power_tilt(theta, alpha))[1]
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -255,22 +264,6 @@ class _NormalKind(Family):
         full = np.stack([row1, row2], axis=-2)
         return np.take(np.take(full, self._free, axis=-1), self._free, axis=-2)
 
-    def weighted_score_mean(self, theta, alpha: float):
-        _, sigma = self._loc_scale(self.validate_param(theta))
-        a = float(alpha)
-        # (0, tilt): the tilted mean of the location score is zero
-        return np.take(-a / (sigma * (1.0 + a)) * np.array([0.0, 1.0]), self._free, axis=-1)
-
-    def _mixture_score_mean(self, theta, escort, a: float) -> np.ndarray:
-        """Mean of the score at ``theta`` under the normalized ``p_theta^(1-a)
-        p_escort^a``: a normal with precision tau = (1-a)/sigma^2 +
-        a/sigma_e^2 and mean mu + a (mu_e - mu) / (sigma_e^2 tau)."""
-        mu, sigma = self._loc_scale(theta)
-        mu_e, sigma_e = self._loc_scale(escort)
-        tau = (1.0 - a) / sigma**2 + a / sigma_e**2
-        shift = a * (mu_e - mu) / (sigma_e**2 * tau)
-        return np.take([shift / sigma**2, ((1.0 / tau + shift**2) / sigma**2 - 1.0) / sigma], self._free)
-
     def mle_parameter(self, nodes, weights) -> np.ndarray:
         x, w = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
         mu = (w * x).sum(axis=-1) if 0 in self._free else np.zeros(x.shape[:-1])
@@ -359,31 +352,28 @@ class _NormalKind(Family):
         out = -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
         return float(out) if np.ndim(x) == 0 else out
 
-    def _power_ratio(self, theta, theta_tilde, a: float) -> float:
+    def _power_product(self, theta, other, e: float, c: float):
+        """A normal of precision k / sigma^2 and mean mu + z sigma, with b = 1 +
+        e - c, r = (sigma / sigma_o)^2, k = b + c r, u = (mu_o - mu) / sigma and
+        z = c r u / k: the integral is (sigma / sigma_o)^c exp(-b u z / 2) /
+        (sqrt(k) (2 pi sigma^2)^(e/2)), the score's mean (z, z^2 + 1/k - 1) / sigma."""
         mu, sigma = self._loc_scale(theta)
-        mu_t, sigma_t = self._loc_scale(theta_tilde)
-        v = a * sigma_t**2 + (1.0 - a) * sigma**2
-        if v <= 0.0:
-            raise DomainError(
-                f"alpha={a!r} is outside the valid range for scales "
-                f"({sigma}, {sigma_t}): mixed variance is nonpositive"
-            )
-        log_value = (
-            -a * (1.0 - a) * (mu - mu_t) ** 2 / (2.0 * v)
-            - 0.5 * math.log(v)
-            + a * math.log(sigma_t)
-            + (1.0 - a) * math.log(sigma)
-        )
-        return math.exp(log_value)
-
-    def power_mass_integral(self, theta, alpha: float):
-        theta = self.validate_param(theta)
-        _, sigma = self._loc_scale(theta)
-        a = float(alpha)
-        if a < 0.0:
-            raise DomainError(f"order alpha must be nonnegative, got {alpha!r}")
-        mass = (1.0 + a) ** -0.5 / np.power(2.0 * math.pi * np.square(sigma), a / 2.0)
-        return mass if theta.ndim == 1 else mass[:, 0]
+        b = k = 1.0 + e - c
+        if c:
+            mu_o, sigma_o = self._loc_scale(other)
+            r, u = (sigma / sigma_o) ** 2, (mu_o - mu) / sigma
+            if (k := b + c * r) <= 0.0:
+                raise DomainError(f"no normal is p_theta^{b!r} p_other^{c!r} at scales ({sigma}, {sigma_o})")
+            z = c * r * u / k
+            log_norm = math.log(k) + b * u * z + e * math.log(2.0 * math.pi * sigma * sigma)
+            yield math.exp(c * math.log(sigma / sigma_o) - 0.5 * log_norm)
+            # 1/k - 1 as -(e + c (r - 1)) / k, exact where theta is other at e = 0
+            means = (z / sigma, (z * z - (e + c * (r - 1.0)) / k) / sigma)
+        else:
+            yield k**-0.5 / np.power(2.0 * math.pi * np.square(sigma), e / 2.0)
+            # z = 0 and 1/k - 1 = -e/k; the location mean 0 is signed as the scale mean
+            means = ((t := -e / (sigma * k)) * 0.0, t)
+        yield _stack([means[i] for i in self._free], theta)
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
@@ -457,33 +447,19 @@ class Pareto(Family):
         xs = _pareto_support(x)
         return np.broadcast_to(-1.0 / shape**2, xs.shape + (1, 1)).copy()
 
-    def _power_ratio(self, theta, theta_tilde, a: float) -> float:
-        sh, sh_t = float(theta[0]), float(theta_tilde[0])
-        denom = a * sh + (1.0 - a) * sh_t
-        if denom <= 0.0:
-            raise DomainError(
-                f"alpha={a!r} is outside the valid range for shapes ({sh}, {sh_t})"
-            )
-        return sh**a * sh_t ** (1.0 - a) / denom
-
-    def power_mass_integral(self, theta, alpha: float):
-        theta = self.validate_param(theta)
+    def _power_product(self, theta, other, e: float, c: float):
+        """A Pareto of shape s = (1 + e - c) theta + c theta_o + e: the integral
+        is theta^(1+e-c) theta_o^c / s, the score's mean 1 / theta - 1 / s."""
         (shape,) = _columns(theta)
-        a = float(alpha)
-        if a < 0.0:
-            raise DomainError(f"order alpha must be nonnegative, got {alpha!r}")
-        mass = np.power(shape, 1.0 + a) / (shape * (1.0 + a) + a)
-        return mass if theta.ndim == 1 else mass[:, 0]
-
-    def weighted_score_mean(self, theta, alpha: float):
-        theta = self.validate_param(theta)
-        a = float(alpha)
-        return 1.0 / theta - 1.0 / (theta * (1.0 + a) + a)
-
-    def _mixture_score_mean(self, theta, escort, a: float) -> np.ndarray:
-        """Mean of the score at ``theta`` under the normalized ``p_theta^(1-a)
-        p_escort^a``: a Pareto of shape (1-a) theta + a theta_e."""
-        return 1.0 / theta - 1.0 / ((1.0 - a) * theta + a * escort)
+        b = 1.0 + e - c
+        if c:
+            (shape_o,) = other.tolist()
+            if (s := b * shape + e + c * shape_o) <= 0.0:
+                raise DomainError(f"no Pareto is p_theta^{b!r} p_other^{c!r} at shapes ({shape}, {shape_o})")
+            yield shape**b * shape_o**c / s
+        else:
+            yield np.power(shape, b) / (s := b * shape + e)
+        yield _stack([1.0 / shape - 1.0 / s], theta)
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:

@@ -168,6 +168,43 @@ class TestPowerRatioIntegral:
             PARETO.power_ratio_integral([2.0], [8.0], 2.0)
 
 
+# (family, theta, other): two members of each family
+PRODUCT_PAIRS = [
+    (NORMAL, np.array([0.4, 1.3]), np.array([-0.5, 0.7])),
+    (NORMAL_LOCATION, np.array([0.7]), np.array([-0.4])),
+    (NORMAL_SCALE, np.array([1.6]), np.array([0.9])),
+    (PARETO, np.array([2.0]), np.array([3.5])),
+]
+
+
+class TestPowerProduct:
+    @pytest.mark.parametrize("family,theta,other", PRODUCT_PAIRS)
+    @pytest.mark.parametrize("e,c", [(0.5, 0.0), (0.0, 0.5), (0.7, 0.3), (0.2, 1.5)])
+    def test_matches_quadrature(self, family, theta, other, e, c):
+        # both outputs, on p_theta^(1+e-c) p_other^c (a negative power of
+        # p_theta at c = 1.5)
+        b = 1.0 + e - c
+        product = lambda x: math.exp(b * family.log_density(theta, x) + c * family.log_density(other, x))
+        mass = _lambda_integral(family, product, [theta, other])
+        got_mass, got_mean = family._power_product(theta, other, e, c)
+        assert got_mass == pytest.approx(mass, rel=1e-8)
+        assert got_mean.shape == (family.param_dim,)
+        for j in range(family.param_dim):
+            score_j = lambda x: product(x) * float(np.atleast_1d(family.score(theta, x))[j])
+            num = _lambda_integral(family, score_j, [theta, other])
+            assert got_mean[j] == pytest.approx(num / mass, rel=1e-8, abs=1e-10)
+
+    def test_product_outside_the_family(self):
+        # normal precision k / sigma^2, k = 1 + e - c + c sigma^2 / sigma_o^2 = -0.75
+        with pytest.raises(DomainError):
+            next(NORMAL._power_product(np.array([0.0, 0.5]), np.array([0.0, 1.0]), 0.5, 3.0))
+        # Pareto shape (1 + e - c) theta + c theta_o + e = -5.5, and exactly 0
+        with pytest.raises(DomainError):
+            next(PARETO._power_product(np.array([8.0]), np.array([2.0]), 0.5, 3.0))
+        with pytest.raises(DomainError):
+            next(PARETO._power_product(np.array([2.0]), np.array([1.0]), 0.0, 2.0))
+
+
 class TestPowerMassIntegral:
     def test_zero_order_total_mass(self):
         for family, theta in ALL_FAMILIES:
@@ -187,6 +224,14 @@ class TestPowerMassIntegral:
         integrand = lambda x: family.density(theta, x) ** (1.0 + alpha)
         oracle = _lambda_integral(family, integrand, [theta])
         assert family.power_mass_integral(theta, alpha) == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("family,theta", ALL_FAMILIES)
+    @pytest.mark.parametrize("alpha", [-0.5, -1.0])
+    def test_negative_order_rejected(self, family, theta, alpha):
+        # by every form of the power-tilted density, not only the mass
+        for form in (family.power_mass_integral, family.weighted_score_mean, family.renyi_normalizer):
+            with pytest.raises(DomainError, match="nonnegative"):
+                form(theta, alpha)
 
 
 class TestRenyiNormalizer:
@@ -254,6 +299,10 @@ class TestSampling:
         with pytest.raises(InvalidInputError):
             NORMAL.sample([0.0, 1.0], 0, np.random.default_rng(0))
 
+    def test_pareto_rejects_empty(self):
+        with pytest.raises(InvalidInputError, match="sample size"):
+            PARETO.sample([2.0], 0, np.random.default_rng(0))
+
 
 class TestMLEParameter:
     def test_normal_closed_form(self):
@@ -278,6 +327,14 @@ class TestMLEParameter:
         w = np.array([0.1, 0.2, 0.3, 0.4])
         assert NORMAL_SCALE.mle_parameter(xs, w)[0] == math.sqrt((w * xs * xs).sum())
         assert NORMAL_LOCATION.mle_parameter(xs, w)[0] == (w * xs).sum()
+
+    def test_degenerate_samples_get_a_search_box(self):
+        # zero spread on the normal kinds, or every x at 1 on Pareto: the box
+        # falls back to the sample's magnitude and stays nondegenerate
+        w = np.array([0.5, 0.5])
+        assert NORMAL.default_bounds(np.array([2.0, 2.0]), w) == ((-18.0, 22.0), (2e-3, 20.0))
+        assert NORMAL_SCALE.default_bounds(np.array([0.0, 0.0]), w) == ((1e-3, 10.0),)
+        assert PARETO.default_bounds(np.array([1.0, 1.0]), w) == ((1e-3, 1e3),)
 
 
 def sorted_quantile(x, w, p):
@@ -383,6 +440,22 @@ def with_mismatches(family, thetas, alpha):
     return np.array(thetas + extra)
 
 
+def written_tilted_forms(family, theta, a):
+    """``power_mass_integral`` and ``weighted_score_mean`` as each family
+    wrote them in closed form: the oracle that the forms derived from
+    ``_power_product`` equal bit for bit, on one parameter and on rows."""
+    cols = theta.tolist() if theta.ndim == 1 else list(theta.T[..., None])
+    if family is PARETO:
+        (shape,) = cols
+        mass = np.power(shape, 1.0 + a) / (shape * (1.0 + a) + a)
+        mean = 1.0 / theta - 1.0 / (theta * (1.0 + a) + a)
+    else:
+        sigma = cols[-1] if family is not NORMAL_LOCATION else 1.0 if theta.ndim == 1 else np.ones((len(theta), 1))
+        mass = (1.0 + a) ** -0.5 / np.power(2.0 * math.pi * np.square(sigma), a / 2.0)
+        mean = np.take(-a / (sigma * (1.0 + a)) * np.array([0.0, 1.0]), family._free, axis=-1)
+    return mass if theta.ndim == 1 else mass[:, 0], mean
+
+
 def family_calls(family, alpha):
     """The family methods that take parameter rows, as (theta, nodes) calls."""
     return {
@@ -412,6 +485,15 @@ class TestParameterRows:
             assert_bitwise_rows(rows, [call(t, xr) for t, xr in zip(theta, x)])
             # a row does not depend on the other rows
             assert_bitwise_rows(call(theta[1:3], x[1:3]), rows[1:3])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 2.0, 3.7])
+    @pytest.mark.parametrize("family,thetas", ROW_FAMILIES)
+    def test_tilted_forms_are_the_written_ones(self, family, thetas, alpha):
+        theta = with_mismatches(family, thetas, alpha)
+        for t in [theta, *theta]:
+            mass, mean = written_tilted_forms(family, t, alpha)
+            assert_bitwise_rows(family.power_mass_integral(t, alpha), mass)
+            assert_bitwise_rows(family.weighted_score_mean(t, alpha), mean)
 
     @pytest.mark.parametrize("family,thetas", ROW_FAMILIES)
     def test_score_stacks_score_cols(self, family, thetas):

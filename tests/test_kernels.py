@@ -164,6 +164,10 @@ class TestPsiComponents:
                 scale = max(1.0, abs(psi0), abs(psi1), abs(rho * t))
                 assert abs(total - psi_kernel(alpha, s, t)) < 1e-12 * scale
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            psi_components(-0.5, 1.0, 1.0)
+
 
 class TestOrthogonalConstant:
     def test_interior(self):
@@ -199,6 +203,13 @@ class TestPowerDivergence:
         quad = quadrature_of(NORMAL_SCALE, [1.0], 512)
         for alpha in (0.0, 0.3, 1.0, 2.0):
             assert power_divergence(NORMAL_SCALE, [1.7], [1.0], alpha, quad) > 0.0
+
+    def test_rejects_nonfinite_integrand(self):
+        # at x = 1e200, z overflows and both log-densities are -inf, so the
+        # log-ratio there is NaN
+        quad = empirical([0.0, 1e200])
+        with pytest.raises(DomainError, match="not finite"), np.errstate(over="ignore", invalid="ignore"):
+            power_divergence(NORMAL, [0.0, 1e-200], [1.0, 1e-200], 0.5, quad)
 
 
 class TestRenyiPseudodistance:

@@ -64,6 +64,10 @@ class TestMeasureInvariants:
         with pytest.raises(InvalidInputError):
             Measure(np.array([0.0, math.inf]), np.array([0.5, 0.5]))
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(InvalidInputError, match="matching"):
+            Measure(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5]))
+
     def test_immutable_arrays(self):
         q = empirical([1.0, 2.0])
         with pytest.raises(ValueError):

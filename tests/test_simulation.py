@@ -47,6 +47,10 @@ class TestContaminationModel:
         with pytest.raises(InvalidInputError):
             model(contaminant="uniform")
 
+    def test_base_sigma_positive(self):
+        with pytest.raises(InvalidInputError, match="base_sigma"):
+            model(sigma=0.0)
+
 
 class TestSampleContaminated:
     def test_determinism(self):
@@ -55,6 +59,10 @@ class TestSampleContaminated:
         a = sample_contaminated(model(), 1000, rng1)
         b = sample_contaminated(model(), 1000, rng2)
         assert np.array_equal(a, b)
+
+    def test_rejects_empty(self):
+        with pytest.raises(InvalidInputError, match="sample size"):
+            sample_contaminated(model(), 0, np.random.default_rng(0))
 
     def test_contaminant_fraction_band(self):
         # tail proxy: base mass above 5 sigma is negligible, the wide normal
