@@ -43,8 +43,7 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be min:max:count, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if not lo < hi:
         raise ValueError(f"grid minimum must be below maximum, got {text!r}")
     if count < 2:
@@ -56,19 +55,18 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mindiv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", help="fit an estimator to a data file")
-    est.add_argument("--family", required=True, help="normal | normal-loc | normal-scale | pareto")
-    est.add_argument("--estimator", required=True, choices=KINDS)
-    est.add_argument("--alpha", type=float, default=0.0, help="divergence order (default 0)")
-    est.add_argument("--data", required=True, help="text file, one observation per line")
-    est.add_argument("--escort", type=_floats, help="escort parameter (subdivergence only)")
+    # the flags that name a fit, shared by estimate and influence
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--family", required=True, help="normal | normal-loc | normal-scale | pareto")
+    fit.add_argument("--estimator", required=True, choices=KINDS)
+    fit.add_argument("--alpha", type=float, default=0.0, help="divergence order (default 0)")
+    fit.add_argument("--escort", type=_floats, help="escort parameter (subdivergence only)")
 
-    inf = sub.add_parser("influence", help="emit an influence curve as CSV")
-    inf.add_argument("--family", required=True)
-    inf.add_argument("--estimator", required=True, choices=KINDS)
-    inf.add_argument("--alpha", type=float, default=0.0)
+    est = sub.add_parser("estimate", parents=[fit], help="fit an estimator to a data file")
+    est.add_argument("--data", required=True, help="text file, one observation per line")
+
+    inf = sub.add_parser("influence", parents=[fit], help="emit an influence curve as CSV")
     inf.add_argument("--theta", type=_floats, required=True, help="evaluation parameter, comma-separated")
-    inf.add_argument("--escort", type=_floats)
     inf.add_argument("--grid", required=True, help="min:max:count")
     inf.add_argument("--numeric", action="store_true", help="use the contamination oracle")
 
@@ -85,14 +83,11 @@ def _build_parser() -> _Parser:
 
 
 def _make_spec(args) -> EstimatorSpec:
-    kwargs = {"kind": args.estimator, "alpha": args.alpha}
-    if args.estimator == "subdivergence":
-        if args.escort is None:
-            raise ToolkitError("--escort is required for the subdivergence estimator")
-        kwargs["escort"] = args.escort
-    elif getattr(args, "escort", None) is not None:
+    if args.estimator == "subdivergence" and args.escort is None:
+        raise ToolkitError("--escort is required for the subdivergence estimator")
+    if args.estimator != "subdivergence" and args.escort is not None:
         raise ToolkitError(f"--escort is not accepted by the {args.estimator} estimator")
-    return EstimatorSpec(**kwargs)
+    return EstimatorSpec(args.estimator, args.alpha, args.escort)
 
 
 def _non_convergence(family, q, theta) -> str:
@@ -137,18 +132,14 @@ def _cmd_influence(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model = ContaminationModel(
-        base_sigma=args.sigma, epsilon=args.epsilon, contaminant=args.contaminant
-    )
+    model = ContaminationModel(base_sigma=args.sigma, epsilon=args.epsilon, contaminant=args.contaminant)
     seed = args.seed
     if seed is None:
         seed = time.time_ns() & ((1 << 63) - 1)
         print(f"seed: {seed}", file=sys.stderr)
     specs = [EstimatorSpec(kind="mle")]
-    for alpha in args.alphas:
-        specs.append(EstimatorSpec(kind="power-pseudo", alpha=alpha))
-    for alpha in args.alphas:
-        specs.append(EstimatorSpec(kind="renyi", alpha=alpha))
+    for kind in ("power-pseudo", "renyi"):
+        specs += [EstimatorSpec(kind=kind, alpha=alpha) for alpha in args.alphas]
     result = run_study(model, args.n, args.reps, specs, seed)
     sys.stdout.write(report(result, format=args.format))
     return 0
@@ -161,24 +152,18 @@ _COMMANDS = {"estimate": _cmd_estimate, "influence": _cmd_influence, "simulate":
 _VALUE_FLAGS = ("--grid", "--theta", "--escort", "--alphas")
 
 
-def _fuse_values(argv: list[str]) -> list[str]:
+def _fuse_values(argv) -> list[str]:
     out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS:
+            out[-1] += f"={token}"
         else:
             out.append(token)
-            i += 1
     return out
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _fuse_values(list(argv))
+    argv = _fuse_values(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -201,7 +201,8 @@ def _sub_args(family: Family, escort, theta, q, alpha: float):
     if not 0.0 < a < 1.0:
         raise DomainError(f"subdivergence criterion needs alpha in (0, 1), got {alpha!r}")
     spec = EstimatorSpec("subdivergence", a, escort)
-    return family, theta, _rows(family, spec, q.nodes, q.weights), spec
+    rows = _rows(family, spec, q.nodes, q.weights)
+    return family, family._one_param(theta), rows, spec
 
 
 def sub_criterion(family: Family, escort, theta, q: Measure, alpha: float) -> float:

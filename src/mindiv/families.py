@@ -124,9 +124,15 @@ class Family:
         """Jacobian of the score; shape ``x.shape + (param_dim, param_dim)``."""
         raise NotImplementedError
 
+    def _one_param(self, theta) -> np.ndarray:
+        """``validate_param`` for the two-member forms: one parameter, as ``_power_product`` takes at c != 0."""
+        if (arr := self.validate_param(theta)).ndim > 1:
+            raise InvalidInputError(f"a form of two members takes one parameter, not rows of shape {arr.shape}")
+        return arr
+
     def power_ratio_integral(self, theta, theta_tilde, alpha: float) -> float:
         """Closed form of the tilted-ratio expectation under the second member."""
-        return next(self._power_product(*map(self.validate_param, (theta_tilde, theta)), 0.0, float(alpha)))
+        return next(self._power_product(*map(self._one_param, (theta_tilde, theta)), 0.0, float(alpha)))
 
     def _power_tilt(self, theta, alpha):
         if (a := float(alpha)) < 0.0:

@@ -195,8 +195,8 @@ def pool_results(chunks) -> StudyResult:
     )
 
 
-def _spec_alpha(spec: EstimatorSpec):
-    return None if spec.kind == "mle" else spec.alpha
+# the report's columns, in order: the CSV header and each row's JSON keys
+_COLUMNS = ("estimator", "alpha", "mse", "mean", "failures")
 
 
 def report(result: StudyResult, format: str = "csv") -> str:
@@ -207,37 +207,20 @@ def report(result: StudyResult, format: str = "csv") -> str:
     """
     if format not in ("csv", "json"):
         raise InvalidInputError(f"format must be 'csv' or 'json', got {format!r}")
+    records = [
+        dict(zip(_COLUMNS, (row.spec.kind, None if row.spec.kind == "mle" else row.spec.alpha,
+                            row.mse, row.mean_estimate, row.failure_count)))
+        for row in result.rows
+    ]
     if format == "json":
-        payload = {
-            "replications": result.replications,
-            "seed": result.seed,
-            "rows": [
-                {
-                    "estimator": row.spec.kind,
-                    "alpha": _spec_alpha(row.spec),
-                    "mse": row.mse,
-                    "mean": row.mean_estimate,
-                    "failures": row.failure_count,
-                }
-                for row in result.rows
-            ],
-        }
+        payload = {"replications": result.replications, "seed": result.seed, "rows": records}
         return json.dumps(payload, indent=2) + "\n"
-    lines = ["estimator,alpha,mse,mean,failures"]
-    for row in result.rows:
-        alpha = _spec_alpha(row.spec)
-        lines.append(
-            ",".join(
-                [
-                    row.spec.kind,
-                    "" if alpha is None else format_float(alpha),
-                    format_float(row.mse),
-                    format_float(row.mean_estimate),
-                    str(row.failure_count),
-                ]
-            )
-        )
+    lines = [",".join(_COLUMNS)] + [",".join(map(_csv_cell, record.values())) for record in records]
     return "\n".join(lines) + "\n"
+
+
+def _csv_cell(value) -> str:
+    return "" if value is None else format_float(value) if isinstance(value, float) else str(value)
 
 
 def format_float(value: float) -> str:

@@ -1,13 +1,14 @@
 """Tests for the command-line interface: payloads, exit codes, determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import mindiv.estimators
 from mindiv import NORMAL_SCALE, DegenerateDataError
-from mindiv.cli import main
+from mindiv.cli import main, run
 
 
 def run_cli(capsys, *argv):
@@ -373,3 +374,25 @@ class TestUsage:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch, sample_file):
+        argv = ["mindiv", "estimate", "--family", "normal", "--estimator", "mle", "--data", sample_file]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["theta_hat"] == [0.0, 1.0]
+
+    def test_run_exits_with_main_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["mindiv"])
+        with pytest.raises(SystemExit) as exit_info:
+            run()
+        assert exit_info.value.code == 1
+
+    def test_influence_help_names_shared_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "influence", "--help")
+        assert code == 0
+        for text in (
+            "normal | normal-loc | normal-scale | pareto",
+            "divergence order (default 0)",
+            "escort parameter (subdivergence only)",
+        ):
+            assert text in out

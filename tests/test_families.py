@@ -17,6 +17,9 @@ from mindiv import (
     PARETO,
     get_family,
     quadrature_of,
+    sub_criterion,
+    sub_divergence,
+    sub_psi,
 )
 from mindiv.families import _equal_weight_rank, _row_quantile
 
@@ -203,6 +206,27 @@ class TestPowerProduct:
             next(PARETO._power_product(np.array([8.0]), np.array([2.0]), 0.5, 3.0))
         with pytest.raises(DomainError):
             next(PARETO._power_product(np.array([2.0]), np.array([1.0]), 0.0, 2.0))
+
+
+class TestTwoMemberFormsTakeOneParameter:
+    # the public forms of a product of two members take one parameter;
+    # parameter rows raise the toolkit's input error, not numpy's
+    @pytest.mark.parametrize("family,theta", ALL_FAMILIES, ids=[f.name for f, _ in ALL_FAMILIES])
+    def test_rows_rejected(self, family, theta):
+        rows = np.array([theta, theta])
+        q = quadrature_of(family, theta, 64)
+        calls = {
+            "power_ratio_integral": lambda t: family.power_ratio_integral(t, t, 0.5),
+            "sub_criterion": lambda t: sub_criterion(family, theta, t, q, 0.5),
+            "sub_psi": lambda t: sub_psi(family, theta, t, q, 0.5),
+            "sub_divergence": lambda t: sub_divergence(family, theta, t, q, 0.5),
+        }
+        for name, call in calls.items():
+            assert np.all(np.isfinite(call(theta))), name
+            with pytest.raises(InvalidInputError, match=r"takes one parameter, not rows of shape \(2, "):
+                call(rows)
+        with pytest.raises(InvalidInputError, match="takes one parameter"):
+            family.power_ratio_integral(theta, rows, 0.5)
 
 
 class TestPowerMassIntegral:
@@ -630,6 +654,9 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(InvalidInputError):
             get_family("weibull")
+
+    def test_repr(self):
+        assert repr(NORMAL_SCALE) == "<family normal-scale>"
 
     def test_param_validation(self):
         with pytest.raises(InvalidInputError):

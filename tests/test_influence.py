@@ -20,6 +20,7 @@ from mindiv import (
     SingularMatrixError,
     UNBOUNDED,
     contaminate,
+    empirical,
     estimate,
     if_general,
     if_mle,
@@ -228,9 +229,30 @@ class TestBatchedOracle:
     def test_closed_form_points_equal_single_fits(self, monkeypatch, family_name, kind):
         self.check_points(monkeypatch, family_name, EstimatorSpec(kind=kind, alpha=0.0 if kind == "mle" else 0.5))
 
-    def check_points(self, monkeypatch, family_name, spec):
+    @pytest.mark.parametrize("family_name", list(CASES))
+    @pytest.mark.parametrize("kind", ["renyi", "power-pseudo"])
+    def test_mixed_weight_batch_equals_single_fits(self, monkeypatch, family_name, kind):
+        # on 999 equal weights a point's eps row keeps equal weights, (1 -
+        # 1e-3) / 999 = 1e-3, and its eps/2 row does not: the row solver
+        # fits the batch's two groups apart, each row as its single fit
         family, theta = self.CASES[family_name]
-        q = quadrature_of(family, theta)
+        q = empirical(family.sample(theta, 999, np.random.default_rng(8)))
+        calls = []
+        real_rows = mindiv.estimators._moment_fixed_point
+
+        def recording(family, spec, nodes, weights):
+            calls.append(len(nodes))
+            return real_rows(family, spec, nodes, weights)
+
+        monkeypatch.setattr(mindiv.estimators, "_moment_fixed_point", recording)
+        self.check_points(monkeypatch, family_name, EstimatorSpec(kind=kind, alpha=0.5), q)
+        # the single fits of the oracle, then the base, the batch of 10 rows
+        # and its 5 equal-weight and 5 mixed-weight rows
+        assert calls == [1] * 12 + [10, 5, 5]
+
+    def check_points(self, monkeypatch, family_name, spec, q=None):
+        family, theta = self.CASES[family_name]
+        q = quadrature_of(family, theta) if q is None else q
         xs = np.linspace(1.5, 8.0, 5) if family is PARETO else np.linspace(-4.0, 4.0, 5)
         want = per_point_oracle(family, spec, q, xs)
         fit_rows, fallbacks = counting_fits(monkeypatch)

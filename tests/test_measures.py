@@ -87,6 +87,11 @@ class TestIntegrate:
         q = empirical([1.0, 2.0, 3.0])
         assert q.integrate(lambda x: float(x) ** 2) == pytest.approx((1 + 4 + 9) / 3)
 
+    def test_wrong_shape_falls_back_to_nodes(self):
+        # max(x) ** 2 is a scalar on the node array, so it is taken node by node
+        q = empirical([1.0, 2.0, 3.0])
+        assert q.integrate(lambda x: np.max(x) ** 2) == pytest.approx((1 + 4 + 9) / 3)
+
     def test_linearity(self):
         q = quadrature_of(NORMAL, [0.0, 1.0], 128)
         f = lambda x: np.sin(x)
