@@ -9,7 +9,11 @@ is solved in closed form: on every family here it is the MLE (see
 ``_superdivergence``).  The subdivergence estimator whose escort is the
 MLE is the MLE too: at theta = escort = MLE both terms of its estimating
 equation vanish (the escort's mean score, and the sample score at the
-MLE), so Newton from the escort accepts it at the first evaluation.
+MLE), so Newton from the escort accepts it at the first evaluation.  The
+subdivergence tilt ``q (p_escort / p_theta)^a`` at the escort is the
+weights themselves, so that fit takes no log-density at all; a fit that
+leaves the escort takes the escort's log-density on its sample once, at
+its first tilt away from it.
 
 Subdivergence, power-pseudo and Renyi each have one (criterion, estimating
 equation) pair in ``_EQUATIONS`` on one shared ``_tilt``, which the fit
@@ -36,9 +40,7 @@ the lower end of the search box.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -87,9 +89,10 @@ class EstimatorSpec:
         if self.kind == "subdivergence":
             if self.escort is None:
                 raise InvalidInputError("subdivergence requires an escort parameter")
-            object.__setattr__(
-                self, "escort", tuple(float(v) for v in np.atleast_1d(self.escort))
-            )
+            escort = np.atleast_1d(self.escort)
+            if escort.ndim > 1:
+                raise InvalidInputError(f"the subdivergence escort is one parameter, not rows of shape {escort.shape}")
+            object.__setattr__(self, "escort", tuple(float(v) for v in escort))
         elif self.escort is not None:
             raise InvalidInputError(f"{self.kind} does not take an escort parameter")
 
@@ -117,15 +120,27 @@ class EstimateResult:
 # equations also on one parameter and a Measure) and reduces along each row
 # only, so a row's numbers equal a single call's and do not depend on R.
 # The subdivergence pair takes one parameter, against a Measure or rows.
-_Rows = namedtuple("_Rows", "nodes weights escort log_escort", defaults=(None, None))
+class _Rows:
+    """``nodes`` and ``weights`` as the equations take them; for subdivergence
+    also the validated escort and its log-density on the nodes, which
+    ``_tilt`` fills in the first time it tilts away from the escort."""
+
+    __slots__ = ("nodes", "weights", "escort", "log_escort")
+
+    def __init__(self, nodes, weights, escort=None):
+        self.nodes, self.weights, self.escort, self.log_escort = nodes, weights, escort, None
 
 
 def _rows(family: Family, spec: EstimatorSpec, nodes, weights) -> _Rows:
     """``nodes`` and ``weights`` as the equations of ``spec`` take them: with
-    the subdivergence escort, validated, and its log-density on the nodes,
-    both fixed for a fit."""
-    escort = family.validate_param(spec.escort) if spec.kind == "subdivergence" else None
-    return _Rows(nodes, weights, escort, None if escort is None else family.log_density(escort, nodes))
+    the subdivergence escort validated and the nodes checked to lie in the
+    support, as the escort's log-density would check them, but with no
+    density pass: an escort that is the fit takes none at all."""
+    if spec.kind != "subdivergence":
+        return _Rows(nodes, weights)
+    escort = family.validate_param(spec.escort)
+    family._check_support(nodes)
+    return _Rows(nodes, weights, escort)
 
 
 def _tilt(family: Family, spec: EstimatorSpec, theta, q):
@@ -133,8 +148,17 @@ def _tilt(family: Family, spec: EstimatorSpec, theta, q):
     and estimating equation both take: ``q p^a`` (power-pseudo), ``q
     (p_escort / p)^a`` (subdivergence, with ``q`` from ``_rows``), or ``log
     sum q p^a`` and the terms ``q p^a`` scaled by their row's largest
-    (Renyi, ``log_sum_exp``)."""
+    (Renyi, ``log_sum_exp``).  At the escort itself (the same bytes) the
+    subdivergence tilt is the weights, the exact value of ``q exp(a (l -
+    l))``, so it takes no density pass; elsewhere the escort's log-density
+    is taken once per ``q``."""
     a = spec.alpha
+    if spec.kind == "subdivergence":
+        th = np.asarray(theta, dtype=float)
+        if th.shape == q.escort.shape and th.tobytes() == q.escort.tobytes():
+            return q.weights
+        if q.log_escort is None:
+            q.log_escort = family.log_density(q.escort, q.nodes)
     lp = family.log_density(theta, q.nodes)
     if spec.kind == "renyi":
         return log_sum_exp(np.log(q.weights) + a * lp)
@@ -396,13 +420,24 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     start = family.mle_parameter(q.nodes, q.weights)
     if spec.kind in ("mle", "superdivergence") or spec.alpha == 0.0:
         return start, math.nan, its, True
-    # the box, built once Newton steps or the search runs
-    box = lru_cache(maxsize=1)(lambda: family.default_bounds(q.nodes, q.weights))
     criterion, gradient = _EQUATIONS[spec.kind]
-    # the last point's tilt: the criterion where Newton stops takes its equation's
-    tilt = lru_cache(maxsize=1)(lambda key: _tilt(family, spec, np.frombuffer(key), q))
-    objective = lambda th: criterion(family, th, q, spec, tilt(th.tobytes()))
-    psi = lambda th: gradient(family, th, q, spec, tilt(th.tobytes()))
+    bounds = []  # the box, built once Newton steps or the search runs
+
+    def box():
+        bounds[:] = bounds or family.default_bounds(q.nodes, q.weights)
+        return bounds
+
+    # a one-slot memo: the last point's bytes and tilt, so the criterion
+    # where Newton stops takes its equation's
+    last = [None, None]
+
+    def tilt(th):
+        if (key := th.tobytes()) != last[0]:
+            last[:] = key, _tilt(family, spec, th, q)
+        return last[1]
+
+    objective = lambda th: criterion(family, th, q, spec, tilt(th))
+    psi = lambda th: gradient(family, th, q, spec, tilt(th))
     if spec.kind == "subdivergence":
         theta, norm, newton_its = _newton_polish(psi, q.escort, box, _PSI_TOL)
         its += newton_its

@@ -91,7 +91,10 @@ class Family:
     def validate_param(self, theta) -> np.ndarray:
         """Checked parameter of shape (d,), or parameter rows of shape (R, d):
         finite, and positive in the last coordinate if ``_positive`` names it."""
-        arr = np.atleast_1d(np.asarray(theta, dtype=float))
+        arr = theta
+        if not (type(theta) is np.ndarray and theta.dtype == float and theta.ndim):
+            # an array of floats, as a fit passes its parameters, is checked as it is
+            arr = np.atleast_1d(np.asarray(theta, dtype=float))
         if arr.ndim > 2 or arr.shape[-1] != self.param_dim:
             raise InvalidInputError(f"parameter must have {self.param_dim} component(s), got shape {arr.shape}")
         inside = self._in_space(arr)
@@ -109,6 +112,9 @@ class Family:
             return all(map(math.isfinite, v := theta.tolist())) and not (self._positive and v[-1] <= 0.0)
         finite = np.isfinite(theta).all(axis=1)
         return finite & (theta[:, -1] > 0.0) if self._positive else finite
+
+    def _check_support(self, x) -> None:
+        """Raise ``DomainError`` unless every node of ``x`` lies in the support."""
 
     def log_density(self, theta, x):
         raise NotImplementedError
@@ -437,6 +443,7 @@ class Pareto(Family):
     param_names = ("theta",)
     support = (1.0, math.inf)
     _positive = "shape"
+    _check_support = staticmethod(_pareto_support)
 
     def log_density(self, theta, x):
         (shape,) = _columns(self.validate_param(theta))

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import EstimationError, InvalidInputError, SingularMatrixError
 from .estimators import _BATCH_VALUES, EstimatorSpec, _fit_rows, _point_psi
 from .families import Family, _NormalKind
-from .measures import Measure, quadrature_of
+from .measures import Measure, format_float, quadrature_of
 
 
 class Unbounded(enum.Enum):
@@ -63,7 +63,7 @@ class InfluenceCurve:
         header = "x," + ",".join(f"if_component_{j + 1}" for j in range(ncomp))
         lines = [header]
         for x, row in zip(self.grid, self.values):
-            lines.append(",".join(format(v, ".17g") for v in (x, *row)))
+            lines.append(",".join(map(format_float, (x, *row))))
         return "\n".join(lines) + "\n"
 
 

@@ -114,6 +114,12 @@ def contaminate(base: Measure, x: float, epsilon: float) -> Measure:
     return Measure(nodes, weights)
 
 
+def format_float(value: float) -> str:
+    """A number as the front end writes it: 17 significant digits, which
+    ``float`` (and so ``read_sample``) parses back to the same bits."""
+    return format(float(value), ".17g")
+
+
 def read_sample(source) -> list[float]:
     """Parse one observation per line from a path or text stream.
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .estimators import _BATCH_VALUES, EstimatorSpec, _fit_rows
 from .families import NORMAL_SCALE
+from .measures import format_float
 
 CONTAMINANTS = ("normal3", "normal10", "logistic", "cauchy")
 
@@ -221,7 +222,3 @@ def report(result: StudyResult, format: str = "csv") -> str:
 
 def _csv_cell(value) -> str:
     return "" if value is None else format_float(value) if isinstance(value, float) else str(value)
-
-
-def format_float(value: float) -> str:
-    return format(float(value), ".17g")

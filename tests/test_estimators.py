@@ -45,6 +45,8 @@ from mindiv.estimators import (
     _pseudo_gradient,
     _renyi_gradient,
     _renyi_neg_log,
+    _sub_criterion,
+    _sub_gradient,
 )
 
 
@@ -391,6 +393,82 @@ class TestSubdivergenceEstimator:
         assert abs(wide.theta_hat[0]) > 0.01
         exact = estimate(NORMAL_LOCATION, spec, quadrature_of(NORMAL_SCALE, [1.0], 512))
         assert abs(exact.theta_hat[0]) < 1e-6
+
+
+def counting_log_density(monkeypatch, family):
+    """The parameters of every ``family.log_density`` call from now on."""
+    thetas = []
+    real = family.log_density
+    monkeypatch.setattr(family, "log_density", lambda theta, x: thetas.append(np.array(theta)) or real(theta, x))
+    return thetas
+
+
+def away_from(family, theta):
+    """A parameter near ``theta`` that is not ``theta``."""
+    return theta * 1.2 if family is not NORMAL_LOCATION else theta + 0.3
+
+
+class TestEscortTilt:
+    # the subdivergence tilt q (p_escort / p_theta)^a is the weights at the
+    # escort itself, so it takes no density pass there; elsewhere the
+    # escort's log-density is taken once per fit
+    @pytest.mark.parametrize("family", [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO], ids=lambda f: f.name)
+    def test_mle_escort_takes_no_log_density(self, monkeypatch, family):
+        q = empirical(contaminated_rows(family, 1, 200, seed=31)[0][0])
+        theta = mle(family, q).theta_hat
+        thetas = counting_log_density(monkeypatch, family)
+        result = estimate(family, EstimatorSpec(kind="subdivergence", alpha=0.5, escort=tuple(theta)), q)
+        assert result.converged and result.theta_hat.tobytes() == theta.tobytes()
+        assert thetas == []
+
+    @pytest.mark.parametrize("family", [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO], ids=lambda f: f.name)
+    def test_escort_away_from_the_mle_takes_its_log_density_once(self, monkeypatch, family):
+        q = empirical(contaminated_rows(family, 1, 200, seed=32)[0][0])
+        escort = away_from(family, mle(family, q).theta_hat)
+        thetas = counting_log_density(monkeypatch, family)
+        result = estimate(family, EstimatorSpec(kind="subdivergence", alpha=0.5, escort=tuple(escort)), q)
+        assert result.converged
+        assert sum(t.tobytes() == escort.tobytes() for t in thetas) == 1
+        assert len(thetas) > 2
+
+    @pytest.mark.parametrize("family", [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO], ids=lambda f: f.name)
+    def test_values_at_the_escort_equal_the_density_tilt(self, family):
+        q = empirical(contaminated_rows(family, 1, 200, seed=33)[0][0])
+        theta = mle(family, q).theta_hat
+        for escort in (theta, away_from(family, theta)):
+            for alpha in (0.25, 0.5):
+                spec = EstimatorSpec(kind="subdivergence", alpha=alpha, escort=tuple(escort))
+                rows = _Rows(q.nodes, q.weights, escort)
+                log_escort = family.log_density(escort, q.nodes)
+                tilt = q.weights * np.exp(alpha * (log_escort - log_escort))
+                crit = _sub_criterion(family, escort, rows, spec, tilt)
+                psi = _sub_gradient(family, escort, rows, spec, tilt)
+                assert sub_criterion(family, escort, escort, q, alpha) == crit
+                assert sub_psi(family, escort, escort, q, alpha).tobytes() == psi.tobytes()
+                if escort is theta:
+                    result = estimate(family, spec, q)
+                    assert result.theta_hat.tobytes() == escort.tobytes()
+                    assert result.criterion_value == crit
+
+    def test_nodes_outside_the_support_still_raise(self):
+        # at the escort the tilt reads no density, but the nodes are checked
+        # as the escort's log-density would check them
+        q = Measure(np.array([0.5, 2.0]), np.array([0.5, 0.5]))
+        for call in (
+            lambda: sub_criterion(PARETO, [2.0], [2.0], q, 0.5),
+            lambda: sub_divergence(PARETO, [2.0], [2.0], q, 0.5),
+            lambda: sub_psi(PARETO, [2.0], [2.0], q, 0.5),
+            lambda: estimate(PARETO, EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(2.0,)), q),
+        ):
+            with pytest.raises(DomainError, match="observations must lie in the support"):
+                call()
+
+    def test_escort_rows_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"escort is one parameter, not rows of shape \(2, 2\)"):
+            EstimatorSpec("subdivergence", 0.5, [[0, 1], [0.5, 2]])
+        q = empirical([0.5, 1.0, 2.0])
+        with pytest.raises(InvalidInputError, match=r"escort is one parameter, not rows of shape \(2, 1\)"):
+            sub_criterion(NORMAL_SCALE, [[1.0], [2.0]], [1.0], q, 0.5)
 
 
 def gross_outlier_sample(family, n=30, seed=4):

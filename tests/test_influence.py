@@ -563,6 +563,26 @@ class TestInfluenceCurve:
         curve = influence_curve(NORMAL, spec, [0.0, 1.0], np.linspace(-1, 1, 3))
         assert curve.to_csv().splitlines()[0] == "x,if_component_1,if_component_2"
 
+    def test_two_component_csv_bytes(self):
+        # 17 significant digits per cell, the same rule as the study report's
+        spec = EstimatorSpec(kind="power-pseudo", alpha=0.5)
+        values = [[0.1, -2.0 / 3.0], [1e-20, 12345678.9], [-0.0, np.float64(1.0) / 3.0]]
+        curve = InfluenceCurve(spec, np.array([0.0, 1.0]), np.array([-1.0, 0.5, 3.0]), np.array(values))
+        assert curve.to_csv() == (
+            "x,if_component_1,if_component_2\n"
+            "-1,0.10000000000000001,-0.66666666666666663\n"
+            "0.5,9.9999999999999995e-21,12345678.9\n"
+            "3,-0,0.33333333333333331\n"
+        )
+        fitted = influence_curve(NORMAL, spec, [0.3, 1.2], np.linspace(-3.0, 3.0, 4))
+        assert fitted.to_csv() == (
+            "x,if_component_1,if_component_2\n"
+            "-3,-0.91529865380162434,1.8561569492298571\n"
+            "-1,-1.7809717616575047,0.59027476086084452\n"
+            "1,1.1811083458514617,-0.49051819726895929\n"
+            "3,1.399093371661124,2.0840938732957976\n"
+        )
+
     @pytest.mark.parametrize(
         "grid,values,match",
         [
