@@ -1,6 +1,7 @@
 """Tests for the scalar divergence and pseudodistance kernels."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -58,6 +59,75 @@ class TestPhi:
         # within 1e-6 of a branch point the limit formula is used
         assert phi(1e-7, 2.0) == phi(0.0, 2.0)
         assert phi(1.0 - 1e-7, 2.0) == phi(1.0, 2.0)
+        for t in (0.7, 2.0):
+            assert phi_ring(1.0 - 5e-7, t) == phi_ring(1.0, t)
+            assert phi_ring(1.0 + 5e-7, t) == phi_ring(1.0, t)
+            assert phi_sharp(5e-7, t) == phi_sharp(0.0, t)
+            assert psi_kernel(5e-7, 2.0, t) == psi_kernel(0.0, 2.0, t)
+            assert psi_components(5e-7, 2.0, t) == psi_components(0.0, 2.0, t)
+            psi0, psi1, rho = psi_components(5e-7, 2.0, t)
+            assert psi0 + psi1 + rho * t == pytest.approx(psi_kernel(5e-7, 2.0, t), rel=1e-14)
+
+
+# The decimal references work to 60 digits on the exact values of the float
+# arguments.  t spans six decades and comes within 1e-9..1e-2 of 1, where the
+# textbook formulas cancel.
+NEAR_ONE = np.logspace(-9.0, -2.0)
+ACCURACY_T = np.concatenate([np.logspace(-3.0, 3.0), 1.0 - NEAR_ONE, 1.0 + NEAR_ONE])
+
+
+def _dec_power(t, a):
+    return (a * t.ln()).exp()
+
+
+def _dec_phi(a, t):
+    if a == 0:
+        return -t.ln() + t - 1
+    if a == 1:
+        return t * t.ln() - t + 1
+    return (_dec_power(t, a) - a * t + a - 1) / (a * (a - 1))
+
+
+def _dec_phi_ring(a, t):
+    return t * t.ln() if a == 1 else (_dec_power(t, a) - t) / (a - 1)
+
+
+def _dec_phi_sharp(a, t):
+    return -t.ln() if a == 0 else (1 - _dec_power(t, a)) / a
+
+
+def _dec_psi(a, s, t):
+    if a == 0:
+        return s - t + t * t.ln() - t * s.ln()
+    s_a, t_a = _dec_power(s, a), _dec_power(t, a)
+    return (s * s_a - t * t_a) / (1 + a) + t * (t_a - s_a) / a
+
+
+@pytest.mark.parametrize(
+    "kernel, reference",
+    [
+        (phi, _dec_phi),
+        (phi_ring, _dec_phi_ring),
+        (phi_sharp, _dec_phi_sharp),
+        (phi_star, lambda a, t: _dec_phi(1 - a, t)),
+        (psi_kernel, _dec_psi),
+    ],
+    ids=["phi", "phi_ring", "phi_sharp", "phi_star", "psi_kernel"],
+)
+def test_relative_error_against_decimal_reference(kernel, reference):
+    if kernel is psi_kernel:
+        # t / s on the grid, so that t comes within 1e-9 of s
+        cases = [(a, (s, s * u)) for a in ALPHAS for s in (0.3, 1.7, 40.0) for u in ACCURACY_T]
+    else:
+        cases = [(a, (t,)) for a in [-0.5] + ALPHAS for t in ACCURACY_T]
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for a, args in cases:
+            exact = reference(Decimal(a), *map(Decimal, args))
+            error = abs((Decimal(kernel(a, *args)) - exact) / exact)
+            worst = max(worst, float(error))
+    assert worst <= 1e-6
 
 
 class TestPhiStar:
