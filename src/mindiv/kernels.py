@@ -2,10 +2,11 @@
 
 All kernels accept scalar or ndarray arguments in ``t`` (and ``s``) and are
 pure functions, safe to call concurrently.  The power kernels share one limit
-branch, ``(t^b - 1)/b = expm1(b ln t)/b`` with ``ln t`` within ``BRANCH_TOL``
-of ``b = 0``.  Orders that close to 0 or 1 are put on the branch point, so a
-kernel there equals its limit exactly.  Near ``t = 1`` (``s = t``), where the
-direct formulas cancel, the kernels keep their relative error below 1e-6.
+branch, ``L(b, t) = (t^b - 1)/b = expm1(b ln t)/b`` with ``ln t`` at ``b = 0``;
+orders within ``BRANCH_TOL`` of 0 or 1 are put on the branch point, so a kernel
+there equals its limit exactly.  Near ``t = 1`` (``s = t``), where the direct
+formulas cancel, their relative error stays below 1e-6, and no power is formed
+beyond a kernel's own scale, so ratios such as 1e80 do not overflow.
 ``log_sum_exp`` reduces each row on its own with numpy ufuncs, which give a
 Python float and every array element the same bits, so a row of a batch
 equals the same terms passed alone.
@@ -21,6 +22,8 @@ from .errors import DomainError
 
 # Switch to the limit branch this close to alpha in {0, 1}.
 BRANCH_TOL = 1e-6
+
+_TINY = np.finfo(float).tiny
 
 
 def _positive(value, name: str) -> np.ndarray:
@@ -61,11 +64,9 @@ def _snap(alpha) -> float:
     return a
 
 
-def _log_power(b: float, ts: np.ndarray) -> np.ndarray:
-    """``(t^b - 1)/b`` as ``expm1(b ln t)/b``, and its limit ``ln t`` within
-    ``BRANCH_TOL`` of ``b = 0``: the one limit branch of the power kernels."""
-    log_t = np.log(ts)
-    return log_t if abs(b) < BRANCH_TOL else np.expm1(b * log_t) / b
+def _log_power(b: float, log_t: np.ndarray) -> np.ndarray:
+    """``L(b, t) = expm1(b ln t)/b`` from ``ln t``, and ``ln t`` at ``b = 0``."""
+    return log_t if b == 0.0 else np.expm1(b * log_t) / b
 
 
 def phi(alpha: float, t) -> float | np.ndarray:
@@ -73,11 +74,14 @@ def phi(alpha: float, t) -> float | np.ndarray:
 
     ``(t^a - a t + a - 1) / (a (a - 1))`` away from the branch points,
     ``-ln t + t - 1`` at ``a = 0`` and ``t ln t - t + 1`` at ``a = 1``.
-    Defined for every real order; computed as ``phi_ring + phi_sharp``.
+    Defined for every real order; equals ``phi_ring + phi_sharp``.  Computed
+    as ``(L(a, t) - (t - 1))/(a - 1)``.
     """
     ts = _positive(t, "t")
-    a = _snap(alpha)
-    return _like(ts * _log_power(a - 1.0, ts) - _log_power(a, ts))
+    a, log_t = _snap(alpha), np.log(ts)
+    if a == 1.0:
+        return _like(ts * log_t - (ts - 1.0))
+    return _like((_log_power(a, log_t) - (ts - 1.0)) / (a - 1.0))
 
 
 def phi_star(alpha: float, t) -> float | np.ndarray:
@@ -89,13 +93,17 @@ def phi_star(alpha: float, t) -> float | np.ndarray:
 def phi_ring(alpha: float, t) -> float | np.ndarray:
     """The kernel ``t * phi'(alpha, t)``: ``(t^a - t)/(a - 1)``, ``t ln t`` at a=1."""
     ts = _positive(t, "t")
-    return _like(ts * _log_power(float(alpha) - 1.0, ts))
+    a, log_t = _snap(alpha), np.log(ts)
+    if a == 1.0:
+        return _like(ts * log_t)
+    # t expm1(y) or, where y > 0, -t^a expm1(-y): e^y = t^(a-1) stays <= 1
+    y = (a - 1.0) * log_t
+    return _like(np.where(y > 0.0, -(ts**a), ts) * np.expm1(-np.abs(y)) / (a - 1.0))
 
 
 def phi_sharp(alpha: float, t) -> float | np.ndarray:
     """The nonincreasing kernel ``(1 - t^a)/a``; ``-ln t`` at a=0."""
-    ts = _positive(t, "t")
-    return _like(-_log_power(float(alpha), ts))
+    return _like(-_log_power(_snap(alpha), np.log(_positive(t, "t"))))
 
 
 def _psi_args(alpha, s, t):
@@ -108,14 +116,19 @@ def _psi_args(alpha, s, t):
 def psi_kernel(alpha: float, s, t) -> float | np.ndarray:
     """Reflexive decomposable kernel of the power pseudodistance family.
 
-    Nonnegative for positive arguments, zero iff ``s == t``.  Computed as
-    ``t^(1+a) [(r^(1+a) - 1)/(1+a) - (r^a - 1)/a]`` with ``r = s/t``, which is
-    ``(s^(1+a) - t^(1+a))/(1+a) + t ((t^a - 1)/a - (s^a - 1)/a)``, with the
-    entropy limit ``s - t + t ln t - t ln s`` at ``a = 0``.
+    Nonnegative for positive arguments, zero iff ``s == t``.  Equals
+    ``(s^(1+a) - t^(1+a))/(1+a) + t (L(a, t) - L(a, s))``, with the entropy
+    limit ``s - t + t ln t - t ln s`` at ``a = 0``; computed, with ``r`` the
+    smaller argument over the larger, as ``t^(1+a) [L(1+a, r) - L(a, r)]``
+    where ``s <= t`` and as ``s^(1+a) [r L(a, r) - L(1+a, r)]`` elsewhere.
     """
     a, ss, ts = _psi_args(alpha, s, t)
-    r = ss / ts
-    return _like(ts ** (1.0 + a) * (_log_power(1.0 + a, r) - _log_power(a, r)))
+    hi, lo = np.maximum(ss, ts), np.minimum(ss, ts)
+    r = lo / hi
+    # a ratio below the normal range is rounded: take ln r from the two logs
+    log_r = np.where(r >= _TINY, np.log(np.maximum(r, _TINY)), np.log(lo) - np.log(hi))
+    up, down = _log_power(1.0 + a, log_r), _log_power(a, log_r)
+    return _like(hi ** (1.0 + a) * np.where(ss <= ts, up - down, r * down - up))
 
 
 def psi_components(alpha: float, s, t):
@@ -125,8 +138,8 @@ def psi_components(alpha: float, s, t):
     """
     a, ss, ts = _psi_args(alpha, s, t)
     psi0 = ss ** (1.0 + a) / (1.0 + a)
-    psi1 = ts * (_log_power(a, ts) - ts**a / (1.0 + a))
-    rho = -_log_power(a, ss)
+    psi1 = ts * (_log_power(a, np.log(ts)) - ts**a / (1.0 + a))
+    rho = -_log_power(a, np.log(ss))
     return _like(psi0), _like(psi1), _like(rho)
 
 

@@ -130,6 +130,25 @@ def test_relative_error_against_decimal_reference(kernel, reference):
     assert worst <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "kernel, args, expected",
+    [
+        (psi_kernel, (3.0, 1.0, 1e-80), 0.25),
+        (psi_kernel, (0.0, 1e-200, 1e200), 1e200 * (400.0 * math.log(10.0) - 1.0)),
+        (phi, (-0.5, 1e-210), 1e105 / 0.75),
+        (phi, (0.0, 5e-324), -math.log(5e-324) - 1.0),
+        (phi_ring, (-0.5, 1e-210), 1e105 / -1.5),
+        (phi_ring, (0.5, 5e-324), -2.0 * math.sqrt(5e-324)),
+        (phi_ring, (2.0, 1e-20), -1e-20),
+    ],
+)
+def test_extreme_arguments(kernel, args, expected):
+    # density ratios of 1e80 and beyond (a 19-sigma normal tail): finite and
+    # accurate, with no power formed beyond the kernel's own scale
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert kernel(*args) == pytest.approx(expected, rel=1e-12)
+
+
 class TestPhiStar:
     def test_worked_values(self):
         assert phi_star(0.0, 2.0) == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-12)
