@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one check of a count."""
+
+import numbers
 
 
 class ToolkitError(Exception):
@@ -47,3 +49,11 @@ class EvaluationError(ToolkitError, ArithmeticError):
 
 class EstimationError(ToolkitError, RuntimeError):
     """An estimation run failed; carries context about the failing measure."""
+
+
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int, or an ``InvalidInputError`` naming ``name``
+    unless it is an integer (not a bool, not a float) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

@@ -4,16 +4,9 @@ Five estimator kinds share one interface: maximum likelihood, the
 escort-anchored subdivergence estimator, the superdivergence estimator,
 the power pseudodistance estimator, and the Renyi pseudodistance
 estimator.  Every kind reduces to the MLE at ``alpha = 0``: ``estimate``
-checks that once.  The superdivergence estimator's max-min over the escort
-is solved in closed form: on every family here it is the MLE (see
-``_superdivergence``).  The subdivergence estimator whose escort is the
-MLE is the MLE too: at theta = escort = MLE both terms of its estimating
-equation vanish (the escort's mean score, and the sample score at the
-MLE), so Newton from the escort accepts it at the first evaluation.  The
-subdivergence tilt ``q (p_escort / p_theta)^a`` at the escort is the
-weights themselves, so that fit takes no log-density at all; a fit that
-leaves the escort takes the escort's log-density on its sample once, at
-its first tilt away from it.
+checks that once.  ``_closed_form`` decides, with the proof, the other
+fits that are the MLE: the superdivergence estimate, and a subdivergence
+fit whose escort is exactly the sample's MLE.
 
 Subdivergence, power-pseudo and Renyi each have one (criterion, estimating
 equation) pair in ``_EQUATIONS`` on one shared ``_tilt``, which the fit
@@ -22,13 +15,13 @@ drivers and ``_point_psi`` use; every model term is one closed form,
 
 One fit driver, ``_fit_rows``, fits (R, n) rows of nodes and weights;
 ``estimate`` is one row of it.  Its row solver, ``_moment_fixed_point``,
-gives closed-form MLE rows, or solves the power-pseudo and Renyi rows by
+gives the ``_closed_form`` rows, or solves the power-pseudo and Renyi rows by
 Newton steps on the weighted-moment equations of Fujisawa & Eguchi (2008)
 in fixed-point form, with each family's closed-form Jacobian, for at most
 ``_MAX_ITER`` steps, which ``iterations`` counts.  ``_fallback`` fits each
-row it does not accept, every subdivergence row among them: Newton from
-the escort (subdivergence), then a bounded search over the family's
-default box and one Newton polish; it alone decides whether a fit converged.
+row it does not accept: by ``_closed_form`` again, or by Newton from the
+escort (subdivergence), then a bounded search over the family's default
+box and one Newton polish; it alone decides whether a numeric fit converged.
 
 Estimation is pure given (family, spec, measure): repeated calls return
 bit-identical results, and concurrent calls on shared immutable inputs are
@@ -40,11 +33,12 @@ the lower end of the search box.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, ToolkitError
+from .errors import DegenerateDataError, DomainError, InvalidInputError, ToolkitError
 from .families import Family
 from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant
 from .measures import Measure
@@ -120,27 +114,18 @@ class EstimateResult:
 # equations also on one parameter and a Measure) and reduces along each row
 # only, so a row's numbers equal a single call's and do not depend on R.
 # The subdivergence pair takes one parameter, against a Measure or rows.
-class _Rows:
-    """``nodes`` and ``weights`` as the equations take them; for subdivergence
-    also the validated escort and its log-density on the nodes, which
-    ``_tilt`` fills in the first time it tilts away from the escort."""
-
-    __slots__ = ("nodes", "weights", "escort", "log_escort")
-
-    def __init__(self, nodes, weights, escort=None):
-        self.nodes, self.weights, self.escort, self.log_escort = nodes, weights, escort, None
+_Rows = namedtuple("_Rows", "nodes weights escort log_escort", defaults=(None, None))
 
 
 def _rows(family: Family, spec: EstimatorSpec, nodes, weights) -> _Rows:
     """``nodes`` and ``weights`` as the equations of ``spec`` take them: with
-    the subdivergence escort validated and the nodes checked to lie in the
-    support, as the escort's log-density would check them, but with no
-    density pass: an escort that is the fit takes none at all."""
+    the subdivergence escort validated and its log-density on the nodes,
+    which raises ``DomainError`` on a node outside the support."""
     if spec.kind != "subdivergence":
         return _Rows(nodes, weights)
     escort = family.validate_param(spec.escort)
-    family._check_support(nodes)
-    return _Rows(nodes, weights, escort)
+    with np.errstate(over="ignore"):  # -inf beyond ~1e154 scales, unread by the tilt at the escort
+        return _Rows(nodes, weights, escort, family.log_density(escort, nodes))
 
 
 def _tilt(family: Family, spec: EstimatorSpec, theta, q):
@@ -150,15 +135,12 @@ def _tilt(family: Family, spec: EstimatorSpec, theta, q):
     sum q p^a`` and the terms ``q p^a`` scaled by their row's largest
     (Renyi, ``log_sum_exp``).  At the escort itself (the same bytes) the
     subdivergence tilt is the weights, the exact value of ``q exp(a (l -
-    l))``, so it takes no density pass; elsewhere the escort's log-density
-    is taken once per ``q``."""
+    l))``: it takes no density pass, and stays finite where ``l`` overflows."""
     a = spec.alpha
     if spec.kind == "subdivergence":
         th = np.asarray(theta, dtype=float)
         if th.shape == q.escort.shape and th.tobytes() == q.escort.tobytes():
             return q.weights
-        if q.log_escort is None:
-            q.log_escort = family.log_density(q.escort, q.nodes)
     lp = family.log_density(theta, q.nodes)
     if spec.kind == "renyi":
         return log_sum_exp(np.log(q.weights) + a * lp)
@@ -298,11 +280,52 @@ def renyi_pseudodistance(family: Family, theta, q_measure, q_density, alpha: flo
     return float(neg_log / a + log_qq / (a * (1.0 + a)))
 
 
+def _closed_form(family: Family, spec: EstimatorSpec, nodes, weights):
+    """The MLE of a row of ``nodes`` and ``weights`` or of (R, n) rows, whether
+    it is the fit of ``spec`` (a bool or a row mask), and that fit's
+    criterion: NaN for the MLE, ``c = 1/(1-a) + 1/a`` for superdivergence and
+    a subdivergence row whose MLE is its escort exactly.  The escort is
+    validated before any row's MLE, so an invalid one raises first.
+
+    The superdivergence estimate maximizes ``h(theta) = min_t M(theta, t)``.
+    With ``M = sub_criterion``, ``M(theta, t) = R(theta, t)/(1-a) + (1/a)
+    sum q (p_theta/p_t)^a``, where ``R(theta, t)`` integrates ``p_t^(1-a)
+    p_theta^a``:
+
+    - Upper bound: ``R(theta, theta) = 1``, so ``M(theta, theta) = c`` and
+      ``h(theta) <= c`` for every theta.
+    - The MLE reaches it.  Every family is an exponential family whose MLE
+      matches the moments of its statistic T (normal: (x, x^2), restricted
+      on the submodels; Pareto: log x), so ``sum q (l_mle - l_t) =
+      KL(mle || t)``.  By Jensen the data term is at least
+      ``exp(a KL)/a >= 1/a + KL``; by ``y^b >= 1 + b log y`` with
+      ``b = 1 - a``, ``(1 - R)/(1 - a) <= KL``.  Hence ``M(mle, t) >= c``.
+    - Nothing else does: for theta other than the MLE, the t-gradient of M
+      at ``t = theta`` is ``-sum q s_theta``, nonzero because the MLE is the
+      only root of the score equation, so ``h(theta) < c``.
+
+    So the superdivergence estimate is the MLE with criterion ``c``, with
+    no search.  Corollary: the subdivergence criterion from the escort
+    ``theta = mle`` is ``M(mle, t) >= c = M(mle, mle)``, so that fit is the
+    MLE with criterion ``c`` too.
+    """
+    a, kind = spec.alpha, spec.kind
+    if kind == "mle" or a == 0.0:
+        return family.mle_parameter(nodes, weights), True, math.nan
+    escort = family.validate_param(spec.escort) if kind == "subdivergence" else None
+    theta = family.mle_parameter(nodes, weights)
+    if kind not in ("subdivergence", "superdivergence"):
+        return theta, False, math.nan
+    own = kind == "superdivergence" or (theta == escort).all(axis=-1)
+    return theta, own, 1.0 / (1.0 - a) + 1.0 / a
+
+
 def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     """Fit of ``spec`` on every row of (R, n) ``nodes`` and ``weights``.
 
-    The MLE and superdivergence (and every kind at ``alpha = 0``) give the
-    closed-form MLE rows, all accepted unless one is degenerate.
+    The MLE, superdivergence and subdivergence (and every kind at ``alpha =
+    0``) give the ``_closed_form`` rows, accepted with 0 steps, none if the
+    MLE of one row raised (each row's ``_fallback`` raises its error).
     Power-pseudo and Renyi rows run Newton: ``family._moment_start(x, w)``
     gives the (R, d) start (NaN on a row it does not start) and the y on
     which ``family._moment_update(kind, a, y, w, theta)`` steps each row,
@@ -318,21 +341,20 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     after ``_MAX_ITER`` steps, and is accepted when its equation has
     max-norm below ``_PSI_TOL`` and its criterion is no higher than at the
     start, on one ``_tilt``.  Returns the (R, d) parameters, the accepted
-    mask, each row's steps and the criterion of the check (NaN where a row
-    did not settle; subdivergence is never accepted).
+    mask, each row's steps and each row's criterion: the ``_closed_form``
+    one, or that of the check (NaN where a row did not settle).
     """
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
     accepted, iterations = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=int)
     criteria = np.full(len(x), math.nan)
     unfitted = np.full((len(x), family.param_dim), math.nan), accepted, iterations, criteria
-    if spec.kind in ("mle", "superdivergence") or spec.alpha == 0.0:
+    if spec.kind not in ("power-pseudo", "renyi") or spec.alpha == 0.0:
         try:
-            return family.mle_parameter(x, w), ~accepted, iterations, criteria
-        except ToolkitError:
+            theta, own, crit = _closed_form(family, spec, x, w)
+        except (DegenerateDataError, DomainError):
             return unfitted
-    if spec.kind == "subdivergence":
-        return unfitted
+        return theta, accepted | own, iterations, np.where(own, crit, criteria)
     equal = (w == w[:, :1]).all(axis=1)
     if not (all_equal := equal.all()) and equal.any():
         for rows in (equal, ~equal):
@@ -406,27 +428,24 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     accept after ``its`` Newton steps: (theta, criterion, iterations,
     converged).
 
-    Closed-form kinds give the MLE.  The others' criterion and equation are
-    their pair in ``_EQUATIONS``.  Subdivergence first runs Newton from the
-    escort, kept when its residual is below ``_PSI_TOL`` and its criterion
-    no higher than at the escort.  Otherwise the criterion is minimized over
-    the family's default box (from the MLE in 2-d) and polished once by the
-    same Newton iteration: converged when that residual is below
-    ``_PSI_TOL`` strictly inside the box, with every phase's iterations.
+    A ``_closed_form`` fit is given as the row solver gives it; otherwise
+    the criterion and equation are the kind's pair in ``_EQUATIONS``.
+    Subdivergence first runs Newton from the escort, kept when its residual
+    is below ``_PSI_TOL`` and its criterion no higher than at the escort.
+    Otherwise the criterion is minimized over the family's default box (from
+    the MLE in 2-d) and polished once by the same Newton iteration: converged
+    when that residual is below ``_PSI_TOL`` strictly inside the box, with
+    every phase's iterations.
     """
     # on a sample the MLE cannot fit (zero spread, every x at 0 on
     # normal-scale or at 1 on Pareto) each criterion reaches its infimum
     # only as the fit degenerates, so such a fit raises as the MLE does
-    start = family.mle_parameter(q.nodes, q.weights)
-    if spec.kind in ("mle", "superdivergence") or spec.alpha == 0.0:
-        return start, math.nan, its, True
+    start, own, crit = _closed_form(family, spec, q.nodes, q.weights)
+    if own:
+        return start, crit, its, True
+    q = _rows(family, spec, q.nodes, q.weights)
     criterion, gradient = _EQUATIONS[spec.kind]
-    bounds = []  # the box, built once Newton steps or the search runs
-
-    def box():
-        bounds[:] = bounds or family.default_bounds(q.nodes, q.weights)
-        return bounds
-
+    bounds = family.default_bounds(q.nodes, q.weights)
     # a one-slot memo: the last point's bytes and tilt, so the criterion
     # where Newton stops takes its equation's
     last = [None, None]
@@ -439,59 +458,29 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     objective = lambda th: criterion(family, th, q, spec, tilt(th))
     psi = lambda th: gradient(family, th, q, spec, tilt(th))
     if spec.kind == "subdivergence":
-        theta, norm, newton_its = _newton_polish(psi, q.escort, box, _PSI_TOL)
+        theta, norm, newton_its = _newton_polish(psi, q.escort, bounds, _PSI_TOL)
         its += newton_its
-        same = theta.tobytes() == q.escort.tobytes()  # an escort that is the MLE comes back as is
-        if norm < _PSI_TOL and (crit := objective(theta)) <= (crit if same else objective(q.escort)):
+        if norm < _PSI_TOL and (crit := objective(theta)) <= objective(q.escort):
             return theta, crit, its, True
-    bounds = box()
     if family.param_dim == 1:
         sr = solve_1d(lambda t: objective(np.array([t])), bounds[0])
     else:
         sr = solve_2d(objective, bounds, start)
-    theta, norm, polish_its = _newton_polish(psi, sr.x, box, _PSI_TOL)
+    theta, norm, polish_its = _newton_polish(psi, sr.x, bounds, _PSI_TOL)
     lo, hi = np.array(bounds).T
     # a root on the box edge is where the box cut the search off
     converged = norm < _PSI_TOL and bool(np.all((lo < theta) & (theta < hi)))
     return theta, objective(theta), its + sr.iterations + polish_its, converged
 
 
-def _superdivergence(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
-    """Superdivergence estimate: the maximizer over theta of
-    ``h(theta) = min_t M(theta, t)``, which is the MLE on every family here.
-
-    With ``M = sub_criterion``, ``M(theta, t) = R(theta, t)/(1-a) +
-    (1/a) sum q (p_theta/p_t)^a``, where ``R(theta, t)`` integrates
-    ``p_t^(1-a) p_theta^a``, and ``c = 1/(1-a) + 1/a``:
-
-    - Upper bound: ``R(theta, theta) = 1``, so ``M(theta, theta) = c`` and
-      ``h(theta) <= c`` for every theta.
-    - The MLE reaches it.  Every family is an exponential family whose MLE
-      matches the moments of its statistic T (normal: (x, x^2), restricted
-      on the submodels; Pareto: log x), so ``sum q (l_mle - l_t) =
-      KL(mle || t)``.  By Jensen the data term is at least
-      ``exp(a KL)/a >= 1/a + KL``; by ``y^b >= 1 + b log y`` with
-      ``b = 1 - a``, ``(1 - R)/(1 - a) <= KL``.  Hence ``M(mle, t) >= c``.
-    - Nothing else does: for theta other than the MLE, the t-gradient of M
-      at ``t = theta`` is ``-sum q s_theta``, nonzero because the MLE is the
-      only root of the score equation, so ``h(theta) < c``.
-
-    So the estimate is the MLE with criterion ``c``, with no search.
-    """
-    theta = family.mle_parameter(q.nodes, q.weights)
-    return EstimateResult(theta, 1.0 / (1.0 - spec.alpha) + 1.0 / spec.alpha, 0, converged=True)
-
-
 def estimate(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
     """Run the estimator described by ``spec`` on the measure ``q``.
 
-    Any kind but the MLE and superdivergence is ``_fit_rows`` on one row.
-    A Renyi fit reports the maximized tilted-mass criterion itself.
+    Any kind but the MLE is ``_fit_rows`` on one row.  A Renyi fit reports
+    the maximized tilted-mass criterion itself.
     """
     if spec.kind == "mle" or spec.alpha == 0.0:
         return mle(family, q)
-    if spec.kind == "superdivergence":
-        return _superdivergence(family, spec, q)
     theta, criteria, iterations, converged, errors = _fit_rows(family, spec, q.nodes[None], q.weights[None])
     if errors:
         raise errors[0]
@@ -503,20 +492,18 @@ def _fit_rows(family: Family, spec: EstimatorSpec, nodes, weights):
     """Fit of ``spec`` on each row of (R, n) ``nodes`` and ``weights``: one
     row-solver call on all rows, then ``_fallback`` on each row it does not
     accept.  Returns the (R, d) parameters (NaN where a fit raised), each
-    row's criterion (Renyi's negative log; NaN on closed-form rows),
-    iterations and converged flag, and the ``ToolkitError`` each failed row
-    raised, keyed by row.  A subdivergence escort outside the space raises
-    before any row is fitted.
+    row's criterion (Renyi's negative log; NaN on MLE rows), iterations and
+    converged flag, and the ``ToolkitError`` each failed row raised, keyed
+    by row.  A subdivergence escort outside the space raises before any row
+    is fitted.
     """
-    if spec.kind == "subdivergence" and spec.alpha > 0.0:
-        family.validate_param(spec.escort)
     # C order, whatever the caller's layout: rows sum along contiguous nodes, as single calls do
     nodes, weights = np.ascontiguousarray(nodes, dtype=float), np.ascontiguousarray(weights, dtype=float)
     theta, converged, iterations, criteria = _moment_fixed_point(family, spec, nodes, weights)
     errors = {}
     for j in (~converged).nonzero()[0].tolist():
         try:
-            fit = _fallback(family, spec, _rows(family, spec, nodes[j], weights[j]), int(iterations[j]))
+            fit = _fallback(family, spec, _Rows(nodes[j], weights[j]), int(iterations[j]))
             theta[j], criteria[j], iterations[j], converged[j] = fit
         except ToolkitError as exc:
             theta[j], criteria[j], errors[j] = math.nan, math.nan, exc

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, InvalidInputError
+from .errors import DegenerateDataError, DomainError, InvalidInputError, check_count
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -112,9 +112,6 @@ class Family:
             return all(map(math.isfinite, v := theta.tolist())) and not (self._positive and v[-1] <= 0.0)
         finite = np.isfinite(theta).all(axis=1)
         return finite & (theta[:, -1] > 0.0) if self._positive else finite
-
-    def _check_support(self, x) -> None:
-        """Raise ``DomainError`` unless every node of ``x`` lies in the support."""
 
     def log_density(self, theta, x):
         raise NotImplementedError
@@ -388,10 +385,9 @@ class _NormalKind(Family):
         yield _stack([means[i] for i in self._free], theta)
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise InvalidInputError(f"sample size must be >= 1, got {n}")
+        n = check_count("sample size", n, 1)
         mu, sigma = self._loc_scale(self.validate_param(theta))
-        return mu + sigma * rng.standard_normal(int(n))
+        return mu + sigma * rng.standard_normal(n)
 
     def integration_grid(self, thetas, node_count: int = _GRID_N):
         windows = [self._window(self.validate_param(t)) for t in thetas]
@@ -443,7 +439,6 @@ class Pareto(Family):
     param_names = ("theta",)
     support = (1.0, math.inf)
     _positive = "shape"
-    _check_support = staticmethod(_pareto_support)
 
     def log_density(self, theta, x):
         (shape,) = _columns(self.validate_param(theta))
@@ -475,10 +470,9 @@ class Pareto(Family):
         yield _stack([1.0 / shape - 1.0 / s], theta)
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 1:
-            raise InvalidInputError(f"sample size must be >= 1, got {n}")
+        n = check_count("sample size", n, 1)
         sh = float(self.validate_param(theta)[0])
-        u = 1.0 - rng.random(int(n))  # uniform on (0, 1]
+        u = 1.0 - rng.random(n)  # uniform on (0, 1]
         return u ** (-1.0 / sh)
 
     def integration_grid(self, thetas, node_count: int = _GRID_N):

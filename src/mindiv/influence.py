@@ -175,7 +175,7 @@ def if_mle(family: Family, theta, x) -> np.ndarray:
     """Maximum-likelihood influence ``I(theta)^{-1} s_theta(x)``.
 
     Also the influence of every superdivergence estimator, which is the MLE
-    on every family here (see ``estimators._superdivergence``).
+    on every family here (see ``estimators._closed_form``).
     Vectorized: array ``x`` yields one row per point.
     """
     return _model_point_if(family, EstimatorSpec(kind="mle"), theta, x)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrationError, InvalidInputError, SampleParseError
+from .errors import IntegrationError, InvalidInputError, SampleParseError, check_count
 from .families import _GRID_N, Family
 
 _MASS_TOL = 1e-12
@@ -91,8 +91,7 @@ def quadrature_of(family: Family, theta, node_count: int = _GRID_N) -> Measure:
     model uses a log-transformed grid truncated where the tail mass drops
     below 1e-12.  Weights are renormalized to unit mass.
     """
-    if node_count < 32:
-        raise InvalidInputError(f"node_count must be >= 32, got {node_count}")
+    node_count = check_count("node_count", node_count, 32)
     theta = family.validate_param(theta)
     x, lam_w = family.integration_grid([theta], node_count)
     w = lam_w * family.density(theta, x)

@@ -41,13 +41,13 @@ def _psi_vector(psi, x) -> np.ndarray:
     return np.atleast_1d(np.asarray(psi(x), dtype=float))
 
 
-def _newton_polish(psi, x0, box, psi_tol: float):
-    """Damped Newton iteration on ``psi(x) = 0`` inside the box [lo, hi].
+def _newton_polish(psi, x0, bounds, psi_tol: float):
+    """Damped Newton iteration on ``psi(x) = 0`` inside the box of (lo, hi)
+    ``bounds`` per coordinate.
 
     Returns (x, the max-norm of psi at x, psi evaluations) after at most 40
-    Newton steps.  Keeps the best iterate seen; never leaves the box, whose
-    (lo, hi) bounds per coordinate ``box()`` gives once a step needs them:
-    a root at the start comes back as is, another start is clipped into it.
+    Newton steps.  Keeps the best iterate seen; never leaves the box: a
+    root at the start comes back as is, another start is clipped into it.
     """
     x = np.asarray(x0, dtype=float)
     # psi may overflow at trial points; those show as non-finite norms
@@ -56,7 +56,7 @@ def _newton_polish(psi, x0, box, psi_tol: float):
         evals = 1
         if (norm := float(np.abs(p).max())) < 1e-2 * psi_tol:
             return x.copy(), norm, evals
-        lo, hi = np.array(box(), dtype=float).T
+        lo, hi = np.array(bounds, dtype=float).T
         if not np.array_equal(x, clipped := np.clip(x, lo, hi)):
             x, p, evals = clipped, _psi_vector(psi, clipped), evals + 1
         if not np.isfinite(p).all():

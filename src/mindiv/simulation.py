@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .estimators import _BATCH_VALUES, EstimatorSpec, _fit_rows
 from .families import NORMAL_SCALE
 from .measures import format_float
@@ -98,9 +97,7 @@ def _contaminated_rows(model: ContaminationModel, n: int, rngs) -> np.ndarray:
 def sample_contaminated(model: ContaminationModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n observations; each is contaminated independently with
     probability epsilon (``run_study``'s batched draws on one generator)."""
-    if n < 1:
-        raise InvalidInputError(f"sample size must be >= 1, got {n}")
-    return _contaminated_rows(model, int(n), [rng])[0]
+    return _contaminated_rows(model, check_count("sample size", n, 1), [rng])[0]
 
 
 def _replication_rng(seed: int, index: int) -> np.random.Generator:
@@ -128,11 +125,8 @@ def run_study(
     ``n`` and ``reps`` must be integers >= 1, ``seed`` and ``first_rep``
     integers >= 0; anything else raises an ``InvalidInputError`` naming it.
     """
-    checks = (("n", n, 1), ("reps", reps, 1), ("seed", seed, 0), ("first_rep", first_rep, 0))
-    for name, value, least in checks:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
-    n, reps, seed, first_rep, specs = int(n), int(reps), int(seed), int(first_rep), tuple(specs)
+    n, reps = check_count("n", n, 1), check_count("reps", reps, 1)
+    seed, first_rep, specs = check_count("seed", seed, 0), check_count("first_rep", first_rep, 0), tuple(specs)
     batch = max(1, _BATCH_VALUES // n)
     parts: list[list[np.ndarray]] = [[] for _ in specs]
     for start in range(0, reps, batch):

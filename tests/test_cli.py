@@ -260,8 +260,9 @@ class TestInfluence:
         ],
     )
     def test_numeric_oracle_exit_codes(self, capsys, monkeypatch, outcome, code, message):
-        # a fit that does not converge exits 2, a wrapped input error 1; every
-        # subdivergence row, the base's first, is fitted by the fallback
+        # a fit that does not converge exits 2, a wrapped input error 1; from
+        # an escort off the base's MLE (1.0) every subdivergence row, the
+        # base's first, is fitted by the fallback
         real_fallback = mindiv.estimators._fallback
 
         def patched(family, spec, q, its):
@@ -271,7 +272,7 @@ class TestInfluence:
 
         monkeypatch.setattr(mindiv.estimators, "_fallback", patched)
         got, out, err = run_cli(
-            capsys, "influence", "--family", "normal-scale", "--estimator", "subdivergence", "--escort", "1.0",
+            capsys, "influence", "--family", "normal-scale", "--estimator", "subdivergence", "--escort", "1.2",
             "--alpha", "0.5", "--theta", "1.0", "--grid", "-2:2:3", "--numeric",
         )
         assert got == code

@@ -236,27 +236,27 @@ class TestSubdivergenceEstimator:
     def test_newton_from_escort_at_n_1e4(self, seed):
         # Cauchy extremes stretch the location box so far that its 33-point
         # scan misses the minimum next to the escort (the bounded search
-        # alone stops at criterion inf); Newton from the escort stays there
+        # alone stops at criterion inf); the MLE escort is the fit in closed
+        # form, and Newton from an escort 0.05 off it stays next to it
         model = ContaminationModel(1.0, 0.1, "cauchy")
         q = empirical(0.7 + sample_contaminated(model, 10_000, np.random.default_rng(seed)))
-        escort = mle(NORMAL_LOCATION, q).theta_hat
-        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=tuple(escort))
-        result = estimate(NORMAL_LOCATION, spec, q)
-        assert result.converged
-        assert result.theta_hat[0] == pytest.approx(escort[0], abs=1e-12)
-        assert result.criterion_value <= 1.0 / (1.0 - 0.5) + 1.0 / 0.5
-        assert np.max(np.abs(sub_psi(NORMAL_LOCATION, escort, result.theta_hat, q, 0.5))) < _PSI_TOL
+        for offset, tol in ((0.0, 1e-12), (0.05, 0.01)):
+            escort = mle(NORMAL_LOCATION, q).theta_hat + offset
+            spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=tuple(escort))
+            result = estimate(NORMAL_LOCATION, spec, q)
+            assert result.converged
+            assert result.theta_hat[0] == pytest.approx(escort[0], abs=tol)
+            assert result.criterion_value <= 1.0 / (1.0 - 0.5) + 1.0 / 0.5
+            assert np.max(np.abs(sub_psi(NORMAL_LOCATION, escort, result.theta_hat, q, 0.5))) < _PSI_TOL
 
     @pytest.mark.parametrize("family", [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO])
     def test_mle_escort_gives_the_mle(self, monkeypatch, family):
-        # at theta = escort = MLE both terms of sub_psi vanish (the escort's
-        # mean score and the sample score at the MLE), so Newton accepts
-        # the escort at its first evaluation, and the criterion at the
-        # escort is the one at the fit: one evaluation, and no search box
+        # from the escort theta = MLE the criterion is at least its value
+        # c = 1/(1-a) + 1/a there (the superdivergence proof), so the fit is
+        # the MLE in closed form: no equation call, no search box, 0 steps
         calls = []
-        criterion, gradient = mindiv.estimators._EQUATIONS["subdivergence"]
-        counting = lambda *args: calls.append(args) or criterion(*args)
-        monkeypatch.setitem(mindiv.estimators._EQUATIONS, "subdivergence", (counting, gradient))
+        counting = lambda *args: calls.append(args)
+        monkeypatch.setitem(mindiv.estimators._EQUATIONS, "subdivergence", (counting, counting))
 
         def no_box(*args):
             raise AssertionError("search box built")
@@ -267,15 +267,15 @@ class TestSubdivergenceEstimator:
             theta = mle(family, q).theta_hat
             for alpha in (0.25, 0.5, 0.9):
                 spec = EstimatorSpec(kind="subdivergence", alpha=alpha, escort=tuple(theta))
-                calls.clear()
                 result = estimate(family, spec, q)
-                assert result.converged and result.iterations == 1
+                assert result.converged and result.iterations == 0
                 assert result.theta_hat.tobytes() == theta.tobytes()
-                assert len(calls) == 1
+                assert result.criterion_value == 1.0 / (1.0 - alpha) + 1.0 / alpha
+        assert calls == []
 
     def test_escort_outside_box_is_clipped_after_one_evaluation(self, monkeypatch):
-        # the box is built only once Newton steps: its first residual is at
-        # the escort itself, its second at the escort clipped into the box
+        # Newton's first residual is at the escort itself, its second at the
+        # escort clipped into the box
         q = empirical(np.random.default_rng(12).standard_normal(40))
         ((_, hi),) = NORMAL_LOCATION.default_bounds(q.nodes, q.weights)
         assert hi < 20.0
@@ -410,8 +410,8 @@ def away_from(family, theta):
 
 class TestEscortTilt:
     # the subdivergence tilt q (p_escort / p_theta)^a is the weights at the
-    # escort itself, so it takes no density pass there; elsewhere the
-    # escort's log-density is taken once per fit
+    # escort itself; a fit from the MLE escort is the closed form and takes
+    # no density pass, and any other takes the escort's log-density once
     @pytest.mark.parametrize("family", [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO], ids=lambda f: f.name)
     def test_mle_escort_takes_no_log_density(self, monkeypatch, family):
         q = empirical(contaminated_rows(family, 1, 200, seed=31)[0][0])
@@ -438,21 +438,24 @@ class TestEscortTilt:
         for escort in (theta, away_from(family, theta)):
             for alpha in (0.25, 0.5):
                 spec = EstimatorSpec(kind="subdivergence", alpha=alpha, escort=tuple(escort))
-                rows = _Rows(q.nodes, q.weights, escort)
                 log_escort = family.log_density(escort, q.nodes)
+                rows = _Rows(q.nodes, q.weights, escort, log_escort)
                 tilt = q.weights * np.exp(alpha * (log_escort - log_escort))
                 crit = _sub_criterion(family, escort, rows, spec, tilt)
                 psi = _sub_gradient(family, escort, rows, spec, tilt)
                 assert sub_criterion(family, escort, escort, q, alpha) == crit
                 assert sub_psi(family, escort, escort, q, alpha).tobytes() == psi.tobytes()
                 if escort is theta:
+                    # the fit reports c exactly; the computed criterion is within 1 ulp
+                    c = 1.0 / (1.0 - alpha) + 1.0 / alpha
                     result = estimate(family, spec, q)
                     assert result.theta_hat.tobytes() == escort.tobytes()
-                    assert result.criterion_value == crit
+                    assert result.criterion_value == c
+                    assert abs(crit - c) <= np.spacing(c)
 
     def test_nodes_outside_the_support_still_raise(self):
-        # at the escort the tilt reads no density, but the nodes are checked
-        # as the escort's log-density would check them
+        # at the escort the tilt reads no density, but the escort's
+        # log-density, taken up front, checks the nodes
         q = Measure(np.array([0.5, 2.0]), np.array([0.5, 0.5]))
         for call in (
             lambda: sub_criterion(PARETO, [2.0], [2.0], q, 0.5),
@@ -462,6 +465,12 @@ class TestEscortTilt:
         ):
             with pytest.raises(DomainError, match="observations must lie in the support"):
                 call()
+
+    def test_far_node_gives_a_finite_tilt_at_the_escort(self):
+        # a node 2e154 scales from the escort overflows its log-density to
+        # -inf (with no warning); the tilt at the escort, the weights, never reads it
+        q = empirical([2e154, 0.0, 1.0])
+        assert sub_criterion(NORMAL_LOCATION, [0.0], [0.0], q, 0.5) == 4.0
 
     def test_escort_rows_rejected(self):
         with pytest.raises(InvalidInputError, match=r"escort is one parameter, not rows of shape \(2, 2\)"):
@@ -549,6 +558,23 @@ class TestSuperdivergenceEstimator:
                 continue
             near = about_mle(family, theta_mle, cell + offsets)
             assert min(sub_criterion(family, theta, t, q, alpha) for t in near) < c
+
+    @pytest.mark.parametrize("family", SUPER_FAMILIES, ids=lambda f: f.name)
+    def test_criterion_from_the_mle_escort_is_least_there(self, family):
+        # the bound the closed forms rest on, on unequally weighted samples
+        # with 10% outliers: M(mle, t) >= c at random t about the MLE, and
+        # M(mle, mle) is c to within 4 ulp
+        rng = np.random.default_rng(41)
+        xs, _ = contaminated_rows(family, 5, 60, seed=41)
+        for x in xs:
+            w = rng.dirichlet(np.ones(x.size))
+            q = Measure(x, w / w.sum())
+            theta = mle(family, q).theta_hat
+            for alpha in (0.1, 0.25, 0.5, 0.9):
+                c = 1.0 / (1.0 - alpha) + 1.0 / alpha
+                assert abs(sub_criterion(family, theta, theta, q, alpha) - c) <= 4 * np.spacing(c)
+                for t in about_mle(family, theta, rng.uniform(-1.0, 1.0, (20, family.param_dim))):
+                    assert sub_criterion(family, theta, t, q, alpha) >= c * (1.0 - 1e-12)
 
     def test_fisher_consistency_with_inner(self):
         # at the model the estimate is the true scale, and the inner
@@ -1182,6 +1208,33 @@ class TestMomentFixedPoint:
         spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.0, 1.0))
         _, accepted, iterations, _ = _moment_fixed_point(NORMAL, spec, xs, ws)
         assert not accepted.any() and not iterations.any()
+
+    @pytest.mark.parametrize(
+        "family,flat", [(NORMAL, 2.0), (NORMAL_LOCATION, None), (NORMAL_SCALE, 0.0), (PARETO, 1.0)],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    def test_mle_escort_rows_equal_single_calls(self, family, flat):
+        # rows [q, q2, q] from the escort MLE(q): rows 0 and 2 take the
+        # closed form, row 1 the fallback.  A degenerate row (all nodes at
+        # ``flat``; normal-loc has none) makes the batch's MLE raise, so
+        # every row goes to the fallback, which decides rows 0 and 2 alike
+        xs, ws = contaminated_rows(family, 2, 60, seed=16)
+        xs, ws = xs[[0, 1, 0]], ws[[0, 1, 0]]
+        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=tuple(family.mle_parameter(xs[0], ws[0])))
+        batches = [(xs, ws)]
+        if flat is not None:
+            batches.append((np.vstack([xs, np.full(60, flat)]), np.vstack([ws, ws[:1]])))
+        for nodes, weights in batches:
+            theta, criteria, iterations, converged, errors = _fit_rows(family, spec, nodes, weights)
+            assert list(errors) == list(range(3, len(nodes)))
+            assert all(isinstance(e, DegenerateDataError) for e in errors.values())
+            assert iterations[0] == iterations[2] == 0 and iterations[1] > 0
+            for j in range(3):
+                result = estimate(family, spec, Measure(nodes[j], weights[j]))
+                assert theta[j].tobytes() == result.theta_hat.tobytes()
+                assert (criteria[j], iterations[j], converged[j]) == (
+                    result.criterion_value, result.iterations, result.converged
+                )
 
     def test_degenerate_mle_row_accepts_no_row(self):
         # one row with zero spread: no closed-form row is accepted, so

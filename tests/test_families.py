@@ -327,6 +327,14 @@ class TestSampling:
         with pytest.raises(InvalidInputError, match="sample size"):
             PARETO.sample([2.0], 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [5.5, 5.0, True, "5"])
+    def test_rejects_sizes_that_are_not_integers(self, n):
+        # a float size was once truncated: 5.5 drew 5 values
+        for family, theta in ALL_FAMILIES:
+            with pytest.raises(InvalidInputError, match="^sample size must be an integer >= 1"):
+                family.sample(theta, n, np.random.default_rng(0))
+        assert NORMAL.sample([0.0, 1.0], np.int64(5), np.random.default_rng(0)).shape == (5,)
+
 
 class TestMLEParameter:
     def test_normal_closed_form(self):

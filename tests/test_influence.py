@@ -37,7 +37,8 @@ from mindiv.influence import InfluenceCurve
 from mindiv.measures import Measure
 
 # every subdivergence row, a base measure's among them, goes to the fallback
-SUB_SPEC = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.0,))
+# the escort is off the MLE of the bases below (0), so every row reaches the fallback
+SUB_SPEC = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(0.3,))
 
 
 def mle_scale_if(sigma0, x):

@@ -133,9 +133,11 @@ class TestQuadratureOf:
         assert q.integrate(lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-10)
         assert q.integrate(np.log) == pytest.approx(0.5, abs=1e-10)
 
-    def test_node_count_floor(self):
-        with pytest.raises(InvalidInputError):
-            quadrature_of(NORMAL, [0.0, 1.0], 31)
+    @pytest.mark.parametrize("count", [31, 100.7, 64.0, True])
+    def test_node_count_must_be_an_integer_of_32_or_more(self, count):
+        # a float count was once truncated: 100.7 built 100 nodes
+        with pytest.raises(InvalidInputError, match="^node_count must be an integer >= 32"):
+            quadrature_of(NORMAL, [0.0, 1.0], count)
 
 
 class TestContaminate:

@@ -16,8 +16,8 @@ def test_quadratic_minimum():
 
 
 def box(lo, hi):
-    """The box [lo, hi] as ``_newton_polish`` takes it: built on a call."""
-    return lambda: tuple(zip(lo, hi))
+    """The box [lo, hi] as ``_newton_polish`` takes it: (lo, hi) per coordinate."""
+    return tuple(zip(lo, hi))
 
 
 class TestNewtonPolish:
@@ -45,12 +45,9 @@ class TestNewtonPolish:
         x, norm, evals = _newton_polish(lambda v: np.array([v[0] - 2.0]), [3.0], box([1.0], [1.0]), 1e-10)
         assert x[0] == 1.0 and norm == 1.0 and evals == 2
 
-    def test_root_at_start_builds_no_box(self):
-        # a start that is a root comes back as is, unclipped, after one evaluation
-        def no_box():
-            raise AssertionError("box built")
-
-        x, norm, evals = _newton_polish(lambda v: np.array([v[0] - 7.0]), [7.0], no_box, 1e-10)
+    def test_root_at_start_comes_back_unclipped(self):
+        # a start that is a root comes back as is, outside the box, after one evaluation
+        x, norm, evals = _newton_polish(lambda v: np.array([v[0] - 7.0]), [7.0], box([0.0], [5.0]), 1e-10)
         assert x[0] == 7.0 and norm == 0.0 and evals == 1
 
     def test_non_finite_jacobian(self):

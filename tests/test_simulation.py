@@ -60,9 +60,11 @@ class TestSampleContaminated:
         b = sample_contaminated(model(), 1000, rng2)
         assert np.array_equal(a, b)
 
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidInputError, match="sample size"):
-            sample_contaminated(model(), 0, np.random.default_rng(0))
+    @pytest.mark.parametrize("n", [0, 5.5, True])
+    def test_rejects_sizes_that_are_not_integers_of_1_or_more(self, n):
+        # a float size was once truncated: 5.5 drew 5 values
+        with pytest.raises(InvalidInputError, match="^sample size must be an integer >= 1"):
+            sample_contaminated(model(), n, np.random.default_rng(0))
 
     def test_contaminant_fraction_band(self):
         # tail proxy: base mass above 5 sigma is negligible, the wide normal
