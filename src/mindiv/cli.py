@@ -82,14 +82,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _make_spec(args) -> EstimatorSpec:
-    if args.estimator == "subdivergence" and args.escort is None:
-        raise ToolkitError("--escort is required for the subdivergence estimator")
-    if args.estimator != "subdivergence" and args.escort is not None:
-        raise ToolkitError(f"--escort is not accepted by the {args.estimator} estimator")
-    return EstimatorSpec(args.estimator, args.alpha, args.escort)
-
-
 def _non_convergence(family, q, theta) -> str:
     """Why a fit is not converged: it stopped on an edge of the search box,
     or inside it with its estimating-equation residual above tolerance."""
@@ -106,7 +98,7 @@ def _non_convergence(family, q, theta) -> str:
 
 def _cmd_estimate(args) -> int:
     family = get_family(args.family)
-    spec = _make_spec(args)
+    spec = EstimatorSpec(args.estimator, args.alpha, args.escort)
     q = empirical(read_sample(args.data))
     result = estimate(family, spec, q)
     payload = {
@@ -124,7 +116,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_influence(args) -> int:
     family = get_family(args.family)
-    spec = _make_spec(args)
+    spec = EstimatorSpec(args.estimator, args.alpha, args.escort)
     grid = _parse_grid(args.grid)
     curve = influence_curve(family, spec, np.asarray(args.theta), grid, numeric=args.numeric)
     sys.stdout.write(curve.to_csv())

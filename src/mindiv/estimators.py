@@ -429,9 +429,10 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     converged).
 
     A ``_closed_form`` fit is given as the row solver gives it; otherwise
-    the criterion and equation are the kind's pair in ``_EQUATIONS``.
-    Subdivergence first runs Newton from the escort, kept when its residual
-    is below ``_PSI_TOL`` and its criterion no higher than at the escort.
+    the criterion and equation are the kind's pair in ``_EQUATIONS``, each
+    on its own tilt.  Subdivergence first runs Newton from the escort
+    clipped into the family's default box, kept when its residual is below
+    ``_PSI_TOL`` and its criterion no higher than at the escort.
     Otherwise the criterion is minimized over the family's default box (from
     the MLE in 2-d) and polished once by the same Newton iteration: converged
     when that residual is below ``_PSI_TOL`` strictly inside the box, with
@@ -446,17 +447,8 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     q = _rows(family, spec, q.nodes, q.weights)
     criterion, gradient = _EQUATIONS[spec.kind]
     bounds = family.default_bounds(q.nodes, q.weights)
-    # a one-slot memo: the last point's bytes and tilt, so the criterion
-    # where Newton stops takes its equation's
-    last = [None, None]
-
-    def tilt(th):
-        if (key := th.tobytes()) != last[0]:
-            last[:] = key, _tilt(family, spec, th, q)
-        return last[1]
-
-    objective = lambda th: criterion(family, th, q, spec, tilt(th))
-    psi = lambda th: gradient(family, th, q, spec, tilt(th))
+    objective = lambda th: criterion(family, th, q, spec)
+    psi = lambda th: gradient(family, th, q, spec)
     if spec.kind == "subdivergence":
         theta, norm, newton_its = _newton_polish(psi, q.escort, bounds, _PSI_TOL)
         its += newton_its

@@ -322,7 +322,8 @@ class _NormalKind(Family):
         # e_1..e_4, e_1 and e_2 (normal-loc), or e_2 and e_4 (normal-scale)
         e, mass = _tilted_moments(u, d if loc else d * d, w, 4 if loc and scale else 2)
         e1, e2, e3, e4 = e if loc and scale else [*e, 0.0, 0.0] if loc else [0.0, e[0], 0.0, e[1]]
-        h = a / (sigma * sigma)
+        # sigma^2 may underflow to 0 on one parameter (floats): inf, not ZeroDivisionError
+        h = np.divide(a, sigma * sigma)
         # F - theta and I - dF/dtheta
         if loc:
             f1, j11 = e1, 1.0 - h * (e2 - e1 * e1)

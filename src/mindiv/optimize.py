@@ -3,9 +3,9 @@
 The 1-d solver is bounded golden-section/parabolic search; the 2-d solver
 is simplex descent with one restart.  Both are plain box minimizers that
 report the minimum they find.  ``_newton_polish`` is a damped Newton
-iteration on an estimating function inside a box; the estimators call it
-after a search (and from a subdivergence escort) and decide there whether
-a fit converged.
+iteration on an estimating function inside a box, from a start clipped
+into it; the estimators call it after a search (and from a subdivergence
+escort) and decide there whether a fit converged.
 """
 
 from __future__ import annotations
@@ -43,22 +43,18 @@ def _psi_vector(psi, x) -> np.ndarray:
 
 def _newton_polish(psi, x0, bounds, psi_tol: float):
     """Damped Newton iteration on ``psi(x) = 0`` inside the box of (lo, hi)
-    ``bounds`` per coordinate.
+    ``bounds`` per coordinate, each with lo < hi.
 
     Returns (x, the max-norm of psi at x, psi evaluations) after at most 40
-    Newton steps.  Keeps the best iterate seen; never leaves the box: a
-    root at the start comes back as is, another start is clipped into it.
+    Newton steps.  The start is clipped into the box before its first
+    evaluation; keeps the best iterate seen and never leaves the box.
     """
-    x = np.asarray(x0, dtype=float)
+    lo, hi = np.array(bounds, dtype=float).T
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     # psi may overflow at trial points; those show as non-finite norms
     with np.errstate(invalid="ignore", over="ignore"):
         p = _psi_vector(psi, x)
         evals = 1
-        if (norm := float(np.abs(p).max())) < 1e-2 * psi_tol:
-            return x.copy(), norm, evals
-        lo, hi = np.array(bounds, dtype=float).T
-        if not np.array_equal(x, clipped := np.clip(x, lo, hi)):
-            x, p, evals = clipped, _psi_vector(psi, clipped), evals + 1
         if not np.isfinite(p).all():
             return x, math.inf, evals
         best_x, best_norm = x.copy(), float(np.abs(p).max())
@@ -67,20 +63,16 @@ def _newton_polish(psi, x0, bounds, psi_tol: float):
             if best_norm < 1e-2 * psi_tol:
                 break
             jac = np.empty((d, d))
-            ok = True
             for j in range(d):
+                # h is far above an ulp of x, so for lo < hi the span is above 0
                 h = 1e-6 * (1.0 + abs(x[j]))
                 xp = x.copy()
                 xm = x.copy()
                 xp[j] = min(x[j] + h, hi[j])
                 xm[j] = max(x[j] - h, lo[j])
-                span = xp[j] - xm[j]
-                if span <= 0.0:
-                    ok = False
-                    break
-                jac[:, j] = (_psi_vector(psi, xp) - _psi_vector(psi, xm)) / span
+                jac[:, j] = (_psi_vector(psi, xp) - _psi_vector(psi, xm)) / (xp[j] - xm[j])
                 evals += 2
-            if not ok or not np.all(np.isfinite(jac)):
+            if not np.all(np.isfinite(jac)):
                 break
             try:
                 step = np.linalg.solve(jac, p)

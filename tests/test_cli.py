@@ -38,8 +38,8 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "estimator,extra,message",
         [
-            ("subdivergence", [], "--escort is required for the subdivergence estimator"),
-            ("renyi", ["--escort", "0,1"], "--escort is not accepted by the renyi estimator"),
+            ("subdivergence", [], "subdivergence requires an escort parameter"),
+            ("renyi", ["--escort", "0,1"], "renyi does not take an escort parameter"),
         ],
         ids=["missing", "not-accepted"],
     )

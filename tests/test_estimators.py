@@ -273,9 +273,8 @@ class TestSubdivergenceEstimator:
                 assert result.criterion_value == 1.0 / (1.0 - alpha) + 1.0 / alpha
         assert calls == []
 
-    def test_escort_outside_box_is_clipped_after_one_evaluation(self, monkeypatch):
-        # Newton's first residual is at the escort itself, its second at the
-        # escort clipped into the box
+    def test_escort_outside_box_is_clipped_before_first_evaluation(self, monkeypatch):
+        # Newton's first residual is at the escort clipped into the box
         q = empirical(np.random.default_rng(12).standard_normal(40))
         ((_, hi),) = NORMAL_LOCATION.default_bounds(q.nodes, q.weights)
         assert hi < 20.0
@@ -284,7 +283,7 @@ class TestSubdivergenceEstimator:
         recording = lambda family, theta, *args: points.append(float(theta[0])) or gradient(family, theta, *args)
         monkeypatch.setitem(mindiv.estimators._EQUATIONS, "subdivergence", (criterion, recording))
         estimate(NORMAL_LOCATION, EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(20.0,)), q)
-        assert points[:2] == [20.0, hi]
+        assert points[0] == hi
 
     @pytest.mark.parametrize(
         "family,theta,escort,grid",
@@ -1407,8 +1406,13 @@ class TestDegenerateSample:
             (NORMAL, [0.1] * 30),
             (NORMAL_SCALE, [0.0] * 50),
             (PARETO, [1.0] * 50),
+            # sigma^2 underflows to 0 below ~1.5e-162: a single fit steps on
+            # Python floats, and its Newton step divided by it
+            (NORMAL, list(1e-163 * np.random.default_rng(0).standard_normal(50))),
+            (NORMAL_SCALE, list(1e-163 * np.random.default_rng(0).standard_normal(50))),
         ],
-        ids=["normal-1e12", "normal-3", "normal-5", "normal-0.1", "normal-scale-0", "pareto-1"],
+        ids=["normal-1e12", "normal-3", "normal-5", "normal-0.1", "normal-scale-0", "pareto-1",
+             "normal-1e-163", "normal-scale-1e-163"],
     )
     def test_raises_as_mle(self, family, xs, kind):
         q = empirical(xs)

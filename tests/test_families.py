@@ -368,6 +368,28 @@ class TestMLEParameter:
         assert NORMAL_SCALE.default_bounds(np.array([0.0, 0.0]), w) == ((1e-3, 10.0),)
         assert PARETO.default_bounds(np.array([1.0, 1.0]), w) == ((1e-3, 1e3),)
 
+    @pytest.mark.parametrize("family", [f for f, _ in ALL_FAMILIES], ids=lambda f: f.name)
+    def test_search_box_has_width_on_extreme_samples(self, family):
+        # each coordinate has lo < hi, so a central difference inside the box
+        # spans more than 0; the one exception is a scale box whose second
+        # moment overflows, (inf, inf), on which no parameter is valid
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 7, 1000):
+            z, w = rng.standard_normal(n), np.full(n, 1.0 / n)
+            for scale in (1e-300, 1e-163, 1e-8, 1.0, 1e8, 1e163, 1e300):
+                for offset in (-1e300, -1e8, 0.0, 1e8, 1e300):
+                    mostly_equal = np.where(np.arange(n) == 0, offset + scale * z[0], offset)
+                    for x in (offset + scale * z, mostly_equal):
+                        if family is PARETO:
+                            x = 1.0 + np.abs(x)
+                        centre = w @ x if family is not NORMAL_SCALE else 0.0
+                        with np.errstate(over="ignore"):
+                            moment = w @ np.square(x - centre)
+                            box = family.default_bounds(x, w)
+                        for lo, hi in box:
+                            overflow = family is not PARETO and math.isinf(moment)
+                            assert lo < hi or (overflow and lo == hi == math.inf), (n, scale, offset, lo, hi)
+
 
 def sorted_quantile(x, w, p):
     """Reference for ``_row_quantile``: sort each row, then take the first

@@ -39,16 +39,12 @@ class TestNewtonPolish:
         x, norm, evals = _newton_polish(lambda v: np.array([math.nan]), [1.0], box([0.0], [5.0]), 1e-10)
         assert x[0] == 1.0 and norm == math.inf and evals == 1
 
-    def test_zero_width_box_coordinate(self):
-        # the start 3 is evaluated, then clipped to 1 and evaluated again; no
-        # difference step fits in [1, 1], so the clipped start is returned
-        x, norm, evals = _newton_polish(lambda v: np.array([v[0] - 2.0]), [3.0], box([1.0], [1.0]), 1e-10)
-        assert x[0] == 1.0 and norm == 1.0 and evals == 2
-
-    def test_root_at_start_comes_back_unclipped(self):
-        # a start that is a root comes back as is, outside the box, after one evaluation
-        x, norm, evals = _newton_polish(lambda v: np.array([v[0] - 7.0]), [7.0], box([0.0], [5.0]), 1e-10)
-        assert x[0] == 7.0 and norm == 0.0 and evals == 1
+    def test_root_outside_box_is_clipped_before_first_evaluation(self):
+        # a start outside the box is clipped before psi sees it, even a root
+        points = []
+        psi = lambda v: points.append(float(v[0])) or np.array([v[0] - 7.0])
+        x, norm, _ = _newton_polish(psi, [7.0], box([0.0], [5.0]), 1e-10)
+        assert points[0] == 5.0 and x[0] == 5.0 and norm == 2.0
 
     def test_non_finite_jacobian(self):
         # finite at the start only: both difference points overflow
