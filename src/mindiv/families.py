@@ -171,7 +171,9 @@ class Family:
         raise NotImplementedError
 
     def default_bounds(self, nodes, weights) -> tuple[tuple[float, float], ...]:
-        """Search box for bounded optimization, derived from the sample."""
+        """Search box for bounded optimization, one (lo, hi) per coordinate,
+        about the sample's MLE; ``DegenerateDataError`` where
+        ``mle_parameter`` raises it."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -216,34 +218,13 @@ def _tilted_moments(u: np.ndarray, d: np.ndarray, w, top: int):
     return means, (total if full else total * w)
 
 
-def _location_bounds(nodes, weights) -> tuple[float, float]:
-    xmin = float(np.min(nodes))
-    xmax = float(np.max(nodes))
-    row = np.asarray(nodes)[None], np.asarray(weights)[None]
-    iqr = float(_row_quantile(*row, 0.75)[0]) - float(_row_quantile(*row, 0.25)[0])
-    if iqr <= 0.0:
-        mean = float(weights @ nodes)
-        iqr = max(abs(mean), 1.0)
-    return xmin - 10.0 * iqr, xmax + 10.0 * iqr
-
-
-def _scale_bounds(nodes, weights, centre: float) -> tuple[float, float]:
-    var = float(weights @ (np.asarray(nodes) - centre) ** 2)
-    sd = math.sqrt(max(var, 0.0))
-    if sd <= 0.0:
-        # Single-point or constant samples: fall back to the magnitude scale
-        # so the box stays nondegenerate.
-        sd = max(abs(centre), 1.0)
-    return 1e-3 * sd, 10.0 * sd
-
-
 class _NormalKind(Family):
     """Shared machinery for the three normal parameterizations.
 
     ``_free`` lists the coordinates of (mu, sigma) that a kind estimates;
     the submodels fix the other one at mu = 0 or sigma = 1.  The model
     centre of a sample is its mean when mu is free and 0 otherwise; the
-    MLE scale and the scale search box are both spreads about it.
+    MLE scale is the spread about it; the search box is about the MLE.
     """
 
     support = (-math.inf, math.inf)
@@ -285,11 +266,17 @@ class _NormalKind(Family):
         return np.array([(mu, np.sqrt(var))[i] for i in self._free]).T
 
     def default_bounds(self, nodes, weights):
-        box = []
+        """mu within the sample's range widened by ten interquartile ranges
+        (by the MLE's |mu|, at least 1, where the IQR is 0); sigma within
+        (1e-3, 10) times the MLE's."""
+        theta, box = self.mle_parameter(nodes, weights).tolist(), []
         if 0 in self._free:
-            box.append(_location_bounds(nodes, weights))
+            row = np.asarray(nodes)[None], np.asarray(weights)[None]
+            iqr = float(_row_quantile(*row, 0.75)[0]) - float(_row_quantile(*row, 0.25)[0])
+            iqr = iqr if iqr > 0.0 else max(abs(theta[0]), 1.0)
+            box.append((float(np.min(nodes)) - 10.0 * iqr, float(np.max(nodes)) + 10.0 * iqr))
         if 1 in self._free:
-            box.append(_scale_bounds(nodes, weights, float(weights @ nodes) if 0 in self._free else 0.0))
+            box.append((1e-3 * theta[-1], 10.0 * theta[-1]))
         return tuple(box)
 
     def _moment_start(self, x, w):
@@ -371,7 +358,10 @@ class _NormalKind(Family):
         b = k = 1.0 + e - c
         if c:
             mu_o, sigma_o = self._loc_scale(other)
-            r, u = (sigma / sigma_o) ** 2, (mu_o - mu) / sigma
+            try:  # a float's ** raises OverflowError where numpy gives inf
+                r, u = (sigma / sigma_o) ** 2, (mu_o - mu) / sigma
+            except OverflowError:
+                raise DomainError(f"the ratio of scales ({sigma}, {sigma_o}) squared overflows") from None
             if (k := b + c * r) <= 0.0:
                 raise DomainError(f"no normal is p_theta^{b!r} p_other^{c!r} at scales ({sigma}, {sigma_o})")
             z = c * r * u / k
@@ -493,11 +483,8 @@ class Pareto(Family):
         return (1.0 / mean_log)[..., None]
 
     def default_bounds(self, nodes, weights):
-        mean_log = float(weights @ np.log(_pareto_support(nodes)))
-        if mean_log > 0.0:
-            center = 1.0 / mean_log
-            return ((center / 100.0, center * 100.0),)
-        return ((1e-3, 1e3),)
+        (shape,) = self.mle_parameter(nodes, weights).tolist()
+        return ((shape / 100.0, shape * 100.0),)
 
     def _moment_start(self, x, w):
         """ln 2 over the weighted median of log x: the shape whose median is

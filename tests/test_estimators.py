@@ -15,6 +15,7 @@ from mindiv import (
     ContaminationModel,
     DegenerateDataError,
     DomainError,
+    EstimationError,
     EstimatorSpec,
     InvalidInputError,
     Measure,
@@ -374,15 +375,37 @@ class TestSubdivergenceEstimator:
     )
     def test_degenerate_sample_raises_as_mle(self, monkeypatch, family, xs, escort):
         # the criterion reaches its infimum 0 only as the fit degenerates, so
-        # no estimate exists; the fit raises before Newton evaluates its equation
+        # no estimate exists; the fit raises before Newton evaluates its
+        # equation, and every robust kind raises before any search box is built
         calls = []
         criterion, psi = mindiv.estimators._EQUATIONS["subdivergence"]
         counting = lambda *args: calls.append(args) or psi(*args)
         monkeypatch.setitem(mindiv.estimators._EQUATIONS, "subdivergence", (criterion, counting))
-        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=escort)
-        with pytest.raises(DegenerateDataError):
-            estimate(family, spec, empirical(xs))
+
+        def no_box(*args):
+            raise AssertionError("search box built")
+
+        monkeypatch.setattr(family, "default_bounds", no_box)
+        for spec in (
+            EstimatorSpec(kind="subdivergence", alpha=0.5, escort=escort),
+            EstimatorSpec(kind="power-pseudo", alpha=0.5),
+            EstimatorSpec(kind="renyi", alpha=0.5),
+        ):
+            with pytest.raises(DegenerateDataError):
+                estimate(family, spec, empirical(xs))
         assert calls == []
+
+    def test_escort_scale_ratio_overflow_is_a_domain_error(self):
+        # sigma / sigma_escort ~ 9e154 from escort 1e-158: its square
+        # overflows a float, which the two-member closed form reports as a
+        # DomainError, in a single fit and in a numeric curve's base fit
+        q = empirical(np.random.default_rng(0).standard_normal(50))
+        spec = EstimatorSpec(kind="subdivergence", alpha=0.5, escort=(1e-158,))
+        with pytest.raises(DomainError, match="squared overflows"):
+            estimate(NORMAL_SCALE, spec, q)
+        with pytest.raises(EstimationError, match="failed at base measure: .* squared overflows") as err:
+            influence_curve(NORMAL_SCALE, spec, [1.0], np.linspace(-3.0, 3.0, 7), numeric=True)
+        assert isinstance(err.value.__cause__, DomainError)
 
     def test_location_consistency_loss(self):
         # unit-scale location submodel fed data of scale 2: the fixed point

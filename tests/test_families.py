@@ -360,16 +360,37 @@ class TestMLEParameter:
         assert NORMAL_SCALE.mle_parameter(xs, w)[0] == math.sqrt((w * xs * xs).sum())
         assert NORMAL_LOCATION.mle_parameter(xs, w)[0] == (w * xs).sum()
 
-    def test_degenerate_samples_get_a_search_box(self):
+    @pytest.mark.parametrize(
+        "family,xs",
+        [(NORMAL, [2.0, 2.0]), (NORMAL_SCALE, [0.0, 0.0]), (PARETO, [1.0, 1.0])],
+        ids=["normal", "normal-scale", "pareto"],
+    )
+    def test_degenerate_samples_have_no_search_box(self, family, xs):
         # zero spread on the normal kinds, or every x at 1 on Pareto: the box
-        # falls back to the sample's magnitude and stays nondegenerate
-        w = np.array([0.5, 0.5])
-        assert NORMAL.default_bounds(np.array([2.0, 2.0]), w) == ((-18.0, 22.0), (2e-3, 20.0))
-        assert NORMAL_SCALE.default_bounds(np.array([0.0, 0.0]), w) == ((1e-3, 10.0),)
-        assert PARETO.default_bounds(np.array([1.0, 1.0]), w) == ((1e-3, 1e3),)
+        # is built about the MLE, so it raises as the MLE does
+        x, w = np.array(xs), np.array([0.5, 0.5])
+        with pytest.raises(DegenerateDataError):
+            family.mle_parameter(x, w)
+        with pytest.raises(DegenerateDataError):
+            family.default_bounds(x, w)
+
+    def test_search_box_is_about_the_mle(self):
+        # the scale box is (1e-3, 10) times the MLE's sigma, the Pareto box
+        # (1/100, 100) times its shape, to the last bit
+        rng = np.random.default_rng(21)
+        for n in (3, 10, 57, 400):
+            for _ in range(10):
+                w = rng.random(n)
+                w /= w.sum()
+                z = rng.standard_normal(n)
+                for family, x in ((NORMAL, 3.0 + z), (NORMAL_SCALE, z), (PARETO, 1.0 + np.abs(z))):
+                    *_, fit = family.mle_parameter(x, w).tolist()
+                    box = (1e-3 * fit, 10.0 * fit) if family is not PARETO else (fit / 100.0, 100.0 * fit)
+                    assert family.default_bounds(x, w)[-1] == box, (family.name, n)
 
     @pytest.mark.parametrize("family", [f for f, _ in ALL_FAMILIES], ids=lambda f: f.name)
     def test_search_box_has_width_on_extreme_samples(self, family):
+        # a sample the MLE cannot fit has no box either; on every other one
         # each coordinate has lo < hi, so a central difference inside the box
         # spans more than 0; the one exception is a scale box whose second
         # moment overflows, (inf, inf), on which no parameter is valid
@@ -385,11 +406,16 @@ class TestMLEParameter:
                         centre = w @ x if family is not NORMAL_SCALE else 0.0
                         with np.errstate(over="ignore"):
                             moment = w @ np.square(x - centre)
+                            try:
+                                family.mle_parameter(x, w)
+                            except DegenerateDataError:
+                                with pytest.raises(DegenerateDataError):
+                                    family.default_bounds(x, w)
+                                continue
                             box = family.default_bounds(x, w)
                         for lo, hi in box:
                             overflow = family is not PARETO and math.isinf(moment)
                             assert lo < hi or (overflow and lo == hi == math.inf), (n, scale, offset, lo, hi)
-
 
 def sorted_quantile(x, w, p):
     """Reference for ``_row_quantile``: sort each row, then take the first
