@@ -467,8 +467,11 @@ class Pareto(Family):
         return u ** (-1.0 / sh)
 
     def integration_grid(self, thetas, node_count: int = _GRID_N):
-        shapes = [float(self.validate_param(t)[0]) for t in thetas]
-        u_max = _PARETO_LOG_SPAN / min(shapes)
+        shape = min(float(self.validate_param(t)[0]) for t in thetas)
+        # e^u of a wider window passes the largest float
+        if shape < (least := _PARETO_LOG_SPAN / math.log(np.finfo(float).max)):
+            raise DomainError(f"Pareto shape {shape!r} is below {least:.6g}, the least shape whose grid is finite")
+        u_max = _PARETO_LOG_SPAN / shape
         # Substitution u = ln x turns dx into e^u du on a finite window.
         u, w = _gauss_nodes(0.0, u_max, node_count)
         x = np.exp(u)

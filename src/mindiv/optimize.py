@@ -1,11 +1,11 @@
 """Bounded derivative-free minimization and a Newton root polish.
 
 The 1-d solver is bounded golden-section/parabolic search; the 2-d solver
-is simplex descent with one restart.  Both are plain box minimizers that
-report the minimum they find.  ``_newton_polish`` is a damped Newton
-iteration on an estimating function inside a box, from a start clipped
-into it; the estimators call it after a search (and from a subdivergence
-escort) and decide there whether a fit converged.
+is one simplex descent.  Both are plain box minimizers that report the
+point they find and their objective evaluations.  ``_newton_polish`` is a
+damped Newton iteration on an estimating function inside a box, from a
+start clipped into it; the estimators call it after a search (and from a
+subdivergence escort) and decide there whether a fit converged.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from .errors import EvaluationError
 @dataclass(frozen=True)
 class SolveResult:
     x: np.ndarray
-    fun: float
     iterations: int
-    converged: bool
 
 
 def _checked(objective):
@@ -37,30 +35,27 @@ def _checked(objective):
     return f
 
 
-def _psi_vector(psi, x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(psi(x), dtype=float))
-
-
 def _newton_polish(psi, x0, bounds, psi_tol: float):
     """Damped Newton iteration on ``psi(x) = 0`` inside the box of (lo, hi)
     ``bounds`` per coordinate, each with lo < hi.
 
-    Returns (x, the max-norm of psi at x, psi evaluations) after at most 40
-    Newton steps.  The start is clipped into the box before its first
-    evaluation; keeps the best iterate seen and never leaves the box.
+    ``psi`` returns a float (d,) array.  Returns (x, the max-norm of psi at
+    x, psi evaluations) after at most 40 Newton steps.  The start is clipped
+    into the box before its first evaluation; a damped step is taken only
+    when it lowers the norm, and never leaves the box.
     """
     lo, hi = np.array(bounds, dtype=float).T
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     # psi may overflow at trial points; those show as non-finite norms
     with np.errstate(invalid="ignore", over="ignore"):
-        p = _psi_vector(psi, x)
+        p = psi(x)
         evals = 1
         if not np.isfinite(p).all():
             return x, math.inf, evals
-        best_x, best_norm = x.copy(), float(np.abs(p).max())
+        norm = float(np.abs(p).max())
         d = x.size
         for _ in range(40):
-            if best_norm < 1e-2 * psi_tol:
+            if norm < 1e-2 * psi_tol:
                 break
             jac = np.empty((d, d))
             for j in range(d):
@@ -70,7 +65,7 @@ def _newton_polish(psi, x0, bounds, psi_tol: float):
                 xm = x.copy()
                 xp[j] = min(x[j] + h, hi[j])
                 xm[j] = max(x[j] - h, lo[j])
-                jac[:, j] = (_psi_vector(psi, xp) - _psi_vector(psi, xm)) / (xp[j] - xm[j])
+                jac[:, j] = (psi(xp) - psi(xm)) / (xp[j] - xm[j])
                 evals += 2
             if not np.all(np.isfinite(jac)):
                 break
@@ -80,20 +75,17 @@ def _newton_polish(psi, x0, bounds, psi_tol: float):
                 break
             if not np.all(np.isfinite(step)):
                 break
-            improved = False
             for damp in (1.0, 0.5, 0.25, 0.1, 0.01):
                 trial = np.clip(x - damp * step, lo, hi)
-                pt = _psi_vector(psi, trial)
+                pt = psi(trial)
                 evals += 1
-                norm = float(np.max(np.abs(pt)))
-                if math.isfinite(norm) and norm < best_norm:
-                    x, p = trial, pt
-                    best_x, best_norm = trial.copy(), norm
-                    improved = True
+                trial_norm = float(np.max(np.abs(pt)))
+                if math.isfinite(trial_norm) and trial_norm < norm:
+                    x, p, norm = trial, pt, trial_norm
                     break
-            if not improved:
+            else:
                 break
-    return best_x, best_norm, evals
+    return x, norm, evals
 
 
 def solve_1d(objective, bounds: tuple[float, float]) -> SolveResult:
@@ -120,12 +112,12 @@ def solve_1d(objective, bounds: tuple[float, float]) -> SolveResult:
         res = _sciopt.minimize_scalar(
             f, bounds=(b_lo, b_hi), method="bounded", options={"xatol": 1e-6, "maxiter": 500}
         )
-    x = np.array([float(res.x)])
-    return SolveResult(x=x, fun=float(res.fun), iterations=iters + int(res.nfev), converged=bool(res.success))
+    return SolveResult(x=np.array([float(res.x)]), iterations=iters + int(res.nfev))
 
 
 def solve_2d(objective, bounds, x0) -> SolveResult:
-    """Minimize a 2-d objective on a box via simplex descent with restart."""
+    """Minimize a 2-d objective on a box by one Nelder-Mead descent from
+    ``x0`` clipped into the box."""
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     start = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -134,13 +126,5 @@ def solve_2d(objective, bounds, x0) -> SolveResult:
     box = _sciopt.Bounds(lo, hi)
     with np.errstate(invalid="ignore", over="ignore"):
         res = _sciopt.minimize(f, start, method="Nelder-Mead", bounds=box, options=opts)
-        # Restart from the first solution; a fresh simplex escapes collapsed ones.
-        res2 = _sciopt.minimize(f, res.x, method="Nelder-Mead", bounds=box, options=opts)
-    best = res2 if res2.fun <= res.fun else res
-    # scipy clips every simplex vertex into the box, so best.x lies in it
-    return SolveResult(
-        x=np.asarray(best.x, dtype=float),
-        fun=float(best.fun),
-        iterations=int(res.nfev + res2.nfev),
-        converged=bool(best.success),
-    )
+    # scipy clips every simplex vertex into the box, so res.x lies in it
+    return SolveResult(x=np.asarray(res.x, dtype=float), iterations=int(res.nfev))

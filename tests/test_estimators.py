@@ -40,6 +40,7 @@ from mindiv.estimators import (
     _PSI_TOL,
     KINDS,
     _Rows,
+    _fallback,
     _fit_rows,
     _moment_fixed_point,
     _pseudo_criterion,
@@ -1392,6 +1393,24 @@ class TestMomentFixedPoint:
             result = estimate(PARETO, EstimatorSpec(kind=kind, alpha=0.5), empirical(xs[0]))
             assert result.converged and result.iterations >= 1
             assert 1.0 < result.theta_hat[0] < 3.0
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_2d_fallback_finds_the_row_solvers_root(self, kind, alpha):
+        # the simplex search from the MLE and one polish reach the root the
+        # row solver accepts, strictly inside the box, on contaminated samples
+        spec = EstimatorSpec(kind=kind, alpha=alpha)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            xs = rng.standard_normal(50)
+            xs[:8] = 5.0 * rng.standard_cauchy(8)
+            ws = np.full(50, 1.0 / 50)
+            theta, _, _, converged, _ = _fit_rows(NORMAL, spec, xs[None], ws[None])
+            fit, _, _, fit_converged = _fallback(NORMAL, spec, _Rows(xs, ws), 0)
+            lo, hi = np.array(NORMAL.default_bounds(xs, ws)).T
+            assert converged[0] and fit_converged
+            assert np.all((lo < fit) & (fit < hi))
+            assert np.allclose(fit, theta[0], rtol=1e-8, atol=0.0)
 
 
 class TestMLE:

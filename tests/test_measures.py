@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from mindiv import (
+    DomainError,
+    EstimatorSpec,
     IntegrationError,
     InvalidInputError,
     Measure,
@@ -15,6 +17,7 @@ from mindiv import (
     SampleParseError,
     contaminate,
     empirical,
+    influence_curve,
     quadrature_of,
     read_sample,
 )
@@ -132,6 +135,17 @@ class TestQuadratureOf:
         q = quadrature_of(PARETO, [2.0], 512)
         assert q.integrate(lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-10)
         assert q.integrate(np.log) == pytest.approx(0.5, abs=1e-10)
+
+    def test_pareto_grid_below_least_shape_is_a_domain_error(self):
+        # the log window reaches 30 / shape, and e^u overflows past ln(max float)
+        with pytest.raises(DomainError, match=r"Pareto shape 0\.04 is below 0\.0422665"):
+            quadrature_of(PARETO, [0.04])
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_pareto_curve_at_least_shape_is_finite(self, numeric):
+        spec = EstimatorSpec(kind="renyi", alpha=0.5)
+        curve = influence_curve(PARETO, spec, [0.0423], [1.5, 2.25, 3.0], numeric=numeric)
+        assert np.isfinite(curve.values).all()
 
     @pytest.mark.parametrize("count", [31, 100.7, 64.0, True])
     def test_node_count_must_be_an_integer_of_32_or_more(self, count):
