@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .errors import EstimationError, ToolkitError
+from .errors import EstimationError, InvalidInputError, ToolkitError
 from .estimators import KINDS, EstimatorSpec, estimate
 from .families import get_family
 from .influence import influence_curve
@@ -42,12 +42,15 @@ def _floats(text: str) -> tuple[float, ...]:
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must be min:max:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        raise InvalidInputError(f"grid must be min:max:count, got {text!r}")
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise InvalidInputError(str(exc)) from None
     if not lo < hi:
-        raise ValueError(f"grid minimum must be below maximum, got {text!r}")
+        raise InvalidInputError(f"grid minimum must be below maximum, got {text!r}")
     if count < 2:
-        raise ValueError(f"grid needs at least 2 points, got {count}")
+        raise InvalidInputError(f"grid needs at least 2 points, got {count}")
     return np.linspace(lo, hi, count)
 
 
@@ -159,11 +162,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else int(code)
+        return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return _COMMANDS[args.command](args)
-    except (ToolkitError, OSError, ValueError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"mindiv: error: {exc}", file=sys.stderr)
         # an EstimationError without a cause reports a fit that did not
         # converge; one that wraps another toolkit error is an input failure

@@ -9,9 +9,9 @@ fits that are the MLE: the superdivergence estimate, and a subdivergence
 fit whose escort is exactly the sample's MLE.
 
 Subdivergence, power-pseudo and Renyi each have one (criterion, estimating
-equation) pair in ``_EQUATIONS`` on one shared ``_tilt``, which the fit
-drivers and ``_point_psi`` use; every model term is one closed form,
-``Family._power_product``, with no grid.
+equation) pair in ``_EQUATIONS``, which the fit drivers and ``_point_psi``
+use; every caller passes both the sample's ``_tilt`` at theta, and every
+model term is one closed form, ``Family._power_product``, with no grid.
 
 One fit driver, ``_fit_rows``, fits (R, n) rows of nodes and weights;
 ``estimate`` is one row of it.  Its row solver, ``_moment_fixed_point``,
@@ -157,40 +157,34 @@ def _tilted_sum(w, cols):
     return np.array([(w * s).sum(axis=-1) for s in cols]).T
 
 
-def _sub_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
+def _sub_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt):
     a = spec.alpha
-    w = _tilt(family, spec, theta, q) if tilt is None else tilt
     ratio = next(family._power_product(family.validate_param(theta), q.escort, 0.0, a))
-    return ratio / (1.0 - a) + w.sum(axis=-1) / a
+    return ratio / (1.0 - a) + tilt.sum(axis=-1) / a
 
 
-def _sub_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -> np.ndarray:
-    a, theta = spec.alpha, family.validate_param(theta)
-    w = _tilt(family, spec, theta, q) if tilt is None else tilt
-    ratio, mean = family._power_product(theta, q.escort, 0.0, a)
-    return ratio * mean - _tilted_sum(w, family._score_cols(theta, q.nodes))
+def _sub_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
+    theta = family.validate_param(theta)
+    ratio, mean = family._power_product(theta, q.escort, 0.0, spec.alpha)
+    return ratio * mean - _tilted_sum(tilt, family._score_cols(theta, q.nodes))
 
 
-def _pseudo_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
+def _pseudo_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt):
     a = spec.alpha
-    qp = (_tilt(family, spec, theta, q) if tilt is None else tilt).sum(axis=-1)
-    return family.power_mass_integral(theta, a) / (1.0 + a) - qp / a
+    return family.power_mass_integral(theta, a) / (1.0 + a) - tilt.sum(axis=-1) / a
 
 
-def _pseudo_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -> np.ndarray:
-    w = _tilt(family, spec, theta, q) if tilt is None else tilt
+def _pseudo_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
     mass, mean = family._power_product(family.validate_param(theta), None, spec.alpha, 0.0)
-    return mass * mean - _tilted_sum(w, family._score_cols(theta, q.nodes))
+    return mass * mean - _tilted_sum(tilt, family._score_cols(theta, q.nodes))
 
 
-def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt=None):
-    log_qp, _ = _tilt(family, spec, theta, q) if tilt is None else tilt
-    return np.log(family.renyi_normalizer(theta, spec.alpha)) - log_qp
+def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt):
+    return np.log(family.renyi_normalizer(theta, spec.alpha)) - tilt[0]
 
 
-def _renyi_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt=None) -> np.ndarray:
-    _, w = _tilt(family, spec, theta, q) if tilt is None else tilt
-    w = w / w.sum(axis=-1, keepdims=True)
+def _renyi_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
+    w = tilt[1] / tilt[1].sum(axis=-1, keepdims=True)
     return family.weighted_score_mean(theta, spec.alpha) - _tilted_sum(w, family._score_cols(theta, q.nodes))
 
 
@@ -207,8 +201,8 @@ def _sub_args(family: Family, escort, theta, q, alpha: float):
     if not 0.0 < a < 1.0:
         raise DomainError(f"subdivergence criterion needs alpha in (0, 1), got {alpha!r}")
     spec = EstimatorSpec("subdivergence", a, escort)
-    rows = _rows(family, spec, q.nodes, q.weights)
-    return family, family._one_param(theta), rows, spec
+    rows, theta = _rows(family, spec, q.nodes, q.weights), family._one_param(theta)
+    return family, theta, rows, spec, _tilt(family, spec, theta, rows)
 
 
 def sub_criterion(family: Family, escort, theta, q: Measure, alpha: float) -> float:
@@ -233,8 +227,7 @@ def sub_divergence(family: Family, escort, theta, q: Measure, alpha: float) -> f
 
     Maximal in ``theta`` exactly at the parameter generating ``q``.
     """
-    crit = sub_criterion(family, escort, theta, q, alpha)
-    return orthogonal_constant(float(alpha)) - crit
+    return orthogonal_constant(float(alpha)) - sub_criterion(family, escort, theta, q, alpha)
 
 
 def _point_psi(family: Family, spec: EstimatorSpec, theta, x) -> np.ndarray:
@@ -276,7 +269,8 @@ def renyi_pseudodistance(family: Family, theta, q_measure, q_density, alpha: flo
     if a < BRANCH_TOL:
         return float(q_measure.weights @ (lq - family.log_density(theta, q_measure.nodes)))
     log_qq, _ = log_sum_exp(np.log(q_measure.weights) + a * lq)
-    neg_log = _renyi_neg_log(family, theta, q_measure, EstimatorSpec("renyi", a))
+    spec = EstimatorSpec("renyi", a)
+    neg_log = _renyi_neg_log(family, theta, q_measure, spec, _tilt(family, spec, theta, q_measure))
     return float(neg_log / a + log_qq / (a * (1.0 + a)))
 
 
@@ -402,10 +396,10 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
         pick = rows[0] if rows.size == 1 else rows
         q = _Rows(x[pick], w_map[pick])
         criterion, gradient = _EQUATIONS[spec.kind]
-        at_theta = _tilt(family, spec, theta[pick], q)
+        at_theta, at_start = (_tilt(family, spec, th[pick], q) for th in (theta, start))
         psi = gradient(family, theta[pick], q, spec, at_theta)
         crit = criterion(family, theta[pick], q, spec, at_theta)
-        good = (np.abs(psi).max(axis=-1) < _PSI_TOL) & (crit <= criterion(family, start[pick], q, spec))
+        good = (np.abs(psi).max(axis=-1) < _PSI_TOL) & (crit <= criterion(family, start[pick], q, spec, at_start))
     accepted[rows] = good
     criteria[rows] = crit
     return theta, accepted, iterations, criteria
@@ -447,8 +441,8 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     q = _rows(family, spec, q.nodes, q.weights)
     criterion, gradient = _EQUATIONS[spec.kind]
     bounds = family.default_bounds(q.nodes, q.weights)
-    objective = lambda th: criterion(family, th, q, spec)
-    psi = lambda th: gradient(family, th, q, spec)
+    objective = lambda th: criterion(family, th, q, spec, _tilt(family, spec, th, q))
+    psi = lambda th: gradient(family, th, q, spec, _tilt(family, spec, th, q))
     if spec.kind == "subdivergence":
         theta, norm, newton_its = _newton_polish(psi, q.escort, bounds, _PSI_TOL)
         its += newton_its
@@ -469,7 +463,10 @@ def estimate(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
     """Run the estimator described by ``spec`` on the measure ``q``.
 
     Any kind but the MLE is ``_fit_rows`` on one row.  A Renyi fit reports
-    the maximized tilted-mass criterion itself.
+    the maximized tilted-mass criterion itself.  ``converged``: max |psi| <
+    ``_PSI_TOL``, with a criterion no higher than at the robust start (row
+    solver) or the escort (subdivergence Newton), or strictly inside the box
+    (box search and polish): a root, not a global minimum (README's table).
     """
     if spec.kind == "mle" or spec.alpha == 0.0:
         return mle(family, q)

@@ -122,12 +122,12 @@ def format_float(value: float) -> str:
 def read_sample(source) -> list[float]:
     """Parse one observation per line from a path or text stream.
 
-    Blank lines and lines starting with '#' are ignored.  An unparsable
-    line raises :class:`SampleParseError` with its 1-based line number.
+    Blank lines and lines starting with '#' are ignored.  Any other line that
+    is not a number, or not UTF-8, raises :class:`SampleParseError` naming its 1-based line.
     """
     if hasattr(source, "read"):
         return _parse_lines(source)
-    with io.open(Path(source), "r", encoding="utf-8") as fh:
+    with io.open(Path(source), "r", encoding="utf-8", errors="surrogateescape") as fh:
         return _parse_lines(fh)
 
 

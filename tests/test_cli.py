@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import mindiv.cli
 import mindiv.estimators
 from mindiv import NORMAL_SCALE, DegenerateDataError
 from mindiv.cli import main, run
@@ -115,6 +116,16 @@ class TestEstimate:
         assert code == 1
         assert "line 1" in err
 
+    def test_non_utf8_sample_reported(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1.0\n2.\xff5\n3.0\n")
+        code, out, err = run_cli(
+            capsys, "estimate", "--family", "normal", "--estimator", "mle", "--data", str(bad)
+        )
+        assert code == 1
+        assert out == ""
+        assert "line 2: cannot parse" in err
+
     def test_renyi_scale_recovery_band(self, capsys, tmp_path):
         rng = np.random.default_rng(314)
         xs = NORMAL_SCALE.sample([2.0], 10_000, rng)
@@ -208,8 +219,10 @@ class TestInfluence:
             ("0", "-1:1", "grid must be min:max:count"),
             ("0", "-1:1:1", "grid needs at least 2 points, got 1"),
             ("0,x", "-1:1:3", "expected comma-separated numbers, got '0,x'"),
+            ("0", "a:1:3", "could not convert string to float: 'a'"),
+            ("0", "-1:1:2.5", "invalid literal for int() with base 10: '2.5'"),
         ],
-        ids=["reversed", "two-fields", "one-point", "theta-not-numeric"],
+        ids=["reversed", "two-fields", "one-point", "theta-not-numeric", "grid-not-numeric", "count-not-integer"],
     )
     def test_bad_grid_or_theta_rejected(self, capsys, theta, grid, message):
         code, out, err = run_cli(
@@ -387,6 +400,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exit_info:
             run()
         assert exit_info.value.code == 1
+
+    def test_programming_errors_propagate(self, capsys, monkeypatch, sample_file):
+        # a ValueError from inside a command is a bug, not a usage error
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(mindiv.cli, "estimate", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["estimate", "--family", "normal", "--estimator", "mle", "--data", sample_file])
 
     def test_influence_help_names_shared_flags(self, capsys):
         code, out, _ = run_cli(capsys, "influence", "--help")

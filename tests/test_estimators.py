@@ -29,6 +29,7 @@ from mindiv import (
     mle,
     power_divergence,
     quadrature_of,
+    renyi_pseudodistance,
     sub_criterion,
     sub_divergence,
     sample_contaminated,
@@ -49,7 +50,13 @@ from mindiv.estimators import (
     _renyi_neg_log,
     _sub_criterion,
     _sub_gradient,
+    _tilt,
 )
+
+
+def at(equation, family, theta, q, spec):
+    """``equation`` at ``theta`` on its tilt there, as the fit drivers call it."""
+    return equation(family, theta, q, spec, _tilt(family, spec, theta, q))
 
 
 def eta(alpha, mu, x, mu_tilde):
@@ -208,6 +215,55 @@ class TestSubDivergenceBound:
             assert at_truth == pytest.approx(div, abs=1e-8)
             away = sub_divergence(NORMAL_SCALE, theta, [2.6], q0, alpha)
             assert away < div - 1e-6
+
+
+# (family, sample, escort, theta) and, at alpha 0.25 and 0.5: sub_criterion,
+# sub_psi, sub_divergence and renyi_pseudodistance against the escort's
+# density at orders alpha and 2 alpha, as float.hex
+HELPER_CASES = [
+    (NORMAL, [-1.2, 0.3, 0.8, 2.5, 9.0], (0.2, 1.1), (0.5, 1.6), {
+        0.25: ["0x1.1e3589353b59ep+2", "-0x1.7cbc7d7583b7fp-5", "0x1.64153f8068278p-6", "0x1.b8fe6100cfdb8p-1",
+               "0x1.02cee3d8eb940p-3", "0x1.4ae819bd87930p-3"],
+        0.5: ["0x1.c2cdeebb050acp+1", "-0x1.25626717d4a70p-5", "0x1.4659ba4358630p-6", "0x1.e9908a27d7aa0p-2",
+              "0x1.4ae819bd87930p-3", "0x1.48d70d124df68p-3"],
+    }),
+    (NORMAL_LOCATION, [-1.2, 0.3, 0.8, 2.5, 9.0], (0.2,), (0.5,), {
+        0.25: ["0x1.395bd77ad0a07p+2", "-0x1.e0f05e5cdafe9p-1", "0x1.bf97dda84b4e0p-2", "0x1.b50f3afcc68b0p-3",
+               "0x1.daacc128ed660p-3"],
+        0.5: ["0x1.d4417d7218130p+1", "-0x1.f50d047beba1fp-2", "0x1.5df4146f3f680p-2", "0x1.daacc128ed660p-3",
+              "0x1.a7551646328e0p-3"],
+    }),
+    (NORMAL_SCALE, [-1.2, 0.3, 0.8, 2.5, 9.0], (1.1,), (1.6,), {
+        0.25: ["0x1.1dca1afcfce4ep+2", "-0x1.32231fbd4ccd8p-5", "0x1.bc59d2c2c3838p-1", "0x1.311384d8e6890p-3",
+               "0x1.74db66f526128p-3"],
+        0.5: ["0x1.c2261899a3464p+1", "-0x1.58ed31dbc7f38p-6", "0x1.eecf3b32e5ce0p-2", "0x1.74db66f526128p-3",
+              "0x1.6c4f80eb4c904p-3"],
+    }),
+    (PARETO, [1.0, 1.3, 2.2, 4.0, 40.0], (2.0,), (1.4,), {
+        0.25: ["0x1.41705ce627c03p+2", "0x1.4ca2249893479p-2", "0x1.3e4f86f2d9520p-2", "0x1.309f5444e1448p-3",
+               "0x1.aff71aab846ccp-3"],
+        0.5: ["0x1.dea7f37a9e5fep+1", "0x1.ab27ba149d77cp-3", "0x1.0ac0642b0d010p-2", "0x1.aff71aab846ccp-3",
+              "0x1.5323540963edfp-3"],
+    }),
+]
+
+
+class TestPublicHelperValues:
+    @pytest.mark.parametrize("family,xs,escort,theta,want", HELPER_CASES, ids=[c[0].name for c in HELPER_CASES])
+    def test_values_pinned_bit_for_bit(self, family, xs, escort, theta, want):
+        # no benchmark workload calls these four, and each computes its own
+        # tilt, so their bits are pinned here
+        q = empirical(xs)
+        density = lambda x: family.density(escort, x)
+        for alpha, values in want.items():
+            got = [
+                sub_criterion(family, escort, theta, q, alpha),
+                *sub_psi(family, escort, theta, q, alpha),
+                sub_divergence(family, escort, theta, q, alpha),
+                renyi_pseudodistance(family, theta, q, density, alpha),
+                renyi_pseudodistance(family, theta, q, density, 2.0 * alpha),
+            ]
+            assert [float(v).hex() for v in got] == values
 
 
 class TestSubdivergenceEstimator:
@@ -712,7 +768,7 @@ class TestRenyiEstimator:
         lp = family.log_density(theta, q.nodes)
         want = math.log(family.renyi_normalizer(theta, a)) - logsumexp(np.log(q.weights) + a * lp)
         spec = EstimatorSpec(kind="renyi", alpha=a)
-        assert _renyi_neg_log(family, theta, q, spec) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert at(_renyi_neg_log, family, theta, q, spec) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_single_point_separation(self):
         # one observation with alpha x^2 = 2: closed-form Renyi scale is
@@ -826,14 +882,14 @@ class TestTiltedEquations:
         for kind, pair in zip(ROBUST_KINDS, EQUATIONS):
             spec = EstimatorSpec(kind=kind, alpha=alpha)
             for equation in pair:
-                rows = equation(family, theta, q, spec)
+                rows = at(equation, family, theta, q, spec)
                 singles = np.array(
-                    [equation(family, t, Measure(x, w), spec) for t, x, w in zip(theta, q.nodes, q.weights)]
+                    [at(equation, family, t, Measure(x, w), spec) for t, x, w in zip(theta, q.nodes, q.weights)]
                 )
                 assert rows.shape == singles.shape
                 assert rows.tobytes() == singles.tobytes(), equation.__name__
                 # a row does not depend on the other rows
-                part = equation(family, theta[1:3], _Rows(q.nodes[1:3], q.weights[1:3]), spec)
+                part = at(equation, family, theta[1:3], _Rows(q.nodes[1:3], q.weights[1:3]), spec)
                 assert part.tobytes() == rows[1:3].tobytes(), equation.__name__
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9])
@@ -844,8 +900,8 @@ class TestTiltedEquations:
         q = row_sample(NORMAL, 5)
         pseudo, renyi = (EstimatorSpec(kind=k, alpha=alpha) for k in ROBUST_KINDS)
         equations = {
-            "power-pseudo": lambda m: _pseudo_gradient(NORMAL, theta, m, pseudo),
-            "renyi": lambda m: _renyi_gradient(NORMAL, theta, m, renyi),
+            "power-pseudo": lambda m: at(_pseudo_gradient, NORMAL, theta, m, pseudo),
+            "renyi": lambda m: at(_renyi_gradient, NORMAL, theta, m, renyi),
             "subdivergence": lambda m: sub_psi(NORMAL, (0.1, 1.2), theta, m, alpha),
         }
         for name, equation in equations.items():
@@ -865,13 +921,13 @@ class TestTiltedEquations:
         q = row_sample(family, 1)
         q = Measure(q.nodes[0], q.weights[0])
         for theta in np.array(thetas[:3]):
-            got = gradient(family, theta, q, spec)
+            got = at(gradient, family, theta, q, spec)
             for j in range(family.param_dim):
                 h = 1e-5 * abs(theta[j]) + 1e-7
                 up, dn = theta.copy(), theta.copy()
                 up[j] += h
                 dn[j] -= h
-                fd = (criterion(family, up, q, spec) - criterion(family, dn, q, spec)) / (2.0 * h)
+                fd = (at(criterion, family, up, q, spec) - at(criterion, family, dn, q, spec)) / (2.0 * h)
                 assert got[j] == pytest.approx(fd / scale, rel=1e-6, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.3, 2.0])
@@ -896,7 +952,7 @@ class TestTiltedEquations:
                 )[0]
             want = mass / (1.0 + alpha) - np.sum(q.weights * family.density(theta, q.nodes) ** alpha) / alpha
             spec = EstimatorSpec(kind="power-pseudo", alpha=alpha)
-            assert _pseudo_criterion(family, theta, q, spec) == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert at(_pseudo_criterion, family, theta, q, spec) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 ALL_FAMILIES = [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO]
@@ -999,9 +1055,9 @@ def plain_fixed_point(family, spec, xs, ws):
             theta, settled = run(j, start, _FP_STEP_TOL)
             if settled:
                 q = Measure(xs[j], ws[j])
-                accepted[j] = np.max(np.abs(gradient(family, theta, q, spec))) < _PSI_TOL and criterion(
-                    family, theta, q, spec
-                ) <= criterion(family, start, q, spec)
+                accepted[j] = np.max(np.abs(at(gradient, family, theta, q, spec))) < _PSI_TOL and at(
+                    criterion, family, theta, q, spec
+                ) <= at(criterion, family, start, q, spec)
             if accepted[j]:
                 estimates[j] = run(j, theta, 1e-15)[0]
     return estimates, accepted
@@ -1012,9 +1068,9 @@ def passes_scalar_checks(family, spec, xs, theta, start):
     ``_PSI_TOL`` and its scalar criterion no higher than at the start."""
     criterion, gradient = EQUATIONS[ROBUST_KINDS.index(spec.kind)]
     q = empirical(xs)
-    return np.max(np.abs(gradient(family, theta, q, spec))) < _PSI_TOL and criterion(
-        family, theta, q, spec
-    ) <= criterion(family, start, q, spec)
+    return np.max(np.abs(at(gradient, family, theta, q, spec))) < _PSI_TOL and at(
+        criterion, family, theta, q, spec
+    ) <= at(criterion, family, start, q, spec)
 
 
 class TestMomentFixedPoint:
@@ -1411,6 +1467,100 @@ class TestMomentFixedPoint:
             assert converged[0] and fit_converged
             assert np.all((lo < fit) & (fit < hi))
             assert np.allclose(fit, theta[0], rtol=1e-8, atol=0.0)
+
+
+# README's table of the criteria bounded below, one test per row: each
+# criterion along its degenerating direction, sigma -> 0 at an atom on the
+# normal kinds and shape -> inf on Pareto, where p_theta(1) = theta
+COLLAPSING, GROWING = (1e-3, 1e-6, 1e-9), (1e3, 1e6, 1e9)
+
+
+def criterion_path(family, kind, alpha, thetas, xs):
+    """``kind``'s criterion on the sample ``xs`` at each parameter of ``thetas``."""
+    spec, q = EstimatorSpec(kind=kind, alpha=alpha), empirical(xs)
+    return np.array([at(mindiv.estimators._EQUATIONS[kind][0], family, np.array(t), q, spec) for t in thetas])
+
+
+def falls(values):
+    return bool(np.all(np.diff(values) < 0.0))
+
+
+def rises(values):
+    return bool(np.all(np.diff(values) > 0.0))
+
+
+def atom_sample(atom, mass, rest, n=1000):
+    """n points: ``round(mass n)`` at ``atom``, the rest from ``rest(rng, size)``."""
+    k = int(round(mass * n))
+    return np.concatenate([np.full(k, atom), rest(np.random.default_rng(31), n - k)])
+
+
+class TestBoundedBelow:
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    @pytest.mark.parametrize("family", [NORMAL, NORMAL_SCALE])
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_normal_power_pseudo_falls_above_the_atom_bound(self, alpha, family, factor):
+        # H ~ (2 pi sigma^2)^(-a/2) ((1+a)^-1.5 - m/a) at the atom: unbounded
+        # below once its mass m exceeds a (1+a)^-1.5 (0.179 at a = 0.25)
+        xs = atom_sample(0.0, factor * alpha * (1.0 + alpha) ** -1.5, lambda r, k: 2.0 * r.standard_normal(k) + 3.0)
+        path = criterion_path(family, "power-pseudo", alpha, [(0.0, s)[-family.param_dim :] for s in COLLAPSING], xs)
+        assert rises(path) if factor < 1.0 else falls(path) and path[-1] < 0.0
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_normal_renyi_falls_on_every_sample(self, alpha):
+        # with mu at any node the criterion falls like (a / (1+a)) log sigma
+        xs = np.random.default_rng(32).standard_normal(50)
+        assert falls(criterion_path(NORMAL, "renyi", alpha, [(xs[3], s) for s in COLLAPSING], xs))
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_normal_scale_renyi_falls_with_mass_at_zero(self, alpha):
+        xs = np.random.default_rng(33).standard_normal(50)
+        thetas = [(s,) for s in COLLAPSING]
+        assert rises(criterion_path(NORMAL_SCALE, "renyi", alpha, thetas, xs))
+        assert falls(criterion_path(NORMAL_SCALE, "renyi", alpha, thetas, np.append(xs, 0.0)))
+
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_pareto_power_pseudo_falls_above_the_mass_bound(self, alpha, factor):
+        # H ~ shape^a (1/(1+a)^2 - m/a) as the shape grows, m the mass at x = 1
+        xs = atom_sample(1.0, factor * alpha / (1.0 + alpha) ** 2, lambda r, k: 1.0 + 3.0 * r.random(k))
+        path = criterion_path(PARETO, "power-pseudo", alpha, [(s,) for s in GROWING], xs)
+        assert rises(path) if factor < 1.0 else falls(path) and path[-1] < 0.0
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_pareto_renyi_falls_with_mass_at_one(self, alpha):
+        xs = 1.0 + np.abs(np.random.default_rng(34).standard_normal(50))
+        thetas = [(s,) for s in GROWING]
+        assert rises(criterion_path(PARETO, "renyi", alpha, thetas, xs))
+        assert falls(criterion_path(PARETO, "renyi", alpha, thetas, np.append(xs, 1.0)))
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_normal_loc_criteria_are_bounded(self, alpha):
+        # at unit scale p <= (2 pi)^-1/2, so H >= -(2 pi)^(-a/2) / a and the
+        # Renyi criterion >= log N + (a/2) log(2 pi), with mu on a 90% atom
+        xs = atom_sample(0.0, 0.9, lambda r, k: r.standard_normal(k), n=100)
+        thetas = [(m,) for m in (0.0, 1e-9, 3.0, 1e6)]
+        pseudo = criterion_path(NORMAL_LOCATION, "power-pseudo", alpha, thetas, xs)
+        renyi = criterion_path(NORMAL_LOCATION, "renyi", alpha, thetas, xs)
+        assert np.all(pseudo >= -((2.0 * math.pi) ** (-alpha / 2.0)) / alpha)
+        normalizer = math.log(NORMAL_LOCATION.renyi_normalizer([0.0], alpha))
+        assert np.all(renyi >= normalizer + 0.5 * alpha * math.log(2.0 * math.pi))
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
+    def test_subdivergence_criterion_is_positive(self, alpha):
+        # M = R / (1-a) + sum q (p_escort / p)^a is a sum of positive terms;
+        # on a sample that is one atom it tends to 0 as the fit collapses on it
+        cases = [
+            (NORMAL, (0.0, 1.0), [(0.0, s) for s in COLLAPSING], 0.0),
+            (NORMAL_SCALE, (1.0,), [(s,) for s in COLLAPSING], 0.0),
+            (NORMAL_LOCATION, (0.0,), [(m,) for m in (0.0, 3.0, 1e6)], 0.0),
+            (PARETO, (2.0,), [(s,) for s in GROWING], 1.0),
+        ]
+        for family, escort, thetas, atom in cases:
+            rest = lambda r, k: atom + 1.0 + np.abs(r.standard_normal(k))
+            for xs in (atom_sample(atom, 0.6, rest, n=100), np.full(10, atom)):
+                path = [sub_criterion(family, escort, t, empirical(xs), alpha) for t in thetas]
+                assert np.all(np.array(path) > 0.0), family.name
 
 
 class TestMLE:

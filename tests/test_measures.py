@@ -212,6 +212,17 @@ class TestReadSample:
         with pytest.raises(SampleParseError):
             read_sample(io.StringIO("inf\n"))
 
+    def test_non_utf8_line_named(self, tmp_path):
+        # a file's undecodable bytes fail the line that holds them; in a
+        # comment they are ignored with it
+        path = tmp_path / "xs.txt"
+        path.write_bytes(b"# caf\xe9\n1.0\n2.\xff5\n")
+        with pytest.raises(SampleParseError) as err:
+            read_sample(path)
+        assert err.value.line_number == 3
+        path.write_bytes(b"# caf\xe9\n1.0\n")
+        assert read_sample(path) == [1.0]
+
     def test_from_path(self, tmp_path):
         path = tmp_path / "xs.txt"
         path.write_text("0.25\n# note\n-4\n", encoding="utf-8")
