@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     EstimationError,
     EvaluationError,
-    IntegrationError,
     InvalidInputError,
     SampleParseError,
     SingularMatrixError,

@@ -15,14 +15,6 @@ class InvalidInputError(ToolkitError, ValueError):
     """Structurally invalid input: empty sample, bad mixing weight, ..."""
 
 
-class IntegrationError(ToolkitError, ArithmeticError):
-    """An integrand produced a non-finite value at a node."""
-
-    def __init__(self, message: str, node: float | None = None):
-        super().__init__(message)
-        self.node = node
-
-
 class SampleParseError(ToolkitError, ValueError):
     """A sample file contained an unparsable line."""
 

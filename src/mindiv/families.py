@@ -3,7 +3,8 @@
 Four families are provided: the full normal location-scale model, its
 location and scale submodels, and the unit-threshold Pareto shape model.
 Each family exposes densities, scores, score derivatives, sampling, and the
-closed-form power integrals the estimators are built on.  The methods the
+closed-form power integrals the estimators are built on, from which the
+power divergence between two members follows.  The methods the
 tilted estimating equations and the row solver use take one parameter
 against (n,) nodes or parameter rows, (R, d) theta against (R, n) nodes:
 row j is the result of theta[j] on nodes[j], bit for bit, because one
@@ -77,8 +78,10 @@ class Family:
     integral of ``p_theta^(1+e-c) p_other^c``, then (if asked) the score's mean
     at ``theta`` under that family member (else ``DomainError``), on rows at
     ``c = 0`` (``other`` unread; the integral as an (R, 1) column), else one
-    validated parameter, as floats; and ``_score_cols``, the score's
-    coordinates as arrays of the nodes' shape.
+    validated parameter, as floats; ``_power_divergence(theta, other, a)``,
+    the power divergence of order ``a != 0`` from the log of that integral at
+    ``e = 0, c = 1 - a`` (see ``kernels.power_divergence``); and
+    ``_score_cols``, the score's coordinates as arrays of the nodes' shape.
     """
 
     name: str = ""
@@ -375,6 +378,24 @@ class _NormalKind(Family):
             means = ((t := -e / (sigma * k)) * 0.0, t)
         yield _stack([means[i] for i in self._free], theta)
 
+    def _power_divergence(self, theta, other, a: float) -> float:
+        """``_power_product``'s log R at e = 0, c = 1 - a, from the relative
+        gaps q = (sigma - sigma_o) / sigma_o, g = q (2 + q) = r - 1 and u = (mu
+        - mu_o) / sigma_o: c log1p(q) - (log1p(c g) + a c u^2 / k) / 2, with
+        k = 1 + c g and log1p(q) = log(sigma / sigma_o)."""
+        (mu, sigma), (mu_o, sigma_o) = self._loc_scale(theta), self._loc_scale(other)
+        q, u = (sigma - sigma_o) / sigma_o, (mu - mu_o) / sigma_o
+        if math.isinf(g := q * (2.0 + q)):
+            raise DomainError(f"the ratio of scales ({sigma}, {sigma_o}) squared overflows")
+        # log1p keeps the digits of a small gap, two logs those of a wide one,
+        # where q may round to -1
+        log_ratio = math.log1p(q) if q > -0.5 else math.log(sigma) - math.log(sigma_o)
+        if a == 1.0:
+            return (g + u * u) / 2.0 - log_ratio
+        if (k := 1.0 + (c := 1.0 - a) * g) <= 0.0:
+            return math.inf
+        return math.expm1(c * log_ratio - (math.log1p(c * g) + a * c * u * u / k) / 2.0) / (a * (a - 1.0))
+
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         n = check_count("sample size", n, 1)
         mu, sigma = self._loc_scale(self.validate_param(theta))
@@ -459,6 +480,20 @@ class Pareto(Family):
         else:
             yield np.power(shape, b) / (s := b * shape + e)
         yield _stack([1.0 / shape - 1.0 / s], theta)
+
+    def _power_divergence(self, theta, other, a: float) -> float:
+        """``_power_product``'s log R at e = 0, c = 1 - a, from the relative
+        gap d = (theta - theta_o) / theta_o: a log1p(d) - log1p(a d)."""
+        (shape,), (shape_o,) = theta.tolist(), other.tolist()
+        if math.isinf(d := (shape - shape_o) / shape_o):
+            raise DomainError(f"the ratio of shapes ({shape}, {shape_o}) overflows")
+        # as on the normal kinds, and d / (1 + d) with one rounding
+        log_ratio = math.log1p(d) if d > -0.5 else math.log(shape) - math.log(shape_o)
+        if a == 1.0:
+            return log_ratio - (shape - shape_o) / shape
+        if 1.0 + a * d <= 0.0:
+            return math.inf
+        return math.expm1(a * log_ratio - math.log1p(a * d)) / (a * (a - 1.0))
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         n = check_count("sample size", n, 1)

@@ -9,7 +9,8 @@ formulas cancel, their relative error stays below 1e-6, and no power is formed
 beyond a kernel's own scale, so ratios such as 1e80 do not overflow.
 ``log_sum_exp`` reduces each row on its own with numpy ufuncs, which give a
 Python float and every array element the same bits, so a row of a batch
-equals the same terms passed alone.
+equals the same terms passed alone.  ``power_divergence`` between two family
+members is the family's closed form, not a sum on a grid.
 """
 
 from __future__ import annotations
@@ -152,28 +153,18 @@ def orthogonal_constant(alpha: float) -> float:
     return math.inf
 
 
-def power_divergence(family, theta, theta0, alpha: float, quad) -> float:
-    """Power divergence of order ``alpha`` between two family members.
-
-    ``quad`` must be a quadrature discretization of the ``theta0`` member
-    (see :func:`mindiv.measures.quadrature_of`).  Nonnegative; zero iff the
-    parameters coincide, up to quadrature error.  ``sum w t^a - 1``, with
-    ``t = p_theta / p_theta0`` on the nodes, cancels for nearby members: on
-    ``normal-loc`` with 512 nodes, members 1e-6 apart lose 9e-5 of relative
-    accuracy and members 1e-7 apart 7e-2.
+def power_divergence(family, theta, theta0, alpha: float) -> float:
+    """Power divergence of order ``alpha`` between two family members:
+    ``expm1(log R) / (a (a - 1))``, with ``R`` the integral of ``p_theta^a
+    p_theta0^(1-a)`` in closed form (``Family._power_divergence``), the
+    Kullback-Leibler divergence at ``a = 1`` and at ``a = 0`` (members
+    swapped).  Nonnegative, zero iff the parameters coincide, ``+inf`` where
+    the product does not normalize and the orthogonal constant where ``R``
+    underflows; log R is taken from the relative gaps of the parameters with
+    ``log1p``, so members a relative 1e-7 apart keep about eight digits.
     """
     a = _snap(alpha)
-    lr = np.asarray(family.log_density(theta, quad.nodes)) - np.asarray(
-        family.log_density(theta0, quad.nodes)
-    )
-    w = quad.weights
-    with np.errstate(over="ignore"):
-        if a == 0.0:
-            value = -float(w @ lr)
-        elif a == 1.0:
-            value = float(w @ (np.exp(lr) * lr))
-        else:
-            value = (float(w @ np.exp(a * lr)) - 1.0) / (a * (a - 1.0))
-    if math.isnan(value):
-        raise DomainError("power divergence integrand is not finite on the grid")
-    return value
+    theta, theta0 = family._one_param(theta), family._one_param(theta0)
+    if a == 0.0:
+        return family._power_divergence(theta0, theta, 1.0)
+    return family._power_divergence(theta, theta0, a)

@@ -1,4 +1,4 @@
-"""Finite weighted point-mass measures and integration against them.
+"""Finite weighted point-mass measures.
 
 A :class:`Measure` represents an empirical sample, a quadrature
 discretization of a continuous model member, or a contamination mixture.
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrationError, InvalidInputError, SampleParseError, check_count
+from .errors import InvalidInputError, SampleParseError, check_count
 from .families import _GRID_N, Family
 
 _MASS_TOL = 1e-12
@@ -48,27 +48,6 @@ class Measure:
 
     def __len__(self) -> int:
         return self.nodes.size
-
-    def integrate(self, f) -> float:
-        """Expectation of ``f`` under the measure: ``sum(w_i * f(x_i))``.
-
-        ``f`` may be vectorized over an ndarray of nodes or a plain scalar
-        function.  A non-finite value at any node raises
-        :class:`IntegrationError` carrying the offending node.
-        """
-        try:
-            values = np.asarray(f(self.nodes), dtype=float)
-            if values.shape != self.nodes.shape:
-                raise ValueError
-        except (TypeError, ValueError):
-            values = np.array([float(f(x)) for x in self.nodes])
-        bad = ~np.isfinite(values)
-        if np.any(bad):
-            node = float(self.nodes[np.argmax(bad)])
-            raise IntegrationError(
-                f"integrand is not finite at node {node!r}", node=node
-            )
-        return float(self.weights @ values)
 
 
 def empirical(sample) -> Measure:

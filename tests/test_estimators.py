@@ -201,20 +201,33 @@ class TestSubPsi:
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
+# (family, truth, thetas, escorts tried, an escort away from the truth)
+BOUND_CASES = [
+    (NORMAL_SCALE, [1.4], [[0.9], [1.8]], [[0.8], [1.0], [1.4], [2.0], [3.0]], [2.6]),
+    (NORMAL_LOCATION, [0.4], [[-0.3], [1.2]], [[-1.0], [0.0], [0.4], [1.0], [2.0]], [2.5]),
+    (NORMAL, [0.4, 1.4], [[-0.3, 0.9], [1.2, 1.8]],
+     [[-1.0, 0.8], [0.4, 1.4], [0.4, 1.0], [1.0, 2.0], [0.4, 3.0]], [2.5, 2.6]),
+    (PARETO, [2.0], [[1.5], [3.0]], [[1.2], [1.6], [2.0], [2.5], [4.0]], [6.0]),
+]
+
+
 class TestSubDivergenceBound:
     def test_bounded_by_divergence_with_equality_at_truth(self):
+        # the duality: over the second parameter, sub_divergence is at most
+        # D(P_theta, P_theta0), with equality at theta0, the law generating
+        # q0 (up to q0's quadrature error on Pareto)
         alpha = 0.5
-        theta0 = [1.4]
-        q0 = quadrature_of(NORMAL_SCALE, theta0, 512)
-        for theta in ([0.9], [1.8]):
-            div = power_divergence(NORMAL_SCALE, theta, theta0, alpha, q0)
-            for tilde in (0.8, 1.0, 1.4, 2.0, 3.0):
-                lower = sub_divergence(NORMAL_SCALE, theta, [tilde], q0, alpha)
-                assert lower <= div + 1e-8
-            at_truth = sub_divergence(NORMAL_SCALE, theta, theta0, q0, alpha)
-            assert at_truth == pytest.approx(div, abs=1e-8)
-            away = sub_divergence(NORMAL_SCALE, theta, [2.6], q0, alpha)
-            assert away < div - 1e-6
+        for family, theta0, thetas, tildes, far in BOUND_CASES:
+            q0 = quadrature_of(family, theta0, 512)
+            for theta in thetas:
+                div = power_divergence(family, theta, theta0, alpha)
+                for tilde in tildes:
+                    lower = sub_divergence(family, theta, tilde, q0, alpha)
+                    assert lower <= div + 1e-8
+                at_truth = sub_divergence(family, theta, theta0, q0, alpha)
+                assert at_truth == pytest.approx(div, abs=1e-8)
+                away = sub_divergence(family, theta, far, q0, alpha)
+                assert away < div - 1e-6
 
 
 # (family, sample, escort, theta) and, at alpha 0.25 and 0.5: sub_criterion,
