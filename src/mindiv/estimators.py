@@ -14,7 +14,9 @@ use; every caller passes both the sample's ``_tilt`` at theta, and every
 model term is one closed form, ``Family._power_product``, with no grid.
 
 One fit driver, ``_fit_rows``, fits (R, n) rows of nodes and weights;
-``estimate`` is one row of it.  Its row solver, ``_moment_fixed_point``,
+``estimate`` of a power-pseudo or Renyi kind is one row of it, and of a
+subdivergence or superdivergence kind the one-row fit ``_fallback``, which
+gives what a row of ``_fit_rows`` gets.  Its row solver, ``_moment_fixed_point``,
 gives the ``_closed_form`` rows, or solves the power-pseudo and Renyi rows by
 Newton steps on the weighted-moment equations of Fujisawa & Eguchi (2008)
 in fixed-point form, with each family's closed-form Jacobian, for at most
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, InvalidInputError, ToolkitError
-from .families import Family
+from .families import Family, _mass_values, _renyi_normalizer
 from .kernels import BRANCH_TOL, log_sum_exp, orthogonal_constant
 from .measures import Measure
 from .optimize import _newton_polish, solve_1d, solve_2d
@@ -101,7 +103,7 @@ class EstimateResult:
     converged: bool
 
     def __post_init__(self):
-        theta = np.atleast_1d(np.asarray(self.theta_hat, dtype=float)).copy()
+        theta = np.array(self.theta_hat, dtype=float, ndmin=1)
         theta.setflags(write=False)
         object.__setattr__(self, "theta_hat", theta)
 
@@ -115,6 +117,11 @@ class EstimateResult:
 # only, so a row's numbers equal a single call's and do not depend on R.
 # The subdivergence pair takes one parameter, against a Measure or rows.
 _Rows = namedtuple("_Rows", "nodes weights escort log_escort", defaults=(None, None))
+# The power-pseudo and Renyi tilt: the validated parameter, its
+# ``Family._standardize`` transform of the nodes, the node terms, the model's
+# mass (``Family._power_product`` at e = a, c = 0) and that generator, which
+# yields the score's mean once, to the equation.
+_Tilt = namedtuple("_Tilt", "theta standard terms mass model")
 
 
 def _rows(family: Family, spec: EstimatorSpec, nodes, weights) -> _Rows:
@@ -128,31 +135,44 @@ def _rows(family: Family, spec: EstimatorSpec, nodes, weights) -> _Rows:
         return _Rows(nodes, weights, escort, family.log_density(escort, nodes))
 
 
-def _tilt(family: Family, spec: EstimatorSpec, theta, q):
+def _tilt(family: Family, spec: EstimatorSpec, theta, q, y=None):
     """The tilt at ``theta`` on the nodes of ``q`` that a kind's criterion
-    and estimating equation both take: ``q p^a`` (power-pseudo), ``q
-    (p_escort / p)^a`` (subdivergence, with ``q`` from ``_rows``), or ``log
-    sum q p^a`` and the terms ``q p^a`` scaled by their row's largest
-    (Renyi, ``log_sum_exp``).  At the escort itself (the same bytes) the
-    subdivergence tilt is the weights, the exact value of ``q exp(a (l -
-    l))``: it takes no density pass, and stays finite where ``l`` overflows."""
+    and estimating equation both take.
+
+    Subdivergence: the array ``q (p_escort / p)^a``, with ``q`` from
+    ``_rows``; at the escort itself (the same bytes) it is the weights, the
+    exact value of ``q exp(a (l - l))``: it takes no density pass, and stays
+    finite where ``l`` overflows.  Power-pseudo and Renyi: a ``_Tilt`` whose
+    terms are ``q p^a`` (power-pseudo), or ``log sum q p^a`` and the terms
+    ``q p^a`` scaled by their row's largest (Renyi, ``log_sum_exp``).  It
+    validates ``theta`` once, standardizes the nodes once
+    (``family._standardize`` of ``y``, which is ``family._nodes(q.nodes)``
+    if the caller does not pass it) and evaluates the model term once: the
+    criterion and the equation on one tilt share all three.
+    """
     a = spec.alpha
     if spec.kind == "subdivergence":
         th = np.asarray(theta, dtype=float)
         if th.shape == q.escort.shape and th.tobytes() == q.escort.tobytes():
             return q.weights
-    lp = family.log_density(theta, q.nodes)
+        lp = q.log_escort - family.log_density(theta, q.nodes)
+        with np.errstate(over="ignore"):
+            return q.weights * np.exp(a * lp)
+    theta = family.validate_param(theta)
+    standard = family._standardize(theta, family._nodes(q.nodes) if y is None else y)
+    lp = family._log_density(standard)
     if spec.kind == "renyi":
-        return log_sum_exp(np.log(q.weights) + a * lp)
-    if spec.kind == "subdivergence":
-        lp = q.log_escort - lp
-    with np.errstate(over="ignore"):
-        return q.weights * np.exp(a * lp)
+        terms = log_sum_exp(np.log(q.weights) + a * lp)
+    else:
+        with np.errstate(over="ignore"):
+            terms = q.weights * np.exp(a * lp)
+    model = family._power_product(theta, None, a, 0.0)
+    return _Tilt(theta, standard, terms, next(model), model)
 
 
 def _tilted_sum(w, cols):
-    """Per-row ``sum_i w_i s_i`` of (..., n) weights and each of the score
-    columns ``family._score_cols`` gives: every product is a contiguous
+    """Per-row ``sum_i w_i s_i`` of (..., n) weights and each score column
+    (``family._score_at`` or ``_score_cols``): every product is a contiguous
     (..., n) array, so a row sums as a single call does."""
     return np.array([(w * s).sum(axis=-1) for s in cols]).T
 
@@ -171,21 +191,21 @@ def _sub_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.nda
 
 def _pseudo_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt):
     a = spec.alpha
-    return family.power_mass_integral(theta, a) / (1.0 + a) - tilt.sum(axis=-1) / a
+    return _mass_values(tilt.mass) / (1.0 + a) - tilt.terms.sum(axis=-1) / a
 
 
 def _pseudo_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
-    mass, mean = family._power_product(family.validate_param(theta), None, spec.alpha, 0.0)
-    return mass * mean - _tilted_sum(tilt, family._score_cols(theta, q.nodes))
+    return tilt.mass * next(tilt.model) - _tilted_sum(tilt.terms, family._score_at(tilt.standard))
 
 
 def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt):
-    return np.log(family.renyi_normalizer(theta, spec.alpha)) - tilt[0]
+    return np.log(_renyi_normalizer(_mass_values(tilt.mass), spec.alpha)) - tilt.terms[0]
 
 
 def _renyi_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
-    w = tilt[1] / tilt[1].sum(axis=-1, keepdims=True)
-    return family.weighted_score_mean(theta, spec.alpha) - _tilted_sum(w, family._score_cols(theta, q.nodes))
+    scaled = tilt.terms[1]
+    w = scaled / scaled.sum(axis=-1, keepdims=True)
+    return next(tilt.model) - _tilted_sum(w, family._score_at(tilt.standard))
 
 
 _EQUATIONS = {
@@ -247,7 +267,7 @@ def _point_psi(family: Family, spec: EstimatorSpec, theta, x) -> np.ndarray:
     points = _rows(family, spec, xs, np.ones_like(xs))
     tilt = _tilt(family, spec, theta, points)
     psi = _EQUATIONS[spec.kind][1](family, theta, points, spec, tilt)
-    return np.exp(tilt[0])[:, None] * psi if spec.kind == "renyi" else psi
+    return np.exp(tilt.terms[0])[:, None] * psi if spec.kind == "renyi" else psi
 
 
 def renyi_pseudodistance(family: Family, theta, q_measure, q_density, alpha: float) -> float:
@@ -314,6 +334,12 @@ def _closed_form(family: Family, spec: EstimatorSpec, nodes, weights):
     return theta, own, 1.0 / (1.0 - a) + 1.0 / a
 
 
+def _unfitted(family: Family, r: int):
+    """The row solver's outputs for ``r`` rows before any is fitted: NaN
+    parameters and criteria, no row accepted, 0 steps."""
+    return np.full((r, family.param_dim), math.nan), np.zeros(r, dtype=bool), np.zeros(r, dtype=int), np.full(r, math.nan)
+
+
 def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     """Fit of ``spec`` on every row of (R, n) ``nodes`` and ``weights``.
 
@@ -334,34 +360,38 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     (quadratic convergence puts the next one at about ``_FP_STEP_TOL``) or
     after ``_MAX_ITER`` steps, and is accepted when its equation has
     max-norm below ``_PSI_TOL`` and its criterion is no higher than at the
-    start, on one ``_tilt``.  Returns the (R, d) parameters, the accepted
-    mask, each row's steps and each row's criterion: the ``_closed_form``
-    one, or that of the check (NaN where a row did not settle).
+    start.  That check runs once, on all settled rows together (as one
+    parameter on a single one), and takes two ``_tilt``s, at the fit and at
+    the start, on the start's y: two validations, two per-node transforms
+    and two model terms, which one equation call and two criterion calls
+    share.  Returns the (R, d) parameters, the accepted mask, each row's
+    steps and each row's criterion: the ``_closed_form`` one, or that of the
+    check (NaN where a row did not settle).
     """
     x = np.asarray(nodes, dtype=float)
     w = np.asarray(weights, dtype=float)
-    accepted, iterations = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=int)
-    criteria = np.full(len(x), math.nan)
-    unfitted = np.full((len(x), family.param_dim), math.nan), accepted, iterations, criteria
+    r = len(x)
     if spec.kind not in ("power-pseudo", "renyi") or spec.alpha == 0.0:
         try:
             theta, own, crit = _closed_form(family, spec, x, w)
         except (DegenerateDataError, DomainError):
-            return unfitted
-        return theta, accepted | own, iterations, np.where(own, crit, criteria)
-    equal = (w == w[:, :1]).all(axis=1)
-    if not (all_equal := equal.all()) and equal.any():
+            return _unfitted(family, r)
+        accepted = np.zeros(r, dtype=bool) | own
+        return theta, accepted, np.zeros(r, dtype=int), np.where(accepted, crit, math.nan)
+    same = w == w[:, :1]
+    if not (all_equal := same.all()) and (equal := same.all(axis=1)).any():
+        fits = _unfitted(family, r)
         for rows in (equal, ~equal):
-            for out, got in zip(unfitted, _moment_fixed_point(family, spec, x[rows], w[rows])):
+            for out, got in zip(fits, _moment_fixed_point(family, spec, x[rows], w[rows])):
                 out[rows] = got
-        return unfitted
-    settled, stop_tol = accepted.copy(), math.sqrt(_FP_STEP_TOL)
+        return fits
     w_map = w[:, :1] if all_equal else w
+    stop_tol = math.sqrt(_FP_STEP_TOL)
     with np.errstate(all="ignore"):
         start, y = family._moment_start(x, w_map)
-        theta = start.copy()
+        theta, iterations, settled = start.copy(), np.zeros(r, dtype=int), np.zeros(r, dtype=bool)
         idx, its = np.isfinite(start).all(axis=1).nonzero()[0], 0
-        th, ys, ws = (start, y, w_map) if idx.size == len(x) else (start[idx], y[idx], w_map[idx])
+        th, ys, ws = (start, y, w_map) if idx.size == r else (start[idx], y[idx], w_map[idx])
         while idx.size:
             if idx.size == 1 and th.ndim > 1:
                 # one row, or the last one left, steps as one parameter
@@ -385,24 +415,25 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
             if its < _MAX_ITER and (go if lone else go.all()):
                 continue
             if lone:
-                theta[idx], iterations[idx], settled[idx] = th, its, step < stop_tol
+                j = idx[0]
+                theta[j], iterations[j], settled[j] = th, its, step < stop_tol
                 break
             go &= its < _MAX_ITER
             stop = idx[~go]
             theta[stop], iterations[stop], settled[stop] = th[~go], its, step[~go] < stop_tol
             idx, th, ys, ws = idx[go], th[go], ys[go], ws[go]
-        rows = settled.nonzero()[0]
-        # one row is checked as one parameter: the same numbers, without rows overhead
-        pick = rows[0] if rows.size == 1 else rows
-        q = _Rows(x[pick], w_map[pick])
-        criterion, gradient = _EQUATIONS[spec.kind]
-        at_theta, at_start = (_tilt(family, spec, th[pick], q) for th in (theta, start))
-        psi = gradient(family, theta[pick], q, spec, at_theta)
-        crit = criterion(family, theta[pick], q, spec, at_theta)
-        good = (np.abs(psi).max(axis=-1) < _PSI_TOL) & (crit <= criterion(family, start[pick], q, spec, at_start))
-    accepted[rows] = good
-    criteria[rows] = crit
-    return theta, accepted, iterations, criteria
+        criteria, rows = np.full(r, math.nan), settled.nonzero()[0]
+        if rows.size:
+            # one row is checked as one parameter: the same numbers, without rows overhead
+            pick = rows[0] if rows.size == 1 else rows
+            q, fit, begin, nodes = _Rows(x[pick], w_map[pick]), theta[pick], start[pick], y[pick]
+            criterion, gradient = _EQUATIONS[spec.kind]
+            at_fit, at_start = _tilt(family, spec, fit, q, nodes), _tilt(family, spec, begin, q, nodes)
+            psi = gradient(family, fit, q, spec, at_fit)
+            criteria[pick] = crit = criterion(family, fit, q, spec, at_fit)
+            # the accepted rows are the settled ones that pass
+            settled[pick] = (np.abs(psi).max(axis=-1) < _PSI_TOL) & (crit <= criterion(family, begin, q, spec, at_start))
+    return theta, settled, iterations, criteria
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +450,8 @@ def mle(family: Family, q: Measure) -> EstimateResult:
 
 def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     """Fit of a row ``q`` (nodes and weights) that the row solver did not
-    accept after ``its`` Newton steps: (theta, criterion, iterations,
+    accept after ``its`` Newton steps, or of one subdivergence or
+    superdivergence row for ``estimate``: (theta, criterion, iterations,
     converged).
 
     A ``_closed_form`` fit is given as the row solver gives it; otherwise
@@ -441,8 +473,10 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     q = _rows(family, spec, q.nodes, q.weights)
     criterion, gradient = _EQUATIONS[spec.kind]
     bounds = family.default_bounds(q.nodes, q.weights)
-    objective = lambda th: criterion(family, th, q, spec, _tilt(family, spec, th, q))
-    psi = lambda th: gradient(family, th, q, spec, _tilt(family, spec, th, q))
+    # the per-node transform that no parameter enters, once for every evaluation
+    y = None if spec.kind == "subdivergence" else family._nodes(q.nodes)
+    objective = lambda th: criterion(family, th, q, spec, _tilt(family, spec, th, q, y))
+    psi = lambda th: gradient(family, th, q, spec, _tilt(family, spec, th, q, y))
     if spec.kind == "subdivergence":
         theta, norm, newton_its = _newton_polish(psi, q.escort, bounds, _PSI_TOL)
         its += newton_its
@@ -462,7 +496,9 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
 def estimate(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
     """Run the estimator described by ``spec`` on the measure ``q``.
 
-    Any kind but the MLE is ``_fit_rows`` on one row.  A Renyi fit reports
+    Power-pseudo and Renyi fits are ``_fit_rows`` on one row, subdivergence
+    and superdivergence fits its one-row fit ``_fallback``, with no row-solver
+    bookkeeping around their closed form.  A Renyi fit reports
     the maximized tilted-mass criterion itself.  ``converged``: max |psi| <
     ``_PSI_TOL``, with a criterion no higher than at the robust start (row
     solver) or the escort (subdivergence Newton), or strictly inside the box
@@ -470,6 +506,11 @@ def estimate(family: Family, spec: EstimatorSpec, q: Measure) -> EstimateResult:
     """
     if spec.kind == "mle" or spec.alpha == 0.0:
         return mle(family, q)
+    if spec.kind in ("subdivergence", "superdivergence"):
+        # the row solver would only give the closed form: fit the row as a
+        # row it does not accept, with no row-solver bookkeeping
+        theta, crit, iterations, converged = _fallback(family, spec, _Rows(q.nodes, q.weights), 0)
+        return EstimateResult(theta, float(crit), iterations, bool(converged))
     theta, criteria, iterations, converged, errors = _fit_rows(family, spec, q.nodes[None], q.weights[None])
     if errors:
         raise errors[0]

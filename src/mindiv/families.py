@@ -68,6 +68,17 @@ def _stack(cols: list, theta: np.ndarray) -> np.ndarray:
     return np.array(cols).T.reshape(theta.shape)
 
 
+def _mass_values(mass):
+    """``_power_product``'s integral at ``c = 0`` as a float, or as one
+    value per row."""
+    return mass[:, 0] if mass.ndim > 1 else mass
+
+
+def _renyi_normalizer(mass, a: float):
+    """The Renyi normalizer ``mass ** (a / (1 + a))`` of a model mass."""
+    return np.power(mass, a / (1.0 + a))
+
+
 class Family:
     """Base class for parametric model descriptors.
 
@@ -80,8 +91,15 @@ class Family:
     ``c = 0`` (``other`` unread; the integral as an (R, 1) column), else one
     validated parameter, as floats; ``_power_divergence(theta, other, a)``,
     the power divergence of order ``a != 0`` from the log of that integral at
-    ``e = 0, c = 1 - a`` (see ``kernels.power_divergence``); and
-    ``_score_cols``, the score's coordinates as arrays of the nodes' shape.
+    ``e = 0, c = 1 - a`` (see ``kernels.power_divergence``); and the
+    per-node transform that the log-density and the score share:
+    ``_nodes(x)``, the part no parameter enters (the row solver's y, which
+    ``_moment_start`` gives on every row it starts, so a fit takes it once),
+    ``_standardize(theta, y)`` at one validated parameter or rows, and from
+    its value ``_log_density`` and ``_score_at``, the score's coordinates as
+    arrays of the nodes' shape.  ``log_density`` and ``_score_cols`` are
+    those three on ``x``; the row solver's acceptance check takes one
+    ``_standardize`` per parameter, which its criterion and equation share.
     """
 
     name: str = ""
@@ -116,11 +134,26 @@ class Family:
         finite = np.isfinite(theta).all(axis=1)
         return finite & (theta[:, -1] > 0.0) if self._positive else finite
 
-    def log_density(self, theta, x):
+    def _nodes(self, x) -> np.ndarray:
+        """The nodes as the log-density and the score read them: ``x``, or a
+        transform of it that no parameter enters."""
         raise NotImplementedError
+
+    def _standardize(self, theta: np.ndarray, y: np.ndarray):
+        """The transform of ``_nodes``' ``y`` at a validated ``theta`` that
+        ``_log_density`` and ``_score_at`` read, with the parameter term they
+        both need."""
+        raise NotImplementedError
+
+    def log_density(self, theta, x):
+        out = self._log_density(self._standardize(self.validate_param(theta), self._nodes(x)))
+        return float(out) if np.ndim(x) == 0 else out
 
     def density(self, theta, x):
         return np.exp(self.log_density(theta, x))
+
+    def _score_cols(self, theta, x) -> list:
+        return self._score_at(self._standardize(self.validate_param(theta), self._nodes(x)))
 
     def score(self, theta, x):
         """Score vector; shape ``x.shape + (param_dim,)``: ``_score_cols`` stacked."""
@@ -147,13 +180,12 @@ class Family:
 
     def power_mass_integral(self, theta, alpha: float):
         """Closed form of the integral of the density raised to ``1 + alpha``."""
-        mass = next(self._power_tilt(theta, alpha))
-        return mass[:, 0] if mass.ndim > 1 else mass
+        return _mass_values(next(self._power_tilt(theta, alpha)))
 
     def renyi_normalizer(self, theta, alpha: float):
         """Normalizer ``power_mass_integral ** (alpha / (1 + alpha))``."""
         a = float(alpha)
-        return np.power(self.power_mass_integral(theta, a), a / (1.0 + a))
+        return _renyi_normalizer(self.power_mass_integral(theta, a), a)
 
     def weighted_score_mean(self, theta, alpha: float):
         """Mean of the score under the power-tilted density, closed form."""
@@ -240,9 +272,20 @@ class _NormalKind(Family):
             full[i] = value
         return full[0], full[1]
 
-    def _score_cols(self, theta, x):
-        mu, sigma = self._loc_scale(self.validate_param(theta))
-        z = (np.asarray(x, dtype=float) - mu) / sigma
+    def _nodes(self, x):
+        return np.asarray(x, dtype=float)
+
+    def _standardize(self, theta, y):
+        """z = (x - mu) / sigma, and sigma."""
+        mu, sigma = self._loc_scale(theta)
+        return (y - mu) / sigma, sigma
+
+    def _log_density(self, standard):
+        z, sigma = standard
+        return -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
+
+    def _score_at(self, standard):
+        z, sigma = standard
         return [z / sigma if i == 0 else (z * z - 1.0) / sigma for i in self._free]
 
     def score_deriv(self, theta, x):
@@ -345,13 +388,6 @@ class _NormalKind(Family):
         mu, sigma = self._loc_scale(theta)
         return mu - _NORMAL_WINDOW * sigma, mu + _NORMAL_WINDOW * sigma
 
-    def log_density(self, theta, x):
-        mu, sigma = self._loc_scale(self.validate_param(theta))
-        xs = np.asarray(x, dtype=float)
-        z = (xs - mu) / sigma
-        out = -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
-        return float(out) if np.ndim(x) == 0 else out
-
     def _power_product(self, theta, other, e: float, c: float):
         """A normal of precision k / sigma^2 and mean mu + z sigma, with b = 1 +
         e - c, r = (sigma / sigma_o)^2, k = b + c r, u = (mu_o - mu) / sigma and
@@ -452,15 +488,22 @@ class Pareto(Family):
     support = (1.0, math.inf)
     _positive = "shape"
 
-    def log_density(self, theta, x):
-        (shape,) = _columns(self.validate_param(theta))
-        xs = _pareto_support(x)
-        out = np.log(shape) - (shape + 1.0) * np.log(xs)
-        return float(out) if np.ndim(x) == 0 else out
+    def _nodes(self, x):
+        """log x, on the support."""
+        return np.log(_pareto_support(x))
 
-    def _score_cols(self, theta, x):
-        (shape,) = _columns(self.validate_param(theta))
-        return [1.0 / shape - np.log(_pareto_support(x))]
+    def _standardize(self, theta, y):
+        """log x, and the shape."""
+        (shape,) = _columns(theta)
+        return y, shape
+
+    def _log_density(self, standard):
+        y, shape = standard
+        return np.log(shape) - (shape + 1.0) * y
+
+    def _score_at(self, standard):
+        y, shape = standard
+        return [1.0 / shape - y]
 
     def score_deriv(self, theta, x):
         shape = float(self.validate_param(theta)[0])

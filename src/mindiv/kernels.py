@@ -43,12 +43,18 @@ def log_sum_exp(log_terms):
     """
     terms = np.asarray(log_terms, dtype=float)
     shift = terms.max(axis=-1, keepdims=True)
+    if np.isfinite(shift).all():
+        # each row's largest scaled term is 1, so no row sums to 0
+        return _shifted_log_sum(terms, shift)
     # no finite largest term: the log-sum is +-inf, not NaN
     shift[~np.isfinite(shift)] = 0.0
-    scaled = np.exp(terms - shift)
     with np.errstate(divide="ignore"):
-        log_total = np.log(scaled.sum(axis=-1))
-    return shift[..., 0] + log_total, scaled
+        return _shifted_log_sum(terms, shift)
+
+
+def _shifted_log_sum(terms: np.ndarray, shift: np.ndarray):
+    scaled = np.exp(terms - shift)
+    return shift[..., 0] + np.log(scaled.sum(axis=-1)), scaled
 
 
 def _like(result: np.ndarray) -> float | np.ndarray:

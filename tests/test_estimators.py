@@ -1370,7 +1370,8 @@ class TestMomentFixedPoint:
     def test_accepted_fit_evaluates_criterion_twice(self, monkeypatch, kind):
         # at the fixed point and at its start, in the acceptance check, whose
         # value the fit reports; the criterion and the equation at the fixed
-        # point share one log_density
+        # point share one per-node transform, which its log-density and
+        # score both read
         criterion, gradient = EQUATIONS[ROBUST_KINDS.index(kind)]
         calls, densities = [], []
 
@@ -1378,15 +1379,15 @@ class TestMomentFixedPoint:
             calls.append(args)
             return criterion(*args)
 
-        log_density = NORMAL.log_density
+        standardize = NORMAL._standardize
 
-        def counting_density(theta, x):
+        def counting_transform(theta, y):
             densities.append(np.array(theta, dtype=float))
-            return log_density(theta, x)
+            return standardize(theta, y)
 
         monkeypatch.setattr(mindiv.estimators, criterion.__name__, counting)
         monkeypatch.setitem(mindiv.estimators._EQUATIONS, kind, (counting, gradient))
-        monkeypatch.setattr(NORMAL, "log_density", counting_density)
+        monkeypatch.setattr(NORMAL, "_standardize", counting_transform)
         q = empirical(np.random.default_rng(4).standard_normal(80) * 2.0 + 1.0)
         result = estimate(NORMAL, EstimatorSpec(kind=kind, alpha=0.5), q)
         assert result.converged and len(calls) == 2

@@ -470,3 +470,14 @@ class TestLogSumExp:
         ones = [log_sum_exp(row) for row in terms]
         assert values.tobytes() == np.array([v for v, _ in ones]).tobytes()
         assert scaled.tobytes() == np.stack([s for _, s in ones]).tobytes()
+
+    def test_nonfinite_rows_give_infinite_log_sums_without_warnings(self):
+        # a row of all -inf sums to 0 and a row with a +inf term to +inf: the
+        # non-finite path gives -inf and +inf, with no RuntimeWarning (which
+        # pytest raises), alone and next to a finite row
+        terms = np.array([[-np.inf, -np.inf, -np.inf], [0.5, np.inf, -1.0], [0.0, -2.0, 1.5]])
+        values, scaled = log_sum_exp(terms)
+        assert values[0] == -np.inf and values[1] == np.inf
+        assert values[2] == log_sum_exp(terms[2])[0]
+        assert log_sum_exp(terms[0])[0] == -np.inf and log_sum_exp(terms[1])[0] == np.inf
+        assert scaled[0].tolist() == [0.0, 0.0, 0.0] and scaled[1, 1] == np.inf
