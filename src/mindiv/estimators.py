@@ -160,21 +160,29 @@ def _tilt(family: Family, spec: EstimatorSpec, theta, q, y=None):
             return q.weights * np.exp(a * lp)
     theta = family.validate_param(theta)
     standard = family._standardize(theta, family._nodes(q.nodes) if y is None else y)
+    # a p^a term in place of the log-density, which no other term reads
     lp = family._log_density(standard)
     if spec.kind == "renyi":
-        terms = log_sum_exp(np.log(q.weights) + a * lp)
+        lp *= a
+        lp += np.log(q.weights)
+        terms = log_sum_exp(lp)
     else:
         with np.errstate(over="ignore"):
-            terms = q.weights * np.exp(a * lp)
+            lp *= a
+            terms = np.exp(lp)
+            terms *= q.weights
     model = family._power_product(theta, None, a, 0.0)
     return _Tilt(theta, standard, terms, next(model), model)
 
 
 def _tilted_sum(w, cols):
     """Per-row ``sum_i w_i s_i`` of (..., n) weights and each score column
-    (``family._score_at`` or ``_score_cols``): every product is a contiguous
-    (..., n) array, so a row sums as a single call does."""
-    return np.array([(w * s).sum(axis=-1) for s in cols]).T
+    (``family._score_at`` or ``_score_cols``, overwritten by the products):
+    every product is a contiguous (..., n) array, so a row sums as a single
+    call does."""
+    for s in cols:
+        s *= w
+    return np.array([s.sum(axis=-1) for s in cols]).T
 
 
 def _sub_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt):
@@ -203,8 +211,9 @@ def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt):
 
 
 def _renyi_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
-    scaled = tilt.terms[1]
-    w = scaled / scaled.sum(axis=-1, keepdims=True)
+    # the scaled terms, which no criterion reads, normalized in place
+    w = tilt.terms[1]
+    w /= w.sum(axis=-1, keepdims=True)
     return next(tilt.model) - _tilted_sum(w, family._score_at(tilt.standard))
 
 

@@ -278,15 +278,31 @@ class _NormalKind(Family):
     def _standardize(self, theta, y):
         """z = (x - mu) / sigma, and sigma."""
         mu, sigma = self._loc_scale(theta)
-        return (y - mu) / sigma, sigma
+        z = y - mu
+        z /= sigma
+        return z, sigma
 
     def _log_density(self, standard):
+        """-z^2 / 2 - log sigma - log(2 pi) / 2, each operation in place."""
         z, sigma = standard
-        return -0.5 * z * z - np.log(sigma) - 0.5 * _LOG_2PI
+        out = -0.5 * z
+        out *= z
+        out -= np.log(sigma)
+        out -= 0.5 * _LOG_2PI
+        return out
 
     def _score_at(self, standard):
         z, sigma = standard
-        return [z / sigma if i == 0 else (z * z - 1.0) / sigma for i in self._free]
+        cols = []
+        for i in self._free:
+            if i == 0:
+                cols.append(z / sigma)
+            else:
+                col = z * z
+                col -= 1.0
+                col /= sigma
+                cols.append(col)
+        return cols
 
     def score_deriv(self, theta, x):
         mu, sigma = self._loc_scale(self.validate_param(theta))
@@ -305,7 +321,11 @@ class _NormalKind(Family):
         mu = (w * x).sum(axis=-1) if 0 in self._free else np.zeros(x.shape[:-1])
         if 1 not in self._free:
             return mu[..., None]
-        var = (w * np.square(x - mu[..., None])).sum(axis=-1)
+        # w (x - mu)^2, in place
+        var = x - mu[..., None]
+        np.square(var, out=var)
+        var *= w
+        var = var.sum(axis=-1)
         # equal nodes whose weighted mean is inexact leave var ~ 1e-32, not 0
         if (var <= 0.0).any() or (0 in self._free and (x == x[..., :1]).all(axis=-1).any()):
             raise DegenerateDataError("sample has zero spread; scale estimate degenerates")
@@ -331,7 +351,8 @@ class _NormalKind(Family):
         mu = _row_quantile(x, w, 0.5) if 0 in self._free else np.zeros(x.shape[:-1])
         if 1 not in self._free:
             return mu[..., None], x
-        sigma = _MAD_SCALE * _row_quantile(np.abs(x - mu[..., None]), w, 0.5)
+        dev = x - mu[..., None]
+        sigma = _MAD_SCALE * _row_quantile(np.abs(dev, out=dev), w, 0.5)
         sigma = np.where(sigma > 0.0, sigma, math.nan)
         return np.array([(mu, sigma)[i] for i in self._free]).T, x
 

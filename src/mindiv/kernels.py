@@ -53,7 +53,8 @@ def log_sum_exp(log_terms):
 
 
 def _shifted_log_sum(terms: np.ndarray, shift: np.ndarray):
-    scaled = np.exp(terms - shift)
+    scaled = terms - shift
+    np.exp(scaled, out=scaled)
     return shift[..., 0] + np.log(scaled.sum(axis=-1)), scaled
 
 
