@@ -117,11 +117,11 @@ class EstimateResult:
 # only, so a row's numbers equal a single call's and do not depend on R.
 # The subdivergence pair takes one parameter, against a Measure or rows.
 _Rows = namedtuple("_Rows", "nodes weights escort log_escort", defaults=(None, None))
-# The power-pseudo and Renyi tilt: the validated parameter, its
-# ``Family._standardize`` transform of the nodes, the node terms, the model's
-# mass (``Family._power_product`` at e = a, c = 0) and that generator, which
-# yields the score's mean once, to the equation.
-_Tilt = namedtuple("_Tilt", "theta standard terms mass model")
+# The power-pseudo and Renyi tilt: the ``Family._standardize`` transform of
+# the nodes, the node terms, the model's mass (``Family._power_product`` at
+# e = a, c = 0) and that generator, which yields the score's mean once, to
+# the equation.
+_Tilt = namedtuple("_Tilt", "standard terms mass model")
 
 
 def _rows(family: Family, spec: EstimatorSpec, nodes, weights) -> _Rows:
@@ -172,7 +172,7 @@ def _tilt(family: Family, spec: EstimatorSpec, theta, q, y=None):
             terms = np.exp(lp)
             terms *= q.weights
     model = family._power_product(theta, None, a, 0.0)
-    return _Tilt(theta, standard, terms, next(model), model)
+    return _Tilt(standard, terms, next(model), model)
 
 
 def _tilted_sum(w, cols):

@@ -278,9 +278,7 @@ class _NormalKind(Family):
     def _standardize(self, theta, y):
         """z = (x - mu) / sigma, and sigma."""
         mu, sigma = self._loc_scale(theta)
-        z = y - mu
-        z /= sigma
-        return z, sigma
+        return (y - mu) / sigma, sigma
 
     def _log_density(self, standard):
         """-z^2 / 2 - log sigma - log(2 pi) / 2, each operation in place."""
@@ -293,15 +291,11 @@ class _NormalKind(Family):
 
     def _score_at(self, standard):
         z, sigma = standard
-        cols = []
-        for i in self._free:
-            if i == 0:
-                cols.append(z / sigma)
-            else:
-                col = z * z
-                col -= 1.0
-                col /= sigma
-                cols.append(col)
+        cols = [z / sigma if i == 0 else z * z for i in self._free]
+        if 1 in self._free:
+            # (z^2 - 1) / sigma, in place
+            cols[-1] -= 1.0
+            cols[-1] /= sigma
         return cols
 
     def score_deriv(self, theta, x):
