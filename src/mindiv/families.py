@@ -513,8 +513,12 @@ class Pareto(Family):
         return y, shape
 
     def _log_density(self, standard):
+        """log theta - (theta + 1) log x, as log theta + -(theta + 1) log x in
+        place: the same bits."""
         y, shape = standard
-        return np.log(shape) - (shape + 1.0) * y
+        out = -(shape + 1.0) * y
+        out += np.log(shape)
+        return out
 
     def _score_at(self, standard):
         y, shape = standard
