@@ -160,7 +160,7 @@ def _tilt(family: Family, spec: EstimatorSpec, theta, q, y=None):
             return q.weights * np.exp(a * lp)
     theta = family.validate_param(theta)
     standard = family._standardize(theta, family._nodes(q.nodes) if y is None else y)
-    # a p^a term in place of the log-density, which no other term reads
+    # the terms take over the log-density's buffer: nothing else reads it
     lp = family._log_density(standard)
     if spec.kind == "renyi":
         lp *= a

@@ -91,15 +91,13 @@ class Family:
     ``c = 0`` (``other`` unread; the integral as an (R, 1) column), else one
     validated parameter, as floats; ``_power_divergence(theta, other, a)``,
     the power divergence of order ``a != 0`` from the log of that integral at
-    ``e = 0, c = 1 - a`` (see ``kernels.power_divergence``); and the
-    per-node transform that the log-density and the score share:
-    ``_nodes(x)``, the part no parameter enters (the row solver's y, which
-    ``_moment_start`` gives on every row it starts, so a fit takes it once),
-    ``_standardize(theta, y)`` at one validated parameter or rows, and from
-    its value ``_log_density`` and ``_score_at``, the score's coordinates as
-    arrays of the nodes' shape.  ``log_density`` and ``_score_cols`` are
-    those three on ``x``; the row solver's acceptance check takes one
-    ``_standardize`` per parameter, which its criterion and equation share.
+    ``e = 0, c = 1 - a`` (see ``kernels.power_divergence``); and the node
+    transform that the log-density and the score share: ``_nodes(x)``, the
+    part no parameter enters (the y that ``_moment_start`` gives on each row
+    it starts), ``_standardize(theta, y)`` at a validated parameter or rows,
+    and from its value ``_log_density`` and ``_score_at``, the score's
+    coordinates as arrays of the nodes' shape.  ``log_density`` and
+    ``_score_cols`` chain the four on ``x``.
     """
 
     name: str = ""
@@ -133,17 +131,6 @@ class Family:
             return all(map(math.isfinite, v := theta.tolist())) and not (self._positive and v[-1] <= 0.0)
         finite = np.isfinite(theta).all(axis=1)
         return finite & (theta[:, -1] > 0.0) if self._positive else finite
-
-    def _nodes(self, x) -> np.ndarray:
-        """The nodes as the log-density and the score read them: ``x``, or a
-        transform of it that no parameter enters."""
-        raise NotImplementedError
-
-    def _standardize(self, theta: np.ndarray, y: np.ndarray):
-        """The transform of ``_nodes``' ``y`` at a validated ``theta`` that
-        ``_log_density`` and ``_score_at`` read, with the parameter term they
-        both need."""
-        raise NotImplementedError
 
     def log_density(self, theta, x):
         out = self._log_density(self._standardize(self.validate_param(theta), self._nodes(x)))
