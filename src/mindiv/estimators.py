@@ -163,8 +163,9 @@ def _tilt(family: Family, spec: EstimatorSpec, theta, q, y=None):
     # the terms take over the log-density's buffer: nothing else reads it
     lp = family._log_density(standard)
     if spec.kind == "renyi":
+        log_w = np.log(q.weights)
         lp *= a
-        lp += np.log(q.weights)
+        lp += log_w
         terms = log_sum_exp(lp)
     else:
         with np.errstate(over="ignore"):
