@@ -263,16 +263,21 @@ class _NormalKind(Family):
         return np.asarray(x, dtype=float)
 
     def _standardize(self, theta, y):
-        """z = (x - mu) / sigma, and sigma."""
+        """z = (x - mu) / sigma, and sigma; a submodel skips its fixed
+        coordinate, as x - 0 and x / 1 are x exactly."""
         mu, sigma = self._loc_scale(theta)
-        return (y - mu) / sigma, sigma
+        if 1 not in self._free:
+            return y - mu, sigma
+        return ((y - mu) / sigma if 0 in self._free else y / sigma), sigma
 
     def _log_density(self, standard):
-        """-z^2 / 2 - log sigma - log(2 pi) / 2, each operation in place."""
+        """-z^2 / 2 - log sigma - log(2 pi) / 2, each operation in place (log
+        1 = 0 is not subtracted)."""
         z, sigma = standard
         out = -0.5 * z
         out *= z
-        out -= np.log(sigma)
+        if 1 in self._free:
+            out -= np.log(sigma)
         out -= 0.5 * _LOG_2PI
         return out
 
@@ -302,9 +307,12 @@ class _NormalKind(Family):
         mu = (w * x).sum(axis=-1) if 0 in self._free else np.zeros(x.shape[:-1])
         if 1 not in self._free:
             return mu[..., None]
-        # w (x - mu)^2, in place
-        var = x - mu[..., None]
-        np.square(var, out=var)
+        # w (x - mu)^2, in place, and x^2 on the scale submodel (x - 0 is x)
+        if 0 in self._free:
+            var = x - mu[..., None]
+            np.square(var, out=var)
+        else:
+            var = np.square(x)
         var *= w
         var = var.sum(axis=-1)
         # equal nodes whose weighted mean is inexact leave var ~ 1e-32, not 0
@@ -332,8 +340,12 @@ class _NormalKind(Family):
         mu = _row_quantile(x, w, 0.5) if 0 in self._free else np.zeros(x.shape[:-1])
         if 1 not in self._free:
             return mu[..., None], x
-        dev = x - mu[..., None]
-        sigma = _MAD_SCALE * _row_quantile(np.abs(dev, out=dev), w, 0.5)
+        if 0 in self._free:
+            dev = x - mu[..., None]
+            np.abs(dev, out=dev)
+        else:
+            dev = np.abs(x)  # x - 0 is x
+        sigma = _MAD_SCALE * _row_quantile(dev, w, 0.5)
         sigma = np.where(sigma > 0.0, sigma, math.nan)
         return np.array([(mu, sigma)[i] for i in self._free]).T, x
 
