@@ -263,21 +263,16 @@ class _NormalKind(Family):
         return np.asarray(x, dtype=float)
 
     def _standardize(self, theta, y):
-        """z = (x - mu) / sigma, and sigma; a submodel skips its fixed
-        coordinate, as x - 0 and x / 1 are x exactly."""
+        """z = (x - mu) / sigma, and sigma."""
         mu, sigma = self._loc_scale(theta)
-        if 1 not in self._free:
-            return y - mu, sigma
-        return ((y - mu) / sigma if 0 in self._free else y / sigma), sigma
+        return (y - mu) / sigma, sigma
 
     def _log_density(self, standard):
-        """-z^2 / 2 - log sigma - log(2 pi) / 2, each operation in place (log
-        1 = 0 is not subtracted)."""
+        """-z^2 / 2 - log sigma - log(2 pi) / 2, each operation in place."""
         z, sigma = standard
         out = -0.5 * z
         out *= z
-        if 1 in self._free:
-            out -= np.log(sigma)
+        out -= np.log(sigma)
         out -= 0.5 * _LOG_2PI
         return out
 
@@ -307,14 +302,7 @@ class _NormalKind(Family):
         mu = (w * x).sum(axis=-1) if 0 in self._free else np.zeros(x.shape[:-1])
         if 1 not in self._free:
             return mu[..., None]
-        # w (x - mu)^2, in place, and x^2 on the scale submodel (x - 0 is x)
-        if 0 in self._free:
-            var = x - mu[..., None]
-            np.square(var, out=var)
-        else:
-            var = np.square(x)
-        var *= w
-        var = var.sum(axis=-1)
+        var = (w * np.square(x - mu[..., None])).sum(axis=-1)
         # equal nodes whose weighted mean is inexact leave var ~ 1e-32, not 0
         if (var <= 0.0).any() or (0 in self._free and (x == x[..., :1]).all(axis=-1).any()):
             raise DegenerateDataError("sample has zero spread; scale estimate degenerates")
@@ -340,12 +328,7 @@ class _NormalKind(Family):
         mu = _row_quantile(x, w, 0.5) if 0 in self._free else np.zeros(x.shape[:-1])
         if 1 not in self._free:
             return mu[..., None], x
-        if 0 in self._free:
-            dev = x - mu[..., None]
-            np.abs(dev, out=dev)
-        else:
-            dev = np.abs(x)  # x - 0 is x
-        sigma = _MAD_SCALE * _row_quantile(dev, w, 0.5)
+        sigma = _MAD_SCALE * _row_quantile(np.abs(x - mu[..., None]), w, 0.5)
         sigma = np.where(sigma > 0.0, sigma, math.nan)
         return np.array([(mu, sigma)[i] for i in self._free]).T, x
 
