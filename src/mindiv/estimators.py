@@ -120,8 +120,17 @@ _Rows = namedtuple("_Rows", "nodes weights escort log_escort", defaults=(None, N
 # The power-pseudo and Renyi tilt: the ``Family._standardize`` transform of
 # the nodes, the node terms, the model's mass (``Family._power_product`` at
 # e = a, c = 0) and that generator, which yields the score's mean once, to
-# the equation.
+# the equation.  So a tilt feeds one gradient call (``_model_mean``).
 _Tilt = namedtuple("_Tilt", "standard terms mass model")
+
+
+def _model_mean(tilt: _Tilt):
+    """The model's score mean, which the tilt's generator gives once: a
+    second gradient call on one tilt raises, as the Renyi gradient has
+    already normalized the tilt's terms in place."""
+    for mean in tilt.model:
+        return mean
+    raise RuntimeError("a power-pseudo or Renyi tilt feeds one gradient call")
 
 
 def _rows(family: Family, spec: EstimatorSpec, nodes, weights) -> _Rows:
@@ -204,7 +213,7 @@ def _pseudo_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt):
 
 
 def _pseudo_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
-    return tilt.mass * next(tilt.model) - _tilted_sum(tilt.terms, family._score_at(tilt.standard))
+    return tilt.mass * _model_mean(tilt) - _tilted_sum(tilt.terms, family._score_at(tilt.standard))
 
 
 def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt):
@@ -212,12 +221,15 @@ def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt):
 
 
 def _renyi_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
+    mean = _model_mean(tilt)
     # the scaled terms, which no criterion reads, normalized in place
     w = tilt.terms[1]
     w /= w.sum(axis=-1, keepdims=True)
-    return next(tilt.model) - _tilted_sum(w, family._score_at(tilt.standard))
+    return mean - _tilted_sum(w, family._score_at(tilt.standard))
 
 
+# criterion and gradient of each kind, on the kind's ``_tilt``; a
+# power-pseudo or Renyi tilt feeds one gradient call
 _EQUATIONS = {
     "subdivergence": (_sub_criterion, _sub_gradient),
     "power-pseudo": (_pseudo_criterion, _pseudo_gradient),

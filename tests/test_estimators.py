@@ -967,6 +967,19 @@ class TestTiltedEquations:
             spec = EstimatorSpec(kind="power-pseudo", alpha=alpha)
             assert at(_pseudo_criterion, family, theta, q, spec) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("kind,gradient", [("power-pseudo", _pseudo_gradient), ("renyi", _renyi_gradient)])
+    @pytest.mark.parametrize("family,thetas", ROW_CASES)
+    def test_a_tilt_feeds_one_gradient_call(self, family, thetas, kind, gradient):
+        # the tilt yields the model's score mean once, and the Renyi
+        # gradient normalizes its terms in place: a second call raises
+        spec = EstimatorSpec(kind=kind, alpha=0.5)
+        theta, q = np.array(thetas[0]), row_sample(family, 1)
+        q = Measure(q.nodes[0], q.weights[0])
+        tilt = _tilt(family, spec, theta, q)
+        assert gradient(family, theta, q, spec, tilt).tobytes() == at(gradient, family, theta, q, spec).tobytes()
+        with pytest.raises(RuntimeError, match="one gradient call"):
+            gradient(family, theta, q, spec, tilt)
+
 
 ALL_FAMILIES = [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO]
 # orders at which the row solver is checked: the weighted-moment map
