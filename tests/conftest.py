@@ -1,20 +1,17 @@
-"""Hypothesis profiles.
+"""Hypothesis profile.
 
-``ci`` (the default) keeps tier-1 deterministic: derandomized examples, a
-stated ``max_examples`` and no example database.  ``deep`` draws fresh,
-many more examples; opt in with ``HYPOTHESIS_PROFILE=deep``.  Neither
-runs the explain phase, whose imports raise a ``DeprecationWarning``,
-which the suite turns into an error.
+``ci`` keeps tier-1 deterministic: derandomized examples, a stated
+``max_examples`` and no example database.  It does not run the explain
+phase, whose imports raise a ``DeprecationWarning``, which the suite turns
+into an error.  A deeper run passes ``--hypothesis-seed`` or a profile of
+its own through ``--hypothesis-profile``.
 """
-
-import os
 
 from hypothesis import HealthCheck, Phase, settings
 
-phases = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink]
 settings.register_profile(
-    "ci", derandomize=True, max_examples=150, deadline=None, database=None, phases=phases,
+    "ci", derandomize=True, max_examples=150, deadline=None, database=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink],
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.register_profile("deep", max_examples=2000, deadline=None, phases=phases)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
+settings.load_profile("ci")
