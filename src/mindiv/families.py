@@ -358,12 +358,15 @@ class _NormalKind(Family):
         if loc:
             f1, j11 = e1, 1.0 - h * (e2 - e1 * e1)
         if scale:
-            # the mass, like the sums, is scaled by e^low
+            # the mass, like the sums, is scaled by e^low; Renyi's c is 0 and
+            # normal-scale's e_1 and e_3 are 0, so their terms are left out
             c = 0.0 if kind == "renyi" else a * (1.0 + a) ** -1.5 * np.exp(low) / mass
-            D, V = (1.0 / (1.0 + a) if kind == "renyi" else 1.0) - c, e2 - e1 * e1
+            D = (1.0 / (1.0 + a) if kind == "renyi" else 1.0) - c
+            V = e2 - e1 * e1 if loc else e2
             s = np.sqrt(V / D)
             f2 = s - sigma
-            j22 = 1.0 - 0.5 * s * h / sigma * ((e4 - e2 * e2 - 2.0 * e1 * (e3 - e1 * e2)) / V - c * e2 / D)
+            dV = (e4 - e2 * e2 - 2.0 * e1 * (e3 - e1 * e2) if loc else e4 - e2 * e2) / V
+            j22 = 1.0 - 0.5 * s * h / sigma * (dV if kind == "renyi" else dV - c * e2 / D)
         if loc and scale:
             j12 = -h / sigma * (e3 - e1 * e2)
             j21 = -0.5 * s * h * ((e3 - 3.0 * e1 * e2 + 2.0 * np.power(e1, 3)) / V - c * e1 / D)
@@ -377,7 +380,9 @@ class _NormalKind(Family):
             newton = j > 0.0
             steps = [f / _where(newton, j, 1.0)]
         new = [c + s for c, s in zip(cols, steps)]
-        size = np.maximum.reduce([abs(n - c) for n, c in zip(new, cols)]) / (new[-1] if scale else 1.0)
+        size = np.maximum(*[abs(n - c) for n, c in zip(new, cols)]) if loc and scale else abs(new[0] - cols[0])
+        if scale:
+            size /= new[-1]
         step = _where(newton, size, math.inf)
         return _stack(new, theta), step[:, 0] if theta.ndim > 1 else step
 

@@ -7,6 +7,7 @@ import pytest
 
 import mindiv.estimators
 import mindiv.influence
+from numpy._core._multiarray_umath import __cpu_features__
 from mindiv import (
     EstimationError,
     DomainError,
@@ -576,13 +577,24 @@ class TestInfluenceCurve:
             "3,-0,0.33333333333333331\n"
         )
         fitted = influence_curve(NORMAL, spec, [0.3, 1.2], np.linspace(-3.0, 3.0, 4))
-        assert fitted.to_csv() == (
-            "x,if_component_1,if_component_2\n"
-            "-3,-0.91529865380162434,1.8561569492298571\n"
-            "-1,-1.7809717616575047,0.59027476086084452\n"
-            "1,1.1811083458514617,-0.49051819726895929\n"
-            "3,1.399093371661124,2.0840938732957976\n"
-        )
+        if __cpu_features__.get("X86_V4"):
+            assert fitted.to_csv() == (
+                "x,if_component_1,if_component_2\n"
+                "-3,-0.91529865380162434,1.8561569492298571\n"
+                "-1,-1.7809717616575047,0.59027476086084452\n"
+                "1,1.1811083458514617,-0.49051819726895929\n"
+                "3,1.399093371661124,2.0840938732957976\n"
+            )
+        else:
+            # numpy's exp and log without AVX-512 round differently in the
+            # last bit; recorded with NPY_DISABLE_CPU_FEATURES=X86_V4
+            assert fitted.to_csv() == (
+                "x,if_component_1,if_component_2\n"
+                "-3,-0.91529865380162445,1.8561569492298571\n"
+                "-1,-1.7809717616575047,0.59027476086084452\n"
+                "1,1.1811083458514617,-0.4905181972689594\n"
+                "3,1.3990933716611238,2.0840938732957976\n"
+            )
 
     @pytest.mark.parametrize(
         "grid,values,match",

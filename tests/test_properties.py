@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mindiv import FAMILIES, PARETO, EstimatorSpec, Measure, ToolkitError, estimate
+from mindiv import (
+    FAMILIES,
+    PARETO,
+    ContaminationModel,
+    EstimatorSpec,
+    Measure,
+    ToolkitError,
+    estimate,
+    pool_results,
+    run_study,
+)
 from mindiv.estimators import KINDS, _fit_rows
 
 
@@ -69,3 +79,29 @@ def test_batch_row_is_the_single_estimate(case):
             assert math.exp(-criteria[j]) == result.criterion_value
         elif spec.kind != "mle":
             assert np.array_equal(criteria[j], result.criterion_value, equal_nan=True)
+
+
+STUDY_MODEL = ContaminationModel(base_sigma=1.0, epsilon=0.1, contaminant="cauchy")
+STUDY_SPECS = (EstimatorSpec("mle"), EstimatorSpec("power-pseudo", 0.5), EstimatorSpec("renyi", 0.5))
+
+
+@given(
+    seed=st.one_of(st.integers(0, 2**65 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64])),
+    # with studies that cross 2^32, where an index takes a second word
+    first_rep=st.one_of(st.integers(0, 2**33 - 1), st.integers(2**32 - 8, 2**32)),
+    n=st.integers(5, 30),
+    reps=st.integers(1, 8),
+    cuts=st.lists(st.integers(1, 7), max_size=3),
+)
+def test_pooled_chunks_are_one_study(seed, first_rep, n, reps, cuts):
+    # a study split into chunks at any replications pools into the study
+    # of one call, whatever the 32-bit word counts of the seed and of the
+    # indices; repr compares the estimates bit for bit and NaN statistics
+    # (no converged fit) as equal
+    bounds = sorted({0, reps, *(c for c in cuts if c < reps)})
+    chunks = [
+        run_study(STUDY_MODEL, n, stop - start, STUDY_SPECS, seed=seed, first_rep=first_rep + start)
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    direct = run_study(STUDY_MODEL, n, reps, STUDY_SPECS, seed=seed, first_rep=first_rep)
+    assert repr(pool_results(chunks)) == repr(direct)

@@ -94,23 +94,43 @@ class TestSampleContaminated:
         assert np.all(np.isfinite(xs))
         assert xs.std() > 1.0
 
-    @pytest.mark.parametrize("contaminant", CONTAMINANTS)
-    def test_study_batches_are_single_samples(self, monkeypatch, contaminant):
+    @pytest.mark.parametrize(
+        "contaminant,seed,first",
+        [pytest.param(c, 5, 7, id=c) for c in CONTAMINANTS]
+        # seeds of one, two and three 32-bit words, and batches whose
+        # indices cross 2^32 and 2^64, where an index takes one more word
+        + [
+            pytest.param("cauchy", seed, first, id=f"cauchy-seed{seed}-first{first}")
+            for seed in (0, 2**32, 2**64 + 1)
+            for first in (7, 2**32 - 20, 2**64 - 20)
+        ],
+    )
+    def test_study_batches_are_single_samples(self, monkeypatch, contaminant, seed, first):
         # run_study draws a batch at once, each row from its own generator:
         # row j is sample_contaminated on replication first_rep + j's
-        # generator, bit for bit, in each of the two batches (32 and 8 rows)
-        batches = []
+        # generator (numpy's SeedSequence route), bit for bit, in each of
+        # the two batches (32 and 8 rows), and each generator starts in
+        # that generator's state
+        batches, states = [], []
 
-        def recording(family, spec, nodes, weights):
+        def recording_fit(family, spec, nodes, weights):
             batches.append(nodes.copy())
             return _fit_rows(family, spec, nodes, weights)
 
-        monkeypatch.setattr(mindiv.simulation, "_fit_rows", recording)
-        m, n, first = model(contaminant=contaminant, sigma=1.7), 2000, 7
-        run_study(m, n, 40, (EstimatorSpec(kind="mle"),), seed=5, first_rep=first)
+        def recording_draw(m, n, rngs):
+            states.extend(rng.bit_generator.state for rng in rngs)
+            return contaminated_rows(m, n, rngs)
+
+        contaminated_rows = mindiv.simulation._contaminated_rows
+        monkeypatch.setattr(mindiv.simulation, "_fit_rows", recording_fit)
+        monkeypatch.setattr(mindiv.simulation, "_contaminated_rows", recording_draw)
+        m, n = model(contaminant=contaminant, sigma=1.7), 2000
+        run_study(m, n, 40, (EstimatorSpec(kind="mle"),), seed=seed, first_rep=first)
+        monkeypatch.undo()
         assert [len(b) for b in batches] == [32, 8]
-        for j, row in enumerate(np.concatenate(batches)):
-            assert row.tobytes() == sample_contaminated(m, n, _replication_rng(5, first + j)).tobytes()
+        for j, (row, state) in enumerate(zip(np.concatenate(batches), states, strict=True)):
+            assert state == _replication_rng(seed, first + j).bit_generator.state
+            assert row.tobytes() == sample_contaminated(m, n, _replication_rng(seed, first + j)).tobytes()
 
 
 SPECS = (
