@@ -10,8 +10,11 @@ fit whose escort is exactly the sample's MLE.
 
 Subdivergence, power-pseudo and Renyi each have one (criterion, estimating
 equation) pair in ``_EQUATIONS``, which the fit drivers and ``_point_psi``
-use; every caller passes both the sample's ``_tilt`` at theta, and every
-model term is one closed form, ``Family._power_product``, with no grid.
+use: three criteria and two equations, as subdivergence and power-pseudo
+solve the same one, ``_power_gradient``, with their own tilts.  Every
+caller passes both the sample's ``_tilt`` at theta, one ``_Tilt`` record
+for every kind, and every model term is one closed form,
+``Family._power_product``, with no grid.
 
 One fit driver, ``_fit_rows``, fits (R, n) rows of nodes and weights;
 ``estimate`` of a power-pseudo or Renyi kind is one row of it, and of a
@@ -117,20 +120,10 @@ class EstimateResult:
 # only, so a row's numbers equal a single call's and do not depend on R.
 # The subdivergence pair takes one parameter, against a Measure or rows.
 _Rows = namedtuple("_Rows", "nodes weights escort log_escort", defaults=(None, None))
-# The power-pseudo and Renyi tilt: the ``Family._standardize`` transform of
-# the nodes, the node terms, the model's mass (``Family._power_product`` at
-# e = a, c = 0) and that generator, which yields the score's mean once, to
-# the equation.  So a tilt feeds one gradient call (``_model_mean``).
-_Tilt = namedtuple("_Tilt", "standard terms mass model")
-
-
-def _model_mean(tilt: _Tilt):
-    """The model's score mean, which the tilt's generator gives once: a
-    second gradient call on one tilt raises, as the Renyi gradient has
-    already normalized the tilt's terms in place."""
-    for mean in tilt.model:
-        return mean
-    raise RuntimeError("a power-pseudo or Renyi tilt feeds one gradient call")
+# Every kind's tilt: the ``Family._standardize`` transform of the nodes, the
+# node terms, and the model term, ``Family._power_product``'s integral and
+# score mean.  Nothing writes to a tilt once ``_tilt`` has built it.
+_Tilt = namedtuple("_Tilt", "standard terms mass mean")
 
 
 def _rows(family: Family, spec: EstimatorSpec, nodes, weights) -> _Rows:
@@ -145,30 +138,32 @@ def _rows(family: Family, spec: EstimatorSpec, nodes, weights) -> _Rows:
 
 
 def _tilt(family: Family, spec: EstimatorSpec, theta, q, y=None):
-    """The tilt at ``theta`` on the nodes of ``q`` that a kind's criterion
-    and estimating equation both take.
+    """The ``_Tilt`` at ``theta`` on the nodes of ``q`` that a kind's
+    criterion and estimating equation both take.
 
-    Subdivergence: the array ``q (p_escort / p)^a``, with ``q`` from
-    ``_rows``; at the escort itself (the same bytes) it is the weights, the
-    exact value of ``q exp(a (l - l))``: it takes no density pass, and stays
-    finite where ``l`` overflows.  Power-pseudo and Renyi: a ``_Tilt`` whose
-    terms are ``q p^a`` (power-pseudo), or ``log sum q p^a`` and the terms
-    ``q p^a`` scaled by their row's largest (Renyi, ``log_sum_exp``).  It
-    validates ``theta`` once, standardizes the nodes once
-    (``family._standardize`` of ``y``, which is ``family._nodes(q.nodes)``
-    if the caller does not pass it) and evaluates the model term once: the
-    criterion and the equation on one tilt share all three.
+    Its terms are ``q (p_escort / p)^a`` (subdivergence, with ``q`` from
+    ``_rows``; at the escort itself, the same bytes, the weights, the exact
+    value of ``q exp(a (l - l))``: no density pass, and finite where ``l``
+    overflows), ``q p^a`` (power-pseudo), or ``log sum q p^a`` and the terms
+    ``q p^a`` scaled by their row's largest (Renyi, ``log_sum_exp``).  Its
+    model term is ``_power_product`` at e = 0, c = a against the escort
+    (subdivergence) or at e = a, c = 0.  It validates ``theta`` once,
+    standardizes the nodes once (``family._standardize`` of ``y``, which is
+    ``family._nodes(q.nodes)`` if the caller does not pass it) and evaluates
+    the model term once: every criterion and equation call on one tilt
+    shares all three.
     """
     a = spec.alpha
-    if spec.kind == "subdivergence":
-        th = np.asarray(theta, dtype=float)
-        if th.shape == q.escort.shape and th.tobytes() == q.escort.tobytes():
-            return q.weights
-        lp = q.log_escort - family.log_density(theta, q.nodes)
-        with np.errstate(over="ignore"):
-            return q.weights * np.exp(a * lp)
     theta = family.validate_param(theta)
     standard = family._standardize(theta, family._nodes(q.nodes) if y is None else y)
+    if spec.kind == "subdivergence":
+        if theta.shape == q.escort.shape and theta.tobytes() == q.escort.tobytes():
+            terms = q.weights
+        else:
+            lp = q.log_escort - family._log_density(standard)
+            with np.errstate(over="ignore"):
+                terms = q.weights * np.exp(a * lp)
+        return _Tilt(standard, terms, *family._power_product(theta, q.escort, 0.0, a))
     # the terms take over the log-density's buffer: nothing else reads it
     lp = family._log_density(standard)
     if spec.kind == "renyi":
@@ -181,8 +176,7 @@ def _tilt(family: Family, spec: EstimatorSpec, theta, q, y=None):
             lp *= a
             terms = np.exp(lp)
             terms *= q.weights
-    model = family._power_product(theta, None, a, 0.0)
-    return _Tilt(standard, terms, next(model), model)
+    return _Tilt(standard, terms, *family._power_product(theta, None, a, 0.0))
 
 
 def _tilted_sum(w, cols):
@@ -197,14 +191,7 @@ def _tilted_sum(w, cols):
 
 def _sub_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt):
     a = spec.alpha
-    ratio = next(family._power_product(family.validate_param(theta), q.escort, 0.0, a))
-    return ratio / (1.0 - a) + tilt.sum(axis=-1) / a
-
-
-def _sub_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
-    theta = family.validate_param(theta)
-    ratio, mean = family._power_product(theta, q.escort, 0.0, spec.alpha)
-    return ratio * mean - _tilted_sum(tilt, family._score_cols(theta, q.nodes))
+    return tilt.mass / (1.0 - a) + tilt.terms.sum(axis=-1) / a
 
 
 def _pseudo_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt):
@@ -212,8 +199,10 @@ def _pseudo_criterion(family: Family, theta, q, spec: EstimatorSpec, tilt):
     return _mass_values(tilt.mass) / (1.0 + a) - tilt.terms.sum(axis=-1) / a
 
 
-def _pseudo_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
-    return tilt.mass * _model_mean(tilt) - _tilted_sum(tilt.terms, family._score_at(tilt.standard))
+def _power_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
+    """The subdivergence and power-pseudo estimating equation: the model
+    term, integral times score mean, less the tilted sum of the scores."""
+    return tilt.mass * tilt.mean - _tilted_sum(tilt.terms, family._score_at(tilt.standard))
 
 
 def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt):
@@ -221,18 +210,14 @@ def _renyi_neg_log(family: Family, theta, q, spec: EstimatorSpec, tilt):
 
 
 def _renyi_gradient(family: Family, theta, q, spec: EstimatorSpec, tilt) -> np.ndarray:
-    mean = _model_mean(tilt)
-    # the scaled terms, which no criterion reads, normalized in place
     w = tilt.terms[1]
-    w /= w.sum(axis=-1, keepdims=True)
-    return mean - _tilted_sum(w, family._score_at(tilt.standard))
+    return tilt.mean - _tilted_sum(w / w.sum(axis=-1, keepdims=True), family._score_at(tilt.standard))
 
 
-# criterion and gradient of each kind, on the kind's ``_tilt``; a
-# power-pseudo or Renyi tilt feeds one gradient call
+# criterion and gradient of each kind, on the kind's ``_tilt``
 _EQUATIONS = {
-    "subdivergence": (_sub_criterion, _sub_gradient),
-    "power-pseudo": (_pseudo_criterion, _pseudo_gradient),
+    "subdivergence": (_sub_criterion, _power_gradient),
+    "power-pseudo": (_pseudo_criterion, _power_gradient),
     "renyi": (_renyi_neg_log, _renyi_gradient),
 }
 
@@ -261,7 +246,7 @@ def sub_psi(family: Family, escort, theta, q: Measure, alpha: float) -> np.ndarr
     p_theta)^a`` against the same score.  This and ``sub_criterion`` are
     the subdivergence pair of ``_EQUATIONS``.
     """
-    return _sub_gradient(*_sub_args(family, escort, theta, q, alpha))
+    return _power_gradient(*_sub_args(family, escort, theta, q, alpha))
 
 
 def sub_divergence(family: Family, escort, theta, q: Measure, alpha: float) -> float:
@@ -278,7 +263,7 @@ def _point_psi(family: Family, spec: EstimatorSpec, theta, x) -> np.ndarray:
     the fit to Q.
 
     The MLE and superdivergence (and every kind at ``alpha = 0``) use the
-    likelihood score equation, ``_pseudo_gradient`` at order 0; the others
+    likelihood score equation, ``_power_gradient`` at order 0; the others
     their equation in ``_EQUATIONS``.  The Renyi equation normalizes its
     weights ``q p^a``, so its point rows are scaled by ``p^a(x)`` to make
     their mean the un-normalized, linear equation.
@@ -496,7 +481,7 @@ def _fallback(family: Family, spec: EstimatorSpec, q, its: int):
     criterion, gradient = _EQUATIONS[spec.kind]
     bounds = family.default_bounds(q.nodes, q.weights)
     # the per-node transform that no parameter enters, once for every evaluation
-    y = None if spec.kind == "subdivergence" else family._nodes(q.nodes)
+    y = family._nodes(q.nodes)
     objective = lambda th: criterion(family, th, q, spec, _tilt(family, spec, th, q, y))
     psi = lambda th: gradient(family, th, q, spec, _tilt(family, spec, th, q, y))
     if spec.kind == "subdivergence":

@@ -85,19 +85,20 @@ class Family:
     A family also writes its row solver's start and Newton step,
     ``_moment_start`` and ``_moment_update``, on one parameter or on (R, d)
     rows as ``_in_space`` (the contract is in ``estimators._moment_fixed_point``);
-    ``_power_product(theta, other, e, c)``, its one closed form: it yields the
-    integral of ``p_theta^(1+e-c) p_other^c``, then (if asked) the score's mean
-    at ``theta`` under that family member (else ``DomainError``), on rows at
-    ``c = 0`` (``other`` unread; the integral as an (R, 1) column), else one
-    validated parameter, as floats; ``_power_divergence(theta, other, a)``,
-    the power divergence of order ``a != 0`` from the log of that integral at
-    ``e = 0, c = 1 - a`` (see ``kernels.power_divergence``); and the node
-    transform that the log-density and the score share: ``_nodes(x)``, the
-    part no parameter enters (the y that ``_moment_start`` gives on each row
-    it starts), ``_standardize(theta, y)`` at a validated parameter or rows,
-    and from its value ``_log_density`` and ``_score_at``, the score's
-    coordinates as arrays of the nodes' shape.  ``log_density`` and
-    ``_score_cols`` chain the four on ``x``.
+    ``_power_product(theta, other, e, c)``, its one closed form: it returns
+    the pair of the integral of ``p_theta^(1+e-c) p_other^c`` and the score's
+    mean at ``theta`` under that family member (``DomainError`` where there
+    is none), on rows at ``c = 0`` (``other`` unread; the integral as an
+    (R, 1) column), else one validated parameter, the integral as a float;
+    ``_power_divergence(theta, other, a)``, the power divergence of order
+    ``a != 0`` from the log of that integral at ``e = 0, c = 1 - a`` (see
+    ``kernels.power_divergence``); and the node transform that the
+    log-density and the score share: ``_nodes(x)``, the part no parameter
+    enters (the y that ``_moment_start`` gives on each row it starts),
+    ``_standardize(theta, y)`` at a validated parameter or rows, and from
+    its value ``_log_density`` and ``_score_at``, the score's coordinates
+    as arrays of the nodes' shape.  ``log_density`` and ``_score_cols``
+    chain the four on ``x``.
     """
 
     name: str = ""
@@ -158,7 +159,7 @@ class Family:
 
     def power_ratio_integral(self, theta, theta_tilde, alpha: float) -> float:
         """Closed form of the tilted-ratio expectation under the second member."""
-        return next(self._power_product(*map(self._one_param, (theta_tilde, theta)), 0.0, float(alpha)))
+        return self._power_product(*map(self._one_param, (theta_tilde, theta)), 0.0, float(alpha))[0]
 
     def _power_tilt(self, theta, alpha):
         if (a := float(alpha)) < 0.0:
@@ -167,7 +168,7 @@ class Family:
 
     def power_mass_integral(self, theta, alpha: float):
         """Closed form of the integral of the density raised to ``1 + alpha``."""
-        return _mass_values(next(self._power_tilt(theta, alpha)))
+        return _mass_values(self._power_tilt(theta, alpha)[0])
 
     def renyi_normalizer(self, theta, alpha: float):
         """Normalizer ``power_mass_integral ** (alpha / (1 + alpha))``."""
@@ -176,7 +177,7 @@ class Family:
 
     def weighted_score_mean(self, theta, alpha: float):
         """Mean of the score under the power-tilted density, closed form."""
-        return list(self._power_tilt(theta, alpha))[1]
+        return self._power_tilt(theta, alpha)[1]
 
     def sample(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -407,14 +408,14 @@ class _NormalKind(Family):
                 raise DomainError(f"no normal is p_theta^{b!r} p_other^{c!r} at scales ({sigma}, {sigma_o})")
             z = c * r * u / k
             log_norm = math.log(k) + b * u * z + e * math.log(2.0 * math.pi * sigma * sigma)
-            yield math.exp(c * math.log(sigma / sigma_o) - 0.5 * log_norm)
+            mass = math.exp(c * math.log(sigma / sigma_o) - 0.5 * log_norm)
             # 1/k - 1 as -(e + c (r - 1)) / k, exact where theta is other at e = 0
             means = (z / sigma, (z * z - (e + c * (r - 1.0)) / k) / sigma)
         else:
-            yield k**-0.5 / np.power(2.0 * math.pi * np.square(sigma), e / 2.0)
+            mass = k**-0.5 / np.power(2.0 * math.pi * np.square(sigma), e / 2.0)
             # z = 0 and 1/k - 1 = -e/k; the location mean 0 is signed as the scale mean
             means = ((t := -e / (sigma * k)) * 0.0, t)
-        yield _stack([means[i] for i in self._free], theta)
+        return mass, _stack([means[i] for i in self._free], theta)
 
     def _power_divergence(self, theta, other, a: float) -> float:
         """``_power_product``'s log R at e = 0, c = 1 - a, from the relative
@@ -525,10 +526,10 @@ class Pareto(Family):
             (shape_o,) = other.tolist()
             if (s := b * shape + e + c * shape_o) <= 0.0:
                 raise DomainError(f"no Pareto is p_theta^{b!r} p_other^{c!r} at shapes ({shape}, {shape_o})")
-            yield shape**b * shape_o**c / s
+            mass = shape**b * shape_o**c / s
         else:
-            yield np.power(shape, b) / (s := b * shape + e)
-        yield _stack([1.0 / shape - 1.0 / s], theta)
+            mass = np.power(shape, b) / (s := b * shape + e)
+        return mass, _stack([1.0 / shape - 1.0 / s], theta)
 
     def _power_divergence(self, theta, other, a: float) -> float:
         """``_power_product``'s log R at e = 0, c = 1 - a, from the relative

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -69,12 +69,13 @@ class EstimatorRow:
 @dataclass(frozen=True)
 class StudyResult:
     """A study over replications ``first_rep`` to ``first_rep +
-    replications - 1`` of one seed."""
+    replications - 1`` of one seed, on samples of size ``n`` from ``model``."""
 
     rows: tuple[EstimatorRow, ...]
     replications: int
     seed: int
-    base_sigma: float
+    n: int
+    model: ContaminationModel
     first_rep: int
 
 
@@ -235,9 +236,7 @@ def run_study(
         sigma_hat = np.concatenate(parts[k])
         ok = sigma_hat[~np.isnan(sigma_hat)]
         rows.append(_pooled_row(spec, tuple(ok.tolist()), reps - ok.size, model.base_sigma))
-    return StudyResult(
-        rows=tuple(rows), replications=reps, seed=seed, base_sigma=model.base_sigma, first_rep=first_rep
-    )
+    return StudyResult(rows=tuple(rows), replications=reps, seed=seed, n=n, model=model, first_rep=first_rep)
 
 
 def _pooled_row(spec: EstimatorSpec, estimates: tuple, failures: int, base_sigma: float) -> EstimatorRow:
@@ -253,36 +252,33 @@ def pool_results(chunks) -> StudyResult:
     """Pool chunked study results into the single-call result, exactly.
 
     Every chunk must come from the same estimator specs, in the same order,
-    the same seed and the same ``base_sigma``, and each must start at the
-    replication after the previous chunk's last, so no replication is
-    counted twice.  The pooled study starts at the first chunk's
+    the same seed, sample size ``n`` and contamination model, else an
+    ``InvalidInputError`` names the field that differs, and each must start
+    at the replication after the previous chunk's last, so no replication
+    is counted twice.  The pooled study starts at the first chunk's
     ``first_rep``.
     """
     chunks = list(chunks)
     if not chunks:
         raise InvalidInputError("nothing to pool")
-    study = lambda c: (tuple(row.spec for row in c.rows), c.seed, c.base_sigma)
-    if any(study(c) != study(chunks[0]) for c in chunks):
-        raise InvalidInputError("chunks to pool must share their estimator specs, seed and base_sigma")
+    study = lambda c: {"estimator specs": tuple(row.spec for row in c.rows), "seed": c.seed, "n": c.n, "model": c.model}
+    first = study(chunks[0])
+    for c in chunks[1:]:
+        for field, value in study(c).items():
+            if value != first[field]:
+                raise InvalidInputError(f"chunks to pool must share their {field}: {first[field]!r} and {value!r} differ")
     for prev, c in zip(chunks, chunks[1:]):
         if c.first_rep != prev.first_rep + prev.replications:
             raise InvalidInputError(
                 f"chunks to pool must cover consecutive replications: a chunk of replications "
                 f"{prev.first_rep}-{prev.first_rep + prev.replications - 1} is followed by one from {c.first_rep}"
             )
-    base_sigma = chunks[0].base_sigma
     rows = []
     for k, row in enumerate(chunks[0].rows):
         estimates = tuple(v for c in chunks for v in c.rows[k].estimates)
         failures = sum(c.rows[k].failure_count for c in chunks)
-        rows.append(_pooled_row(row.spec, estimates, failures, base_sigma))
-    return StudyResult(
-        rows=tuple(rows),
-        replications=sum(c.replications for c in chunks),
-        seed=chunks[0].seed,
-        base_sigma=base_sigma,
-        first_rep=chunks[0].first_rep,
-    )
+        rows.append(_pooled_row(row.spec, estimates, failures, chunks[0].model.base_sigma))
+    return replace(chunks[0], rows=tuple(rows), replications=sum(c.replications for c in chunks))
 
 
 # the report's columns, in order: the CSV header and each row's JSON keys

@@ -1,6 +1,7 @@
 """Tests for the estimator criteria, estimating equations, and drivers."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -45,12 +46,12 @@ from mindiv.estimators import (
     _fallback,
     _fit_rows,
     _moment_fixed_point,
+    _power_gradient,
     _pseudo_criterion,
-    _pseudo_gradient,
     _renyi_gradient,
     _renyi_neg_log,
+    _rows,
     _sub_criterion,
-    _sub_gradient,
     _tilt,
 )
 
@@ -502,10 +503,24 @@ class TestSubdivergenceEstimator:
 
 
 def counting_log_density(monkeypatch, family):
-    """The parameters of every ``family.log_density`` call from now on."""
-    thetas = []
-    real = family.log_density
-    monkeypatch.setattr(family, "log_density", lambda theta, x: thetas.append(np.array(theta)) or real(theta, x))
+    """The parameter of every log-density evaluation from now on: each
+    ``family._log_density`` call, public ``log_density`` or a tilt's, at the
+    parameter of the ``family._standardize`` call whose value it reads."""
+    thetas, standardized = [], {}
+    real_standardize, real_log_density = family._standardize, family._log_density
+
+    def standardize(theta, y):
+        standard = real_standardize(theta, y)
+        # the value is kept too, so its id is not reused
+        standardized[id(standard)] = standard, np.array(theta)
+        return standard
+
+    def log_density(standard):
+        thetas.append(standardized[id(standard)][1])
+        return real_log_density(standard)
+
+    monkeypatch.setattr(family, "_standardize", standardize)
+    monkeypatch.setattr(family, "_log_density", log_density)
     return thetas
 
 
@@ -546,9 +561,10 @@ class TestEscortTilt:
                 spec = EstimatorSpec(kind="subdivergence", alpha=alpha, escort=tuple(escort))
                 log_escort = family.log_density(escort, q.nodes)
                 rows = _Rows(q.nodes, q.weights, escort, log_escort)
-                tilt = q.weights * np.exp(alpha * (log_escort - log_escort))
+                density_tilt = q.weights * np.exp(alpha * (log_escort - log_escort))
+                tilt = _tilt(family, spec, escort, rows)._replace(terms=density_tilt)
                 crit = _sub_criterion(family, escort, rows, spec, tilt)
-                psi = _sub_gradient(family, escort, rows, spec, tilt)
+                psi = _power_gradient(family, escort, rows, spec, tilt)
                 assert sub_criterion(family, escort, escort, q, alpha) == crit
                 assert sub_psi(family, escort, escort, q, alpha).tobytes() == psi.tobytes()
                 if escort is theta:
@@ -883,7 +899,7 @@ ROW_CASES = [
     (PARETO, [[0.5], [2.0], [1e-2], [30.0], [1.1]]),
 ]
 EQUATIONS = [
-    (_pseudo_criterion, _pseudo_gradient),
+    (_pseudo_criterion, _power_gradient),
     (_renyi_neg_log, _renyi_gradient),
 ]
 
@@ -927,7 +943,7 @@ class TestTiltedEquations:
         q = row_sample(NORMAL, 5)
         pseudo, renyi = (EstimatorSpec(kind=k, alpha=alpha) for k in ROBUST_KINDS)
         equations = {
-            "power-pseudo": lambda m: at(_pseudo_gradient, NORMAL, theta, m, pseudo),
+            "power-pseudo": lambda m: at(_power_gradient, NORMAL, theta, m, pseudo),
             "renyi": lambda m: at(_renyi_gradient, NORMAL, theta, m, renyi),
             "subdivergence": lambda m: sub_psi(NORMAL, (0.1, 1.2), theta, m, alpha),
         }
@@ -981,18 +997,23 @@ class TestTiltedEquations:
             spec = EstimatorSpec(kind="power-pseudo", alpha=alpha)
             assert at(_pseudo_criterion, family, theta, q, spec) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("kind,gradient", [("power-pseudo", _pseudo_gradient), ("renyi", _renyi_gradient)])
+    @pytest.mark.parametrize("kind", ["subdivergence", "power-pseudo", "renyi"])
     @pytest.mark.parametrize("family,thetas", ROW_CASES)
-    def test_a_tilt_feeds_one_gradient_call(self, family, thetas, kind, gradient):
-        # the tilt yields the model's score mean once, and the Renyi
-        # gradient normalizes its terms in place: a second call raises
-        spec = EstimatorSpec(kind=kind, alpha=0.5)
+    def test_a_tilt_feeds_any_number_of_calls(self, family, thetas, kind):
+        # nothing writes to a tilt: criterion and gradient calls on one
+        # tilt, repeated and in either order, each give a fresh tilt's bytes
+        escort = tuple(thetas[1]) if kind == "subdivergence" else None
+        spec = EstimatorSpec(kind=kind, alpha=0.5, escort=escort)
         theta, q = np.array(thetas[0]), row_sample(family, 1)
-        q = Measure(q.nodes[0], q.weights[0])
+        q = _rows(family, spec, q.nodes[0], q.weights[0])
         tilt = _tilt(family, spec, theta, q)
-        assert gradient(family, theta, q, spec, tilt).tobytes() == at(gradient, family, theta, q, spec).tobytes()
-        with pytest.raises(RuntimeError, match="one gradient call"):
-            gradient(family, theta, q, spec, tilt)
+        built = pickle.dumps(tilt)
+        criterion, gradient = mindiv.estimators._EQUATIONS[kind]
+        for _ in range(2):
+            for equation in (gradient, criterion):
+                got = np.asarray(equation(family, theta, q, spec, tilt))
+                assert got.tobytes() == np.asarray(at(equation, family, theta, q, spec)).tobytes()
+        assert pickle.dumps(tilt) == built
 
 
 ALL_FAMILIES = [NORMAL, NORMAL_LOCATION, NORMAL_SCALE, PARETO]

@@ -200,12 +200,12 @@ class TestPowerProduct:
     def test_product_outside_the_family(self):
         # normal precision k / sigma^2, k = 1 + e - c + c sigma^2 / sigma_o^2 = -0.75
         with pytest.raises(DomainError):
-            next(NORMAL._power_product(np.array([0.0, 0.5]), np.array([0.0, 1.0]), 0.5, 3.0))
+            NORMAL._power_product(np.array([0.0, 0.5]), np.array([0.0, 1.0]), 0.5, 3.0)
         # Pareto shape (1 + e - c) theta + c theta_o + e = -5.5, and exactly 0
         with pytest.raises(DomainError):
-            next(PARETO._power_product(np.array([8.0]), np.array([2.0]), 0.5, 3.0))
+            PARETO._power_product(np.array([8.0]), np.array([2.0]), 0.5, 3.0)
         with pytest.raises(DomainError):
-            next(PARETO._power_product(np.array([2.0]), np.array([1.0]), 0.0, 2.0))
+            PARETO._power_product(np.array([2.0]), np.array([1.0]), 0.0, 2.0)
 
 
 class TestTwoMemberFormsTakeOneParameter:

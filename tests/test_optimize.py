@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-import mindiv.optimize
 from mindiv.errors import EvaluationError
 from mindiv.optimize import _newton_polish, solve_1d, solve_2d
 
@@ -73,14 +73,14 @@ def test_2d_search_is_one_simplex_descent(monkeypatch):
     # one Nelder-Mead run from the start clipped into the box; its
     # evaluations are the search's iterations
     starts, runs = [], []
-    minimize = mindiv.optimize._sciopt.minimize
+    minimize = scipy.optimize.minimize
 
     def counting(f, x0, **kwargs):
         starts.append(x0)
         runs.append(minimize(f, x0, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(mindiv.optimize._sciopt, "minimize", counting)
+    monkeypatch.setattr(scipy.optimize, "minimize", counting)
     bowl = lambda v: (v[0] - 1.0) ** 2 + (v[1] - 2.0) ** 2
     res = solve_2d(bowl, ((0.0, 3.0), (0.0, 3.0)), x0=np.array([9.0, -9.0]))
     assert len(runs) == 1 and np.array_equal(starts[0], [3.0, 0.0])

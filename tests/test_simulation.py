@@ -256,23 +256,37 @@ class TestRunStudy:
             pool_results(chunks)
 
     @pytest.mark.parametrize(
-        "other",
+        "other,field",
         [
-            dict(specs=(EstimatorSpec(kind="renyi", alpha=0.9),)),
-            dict(seed=2),
-            dict(specs=(EstimatorSpec(kind="mle"),)),
-            dict(sigma=2.0),
+            (dict(specs=(EstimatorSpec(kind="renyi", alpha=0.9),)), "estimator specs"),
+            (dict(seed=2), "seed"),
+            (dict(specs=(EstimatorSpec(kind="mle"),)), "estimator specs"),
+            (dict(sigma=2.0), "model"),
+            (dict(n=10), "n"),
+            (dict(eps=0.3), "model"),
+            (dict(contaminant="normal3"), "model"),
         ],
-        ids=["alpha", "seed", "kind", "base_sigma"],
+        ids=["alpha", "seed", "kind", "base_sigma", "n", "epsilon", "contaminant"],
     )
-    def test_pooling_rejects_chunks_of_other_studies(self, other):
-        study = dict(specs=(EstimatorSpec(kind="renyi", alpha=0.5),), seed=1, sigma=1.0)
+    def test_pooling_rejects_chunks_of_other_studies(self, other, field):
+        # consecutive chunks of two studies pool into an MSE that means
+        # nothing; the error names the field that differs
+        study = dict(
+            specs=(EstimatorSpec(kind="renyi", alpha=0.5),), seed=1, sigma=1.0, n=20, eps=0.1, contaminant="cauchy"
+        )
         chunks = [
-            run_study(model(sigma=c["sigma"]), 20, 2, c["specs"], seed=c["seed"], first_rep=2 * i)
+            run_study(model(c["eps"], c["contaminant"], c["sigma"]), c["n"], 2, c["specs"], seed=c["seed"], first_rep=2 * i)
             for i, c in enumerate((study, dict(study, **other)))
         ]
-        with pytest.raises(InvalidInputError, match="must share"):
+        with pytest.raises(InvalidInputError, match=f"must share their {field}: "):
             pool_results(chunks)
+
+    def test_study_records_its_size_and_model(self):
+        m = model(0.2, "logistic", 1.5)
+        result = run_study(m, 30, 4, SPECS, seed=3, first_rep=5)
+        assert (result.n, result.model) == (30, m)
+        pooled = pool_results([result, run_study(m, 30, 2, SPECS, seed=3, first_rep=9)])
+        assert (pooled.n, pooled.model, pooled.first_rep, pooled.replications) == (30, m, 5, 6)
 
     def test_pooling_nothing_rejected(self):
         with pytest.raises(InvalidInputError, match="nothing to pool"):
