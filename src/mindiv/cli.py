@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -47,8 +48,12 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InvalidInputError(str(exc)) from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInputError(f"grid bounds must be finite, got {text!r}")
     if not lo < hi:
         raise InvalidInputError(f"grid minimum must be below maximum, got {text!r}")
+    if math.isinf(hi - lo):
+        raise InvalidInputError(f"grid span max - min overflows a float, got {text!r}")
     if count < 2:
         raise InvalidInputError(f"grid needs at least 2 points, got {count}")
     return np.linspace(lo, hi, count)

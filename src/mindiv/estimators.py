@@ -181,7 +181,7 @@ def _tilt(family: Family, spec: EstimatorSpec, theta, q, y=None):
 
 def _tilted_sum(w, cols):
     """Per-row ``sum_i w_i s_i`` of (..., n) weights and each score column
-    (``family._score_at`` or ``_score_cols``, overwritten by the products):
+    (``family._score_at``, overwritten by the products):
     every product is a contiguous (..., n) array, so a row sums as a single
     call does."""
     for s in cols:
@@ -368,10 +368,10 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
     after ``_MAX_ITER`` steps, and is accepted when its equation has
     max-norm below ``_PSI_TOL`` and its criterion is no higher than at the
     start.  That check runs once, on all settled rows together (as one
-    parameter on a single one), and takes two ``_tilt``s, at the fit and at
-    the start, on the start's y: two validations, two per-node transforms
-    and two model terms, which one equation call and two criterion calls
-    share.  Returns the (R, d) parameters, the accepted mask, each row's
+    parameter on a single one; in place when every row settled), and takes
+    two ``_tilt``s, at the fit and at the start, on the start's y: two
+    validations, two per-node transforms and two model terms, which one
+    equation call and two criterion calls share.  Returns the (R, d) parameters, the accepted mask, each row's
     steps and each row's criterion: the ``_closed_form`` one, or that of the
     check (NaN where a row did not settle).
     """
@@ -385,8 +385,8 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
             return _unfitted(family, r)
         accepted = np.zeros(r, dtype=bool) | own
         return theta, accepted, np.zeros(r, dtype=int), np.where(accepted, crit, math.nan)
-    same = w == w[:, :1]
-    if not (all_equal := same.all()) and (equal := same.all(axis=1)).any():
+    equal = (w == w[:, :1]).all(axis=1)
+    if not (all_equal := equal.all()) and equal.any():
         fits = _unfitted(family, r)
         for rows in (equal, ~equal):
             for out, got in zip(fits, _moment_fixed_point(family, spec, x[rows], w[rows])):
@@ -431,8 +431,9 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
             idx, th, ys, ws = idx[go], th[go], ys[go], ws[go]
         criteria, rows = np.full(r, math.nan), settled.nonzero()[0]
         if rows.size:
-            # one row is checked as one parameter: the same numbers, without rows overhead
-            pick = rows[0] if rows.size == 1 else rows
+            # one row is checked as one parameter: the same numbers, without
+            # rows overhead; when every row settled, the rows are read in place
+            pick = rows[0] if rows.size == 1 else slice(None) if rows.size == r else rows
             q, fit, begin, nodes = _Rows(x[pick], w_map[pick]), theta[pick], start[pick], y[pick]
             criterion, gradient = _EQUATIONS[spec.kind]
             at_fit, at_start = _tilt(family, spec, fit, q, nodes), _tilt(family, spec, begin, q, nodes)

@@ -97,8 +97,8 @@ class Family:
     enters (the y that ``_moment_start`` gives on each row it starts),
     ``_standardize(theta, y)`` at a validated parameter or rows, and from
     its value ``_log_density`` and ``_score_at``, the score's coordinates
-    as arrays of the nodes' shape.  ``log_density`` and ``_score_cols``
-    chain the four on ``x``.
+    as arrays of the nodes' shape.  ``log_density`` and ``score`` chain
+    the four on ``x``.
     """
 
     name: str = ""
@@ -140,12 +140,10 @@ class Family:
     def density(self, theta, x):
         return np.exp(self.log_density(theta, x))
 
-    def _score_cols(self, theta, x) -> list:
-        return self._score_at(self._standardize(self.validate_param(theta), self._nodes(x)))
-
     def score(self, theta, x):
-        """Score vector; shape ``x.shape + (param_dim,)``: ``_score_cols`` stacked."""
-        return np.stack(self._score_cols(theta, x), axis=-1)
+        """Score vector; shape ``x.shape + (param_dim,)``: the ``_score_at``
+        columns stacked."""
+        return np.stack(self._score_at(self._standardize(self.validate_param(theta), self._nodes(x))), axis=-1)
 
     def score_deriv(self, theta, x):
         """Jacobian of the score; shape ``x.shape + (param_dim, param_dim)``."""
@@ -217,15 +215,19 @@ def _row_quantile(x: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     every node (empirical measures of one size) the cumulative weights do
     not depend on the order, so ``np.partition`` selects that node in O(n)
     at a rank cached per (n, weight, p) (a zero may differ in sign, as ties
-    order differently)."""
+    order differently).  Otherwise each row is sorted, and the sorted weights
+    and the chosen node are gathered by their flat index in the (R, n)
+    array."""
     if (w := np.asarray(w)).size == 1 or w.size and (w == w.flat[0]).all():
         k = _equal_weight_rank(x.shape[-1], float(w.flat[0]), p)
         return np.partition(x, k, axis=-1)[..., k]
-    w = np.broadcast_to(w, x.shape)
-    order = np.argsort(x, axis=-1)
-    cw = np.cumsum(np.take_along_axis(w, order, axis=-1), axis=-1)
-    k = np.argmax(cw >= p * cw[..., -1:], axis=-1)
-    return np.take_along_axis(x, np.take_along_axis(order, k[..., None], axis=-1), axis=-1)[..., 0]
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1).reshape(-1, n)
+    starts = np.arange(0, order.size, n)
+    order += starts[:, None]
+    cw = np.cumsum(np.take(np.broadcast_to(w, x.shape), order), axis=-1)
+    k = np.argmax(cw >= p * cw[:, -1:], axis=-1)
+    return np.take(x, order.flat[k + starts]).reshape(x.shape[:-1])
 
 
 def _tilted_moments(u: np.ndarray, d: np.ndarray, w, top: int):
@@ -326,12 +328,13 @@ class _NormalKind(Family):
     def _moment_start(self, x, w):
         """Median and scaled MAD of the nodes or of each row; no start (NaN)
         where the MAD is 0."""
-        mu = _row_quantile(x, w, 0.5) if 0 in self._free else np.zeros(x.shape[:-1])
+        mu = _row_quantile(x, w, 0.5) if 0 in self._free else None
         if 1 not in self._free:
             return mu[..., None], x
-        sigma = _MAD_SCALE * _row_quantile(np.abs(x - mu[..., None]), w, 0.5)
+        # about a fixed mu = 0 the deviations are |x| itself
+        sigma = _MAD_SCALE * _row_quantile(np.abs(x if mu is None else x - mu[..., None]), w, 0.5)
         sigma = np.where(sigma > 0.0, sigma, math.nan)
-        return np.array([(mu, sigma)[i] for i in self._free]).T, x
+        return (sigma[..., None] if mu is None else np.array([mu, sigma]).T), x
 
     def _moment_update(self, kind, a, y, w, theta):
         """Newton step on theta = F(theta), the weighted-moment equations of

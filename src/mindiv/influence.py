@@ -34,6 +34,16 @@ UNBOUNDED = Unbounded.POSITIVE
 _ORACLE_EPS = 1e-3
 
 
+def _checked_grid(grid) -> np.ndarray:
+    """``grid`` as a float array of finite, strictly increasing points."""
+    grid = np.asarray(grid, dtype=float)
+    if not np.isfinite(grid).all():
+        raise InvalidInputError(f"grid points must be finite, got {float(grid[~np.isfinite(grid)][0])}")
+    if grid.ndim != 1 or np.any(np.diff(grid) <= 0.0):
+        raise InvalidInputError("grid must be strictly increasing")
+    return grid
+
+
 @dataclass(frozen=True)
 class InfluenceCurve:
     """Sampled influence function with its defining metadata."""
@@ -44,10 +54,8 @@ class InfluenceCurve:
     values: np.ndarray  # shape (len(grid), param_dim)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _checked_grid(self.grid)
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if grid.ndim != 1 or np.any(np.diff(grid) <= 0.0):
-            raise InvalidInputError("grid must be strictly increasing")
         if values.shape[0] != grid.size:
             raise InvalidInputError("values must have one row per grid point")
         if not np.all(np.isfinite(values)):
@@ -123,14 +131,17 @@ def if_numeric(family: Family, spec: EstimatorSpec, q: Measure, x, eps: float = 
     # row 2i holds point i at eps, row 2i + 1 point i at eps/2
     at = np.repeat(points, 2)
     steps = np.tile([e, e / 2.0], points.size)
-    fits = np.empty((at.size, base.size))
-    batch = max(1, _BATCH_VALUES // (len(q) + 1))
+    fits, n = np.empty((at.size, base.size)), len(q)
+    batch = max(1, _BATCH_VALUES // (n + 1))
     for lo in range(0, at.size, batch):
         hi = min(lo + batch, at.size)
-        # the rows of contaminate(q, x, step): q's nodes plus x, and its
-        # weights times (1 - step) plus step
-        nodes = np.concatenate([np.broadcast_to(q.nodes, (hi - lo, len(q))), at[lo:hi, None]], axis=1)
-        weights = np.concatenate([(1.0 - steps[lo:hi, None]) * q.weights, steps[lo:hi, None]], axis=1)
+        # the rows of contaminate(q, x, step), written in C order as
+        # _fit_rows takes them: q's nodes plus x, and its weights times
+        # (1 - step) plus step
+        nodes, weights = np.empty((2, hi - lo, n + 1))
+        nodes[:, :n], nodes[:, n] = q.nodes, at[lo:hi]
+        np.multiply(1.0 - steps[lo:hi, None], q.weights, out=weights[:, :n])
+        weights[:, n] = steps[lo:hi]
         context = lambda j: f"contaminated measure (x={float(at[lo + j])}, eps={float(steps[lo + j])})"
         fits[lo:hi] = _fit_or_raise(family, spec, nodes, weights, context)
     quotients = (fits - base) / steps[:, None]
@@ -321,7 +332,7 @@ def influence_curve(
     theta), grid, eps=1e-4)`` there.
     """
     theta = family.validate_param(theta)
-    grid = np.asarray(grid, dtype=float)
+    grid = _checked_grid(grid)
     if numeric:
         values = if_numeric(family, spec, quadrature_of(family, theta), grid)
     else:

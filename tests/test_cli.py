@@ -221,8 +221,16 @@ class TestInfluence:
             ("0,x", "-1:1:3", "expected comma-separated numbers, got '0,x'"),
             ("0", "a:1:3", "could not convert string to float: 'a'"),
             ("0", "-1:1:2.5", "invalid literal for int() with base 10: '2.5'"),
+            # np.linspace warns on these; the grid is rejected before it runs
+            ("0", "0:inf:3", "grid bounds must be finite, got '0:inf:3'"),
+            ("0", "-inf:0:3", "grid bounds must be finite, got '-inf:0:3'"),
+            ("0", "nan:1:3", "grid bounds must be finite, got 'nan:1:3'"),
+            ("0", "-1e308:1e308:3", "grid span max - min overflows a float, got '-1e308:1e308:3'"),
         ],
-        ids=["reversed", "two-fields", "one-point", "theta-not-numeric", "grid-not-numeric", "count-not-integer"],
+        ids=[
+            "reversed", "two-fields", "one-point", "theta-not-numeric", "grid-not-numeric", "count-not-integer",
+            "infinite-max", "infinite-min", "nan-min", "span-overflows",
+        ],
     )
     def test_bad_grid_or_theta_rejected(self, capsys, theta, grid, message):
         code, out, err = run_cli(

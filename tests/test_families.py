@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from mindiv import (
@@ -428,7 +430,57 @@ def sorted_quantile(x, w, p):
     return np.array(out)
 
 
+@st.composite
+def weighted_rows(draw):
+    """(R, n) nodes and weights, uneven in every row: free rows, or rows as
+    ``if_numeric`` builds them, one shared base (sorted or shuffled) plus one
+    point per row, weighted (1 - step) q and step.  Rounded nodes repeat
+    values and give zeros of both signs; integer weights tie cumulative
+    sums with the quantile's level."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(2, 40))
+    scale, rounded = draw(st.sampled_from([0.4, 1.0, 3.0])), draw(st.booleans())
+    weigh = draw(st.sampled_from(["equal", "uniform", "integer"]))
+
+    def nodes(*shape):
+        x = scale * rng.standard_normal(shape)
+        return np.round(x) if rounded else x
+
+    def weights(*shape):
+        if weigh == "integer":
+            return rng.integers(1, 4, shape).astype(float)
+        return np.full(shape, 1.0 / shape[-1]) if weigh == "equal" else rng.random(shape) + 0.01
+
+    if draw(st.booleans()):
+        base, q = nodes(n - 1), weights(n - 1)
+        if draw(st.booleans()):
+            base.sort()
+        points = nodes(rows) if draw(st.booleans()) else rng.choice(base, rows)
+        steps = draw(st.sampled_from([np.array([1e-3, 5e-4]), np.array([0.1, 0.05]), np.array([0.3])]))
+        step = np.resize(steps, rows)
+        x, w = np.empty((2, rows, n))
+        x[:, :-1], x[:, -1] = base, points
+        np.multiply(1.0 - step[:, None], q, out=w[:, :-1])
+        w[:, -1] = step
+    else:
+        x, w = nodes(rows, n), weights(rows, n)
+    # a row of equal weights alone takes the equal-weight selection
+    w[(w == w[:, :1]).all(axis=1), -1] *= 2.0
+    return x, w
+
+
 class TestRowQuantile:
+    @given(weighted_rows(), st.sampled_from([0.25, 0.5, 0.75]))
+    def test_weighted_rows_are_single_calls(self, case, p):
+        # each row of a batch is the single-row call, byte for byte, and
+        # the sorted reference's value (zeros equal whatever their signs)
+        x, w = case
+        got = _row_quantile(x, w, p)
+        assert got.shape == (len(x),)
+        for j in range(len(x)):
+            assert got[j].tobytes() == _row_quantile(x[j], w[j], p).tobytes()
+        assert np.array_equal(got, sorted_quantile(x, w, p))
+
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     def test_equal_weights_match_sort(self, p):
         # weights 1/n: at some n the cumulative weight k/n that equals p
@@ -486,6 +538,11 @@ def row_nodes(family, rows, n=40, seed=21):
         x = 1.5 * rng.standard_normal((rows, n)) + 0.2
         x[0, 0] = 30.0
     return x
+
+
+def score_cols(family, theta, x):
+    """The score's columns: ``_score_at`` on the standardized nodes."""
+    return family._score_at(family._standardize(family.validate_param(theta), family._nodes(x)))
 
 
 def log_mismatches(count=3):
@@ -581,11 +638,11 @@ class TestParameterRows:
         # each column's rows equal single calls
         theta = np.array(thetas)
         x = row_nodes(family, len(theta))
-        cols = family._score_cols(theta, x)
+        cols = score_cols(family, theta, x)
         assert len(cols) == family.param_dim and all(c.shape == x.shape for c in cols)
         assert family.score(theta, x).tobytes() == np.stack(cols, axis=-1).tobytes()
         for t, xr, score in zip(theta, x, family.score(theta, x)):
-            one = family._score_cols(t, xr)
+            one = score_cols(family, t, xr)
             assert score.tobytes() == family.score(t, xr).tobytes() == np.stack(one, axis=-1).tobytes()
 
     @pytest.mark.parametrize("family,thetas", ROW_FAMILIES)

@@ -93,13 +93,13 @@ class TestIfGeneral:
 
 
 def counting_fits(monkeypatch):
-    """Record each ``_fit_rows`` call of the oracle (its nodes) and each row
-    ``_fallback`` fits."""
+    """Record each ``_fit_rows`` call of the oracle (its nodes and weights)
+    and each row ``_fallback`` fits."""
     fit_rows, fallbacks = [], []
     real_fit_rows, real_fallback = mindiv.influence._fit_rows, mindiv.estimators._fallback
 
     def counting_fit_rows(family, spec, nodes, weights):
-        fit_rows.append(nodes)
+        fit_rows.append((nodes, weights))
         return real_fit_rows(family, spec, nodes, weights)
 
     def counting_fallback(family, spec, q, its):
@@ -153,7 +153,7 @@ class TestIfNumeric:
         per_point = np.stack([if_numeric(NORMAL, spec, q, float(x)) for x in xs])
         fit_rows, fallbacks = counting_fits(monkeypatch)
         rows = if_numeric(NORMAL, spec, q, xs)
-        assert [len(nodes) for nodes in fit_rows] == [1, 6] and not fallbacks
+        assert [len(nodes) for nodes, _ in fit_rows] == [1, 6] and not fallbacks
         assert rows.shape == (3, 2)
         assert np.array_equal(rows, per_point)
         assert if_numeric(NORMAL, spec, q, 0.5).shape == (2,)
@@ -266,8 +266,10 @@ class TestBatchedOracle:
         got = if_numeric(family, spec, q, xs)
         # the base row, then every contaminated row solved in the batch, bit
         # for bit, with no contaminated measure built
-        assert np.array_equal(fit_rows[0], q.nodes[None])
-        assert [len(nodes) for nodes in fit_rows] == [1, 10] and not fallbacks
+        assert np.array_equal(fit_rows[0][0], q.nodes[None])
+        assert [len(nodes) for nodes, _ in fit_rows] == [1, 10] and not fallbacks
+        # written in C order, so _fit_rows copies no row
+        assert all(rows.flags.c_contiguous for pair in fit_rows for rows in pair)
         assert np.array_equal(got, want)
 
     def test_rejected_rows_fall_back(self, monkeypatch):
@@ -602,13 +604,31 @@ class TestInfluenceCurve:
             ([1.0, 0.5], np.zeros((2, 1)), "strictly increasing"),
             ([0.5, 1.0], np.zeros((3, 1)), "one row per grid point"),
             ([0.5, 1.0], np.array([[0.0], [math.nan]]), "finite"),
+            ([0.0, math.nan, 1.0], np.zeros((3, 1)), "grid points must be finite, got nan"),
+            ([0.0, math.inf], np.zeros((2, 1)), "grid points must be finite, got inf"),
         ],
-        ids=["grid-decreasing", "row-count", "non-finite"],
+        ids=["grid-decreasing", "row-count", "non-finite", "grid-nan", "grid-inf"],
     )
     def test_invalid_curve_rejected(self, grid, values, match):
         spec = EstimatorSpec(kind="mle")
         with pytest.raises(InvalidInputError, match=match):
             InfluenceCurve(spec, np.array([0.0]), np.array(grid), values)
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    @pytest.mark.parametrize(
+        "grid", [[0.0, math.inf], [-math.inf, 0.0], [0.0, math.nan, 1.0]], ids=["inf-max", "inf-min", "nan"]
+    )
+    def test_non_finite_grid_rejected_before_evaluation(self, monkeypatch, grid, numeric):
+        # the grid is named, and no curve is evaluated on it (the closed
+        # form warned and then blamed the values)
+        def no_curve(*args, **kwargs):
+            raise AssertionError("evaluated a curve")
+
+        monkeypatch.setattr(mindiv.influence, "_model_point_if", no_curve)
+        monkeypatch.setattr(mindiv.influence, "if_numeric", no_curve)
+        spec = EstimatorSpec(kind="renyi", alpha=0.5)
+        with pytest.raises(InvalidInputError, match="grid points must be finite"):
+            influence_curve(NORMAL_SCALE, spec, [1.0], np.array(grid), numeric=numeric)
 
     def test_numeric_route_matches_closed(self):
         spec = EstimatorSpec(kind="power-pseudo", alpha=0.5)
@@ -626,7 +646,7 @@ class TestInfluenceCurve:
         per_point = np.stack([if_numeric(NORMAL_SCALE, spec, q, float(x)) for x in grid])
         fit_rows, _ = counting_fits(monkeypatch)
         curve = influence_curve(NORMAL_SCALE, spec, [1.0], grid, numeric=True)
-        assert [len(nodes) for nodes in fit_rows] == [1, 10]
+        assert [len(nodes) for nodes, _ in fit_rows] == [1, 10]
         assert np.array_equal(curve.values, per_point)
 
     def test_superdivergence_uses_mle_form(self):
