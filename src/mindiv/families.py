@@ -328,13 +328,13 @@ class _NormalKind(Family):
     def _moment_start(self, x, w):
         """Median and scaled MAD of the nodes or of each row; no start (NaN)
         where the MAD is 0."""
-        mu = _row_quantile(x, w, 0.5) if 0 in self._free else None
+        mu = _row_quantile(x, w, 0.5) if 0 in self._free else np.zeros(x.shape[:-1])
         if 1 not in self._free:
             return mu[..., None], x
         # about a fixed mu = 0 the deviations are |x| itself
-        sigma = _MAD_SCALE * _row_quantile(np.abs(x if mu is None else x - mu[..., None]), w, 0.5)
+        sigma = _MAD_SCALE * _row_quantile(np.abs(x - mu[..., None] if 0 in self._free else x), w, 0.5)
         sigma = np.where(sigma > 0.0, sigma, math.nan)
-        return (sigma[..., None] if mu is None else np.array([mu, sigma]).T), x
+        return np.array([(mu, sigma)[i] for i in self._free]).T, x
 
     def _moment_update(self, kind, a, y, w, theta):
         """Newton step on theta = F(theta), the weighted-moment equations of
