@@ -225,7 +225,7 @@ def _row_quantile(x: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     order = np.argsort(x, axis=-1).reshape(-1, n)
     starts = np.arange(0, order.size, n)
     order += starts[:, None]
-    cw = np.cumsum(np.take(np.broadcast_to(w, x.shape), order), axis=-1)
+    cw = np.cumsum(np.take(w if w.shape == x.shape else np.broadcast_to(w, x.shape), order), axis=-1)
     k = np.argmax(cw >= p * cw[:, -1:], axis=-1)
     return np.take(x, order.flat[k + starts]).reshape(x.shape[:-1])
 

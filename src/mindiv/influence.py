@@ -39,7 +39,7 @@ def _checked_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(grid).all():
         raise InvalidInputError(f"grid points must be finite, got {float(grid[~np.isfinite(grid)][0])}")
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0.0):
+    if grid.ndim != 1 or not (grid[1:] > grid[:-1]).all():
         raise InvalidInputError("grid must be strictly increasing")
     return grid
 
