@@ -386,13 +386,13 @@ def _moment_fixed_point(family: Family, spec: EstimatorSpec, nodes, weights):
         accepted = np.zeros(r, dtype=bool) | own
         return theta, accepted, np.zeros(r, dtype=int), np.where(accepted, crit, math.nan)
     equal = (w == w[:, :1]).all(axis=1)
-    if not (all_equal := equal.all()) and equal.any():
+    if 0 < (equal_rows := np.count_nonzero(equal)) < r:
         fits = _unfitted(family, r)
         for rows in (equal, ~equal):
             for out, got in zip(fits, _moment_fixed_point(family, spec, x[rows], w[rows])):
                 out[rows] = got
         return fits
-    w_map = w[:, :1] if all_equal else w
+    w_map = w[:, :1] if equal_rows == r else w
     stop_tol = math.sqrt(_FP_STEP_TOL)
     with np.errstate(all="ignore"):
         start, y = family._moment_start(x, w_map)
